@@ -19,12 +19,14 @@ from collections import Counter
 
 import repro.api as api
 from repro.obs import render_metrics_markdown, validate_chrome_trace
+from repro.options import RunOptions
 
 MESH = (4, 4)
 
 
 def main() -> None:
-    res = api.run("fig1", obs=True, meshes=(MESH,), nsteps=4)
+    res = api.run("fig1", options=RunOptions(obs=True), meshes=(MESH,),
+                  nsteps=4)
     obs = res.observer
 
     print(res.render())

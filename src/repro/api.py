@@ -11,18 +11,16 @@ front door::
 
     res = api.run("fig1")                                # plain run
     res = api.run("fig1", options=RunOptions(obs=True))  # + spans
-    res = api.run("fig1", options=RunOptions(fast=True)) # fastpath
     print(res.render())
     res.observer.spans                                   # recorded spans
 
     api.profile("table8", trace_out="t.json")  # run + Perfetto export
 
-Execution knobs (observability, guard, faults, fastpath, cache and
-results-db locations, worker counts) travel together in a
-:class:`repro.options.RunOptions`; the historical per-knob keywords
-(``obs=``, ``guard=``, ``workers=``, ...) keep working through
-deprecation shims.  See ``docs/performance.md`` for the migration
-table.
+Execution knobs (observability, guard, faults, cache and results-db
+locations, worker counts) travel together in a
+:class:`repro.options.RunOptions` and nowhere else: a knob passed as a
+keyword of its own (``obs=``, ``guard=``, ``workers=``, ...) raises
+``TypeError`` naming the ``options=RunOptions(...)`` spelling.
 
 ``run`` is keyword-only beyond the experiment identifier, mirroring
 :func:`repro.reporting.run_experiment`; all runner options pass through
@@ -35,8 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
-from repro.options import RunOptions, UNSET, merge_legacy
-from repro.parallel import engine as _engine
+from repro.options import RunOptions, reject_option_keywords
 from repro.obs import (
     Observer,
     activate,
@@ -96,7 +93,8 @@ class RunResult:
         if self.observer is None:
             raise ValueError(
                 f"run {self.experiment!r} was not observed; "
-                f"pass obs=True (or an Observer) to repro.api.run"
+                f"pass options=RunOptions(obs=True) (or an Observer) "
+                f"to repro.api.run"
             )
         return self.observer
 
@@ -170,40 +168,21 @@ def _record_api_run(db_path: str, experiment: str,
 
 
 def run(experiment: str, *, options: Any = None,
-        obs: Any = UNSET, guard: Any = UNSET,
-        fast: Any = UNSET, faults: Any = UNSET,
         **runner_options) -> RunResult:
     """Run a registered experiment and return a :class:`RunResult`.
 
     ``experiment`` is a registry identifier (see
     :data:`repro.reporting.EXPERIMENTS` or ``python -m repro list``).
     ``options`` is a :class:`repro.options.RunOptions` (or a dict of its
-    fields) carrying the execution knobs:
+    fields); a single run reads ``obs``, ``guard``, ``faults`` and
+    ``results_db`` from it — the class documents each.
 
-    ``obs``
-        observability — ``None``/``False`` for a plain run (zero
-        instrumentation cost), ``True`` to record into a fresh
-        :class:`repro.obs.Observer`, or an existing ``Observer`` to
-        aggregate several runs into one trace;
-    ``guard``
-        numerical health supervision for guard-aware runners — ``True``
-        for the default :class:`repro.guard.GuardConfig`, a policy name
-        (``"halt"``, ``"rollback_retry"``, ``"rollback_adapt"``) or a
-        full config;
-    ``fast``
-        opt into the engine fastpath (span bookkeeping skipped, scratch
-        arrays pooled; a live observer overrides it);
-    ``faults``
-        a :class:`repro.faults.FaultPlan` for fault-aware runners;
-    ``results_db``
-        record the run in the :mod:`repro.results` index.
-
-    The old per-knob keywords (``obs=``, ``guard=``, ...) still work via
-    deprecation shims.  Remaining keyword options go to the experiment
-    runner verbatim.
+    Every other keyword goes to the experiment runner verbatim, except
+    that a ``RunOptions`` field name is refused (``TypeError``) instead
+    of reaching the runner unresolved.
     """
-    opts = merge_legacy(options, "repro.api.run",
-                        obs=obs, guard=guard, fast=fast, faults=faults)
+    reject_option_keywords("repro.api.run", runner_options)
+    opts = RunOptions.coerce(options)
     observer = _resolve_observer(opts.obs)
     gcfg = _resolve_guard(opts.guard)
     if gcfg is not None:
@@ -211,12 +190,7 @@ def run(experiment: str, *, options: Any = None,
     if opts.faults is not None:
         runner_options = dict(runner_options, faults=opts.faults)
     t0 = time.perf_counter()
-    if opts.fast:
-        with _engine.fastpath():
-            value = run_experiment(experiment, obs=observer,
-                                   **runner_options)
-    else:
-        value = run_experiment(experiment, obs=observer, **runner_options)
+    value = run_experiment(experiment, obs=observer, **runner_options)
     if opts.results_db:
         _record_api_run(opts.results_db, experiment, runner_options,
                         time.perf_counter() - t0)
@@ -229,15 +203,7 @@ def run_campaign(
     *,
     sweep: Optional[str] = None,
     options: Any = None,
-    workers: Any = UNSET,
-    cache_dir: Any = UNSET,
-    resume: Any = UNSET,
-    obs: Any = UNSET,
-    use_cache: Any = UNSET,
-    results_db: Any = UNSET,
-    fast: Any = UNSET,
-    fleet: Any = UNSET,
-    max_attempts: Any = UNSET,
+    **keywords,
 ):
     """Run a process-parallel, cache-backed campaign over the registry.
 
@@ -255,44 +221,30 @@ def run_campaign(
     additionally records every completed unit in the
     :mod:`repro.results` cross-run index (idempotent on the unit key).
 
-    ``fleet`` dispatches units to socket-transport workers instead of
-    the local pool (see :mod:`repro.fleet` and ``docs/fleet.md``): pass
-    a :class:`repro.fleet.FleetConfig`, ``"host:port,host:port"`` to
-    dial listening workers, ``"listen[:host:port]"`` to accept dialing
-    ones, or ``True``.  ``max_attempts`` caps re-dispatches of units
-    lost to dying workers before quarantine.
-
-    Knobs travel in ``options=`` (a :class:`repro.options.RunOptions` or
-    a dict); the per-knob keywords remain as deprecation shims.  A bad
-    worker count dies here, at the facade, before the campaign machinery
-    (and multiprocessing) ever loads: `workers=0` used to slip through
-    and surface as a confusing pool-side failure.
+    Every name above is a :class:`repro.options.RunOptions` field, as
+    are ``fleet`` and ``max_attempts`` (socket-transport workers instead
+    of the local pool; see ``docs/fleet.md``).  They travel in
+    ``options=`` only; ``**keywords`` exists to answer a knob passed as
+    a keyword with that spelling.  A bad worker count dies here, at the
+    facade, before the campaign machinery (and multiprocessing) loads.
 
     Lazy import: the campaign engine pulls in ``multiprocessing`` and
     the full registry; the facade stays importable without it.
     """
-    opts = merge_legacy(options, "repro.api.run_campaign",
-                        workers=workers, cache_dir=cache_dir, resume=resume,
-                        obs=obs, use_cache=use_cache, results_db=results_db,
-                        fast=fast)
-    # fleet/max_attempts are first-class keywords (not legacy shims):
-    # accepted directly, conflict-checked against options=.
-    for name, value in (("fleet", fleet), ("max_attempts", max_attempts)):
-        if value is UNSET:
-            continue
-        if options is not None and getattr(opts, name) is not None:
-            raise ValueError(
-                f"repro.api.run_campaign: {name!r} was passed both in "
-                f"options= and as a keyword; set it once"
-            )
-        opts = opts.with_(**{name: value})
+    reject_option_keywords("repro.api.run_campaign", keywords)
+    if keywords:
+        raise TypeError(
+            "repro.api.run_campaign: unexpected keyword argument "
+            f"{next(iter(keywords))!r}"
+        )
+    opts = RunOptions.coerce(options)
     from repro.campaign import run_campaign as _run_campaign
 
     return _run_campaign(
         experiments, sweep=sweep, workers=opts.workers,
         cache_dir=opts.cache_dir, resume=opts.resume, obs=bool(opts.obs),
         use_cache=opts.use_cache, results_db=opts.results_db,
-        fast=opts.fast, fleet=opts.fleet, max_attempts=opts.max_attempts,
+        fleet=opts.fleet, max_attempts=opts.max_attempts,
     )
 
 
@@ -315,21 +267,19 @@ def profile(experiment: str, *, trace_out: Optional[str] = None,
             metrics_out: Optional[str] = None,
             flamegraph_out: Optional[str] = None,
             options: Any = None,
-            obs: Any = UNSET, guard: Any = UNSET, faults: Any = UNSET,
             **runner_options) -> RunResult:
     """Run an experiment under observation and export the artefacts.
 
-    Always observes (``obs=None`` means a fresh observer here, unlike
-    :func:`run`) — which also means ``fast`` is moot: a live observer
-    overrides the fastpath by contract.  Writes a Perfetto-loadable
-    Chrome trace to ``trace_out``, a JSON metrics summary to
-    ``metrics_out`` and a folded-stack flamegraph dump to
-    ``flamegraph_out`` when given; any may be omitted.
+    Always observes (``obs=None`` in ``options`` means a fresh observer
+    here, unlike :func:`run`).  Writes a Perfetto-loadable Chrome trace
+    to ``trace_out``, a JSON metrics summary to ``metrics_out`` and a
+    folded-stack flamegraph dump to ``flamegraph_out`` when given; any
+    may be omitted.
     """
-    opts = merge_legacy(options, "repro.api.profile",
-                        obs=obs, guard=guard, faults=faults)
+    reject_option_keywords("repro.api.profile", runner_options)
+    opts = RunOptions.coerce(options)
     observer = _resolve_observer(opts.obs) or Observer()
-    result = run(experiment, options=opts.with_(obs=observer, fast=False),
+    result = run(experiment, options=opts.with_(obs=observer),
                  **runner_options)
     if trace_out:
         write_chrome_trace(observer, trace_out)

@@ -19,7 +19,7 @@ scheduler across machines with nothing but the standard library:
 * :mod:`repro.fleet.harness` — :class:`LocalFleet` for tests, CI and
   the recovery benchmark.
 
-Entry points: ``api.run_campaign(..., fleet=...)``,
+Entry points: ``api.run_campaign(..., options=RunOptions(fleet=...))``,
 ``python -m repro campaign --fleet HOST:PORT,...`` or ``--listen``.
 See ``docs/fleet.md``.
 """

@@ -122,11 +122,10 @@ class FleetCoordinator:
 
     def __init__(self, config: FleetConfig,
                  cache: Optional[ResultCache] = None,
-                 observe: bool = False, fast: bool = False) -> None:
+                 observe: bool = False) -> None:
         self.config = config
         self.cache = cache
         self.observe = observe
-        self.fast = fast
         self.sel = selectors.DefaultSelector()
         self.listener: Optional[socket.socket] = None
         self.conns: List[_Conn] = []
@@ -320,7 +319,6 @@ class FleetCoordinator:
                               if self.cache is not None else None),
                 "heartbeat_interval": self.config.heartbeat_interval,
                 "observe": self.observe,
-                "fast": self.fast,
             })
         elif kind == "heartbeat":
             pass  # last_seen already refreshed by the read itself
@@ -479,8 +477,7 @@ class FleetCoordinator:
             if self._try_salvage(unit, tracker, "degraded teardown"):
                 continue
             attempt = tracker.start(unit.key)
-            outcome = _run_one(unit, -1, self.cache, self.observe,
-                               self.fast)
+            outcome = _run_one(unit, -1, self.cache, self.observe)
             outcome.attempt = attempt
             outcome.host = "coordinator-local"
             self.done[unit.key] = outcome

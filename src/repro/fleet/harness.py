@@ -12,8 +12,9 @@ Usage::
 
     with LocalFleet(nworkers=3, chaos={1: "kill@2"},
                     cache_dir=tmp) as fleet:
-        report = api.run_campaign(["fig2_3"], fleet=fleet.config,
-                                  cache_dir=tmp)
+        report = api.run_campaign(
+            ["fig2_3"],
+            options=RunOptions(fleet=fleet.config, cache_dir=tmp))
 
 Workers dial with exponential backoff, so spawning them *before* the
 coordinator binds is fine — that resolves the bind-order race without

@@ -67,8 +67,6 @@ def exchange_halos(
     decomp: Decomposition2D,
     local: np.ndarray,
     halo: int = 1,
-    pool=None,
-    scratch_tag="",
 ):
     """Virtual-parallel halo exchange; returns the padded local array.
 
@@ -84,13 +82,6 @@ def exchange_halos(
     batched engine the four messages ride in two :class:`Exchange` ops
     (one east-west, one north-south) — same wire order, same costs, one
     scheduler round-trip each.
-
-    ``pool`` (an :class:`~repro.util.arraypool.ArrayPool`) recycles the
-    *padded* output buffer across calls with the same ``scratch_tag``
-    (use the field name): the returned array is then only valid until the
-    next call with the same tag.  Edge payloads are always freshly
-    allocated — sent payloads must never come from a pool, because the
-    eager-send engine may deliver them after this rank has moved on.
     """
     mesh = decomp.mesh
     rank = ctx.rank
@@ -103,10 +94,7 @@ def exchange_halos(
         raise ValueError(f"invalid halo {halo} for block {sub.shape}")
 
     shape = (sub.nlat + 2 * halo, sub.nlon + 2 * halo, *local.shape[2:])
-    if pool is not None:
-        padded = pool.scratch(shape, local.dtype, tag=("halo", scratch_tag))
-    else:
-        padded = np.empty(shape, dtype=local.dtype)
+    padded = np.empty(shape, dtype=local.dtype)
     padded[halo:-halo, halo:-halo] = local
 
     east = mesh.east_of(rank)

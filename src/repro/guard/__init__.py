@@ -6,7 +6,8 @@ checkpointing (neighbour-replicated in-memory snapshots at memcpy+link
 cost), and a recovery-policy engine (``halt`` / ``rollback_retry`` /
 ``rollback_adapt``) wired together by
 :func:`~repro.guard.supervisor.run_agcm_guarded` and reachable through
-``repro.api.run(..., guard=...)``.  See ``docs/resilience.md``.
+``repro.api.run(..., options=RunOptions(guard=...))``.  See
+``docs/resilience.md``.
 """
 
 from repro.guard.buddy import (

@@ -54,7 +54,6 @@ from repro.grid.halo import exchange_halos
 from repro.model.config import AGCMConfig
 from repro.model.physics_balance import ColumnFlowPlan, plan_column_flow
 from repro.physics.driver import ColumnSet, run_physics
-from repro.util.arraypool import ArrayPool
 
 _TAG_LB_DATA = 0x00CC0001
 _TAG_LB_RESULT = 0x00CC0002
@@ -114,13 +113,6 @@ def agcm_rank_program(
     gstate = None
     if guard is not None and guard.enabled:
         gstate = guard.rank_state(ctx, cfg, grid, sub, dt)
-
-    # Fastpath: recycle the per-field halo-padded buffers across steps
-    # instead of allocating one per field per step.  The pool is owned by
-    # this rank program, so buffer lifetime matches the generator; each
-    # field gets its own tag because all PROGNOSTIC padded blocks are
-    # live simultaneously within a step.
-    pool = ArrayPool() if getattr(ctx, "fast", False) else None
 
     now = initial_fields_block(lat_rad_loc, lon_rad_loc, nlayers, seed=cfg.seed)
     prev: Optional[Dict[str, np.ndarray]] = None
@@ -204,9 +196,7 @@ def agcm_rank_program(
                 padded = {}
                 for name in PROGNOSTIC_NAMES:
                     padded[name] = yield from exchange_halos(
-                        ctx, decomp, now[name],
-                        pool=pool, scratch_tag=name,
-                    )
+                        ctx, decomp, now[name])
             with ctx.region("fd"):
                 yield from ctx.compute(
                     flops=dynamics_flops(npts, nlayers),
@@ -544,8 +534,6 @@ def agcm3d_rank_program(
     sweep = leap_schedule(nlev_procs, klev)
     sweep_bounds = block_bounds(sub.nlat, nlev_procs)
 
-    pool = ArrayPool() if getattr(ctx, "fast", False) else None
-
     # Initial state: build the full-K tile block (deterministic per
     # global coordinate) and slice the slab's layers; ps stays whole —
     # single-level fields are replicated across the pillar.
@@ -628,9 +616,7 @@ def agcm3d_rank_program(
                 padded = {}
                 for name in PROGNOSTIC_NAMES:
                     padded[name] = yield from exchange_halos(
-                        ctx, slab, now[name],
-                        pool=pool, scratch_tag=name,
-                    )
+                        ctx, slab, now[name])
             if pillar is not None:
                 # Ghost layers for the full model's vertical
                 # differencing (priced, not consumed by the reduced

@@ -1,50 +1,36 @@
-"""Unified run options: one dataclass for every drifted execution knob.
+"""Unified run options: one dataclass for every execution knob.
 
-The run surface grew one keyword at a time — ``obs=`` on
-:func:`repro.api.run`, ``guard=`` for supervised runs, ``faults=`` on
-the simulators, ``cache_dir=``/``results_db=``/``workers=`` on the
-campaign engine, and the engine overhaul adds ``fast=``.  Each entry
-point accepted a different subset with different spellings.
-:class:`RunOptions` collapses them into one value accepted uniformly::
+Every run entry point (:func:`repro.api.run`, :func:`repro.api.profile`,
+:func:`repro.api.run_campaign`, ``ServeConfig.from_options`` and the
+CLI) takes its execution knobs as one :class:`RunOptions` value::
 
     from repro import api
     from repro.options import RunOptions
 
-    opts = RunOptions(fast=True, results_db="runs.sqlite")
+    opts = RunOptions(obs=True, results_db="runs.sqlite")
     api.run("fig1", options=opts)
     api.run_campaign(sweep="smoke", options=opts.with_(workers=4))
 
-A plain dict works too (``options={"fast": True}``); unknown keys fail
-with a did-you-mean hint instead of being silently ignored.  The old
-per-knob keywords keep working through deprecation shims that fold them
-into a ``RunOptions`` — passing a knob both ways is a conflict error.
+A plain dict works too (``options={"obs": True}``); unknown keys fail
+with a did-you-mean hint instead of being silently ignored.  This is
+the only spelling: the facade functions reject a knob passed as a
+keyword of its own (:func:`reject_option_keywords`).
 
-See ``docs/performance.md`` for the migration table.
+No option a campaign or serve unit runs under changes its result — the
+cache key includes none of them, so adding a field here is a decision
+about that key (``tests/campaign/test_key_soundness.py`` pins the field
+list).
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["RunOptions", "UNSET", "coerce_options", "merge_legacy"]
-
-
-class _Unset:
-    """Sentinel distinguishing "knob not passed" from an explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "UNSET"
-
-
-#: Default of every legacy per-knob keyword on the facade functions.
-UNSET = _Unset()
+__all__ = ["RunOptions", "coerce_options", "reject_option_keywords"]
 
 
 @dataclass(frozen=True)
@@ -58,8 +44,7 @@ class RunOptions:
 
     #: Observability: ``None``/``False`` for an uninstrumented run,
     #: ``True`` for a fresh :class:`repro.obs.Observer`, or an existing
-    #: observer to aggregate several runs.  A live observer overrides
-    #: ``fast`` (the engine never silently drops requested data).
+    #: observer to aggregate several runs.
     obs: Any = None
     #: Numerical-health supervision for guard-aware runners: ``True``
     #: for the default :class:`repro.guard.GuardConfig`, a policy name,
@@ -67,10 +52,6 @@ class RunOptions:
     guard: Any = None
     #: Optional :class:`repro.faults.FaultPlan` for fault-aware runners.
     faults: Any = None
-    #: Opt into the engine fastpath: span/region bookkeeping skipped,
-    #: subdomain scratch arrays pooled.  Results and clocks are
-    #: bit-identical; phase accounting comes back empty.
-    fast: bool = False
     #: Content-addressed result store (campaign/serve); ``None``
     #: disables persistent caching.
     cache_dir: Optional[str] = None
@@ -92,6 +73,13 @@ class RunOptions:
     #: means the path default (1 local, the FleetConfig cap for fleets).
     max_attempts: Optional[int] = None
 
+    def __new__(cls, *args, **knobs):
+        # The generated __init__ would name an unknown keyword but not
+        # the known ones; every construction (direct, dict, with_)
+        # gets the did-you-mean hint here instead.
+        _check_field_names(knobs, "RunOptions")
+        return super().__new__(cls)
+
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "workers", check_positive_int(self.workers, "workers")
@@ -99,7 +87,6 @@ class RunOptions:
 
     def with_(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (unknown names error)."""
-        _check_field_names(changes, "RunOptions.with_")
         return replace(self, **changes)
 
     @classmethod
@@ -110,7 +97,6 @@ class RunOptions:
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
-            _check_field_names(value, "options")
             return cls(**value)
         raise TypeError(
             "options must be a RunOptions, a dict of its fields or "
@@ -137,35 +123,12 @@ def coerce_options(options: Any) -> RunOptions:
     return RunOptions.coerce(options)
 
 
-def merge_legacy(options: Any, caller: str, **legacy) -> RunOptions:
-    """Fold legacy per-knob keywords into a :class:`RunOptions`.
-
-    ``legacy`` maps knob names to the values the caller received, with
-    :data:`UNSET` meaning "not passed".  Passed knobs emit a
-    :class:`DeprecationWarning` naming the replacement; a knob given
-    both through ``options=`` (non-default) and as a keyword is
-    ambiguous and raises :class:`ValueError`.
-    """
-    _check_field_names(
-        {k: v for k, v in legacy.items() if v is not UNSET}, caller
-    )
-    opts = RunOptions.coerce(options)
-    changes = {}
-    for name, value in legacy.items():
-        if value is UNSET:
-            continue
-        if options is not None:
-            default = RunOptions.__dataclass_fields__[name].default
-            if getattr(opts, name) != default:
-                raise ValueError(
-                    f"{caller}: {name!r} was passed both in options= "
-                    f"and as a keyword; set it once, on options"
-                )
-        warnings.warn(
-            f"{caller}: the {name}= keyword is deprecated; pass "
-            f"options=RunOptions({name}=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        changes[name] = value
-    return opts.with_(**changes) if changes else opts
+def reject_option_keywords(caller: str, keywords: Dict[str, Any]) -> None:
+    """Refuse a :class:`RunOptions` field passed as a keyword of its own
+    (``api.run`` would otherwise forward it to the runner unresolved)."""
+    for name in keywords:
+        if name in FIELD_NAMES:
+            raise TypeError(
+                f"{caller}: {name}= is not a keyword of this function; "
+                f"pass options=RunOptions({name}=...)"
+            )

@@ -6,7 +6,7 @@ generators under a deterministic discrete-event scheduler, with every
 message and flop priced by a :class:`~repro.parallel.machine.MachineModel`.
 """
 
-from repro.parallel.engine import batched, fastpath, fastpath_active, legacy_engine
+from repro.parallel.engine import batched, legacy_engine
 from repro.parallel.events import (
     ACCUM,
     Barrier,
@@ -53,8 +53,6 @@ __all__ = [
     "Send",
     "payload_nbytes",
     "batched",
-    "fastpath",
-    "fastpath_active",
     "legacy_engine",
     "CohortQueue",
     "MachineModel",

@@ -3,8 +3,8 @@
 Times the *host* cost of the virtual machine on a collective-heavy rank
 program at the paper's production 240-rank size, comparing
 
-* the batched engine (``Exchange`` ops + cohort dispatch) with the
-  fastpath enabled, against
+* the default batched engine (``Exchange`` ops + cohort dispatch)
+  against
 * the legacy per-message engine (``repro.parallel.legacy_engine()``),
 
 and reports simulated communication events per wall-clock second.  An
@@ -78,11 +78,11 @@ def run_probe(
 ) -> Dict[str, float]:
     """Measure both engine paths and return the metric dict.
 
-    Returns ``sim_events_per_second`` (batched + fastpath),
-    ``sim_events_per_second_loop`` (legacy per-message engine) and their
-    ratio ``sim_event_engine_speedup``; also asserts the two paths agree
-    on the virtual makespan — a cheap canary for the bit-identity
-    contract the differential pairs check exhaustively.
+    Returns ``sim_events_per_second`` (the default engine),
+    ``sim_events_per_second_loop`` (``legacy_engine()``) and their ratio
+    ``sim_event_engine_speedup`` — one change measured.  Also asserts
+    the two paths agree on the virtual makespan — a cheap canary for
+    the bit-identity contract the differential pairs check exhaustively.
     """
     check_positive_int(nranks, "nranks")
     check_positive_int(rounds, "rounds")
@@ -90,13 +90,11 @@ def run_probe(
 
     # Warm both paths first (lazy numpy imports, bytecode caches) so the
     # timed runs measure the engines, not process start-up.
-    with _engine.fastpath():
-        _timed_run(min(nranks, 32), 1, machine)
+    _timed_run(min(nranks, 32), 1, machine)
     with _engine.legacy_engine():
         _timed_run(min(nranks, 32), 1, machine)
 
-    with _engine.fastpath():
-        fast = _timed_run(nranks, rounds, machine)
+    fast = _timed_run(nranks, rounds, machine)
     metrics: Dict[str, float] = {
         "sim_probe_ranks": float(nranks),
         "sim_probe_rounds": float(rounds),

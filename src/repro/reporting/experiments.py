@@ -907,15 +907,13 @@ def run_bigmesh(
     """Large-mesh smoke: load-balanced FFT filtering at 1000+ ranks.
 
     Exercises the hot-path engine well beyond the paper's 240-node
-    production mesh: each mesh applies the ``fft-lb`` filter under the
-    fastpath, where the transpose all-to-alls run through the
-    scheduler's bulk group-synchronous executor.  All reported numbers
+    production mesh: each mesh applies the ``fft-lb`` filter, whose
+    transpose all-to-alls run through the scheduler's bulk
+    group-synchronous executor.  All reported numbers
     are deterministic virtual quantities (elapsed seconds, message and
     byte totals), so the experiment doubles as a regression canary for
     the 1280-rank acceptance criterion of the engine overhaul.
     """
-    from repro.parallel import engine as _engine
-
     cfg = make_config("2x2.5x9").with_(nlayers=nlayers)
     grid = cfg.make_grid()
     plan = make_filter_plan(grid)
@@ -929,10 +927,9 @@ def run_bigmesh(
         mesh = ProcessorMesh(*dims)
         decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
         backend = prepare_filter_backend("fft-lb", plan, decomp)
-        with _engine.fastpath():
-            res = Simulator(mesh.size, machine).run(
-                _filter_once_program, decomp, backend, grid, nlayers, napps
-            )
+        res = Simulator(mesh.size, machine).run(
+            _filter_once_program, decomp, backend, grid, nlayers, napps
+        )
         messages = res.trace.total_messages()
         nbytes = res.trace.total_bytes()
         per_app = res.elapsed / napps

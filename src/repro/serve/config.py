@@ -51,16 +51,12 @@ class ServeConfig:
     #: Record per-request observability spans (cheap; disable only for
     #: microbenchmarks of the gateway itself).
     spans: bool = True
-    #: Execute units under the engine fastpath (bit-identical results,
-    #: span/region bookkeeping inside the *simulated* runs skipped —
-    #: per-request gateway spans above are unaffected).
-    fast: bool = False
 
     @classmethod
     def from_options(cls, options: Any, **overrides) -> "ServeConfig":
         """Build a config from a :class:`repro.options.RunOptions`.
 
-        Maps the shared knobs (``cache_dir``, ``results_db``, ``fast``,
+        Maps the shared knobs (``cache_dir``, ``results_db``,
         ``workers`` -> ``pool_workers``); gateway-specific fields
         (``host``, ``port``, ``queue_limit``, ...) come as keyword
         overrides, which also win over the mapped values.
@@ -71,7 +67,6 @@ class ServeConfig:
         mapped = {
             "cache_dir": opts.cache_dir,
             "results_db": opts.results_db,
-            "fast": opts.fast,
             "pool_workers": opts.workers,
         }
         mapped.update(overrides)

@@ -1,12 +1,11 @@
 """LRU-bounded pool of reusable scratch arrays.
 
 Generalizes the ``blas_axpy`` scratch-LRU from PR 5 into a reusable
-subdomain array pool: hot paths that repeatedly allocate same-shaped
-temporaries (halo-padded field blocks, kernel scratch) borrow an
-*uninitialized* buffer keyed by ``(shape, dtype, tag)`` instead of
-calling ``np.empty`` per step.
+array pool: hot paths that repeatedly allocate same-shaped temporaries
+(kernel scratch) borrow an *uninitialized* buffer keyed by
+``(shape, dtype, tag)`` instead of calling ``np.empty`` per step.
 
-Lifetime rules (documented in docs/performance.md):
+Lifetime rules:
 
 * A buffer returned by :meth:`ArrayPool.scratch` is valid until the
   **next** ``scratch()`` call with the same key — callers must fully
@@ -18,7 +17,7 @@ Lifetime rules (documented in docs/performance.md):
   per-step pool: the eager-send engine may deliver the payload object
   after the sender has moved on, so a recycled send buffer would be
   overwritten before the receiver reads it.  Pool only receiver-local
-  scratch (the padded array a halo exchange fills in).
+  scratch.
 
 The pool stores plain ``np.empty`` buffers: contents are undefined on
 return, exactly like ``np.empty``.  Eviction is least-recently-used once

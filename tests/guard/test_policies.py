@@ -219,7 +219,8 @@ class TestApiIntegration:
         from repro import api
 
         result = api.run(
-            "guard", guard=GuardConfig(buddy_every=2), nsteps=4,
+            "guard", options={"guard": GuardConfig(buddy_every=2)},
+            nsteps=4,
         )
         text = result.render()
         assert "overhead" in text.lower()

@@ -36,6 +36,12 @@ def _exit_code(argv):
                      id="fleet-worker"),
         pytest.param(["fleet", "echo", "--no-such-flag"], id="fleet-echo"),
         pytest.param(["fleet", "frobnicate"], id="fleet-unknown-sub"),
+        # A removed flag is an unknown flag: --fast must not come back
+        # as something these four silently accept.
+        pytest.param(["run", "fig4_6", "--fast"], id="run-fast"),
+        pytest.param(["profile", "fig4_6", "--fast"], id="profile-fast"),
+        pytest.param(["campaign", "fig4_6", "--fast"], id="campaign-fast"),
+        pytest.param(["serve", "--fast"], id="serve-fast"),
     ],
 )
 def test_unknown_flag_exits_2(argv, capsys):

@@ -10,6 +10,7 @@ import repro
 from repro import api
 from repro.__main__ import main as cli_main
 from repro.obs import Observer, validate_chrome_trace
+from repro.options import RunOptions
 from repro.reporting import EXPERIMENTS, ExperimentSpec
 from repro.verify.tolerances import CLOCK_RTOL
 
@@ -36,15 +37,15 @@ class TestFacade:
             res.metrics()
 
     def test_obs_true_records_and_exports(self):
-        res = api.run("fig1", obs=True, **FIG1_FAST)
+        res = api.run("fig1", options=RunOptions(obs=True), **FIG1_FAST)
         assert res.observed and len(res.observer.spans) > 0
         assert validate_chrome_trace(res.trace()) == []
         assert res.flamegraph()
 
     def test_existing_observer_aggregates_runs(self):
         obs = Observer()
-        api.run("fig1", obs=obs, **FIG1_FAST)
-        api.run("fig1", obs=obs, **FIG1_FAST)
+        api.run("fig1", options=RunOptions(obs=obs), **FIG1_FAST)
+        api.run("fig1", options=RunOptions(obs=obs), **FIG1_FAST)
         assert len(obs.runs) == 2
         assert {s.run for s in obs.spans} == {0, 1}
 
@@ -52,7 +53,7 @@ class TestFacade:
         with pytest.raises(TypeError):
             api.run("fig1", Observer())  # obs must be by keyword
         with pytest.raises(TypeError, match="obs must be"):
-            api.run("fig1", obs="yes")
+            api.run("fig1", options=RunOptions(obs="yes"))
 
     def test_unknown_experiment_raises_keyerror(self):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -91,7 +92,7 @@ class TestExperimentSpecs:
 
 class TestFigure1Parity:
     def test_span_fractions_match_component_breakdown(self):
-        res = api.run("fig1", obs=True, **FIG1_FAST)
+        res = api.run("fig1", options=RunOptions(obs=True), **FIG1_FAST)
         reference = res.value.data[16]
         spans = res.figure1(run=0)
         assert spans["dynamics_fraction"] == pytest.approx(
@@ -194,7 +195,9 @@ class TestArgumentResolvers:
         res = api.run("fig4_6")
         with pytest.raises(ValueError, match="not observed"):
             res.flamegraph()
-        with pytest.raises(ValueError, match="pass obs=True"):
+        with pytest.raises(
+            ValueError, match=r"pass options=RunOptions\(obs=True\)"
+        ):
             res.figure1()
 
 
@@ -204,17 +207,17 @@ class TestRunCampaignValidation:
 
     def test_zero_workers_rejected_early(self):
         with pytest.raises(ValueError, match="workers.*positive.*got 0"):
-            api.run_campaign(["fig4_6"], workers=0)
+            api.run_campaign(["fig4_6"], options={"workers": 0})
 
     def test_negative_workers_rejected_early(self):
         with pytest.raises(ValueError, match="workers.*positive.*got -2"):
-            api.run_campaign(["fig4_6"], workers=-2)
+            api.run_campaign(["fig4_6"], options={"workers": -2})
 
     def test_non_integer_workers_rejected(self):
         with pytest.raises(TypeError, match="workers.*positive integer"):
-            api.run_campaign(["fig4_6"], workers=2.5)
+            api.run_campaign(["fig4_6"], options={"workers": 2.5})
         with pytest.raises(TypeError, match="workers.*positive integer"):
-            api.run_campaign(["fig4_6"], workers="four")
+            api.run_campaign(["fig4_6"], options={"workers": "four"})
 
     def test_scheduler_guards_direct_callers_too(self):
         from repro.campaign.scheduler import run_campaign

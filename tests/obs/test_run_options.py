@@ -1,13 +1,11 @@
-"""RunOptions: coercion, legacy-keyword shims and facade integration."""
+"""RunOptions: coercion, the removed keyword surface and facade integration."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro import api
-from repro.options import UNSET, RunOptions, coerce_options, merge_legacy
+from repro.options import RunOptions, coerce_options
 from repro.serve.config import ServeConfig
 
 pytestmark = pytest.mark.obs
@@ -17,15 +15,15 @@ class TestCoercion:
     def test_none_gives_defaults(self):
         opts = RunOptions.coerce(None)
         assert opts == RunOptions()
-        assert opts.fast is False and opts.workers == 1
+        assert opts.resume is False and opts.workers == 1
 
     def test_instance_passes_through(self):
-        opts = RunOptions(fast=True)
+        opts = RunOptions(resume=True)
         assert RunOptions.coerce(opts) is opts
 
     def test_dict_builds_options(self):
-        opts = RunOptions.coerce({"fast": True, "workers": 3})
-        assert opts.fast is True and opts.workers == 3
+        opts = RunOptions.coerce({"resume": True, "workers": 3})
+        assert opts.resume is True and opts.workers == 3
 
     def test_unknown_dict_key_gets_did_you_mean(self):
         with pytest.raises(TypeError, match=r"did you mean 'workers'"):
@@ -37,10 +35,10 @@ class TestCoercion:
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="must be a RunOptions"):
-            RunOptions.coerce(["fast"])
+            RunOptions.coerce(["obs"])
 
     def test_coerce_options_alias(self):
-        assert coerce_options({"fast": True}).fast is True
+        assert coerce_options({"resume": True}).resume is True
 
     def test_workers_validated_on_construction(self):
         with pytest.raises(ValueError, match="workers must be positive"):
@@ -51,9 +49,9 @@ class TestCoercion:
 
 class TestWith:
     def test_with_replaces_and_keeps_rest(self):
-        opts = RunOptions(fast=True)
+        opts = RunOptions(resume=True)
         other = opts.with_(workers=4)
-        assert other.workers == 4 and other.fast is True
+        assert other.workers == 4 and other.resume is True
         assert opts.workers == 1  # frozen original untouched
 
     def test_with_unknown_field_errors(self):
@@ -61,64 +59,53 @@ class TestWith:
             RunOptions().with_(fauts=True)
 
 
-class TestMergeLegacy:
-    def test_unset_knobs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = merge_legacy(None, "caller", obs=UNSET, fast=UNSET)
-        assert opts == RunOptions()
+class TestRemovedSurface:
+    """``fast`` is gone, and a knob has one spelling: ``options=``."""
 
-    def test_passed_knob_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="fast= keyword"):
-            opts = merge_legacy(None, "repro.api.run", fast=True)
-        assert opts.fast is True
+    def test_fast_is_not_a_field(self):
+        with pytest.raises(TypeError, match=r"unknown option 'fast'; "
+                           r"did you mean .*known options"):
+            RunOptions(fast=True)
+        with pytest.raises(TypeError, match=r"unknown option 'fast'; "
+                           r"did you mean .*known options"):
+            api.run("fig4_6", options={"fast": True})
 
-    def test_conflict_with_options_raises(self):
-        with pytest.raises(ValueError, match="set it once, on options"):
-            merge_legacy(RunOptions(fast=True), "caller", fast=False)
+    @pytest.mark.parametrize("call, knob", [
+        (lambda: api.run("fig4_6", obs=True), "obs"),
+        (lambda: api.run("fig4_6", guard=True), "guard"),
+        (lambda: api.run("fig4_6", faults=object()), "faults"),
+        (lambda: api.profile("fig4_6", obs=True), "obs"),
+        (lambda: api.run_campaign(["fig4_6"], workers=2), "workers"),
+    ])
+    def test_knob_as_keyword_names_the_replacement(self, call, knob):
+        with pytest.raises(
+            TypeError, match=rf"options=RunOptions\({knob}=\.\.\.\)"
+        ):
+            call()
 
-    def test_legacy_knob_alongside_other_options_fields_is_fine(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy(
-                RunOptions(workers=2), "caller", fast=True
-            )
-        assert opts.fast is True and opts.workers == 2
+    def test_run_campaign_rejects_other_keywords_too(self):
+        with pytest.raises(TypeError, match="unexpected keyword.*'swep'"):
+            api.run_campaign(["fig4_6"], swep="smoke")
 
 
 class TestApiIntegration:
     def test_run_accepts_options(self):
-        res = api.run("fig4_6", options=RunOptions(fast=True))
+        res = api.run("fig4_6", options=RunOptions(obs=True))
         assert res.run_options is not None
-        assert res.run_options.fast is True
+        assert res.run_options.obs is True and res.observed
         assert res.value.ident == "fig4_6"
 
     def test_run_accepts_options_dict(self):
-        res = api.run("fig4_6", options={"fast": True})
-        assert res.run_options.fast is True
-
-    def test_fast_and_legacy_obs_conflict_free(self):
-        # Legacy obs= folds into an options value that carried fast.
-        with pytest.warns(DeprecationWarning, match="obs= keyword"):
-            res = api.run(
-                "fig1", options={"fast": True}, obs=True,
-                meshes=((4, 4),), nsteps=4,
-            )
-        # Live observer wins: the run is observed despite fast=True.
-        assert res.observed
-
-    def test_fastpath_matches_default_render(self):
-        ref = api.run("fig4_6")
-        fast = api.run("fig4_6", options=RunOptions(fast=True))
-        assert fast.render() == ref.render()
+        res = api.run("fig4_6", options={"obs": True})
+        assert res.run_options.obs is True and res.observed
 
 
 class TestServeConfigFromOptions:
     def test_maps_shared_knobs(self):
         cfg = ServeConfig.from_options(
-            RunOptions(fast=True, cache_dir="/tmp/c",
-                       results_db="/tmp/r.sqlite", workers=3)
+            RunOptions(cache_dir="/tmp/c", results_db="/tmp/r.sqlite",
+                       workers=3)
         )
-        assert cfg.fast is True
         assert cfg.cache_dir == "/tmp/c"
         assert cfg.results_db == "/tmp/r.sqlite"
         assert cfg.pool_workers == 3
