@@ -33,6 +33,7 @@ single-toggle ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -69,9 +70,41 @@ class FilterAssignment:
     line_col: Tuple[int, ...]
 
     # -- derived views ---------------------------------------------------
+    # The assignment is immutable, so each view is computed once, on first
+    # use, and every later call is a lookup.  cached_property writes the
+    # instance __dict__ directly, which a frozen dataclass permits.
+    @cached_property
+    def _units_by_target_row(self) -> Tuple[Tuple[int, ...], ...]:
+        rows: List[List[int]] = [[] for _ in range(self.decomp.mesh.nlat_procs)]
+        for u, r in enumerate(self.target_row):
+            rows[r].append(u)
+        return tuple(tuple(units) for units in rows)
+
+    @cached_property
+    def _lines_by_row_and_col(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        n_cols = self.decomp.mesh.nlon_procs
+        out = []
+        for units in self._units_by_target_row:
+            cols: List[List[int]] = [[] for _ in range(n_cols)]
+            for u in units:
+                cols[self.line_col[u]].append(u)
+            out.append(tuple(tuple(c) for c in cols))
+        return tuple(out)
+
+    @cached_property
+    def _stage_a_moves(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for u, (src, dst) in enumerate(zip(self.owner_row, self.target_row)):
+            if src != dst:
+                groups.setdefault((src, dst), []).append(u)
+        return tuple(
+            (src, dst, tuple(units))
+            for (src, dst), units in sorted(groups.items())
+        )
+
     def units_assigned_to_row(self, proc_row: int) -> List[int]:
         """Unit indices held by a processor row after stage A (ordered)."""
-        return [u for u, r in enumerate(self.target_row) if r == proc_row]
+        return list(self._units_by_target_row[proc_row])
 
     def units_owned_by_row(self, proc_row: int) -> List[int]:
         """Unit indices natively owned by a processor row (ordered)."""
@@ -80,11 +113,7 @@ class FilterAssignment:
     def lines_on_rank(self, rank: int) -> List[int]:
         """Unit indices whose complete lines land on ``rank`` after stage B."""
         i, j = self.decomp.mesh.coords_of(rank)
-        return [
-            u
-            for u in self.units_assigned_to_row(i)
-            if self.line_col[u] == j
-        ]
+        return list(self._lines_by_row_and_col[i][j])
 
     def rows_moved(self) -> int:
         """Number of units whose stage-A target differs from their owner."""
@@ -114,14 +143,7 @@ class FilterAssignment:
         becomes exactly one message per processor column, which is how the
         implementation keeps the message count linear in the mesh size.
         """
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for u, (src, dst) in enumerate(zip(self.owner_row, self.target_row)):
-            if src != dst:
-                groups.setdefault((src, dst), []).append(u)
-        return [
-            (src, dst, units)
-            for (src, dst), units in sorted(groups.items())
-        ]
+        return [(src, dst, list(units)) for src, dst, units in self._stage_a_moves]
 
 
 def _owner_rows(plan: FilterPlan, decomp: Decomposition2D) -> List[int]:

@@ -21,15 +21,38 @@ import numpy as np
 from repro.core.spectral import PolarFilter
 
 
+def circulant_rows(kernel: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi-1`` of the circulant operator, as a fresh (hi-lo, N) block.
+
+    ``C[i, j] = kernel[(i - j) mod N]``.  Row ``i`` read left to right is
+    the doubled, reversed kernel ``d = concat(kernel[::-1], kernel[::-1])``
+    from position ``N - 1 - i``, so the whole operator is a Toeplitz
+    *view* of ``d`` (row stride -1 element, column stride +1): an index
+    transformation, not a gather.  Only the requested block is
+    materialised, C-contiguous, so ``rows @ line`` is the same BLAS call
+    on the same values as with a full N x N build.
+    """
+    n = kernel.shape[0]
+    if not 0 <= lo < hi <= n:
+        raise ValueError(f"row block [{lo}, {hi}) outside 0..{n}")
+    doubled = np.concatenate((kernel[::-1], kernel[::-1]))
+    step = doubled.strides[0]
+    # The ndarray constructor checks the view against the buffer's bounds
+    # (as_strided would not) and costs half as much to call.
+    toeplitz = np.ndarray(
+        (hi - lo, n), dtype=doubled.dtype, buffer=doubled,
+        offset=(n - 1 - lo) * step, strides=(-step, step),
+    )
+    return np.ascontiguousarray(toeplitz)
+
+
 def circulant_matrix(kernel: np.ndarray) -> np.ndarray:
     """The (N, N) circulant matrix whose rows implement eq. (2).
 
     ``C[i, j] = kernel[(i - j) mod N]`` so that ``C @ f`` is the circular
     convolution of ``f`` with ``kernel``.
     """
-    n = kernel.shape[0]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return kernel[idx]
+    return circulant_rows(kernel, 0, kernel.shape[0])
 
 
 def convolve_line(line: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ globally known plan.  All filtered fields must be 3-D
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,10 +44,15 @@ from repro.core.balance_plan import (
 )
 from repro.core.convolution import (
     circulant_matrix,
+    circulant_rows,
     convolution_filter_rows,
-    convolution_flop_count,
 )
-from repro.core.fft import fft_filter_line, fft_filter_rows, fft_filter_flop_count
+from repro.core.distributed_fft import (
+    bitrev_transfer,
+    check_distributed_fft_shape,
+    distributed_fft_filter_line,
+)
+from repro.core.fft import fft_filter_rows, fft_filter_flop_count
 from repro.core.masks import FilterPlan
 from repro.grid.decomposition import Decomposition2D
 from repro.parallel import collectives as coll
@@ -85,33 +90,46 @@ def _staged_exchange(sends, recvs) -> Exchange:
 class FilterBackend:
     """A prepared filtering configuration for one decomposition.
 
-    Built once at setup (mirroring the paper's one-time set-up step) and
-    reused every time step.
+    Mirrors the paper's one-time set-up step, in two parts:
+
+    * :func:`prepare_filter_backend` does what depends on ``(plan,
+      decomp)`` alone: it validates the shape and builds the
+      :class:`FilterAssignment`, whose move lists and per-column line
+      lists are computed once, on first use.
+    * the first :meth:`apply` on a rank does what also depends on the rank
+      and on the layer count of each filtered variable, which only the
+      fields reveal: the units it owns, sends, receives and filters, their
+      offsets in every packed message, the flop charge, the row group, and
+      the prescribed coefficients (convolution kernels, or one stacked
+      transfer matrix) — vectors from the memoised per-latitude arrays of
+      :mod:`repro.core.spectral`, never N x N operators.
+
+    Every later ``apply`` is data movement and arithmetic.  The state is
+    rebuilt only if a rank's layer counts change.
     """
 
     name: str
     plan: FilterPlan
     decomp: Decomposition2D
     assignment: Optional[FilterAssignment]  # None for convolution backends
+    _ranks: Dict[int, "_RankState"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def apply(self, ctx: VirtualComm, local_fields: Dict[str, np.ndarray]):
         """Generator: filter the local fields in place on this rank."""
+        layers = _layers_of(local_fields)
+        state = self._ranks.get(ctx.rank)
+        if state is None or state.layers != layers:
+            state = self._ranks[ctx.rank] = _RankState(self, ctx.rank, layers)
         if self.name == "convolution-ring":
-            yield from filter_convolution_ring(
-                ctx, self.decomp, self.plan, local_fields
-            )
+            yield from filter_convolution_ring(ctx, state, local_fields)
         elif self.name == "convolution-tree":
-            yield from filter_convolution_tree(
-                ctx, self.decomp, self.plan, local_fields
-            )
+            yield from filter_convolution_tree(ctx, state, local_fields)
         elif self.name in ("fft", "fft-lb"):
-            yield from filter_fft_transpose(
-                ctx, self.decomp, self.plan, self.assignment, local_fields
-            )
+            yield from filter_fft_transpose(ctx, state, local_fields)
         elif self.name == "fft-distributed":
-            yield from filter_fft_distributed(
-                ctx, self.decomp, self.plan, local_fields
-            )
+            yield from filter_fft_distributed(ctx, state, local_fields)
         else:  # pragma: no cover - prepare_filter_backend validates
             raise ValueError(f"unknown backend {self.name!r}")
 
@@ -125,8 +143,6 @@ def prepare_filter_backend(
             f"unknown filter backend {name!r}; choose from {EXTENDED_BACKENDS}"
         )
     if name == "fft-distributed":
-        from repro.core.distributed_fft import check_distributed_fft_shape
-
         check_distributed_fft_shape(decomp.nlon, decomp.mesh.nlon_procs)
     assignment: Optional[FilterAssignment] = None
     if name == "fft":
@@ -159,7 +175,7 @@ def apply_serial_filter(
 
 
 # ----------------------------------------------------------------------
-# packing helpers: unit segments <-> wire arrays
+# prepared per-rank state: unit lists <-> wire arrays
 # ----------------------------------------------------------------------
 
 def _layers_of(local_fields: Dict[str, np.ndarray]) -> Dict[str, int]:
@@ -175,75 +191,141 @@ def _layers_of(local_fields: Dict[str, np.ndarray]) -> Dict[str, int]:
     return out
 
 
-def _segment(
-    local_fields: Dict[str, np.ndarray], plan: FilterPlan, unit: int, lat0: int
-) -> np.ndarray:
-    """This rank's longitude segment of a row unit — (nlon_loc, K_var)."""
-    u = plan.units[unit]
-    return local_fields[u.var][u.lat - lat0]
+class _Packing:
+    """An ordered unit list and each unit's place in its packed wire array.
 
+    A packing of units whose latitudes this rank holds is built with the
+    rank's ``lat0`` and can also address the local field rows
+    (:meth:`pack`, :meth:`store`).  One of units held elsewhere (stage-A
+    arrivals, the lines of a column) has ``rows = None``, so those two
+    raise instead of indexing somebody else's latitude.
+    """
 
-def _store_segment(
-    local_fields: Dict[str, np.ndarray],
-    plan: FilterPlan,
-    unit: int,
-    lat0: int,
-    segment: np.ndarray,
-) -> None:
-    """Write a filtered segment back into the local field row."""
-    u = plan.units[unit]
-    local_fields[u.var][u.lat - lat0] = segment
+    def __init__(
+        self, plan: FilterPlan, units: Sequence[int],
+        layers: Dict[str, int], lat0: Optional[int] = None,
+    ):
+        self.units = tuple(units)
+        #: (variable, local latitude row) of each unit; owned units only.
+        self.rows = None if lat0 is None else [
+            (plan.units[u].var, plan.units[u].lat - lat0) for u in self.units
+        ]
+        offsets = [0]
+        for u in self.units:
+            offsets.append(offsets[-1] + layers[plan.units[u].var])
+        #: Layer-column range of each unit inside the packed array.
+        self.bounds = list(zip(offsets, offsets[1:]))
+        self.width = offsets[-1]
 
-
-def _pack_units(
-    local_fields: Dict[str, np.ndarray],
-    plan: FilterPlan,
-    units: Sequence[int],
-    lat0: int,
-    nlon_loc: int,
-) -> np.ndarray:
-    """Concatenate unit segments along the layer axis: (nlon_loc, sum K)."""
-    if not units:
-        return np.empty((nlon_loc, 0))
-    return np.ascontiguousarray(
-        np.concatenate(
-            [_segment(local_fields, plan, u, lat0) for u in units], axis=1
+    def pack(self, local_fields: Dict[str, np.ndarray], nlon_loc: int):
+        """This rank's segments side by side: ``(nlon_loc, width)``."""
+        if not self.units:
+            return np.empty((nlon_loc, 0))
+        return np.concatenate(
+            [local_fields[var][row] for var, row in self.rows], axis=1
         )
-    )
+
+    def split(self, packed: np.ndarray) -> List[np.ndarray]:
+        """Invert packing: one ``(nlon, K_var)`` view per unit."""
+        return [packed[:, a:b] for a, b in self.bounds]
+
+    def store(self, local_fields: Dict[str, np.ndarray], packed: np.ndarray):
+        """Write filtered segments back into the local field rows."""
+        for (var, row), (a, b) in zip(self.rows, self.bounds):
+            local_fields[var][row] = packed[:, a:b]
+
+    def collect(self, seg_store: Dict[int, np.ndarray], nlon_loc: int):
+        """Like :meth:`pack`, from segments held by unit — wherever they
+        came from."""
+        if not self.units:
+            return np.empty((nlon_loc, 0))
+        return np.concatenate([seg_store[u] for u in self.units], axis=1)
+
+    def deliver(self, seg_store: Dict[int, np.ndarray], packed: np.ndarray):
+        """Invert :meth:`collect`: hold each unit's view of ``packed``."""
+        seg_store.update(zip(self.units, self.split(packed)))
+
+    def stack(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
+        """One coefficient vector per unit, repeated over the unit's
+        layer columns: ``(len(vector), width)``."""
+        out = np.empty((len(vectors[0]) if vectors else 0, self.width))
+        for vec, (a, b) in zip(vectors, self.bounds):
+            out[:, a:b] = vec[:, None]
+        return out
 
 
-def _unit_offsets(
-    plan: FilterPlan, units: Sequence[int], layers: Dict[str, int]
-) -> List[int]:
-    """Cumulative layer offsets of each unit inside a packed array."""
-    offs = [0]
-    for u in units:
-        offs.append(offs[-1] + layers[plan.units[u].var])
-    return offs
+class _RankState:
+    """What one rank's applications share: everything that depends only on
+    ``(plan, decomp, assignment, rank)`` and the variables' layer counts."""
 
+    def __init__(self, backend: FilterBackend, rank: int, layers: Dict[str, int]):
+        plan, decomp, a = backend.plan, backend.decomp, backend.assignment
+        mesh = decomp.mesh
+        self.layers = layers
+        self.nlon = decomp.nlon
+        self.sub = sub = decomp.subdomain(rank)
+        i_row, j_col = mesh.coords_of(rank)
+        self.row_ranks = tuple(mesh.row_ranks(i_row))
+        self.col_bounds = [
+            decomp.lon_bounds_of_proc_col(c) for c in range(mesh.nlon_procs)
+        ]
 
-def _split_units(
-    packed: np.ndarray,
-    plan: FilterPlan,
-    units: Sequence[int],
-    layers: Dict[str, int],
-) -> List[np.ndarray]:
-    """Invert :func:`_pack_units`: views per unit, (nlon, K_var) each."""
-    offs = _unit_offsets(plan, units, layers)
-    return [packed[:, offs[i] : offs[i + 1]] for i in range(len(units))]
+        def owned(units) -> _Packing:
+            return _Packing(plan, units, layers, sub.lat0)
 
+        def foreign(units) -> _Packing:
+            return _Packing(plan, units, layers)
 
-def _unit_transfer(plan: FilterPlan, unit: int) -> np.ndarray:
-    """The rfft transfer factors for a unit's (filter, latitude)."""
-    u = plan.units[unit]
-    return plan.filter_for(u).transfer(u.lat)
+        def filters_of(p: _Packing):
+            """(filter, latitude) of each unit: what its coefficients are
+            memoised under in :mod:`repro.core.spectral`."""
+            units = [plan.units[u] for u in p.units]
+            return [(plan.filter_for(ru), ru.lat) for ru in units]
 
-
-def _total_layers(
-    plan: FilterPlan, units: Sequence[int], layers: Dict[str, int]
-) -> int:
-    """Total packed layer count of a unit list."""
-    return sum(layers[plan.units[u].var] for u in units)
+        if a is None:
+            #: The units whose latitudes this rank holds.
+            self.own = owned(
+                u for u, ru in enumerate(plan.units)
+                if sub.lat0 <= ru.lat < sub.lat1
+            )
+            if backend.name == "fft-distributed":
+                # Per-layer bit-reversed transfer factors for this rank's block.
+                local_n = decomp.nlon // mesh.nlon_procs
+                block = slice(j_col * local_n, (j_col + 1) * local_n)
+                self.transfer = self.own.stack([
+                    bitrev_transfer(f.transfer(lat), decomp.nlon)[block]
+                    for f, lat in filters_of(self.own)
+                ])
+            else:
+                self.kernels = [f.kernel(lat) for f, lat in filters_of(self.own)]
+                # The ring computes only its own longitude segment of each
+                # output line; the tree's row leader computes whole lines.
+                self.conv_flops = _convolution_segment_flops(
+                    plan, self.own.units, layers,
+                    sub.nlon if backend.name == "convolution-ring" else decomp.nlon,
+                )
+        else:
+            assigned = a.units_assigned_to_row(i_row)
+            self.row_has_units = bool(assigned)
+            #: Units this rank's row both owns and keeps through stage A.
+            self.own = owned(u for u in assigned if a.owner_row[u] == i_row)
+            moves = a.stage_a_moves()
+            #: Stage A, (peer rank, units): shipped out / taken in.
+            self.outgoing = [
+                (mesh.rank_of(dst, j_col), owned(units))
+                for src, dst, units in moves if src == i_row
+            ]
+            self.incoming = [
+                (mesh.rank_of(src, j_col), foreign(units))
+                for src, dst, units in moves if dst == i_row
+            ]
+            #: Stage B: the complete lines each column of the row holds.
+            self.by_col = [foreign(a.lines_on_rank(r)) for r in self.row_ranks]
+            self.lines = self.by_col[j_col]
+            self.transfer = self.lines.stack(
+                [f.transfer(lat) for f, lat in filters_of(self.lines)]
+            )
+            self.fft_flops = fft_filter_flop_count(decomp.nlon, 1, self.lines.width)
 
 
 def _convolution_segment_flops(
@@ -271,10 +353,7 @@ def _convolution_segment_flops(
 # ----------------------------------------------------------------------
 
 def filter_convolution_ring(
-    ctx: VirtualComm,
-    decomp: Decomposition2D,
-    plan: FilterPlan,
-    local_fields: Dict[str, np.ndarray],
+    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
 ):
     """Eq.-2 convolution with ring allgather of line segments.
 
@@ -284,24 +363,17 @@ def filter_convolution_ring(
     direction" with no partial summation), then each rank convolves the
     full lines to produce *its own* longitude segment of the output.
     """
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    i_row, _ = mesh.coords_of(ctx.rank)
-    my_units = [
-        u for u, ru in enumerate(plan.units) if sub.lat0 <= ru.lat < sub.lat1
-    ]
-    if not my_units:
+    own, sub = state.own, state.sub
+    if not own.units:
         # Idle during filtering: the load imbalance the paper measures.
         return
-    layers = _layers_of(local_fields)
-    row_group = ctx.group(mesh.row_ranks(i_row))
+    row_group = ctx.group(state.row_ranks)
 
-    packed = _pack_units(local_fields, plan, my_units, sub.lat0, sub.nlon)
-    with ctx.span("filter.gather", units=len(my_units)):
+    packed = own.pack(local_fields, sub.nlon)
+    with ctx.span("filter.gather", units=len(own.units)):
         gathered = yield from row_group.allgather(packed)
     lines = np.concatenate(gathered, axis=0)  # (nlon, sum K)
 
-    nlon = decomp.nlon
     # Charge the AGCM's wavenumber-sum form of eq. (2): each output point
     # of a line sums over the M_s damped wavenumbers of that latitude
     # (sine and cosine components), and this rank only computes its own
@@ -310,25 +382,19 @@ def filter_convolution_ring(
     # each output line, so its inner loops suffer the vector-startup
     # penalty on small blocks — one of the reasons the original filter
     # scales poorly.
-    with ctx.span("filter.convolve", units=len(my_units)):
+    with ctx.span("filter.convolve", units=len(own.units)):
         yield from ctx.compute(
-            flops=_convolution_segment_flops(plan, my_units, layers, sub.nlon),
+            flops=state.conv_flops,
             mem_bytes=2.0 * lines.nbytes,
             inner_length=sub.nlon,
         )
-    lon_sel = np.arange(sub.lon0, sub.lon1)
-    per_unit = _split_units(lines, plan, my_units, layers)
-    for u, line in zip(my_units, per_unit):
-        kernel = plan.filter_for(plan.units[u]).kernel(plan.units[u].lat)
-        rows = circulant_matrix(kernel)[lon_sel]  # (nlon_loc, nlon)
-        _store_segment(local_fields, plan, u, sub.lat0, rows @ line)
+    for (var, row), (a, b), kernel in zip(own.rows, own.bounds, state.kernels):
+        rows = circulant_rows(kernel, sub.lon0, sub.lon1)  # (nlon_loc, nlon)
+        local_fields[var][row] = rows @ lines[:, a:b]
 
 
 def filter_convolution_tree(
-    ctx: VirtualComm,
-    decomp: Decomposition2D,
-    plan: FilterPlan,
-    local_fields: Dict[str, np.ndarray],
+    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
 ):
     """Eq.-2 convolution with binomial-tree gather to a row leader.
 
@@ -336,48 +402,35 @@ def filter_convolution_tree(
     (``O(2P)`` messages, ``O(NP + N log P)`` volume), the leader convolves
     whole lines, and filtered segments are scattered straight back.
     """
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    i_row, _ = mesh.coords_of(ctx.rank)
-    my_units = [
-        u for u, ru in enumerate(plan.units) if sub.lat0 <= ru.lat < sub.lat1
-    ]
-    if not my_units:
+    own, sub = state.own, state.sub
+    if not own.units:
         return
-    layers = _layers_of(local_fields)
-    row_group = ctx.group(mesh.row_ranks(i_row))
+    row_group = ctx.group(state.row_ranks)
 
-    packed = _pack_units(local_fields, plan, my_units, sub.lat0, sub.nlon)
-    with ctx.span("filter.gather", units=len(my_units)):
+    packed = own.pack(local_fields, sub.nlon)
+    with ctx.span("filter.gather", units=len(own.units)):
         gathered = yield from coll.gather_binomial(row_group, packed, root=0)
 
     if row_group.rank == 0:
         lines = np.concatenate(gathered, axis=0)  # (nlon, sum K)
-        nlon = decomp.nlon
-        with ctx.span("filter.convolve", units=len(my_units)):
+        with ctx.span("filter.convolve", units=len(own.units)):
             yield from ctx.compute(
-                flops=_convolution_segment_flops(plan, my_units, layers, nlon),
+                flops=state.conv_flops,
                 mem_bytes=2.0 * lines.nbytes,
-                inner_length=nlon,
+                inner_length=state.nlon,
             )
         filtered = np.empty_like(lines)
-        per_unit_in = _split_units(lines, plan, my_units, layers)
-        per_unit_out = _split_units(filtered, plan, my_units, layers)
-        for u, line, out in zip(my_units, per_unit_in, per_unit_out):
-            kernel = plan.filter_for(plan.units[u]).kernel(plan.units[u].lat)
-            out[...] = circulant_matrix(kernel) @ line
-        pieces = []
-        for col in range(mesh.nlon_procs):
-            lo, hi = decomp.lon_bounds_of_proc_col(col)
-            pieces.append(np.ascontiguousarray(filtered[lo:hi]))
+        for (a, b), kernel in zip(own.bounds, state.kernels):
+            filtered[:, a:b] = circulant_matrix(kernel) @ lines[:, a:b]
+        pieces = [
+            np.ascontiguousarray(filtered[lo:hi]) for lo, hi in state.col_bounds
+        ]
         with ctx.span("filter.scatter"):
             mine = yield from row_group.scatter(pieces, root=0)
     else:
         with ctx.span("filter.scatter"):
             mine = yield from row_group.scatter(None, root=0)
-
-    for u, seg in zip(my_units, _split_units(mine, plan, my_units, layers)):
-        _store_segment(local_fields, plan, u, sub.lat0, seg)
+    own.store(local_fields, mine)
 
 
 # ----------------------------------------------------------------------
@@ -385,171 +438,98 @@ def filter_convolution_tree(
 # ----------------------------------------------------------------------
 
 def filter_fft_transpose(
-    ctx: VirtualComm,
-    decomp: Decomposition2D,
-    plan: FilterPlan,
-    assignment: FilterAssignment,
-    local_fields: Dict[str, np.ndarray],
+    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
 ):
     """Transpose-based FFT filtering, optionally load balanced.
 
     Stage A ships row-unit segments from owning to target processor rows
-    (identity when ``assignment`` is natural); stage B transposes within
+    (identity when the assignment is natural); stage B transposes within
     each processor row so complete lines land on their owning column;
     local FFTs filter the lines; the inverse movements restore the
     original layout (paper Figures 2-3 and Section 3.2).
     """
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    i_row, j_col = mesh.coords_of(ctx.rank)
-    layers = _layers_of(local_fields)
+    sub, nlon = state.sub, state.nlon
+    outgoing, incoming = state.outgoing, state.incoming
 
     # ---------- stage A: latitudinal redistribution --------------------
-    seg_store: Dict[int, np.ndarray] = {}
-    for u in assignment.units_assigned_to_row(i_row):
-        if assignment.owner_row[u] == i_row:
-            seg_store[u] = _segment(local_fields, plan, u, sub.lat0)
-
-    moves = assignment.stage_a_moves()
+    seg_store: Dict[int, np.ndarray] = {
+        u: local_fields[var][row]
+        for u, (var, row) in zip(state.own.units, state.own.rows)
+    }
     with ctx.span("filter.redistribute"):
         if _engine.batched():
-            sends = [
-                (mesh.rank_of(dst, j_col),
-                 _pack_units(local_fields, plan, units, sub.lat0, sub.nlon),
-                 _TAG_STAGE_A, None, True)
-                for src, dst, units in moves if src == i_row
-            ]
-            incoming = [(src, units) for src, dst, units in moves
-                        if dst == i_row]
-            if sends or incoming:
+            if outgoing or incoming:
                 received = yield _staged_exchange(
-                    sends,
-                    [(mesh.rank_of(src, j_col), _TAG_STAGE_A)
-                     for src, _ in incoming],
+                    [(peer, p.pack(local_fields, sub.nlon), _TAG_STAGE_A, None, True)
+                     for peer, p in outgoing],
+                    [(peer, _TAG_STAGE_A) for peer, _ in incoming],
                 )
-                for (_, units), payload in zip(incoming,
-                                               received[len(sends):]):
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        seg_store[u] = seg
+                for (_, p), payload in zip(incoming, received[len(outgoing):]):
+                    p.deliver(seg_store, payload)
         else:
-            for src, dst, units in moves:
-                if src == i_row:
-                    payload = _pack_units(local_fields, plan, units, sub.lat0,
-                                          sub.nlon)
-                    yield from ctx.send(
-                        mesh.rank_of(dst, j_col), payload, tag=_TAG_STAGE_A
-                    )
-            for src, dst, units in moves:
-                if dst == i_row:
-                    payload = yield from ctx.recv(
-                        mesh.rank_of(src, j_col), tag=_TAG_STAGE_A
-                    )
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        seg_store[u] = seg
+            for peer, p in outgoing:
+                yield from ctx.send(
+                    peer, p.pack(local_fields, sub.nlon), tag=_TAG_STAGE_A
+                )
+            for peer, p in incoming:
+                payload = yield from ctx.recv(peer, tag=_TAG_STAGE_A)
+                p.deliver(seg_store, payload)
 
     # ---------- stage B: transpose within the processor row ------------
-    assigned = assignment.units_assigned_to_row(i_row)
-    row_group = ctx.group(mesh.row_ranks(i_row))
-    n_cols = mesh.nlon_procs
-    by_col: List[List[int]] = [[] for _ in range(n_cols)]
-    for u in assigned:
-        by_col[assignment.line_col[u]].append(u)
-
-    if assigned:
-        chunks = []
-        for c in range(n_cols):
-            if by_col[c]:
-                chunks.append(
-                    np.ascontiguousarray(
-                        np.concatenate([seg_store[u] for u in by_col[c]], axis=1)
-                    )
-                )
-            else:
-                chunks.append(np.empty((sub.nlon, 0)))
+    if state.row_has_units:
+        row_group = ctx.group(state.row_ranks)
+        chunks = [p.collect(seg_store, sub.nlon) for p in state.by_col]
         with ctx.span("filter.transpose"):
             received = yield from row_group.alltoall(chunks)
-        my_units = by_col[j_col]
         # Assemble complete lines: concatenate column segments along lon.
-        lines = np.concatenate([received[c] for c in range(n_cols)], axis=0)
-        if my_units:
+        lines = np.concatenate(received, axis=0)
+        if state.lines.units:
             # Whole-line FFTs: full vector length — the reason the paper
             # chose the transpose over a distributed 1-D FFT.
-            with ctx.span("filter.fft", lines=len(my_units)):
+            with ctx.span("filter.fft", lines=len(state.lines.units)):
                 yield from ctx.compute(
-                    flops=fft_filter_flop_count(
-                        decomp.nlon, 1, lines.shape[1]
-                    ),
+                    flops=state.fft_flops,
                     mem_bytes=2.0 * lines.nbytes,
-                    inner_length=decomp.nlon,
+                    inner_length=nlon,
                 )
-            filtered = np.empty_like(lines)
-            per_in = _split_units(lines, plan, my_units, layers)
-            per_out = _split_units(filtered, plan, my_units, layers)
-            for u, line, out in zip(my_units, per_in, per_out):
-                out[...] = fft_filter_line(line, _unit_transfer(plan, u))
-        else:
-            filtered = lines  # (nlon, 0): nothing to do
+            # Every line of every layer in one batched transform pair.
+            spec = np.fft.rfft(lines, axis=0)
+            spec *= state.transfer
+            lines = np.fft.irfft(spec, n=nlon, axis=0)
 
         # ---------- inverse stage B -------------------------------------
-        back_chunks = []
-        for col in range(n_cols):
-            lo, hi = decomp.lon_bounds_of_proc_col(col)
-            back_chunks.append(np.ascontiguousarray(filtered[lo:hi]))
+        back_chunks = [
+            np.ascontiguousarray(lines[lo:hi]) for lo, hi in state.col_bounds
+        ]
         with ctx.span("filter.transpose"):
             back = yield from row_group.alltoall(back_chunks)
-        for c in range(n_cols):
-            segs = _split_units(back[c], plan, by_col[c], layers)
-            for u, seg in zip(by_col[c], segs):
-                seg_store[u] = seg
+        for p, payload in zip(state.by_col, back):
+            p.deliver(seg_store, payload)
 
     # ---------- inverse stage A -----------------------------------------
     with ctx.span("filter.redistribute"):
         if _engine.batched():
-            sends = [
-                (mesh.rank_of(src, j_col),
-                 np.ascontiguousarray(
-                     np.concatenate([seg_store[u] for u in units], axis=1)),
-                 _TAG_STAGE_A_BACK, None, True)
-                for src, dst, units in moves if dst == i_row
-            ]
-            incoming = [(dst, units) for src, dst, units in moves
-                        if src == i_row]
-            if sends or incoming:
+            if outgoing or incoming:
                 received = yield _staged_exchange(
-                    sends,
-                    [(mesh.rank_of(dst, j_col), _TAG_STAGE_A_BACK)
-                     for dst, _ in incoming],
+                    [(peer, p.collect(seg_store, sub.nlon),
+                      _TAG_STAGE_A_BACK, None, True) for peer, p in incoming],
+                    [(peer, _TAG_STAGE_A_BACK) for peer, _ in outgoing],
                 )
-                for (_, units), payload in zip(incoming,
-                                               received[len(sends):]):
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        _store_segment(local_fields, plan, u, sub.lat0, seg)
+                for (_, p), payload in zip(outgoing, received[len(incoming):]):
+                    p.store(local_fields, payload)
         else:
-            for src, dst, units in moves:
-                if dst == i_row:
-                    payload = np.ascontiguousarray(
-                        np.concatenate([seg_store[u] for u in units], axis=1)
-                    )
-                    yield from ctx.send(
-                        mesh.rank_of(src, j_col), payload,
-                        tag=_TAG_STAGE_A_BACK
-                    )
-            for src, dst, units in moves:
-                if src == i_row:
-                    payload = yield from ctx.recv(
-                        mesh.rank_of(dst, j_col), tag=_TAG_STAGE_A_BACK
-                    )
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        _store_segment(local_fields, plan, u, sub.lat0, seg)
+            for peer, p in incoming:
+                yield from ctx.send(
+                    peer, p.collect(seg_store, sub.nlon),
+                    tag=_TAG_STAGE_A_BACK,
+                )
+            for peer, p in outgoing:
+                payload = yield from ctx.recv(peer, tag=_TAG_STAGE_A_BACK)
+                p.store(local_fields, payload)
 
     # Write back the segments this rank both owns and was assigned.
-    for u in assignment.units_assigned_to_row(i_row):
-        if assignment.owner_row[u] == i_row:
-            _store_segment(local_fields, plan, u, sub.lat0, seg_store[u])
+    for u, (var, row) in zip(state.own.units, state.own.rows):
+        local_fields[var][row] = seg_store[u]
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +537,7 @@ def filter_fft_transpose(
 # ----------------------------------------------------------------------
 
 def filter_fft_distributed(
-    ctx: VirtualComm,
-    decomp: Decomposition2D,
-    plan: FilterPlan,
-    local_fields: Dict[str, np.ndarray],
+    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
 ):
     """Filter via binary-exchange distributed FFTs along processor rows.
 
@@ -571,37 +548,13 @@ def filter_fft_distributed(
     transpose + local (mixed-radix library) FFT.  Load balance matches
     the plain ``fft`` backend: rows without filtered latitudes idle.
     """
-    from repro.core.distributed_fft import (
-        bitrev_transfer,
-        check_distributed_fft_shape,
-        distributed_fft_filter_line,
-    )
-
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    i_row, j_col = mesh.coords_of(ctx.rank)
-    my_units = [
-        u for u, ru in enumerate(plan.units) if sub.lat0 <= ru.lat < sub.lat1
-    ]
-    if not my_units:
+    own = state.own
+    if not own.units:
         return
-    layers = _layers_of(local_fields)
-    local_n = check_distributed_fft_shape(decomp.nlon, mesh.nlon_procs)
-    row_group = ctx.group(mesh.row_ranks(i_row))
-
-    packed = _pack_units(local_fields, plan, my_units, sub.lat0, sub.nlon)
-    # Per-layer bit-reversed transfer factors for this rank's block.
-    lo, hi = j_col * local_n, (j_col + 1) * local_n
-    t = np.empty((local_n, packed.shape[1]))
-    offs = _unit_offsets(plan, my_units, layers)
-    for i, u in enumerate(my_units):
-        ru = plan.units[u]
-        full = bitrev_transfer(
-            np.asarray(plan.filter_for(ru).transfer(ru.lat)), decomp.nlon
+    row_group = ctx.group(state.row_ranks)
+    packed = own.pack(local_fields, state.sub.nlon)
+    with ctx.span("filter.fft", lines=len(own.units)):
+        filtered = yield from distributed_fft_filter_line(
+            row_group, packed, state.transfer
         )
-        t[:, offs[i] : offs[i + 1]] = full[lo:hi, None]
-
-    with ctx.span("filter.fft", lines=len(my_units)):
-        filtered = yield from distributed_fft_filter_line(row_group, packed, t)
-    for u, seg in zip(my_units, _split_units(filtered, plan, my_units, layers)):
-        _store_segment(local_fields, plan, u, sub.lat0, seg)
+    own.store(local_fields, filtered)

@@ -95,9 +95,14 @@ class PolarFilter:
         """Transfer factors ``T(s)`` for rfft bins ``s = 0..N//2``.
 
         ``T(0) = 1`` always (the zonal mean is never damped).  Rows
-        equatorward of the critical latitude return all-ones.
+        equatorward of the critical latitude return all-ones.  The array
+        is memoised and read-only (copy it before writing).
         """
-        return _transfer_cached(
+        return _transfer_cached(*self._cache_key(lat_index))
+
+    def _cache_key(self, lat_index: int) -> Tuple[int, float, float]:
+        """What a row's prescribed coefficients depend on, and nothing else."""
+        return (
             self.nlon,
             float(self.grid.lat_deg[lat_index]),
             self.critical_lat_deg,
@@ -117,9 +122,10 @@ class PolarFilter:
         """Equivalent circular-convolution kernel (length N) for a row.
 
         ``kernel = irfft(T)``; filtering a line with the FFT method equals
-        circular convolution with this kernel (tested property).
+        circular convolution with this kernel (tested property).  Like
+        :meth:`transfer`, the array is memoised and read-only.
         """
-        return np.fft.irfft(self.transfer(lat_index), n=self.nlon)
+        return _kernel_cached(*self._cache_key(lat_index))
 
     def damped_bin_count(self, lat_index: int) -> int:
         """Number of rfft bins actually damped at a row (T < 1).
@@ -129,7 +135,7 @@ class PolarFilter:
         ``O(N x M)`` with ``M`` growing from a handful just poleward of
         the critical latitude to ~N/2 at the poles.
         """
-        return int((self.transfer(lat_index) < 1.0).sum())
+        return _damped_bins_cached(*self._cache_key(lat_index))
 
     def damping_at(self, lat_index: int) -> float:
         """Damping applied to the shortest resolved wave at a row.
@@ -155,6 +161,26 @@ def _transfer_cached(
     out[1:] = np.minimum(1.0, ratio / eff)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=4096)
+def _kernel_cached(
+    nlon: int, lat_deg: float, critical_lat_deg: float
+) -> np.ndarray:
+    """Cached ``irfft`` of the transfer factors: a length-N vector per row."""
+    out = np.fft.irfft(
+        _transfer_cached(nlon, lat_deg, critical_lat_deg), n=nlon
+    )
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _damped_bins_cached(
+    nlon: int, lat_deg: float, critical_lat_deg: float
+) -> int:
+    """Cached count of damped rfft bins (``T < 1``) of a row."""
+    return int((_transfer_cached(nlon, lat_deg, critical_lat_deg) < 1.0).sum())
 
 
 def strong_filter(grid: SphericalGrid) -> PolarFilter:

@@ -43,12 +43,9 @@ class GroupComm:
     mirroring MPI sub-communicators.
     """
 
-    def __init__(self, ctx: "VirtualComm", ranks: Sequence[int]):
-        ranks = tuple(int(r) for r in ranks)
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"duplicate ranks in group: {ranks}")
-        if ctx.rank not in ranks:
-            raise ValueError(f"rank {ctx.rank} not a member of group {ranks}")
+    def __init__(self, ctx: "VirtualComm", ranks: Tuple[int, ...]):
+        # ``ranks`` is trusted here; VirtualComm.group() validates what
+        # callers hand it.
         self.ctx = ctx
         self.ranks = ranks
         self.size = len(ranks)
@@ -170,37 +167,19 @@ class VirtualComm(GroupComm):
 
     def __init__(self, rank: int, size: int, machine: MachineModel,
                  trace: Trace, observer=None):
-        self._rank = rank
-        self._size = size
+        #: Read by GroupComm.__init__ below; in the world communicator the
+        #: local position it then assigns is the same number.
+        self.rank = rank
         self.machine = machine
         self.trace = trace
         #: The observability sink (see :mod:`repro.obs`); the shared
         #: NULL_OBSERVER unless the simulator was given a live one.
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._state = None  # set by the scheduler; exposes the virtual clock
+        # The world group is valid by construction (every rank once, in
+        # order): no per-element checks, which would be O(size) on each
+        # of ``size`` ranks.
         super().__init__(self, tuple(range(size)))
-
-    # GroupComm.__init__ reads ctx.rank before super() finishes, hence the
-    # underscored storage and properties.
-    @property
-    def rank(self) -> int:  # type: ignore[override]
-        return self._rank
-
-    @rank.setter
-    def rank(self, value: int) -> None:
-        # GroupComm.__init__ assigns self.rank = ranks.index(...); for the
-        # world communicator local == global so the assignment is a no-op.
-        if value != self._rank:
-            raise ValueError("world communicator rank is immutable")
-
-    @property
-    def size(self) -> int:  # type: ignore[override]
-        return self._size
-
-    @size.setter
-    def size(self, value: int) -> None:
-        if value != self._size:
-            raise ValueError("world communicator size is immutable")
 
     # -- compute -------------------------------------------------------------
     def compute(self, flops: float = 0.0, mem_bytes: float = 0.0,
@@ -239,14 +218,14 @@ class VirtualComm(GroupComm):
         phase structure appears in exported traces for free.
         """
         obs = self.obs
-        sid = obs.begin(self._rank, name, self.clock) if obs.enabled else -1
-        self.trace.open_region(self._rank, name, self.clock)
+        sid = obs.begin(self.rank, name, self.clock) if obs.enabled else -1
+        self.trace.open_region(self.rank, name, self.clock)
         try:
             yield
         finally:
-            self.trace.close_region(self._rank, name, self.clock)
+            self.trace.close_region(self.rank, name, self.clock)
             if sid >= 0:
-                obs.end(self._rank, sid, self.clock)
+                obs.end(self.rank, sid, self.clock)
 
     def span(self, name: str, **tags):
         """A context manager recording one observability span.
@@ -261,13 +240,13 @@ class VirtualComm(GroupComm):
         obs = self.obs
         if not obs.enabled:
             return NULL_SPAN
-        return _LiveSpan(obs, self, self._rank, name, tags or None)
+        return _LiveSpan(obs, self, self.rank, name, tags or None)
 
     def instant(self, name: str, **tags) -> None:
         """Record a zero-duration observability marker at the current clock."""
         obs = self.obs
         if obs.enabled:
-            obs.instant(self._rank, name, self.clock, tags or None)
+            obs.instant(self.rank, name, self.clock, tags or None)
 
     @property
     def metrics(self):
@@ -277,4 +256,9 @@ class VirtualComm(GroupComm):
     # -- groups ----------------------------------------------------------------
     def group(self, ranks: Sequence[int]) -> GroupComm:
         """Create a sub-communicator over ``ranks`` (must include self)."""
+        ranks = tuple(int(r) for r in ranks)
+        if len(set(ranks)) != len(ranks):
+            raise ValueError(f"duplicate ranks in group: {ranks}")
+        if self.rank not in ranks:
+            raise ValueError(f"rank {self.rank} not a member of group {ranks}")
         return GroupComm(self, ranks)

@@ -1,0 +1,294 @@
+"""Prepared polar-filter operators: bit-identity pins and a work-count guard.
+
+The filter backends do their set-up once (kernels, transfer matrices,
+assignment move lists, per-rank index state) and every later application
+is data movement and arithmetic only.  These tests pin that the prepared
+path computes *the same bits* as the per-application path it replaced,
+and that a second application really does no set-up work.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    EXTENDED_BACKENDS,
+    FilterAssignment,
+    apply_serial_filter,
+    make_filter_plan,
+    prepare_filter_backend,
+)
+from repro.core.convolution import circulant_matrix, circulant_rows
+from repro.core.spectral import strong_filter, weak_filter
+from repro.grid import Decomposition2D, SphericalGrid
+from repro.parallel import GENERIC, ProcessorMesh, Simulator
+
+
+# ----------------------------------------------------------------------
+# (a) circulant_rows == the legacy index construction, bit for bit
+# ----------------------------------------------------------------------
+
+def legacy_index_construction(kernel: np.ndarray) -> np.ndarray:
+    """The operator build the backends used before ``circulant_rows``: an
+    N x N int64 index, a modulo and a gather.  Kept only as the oracle."""
+    n = kernel.shape[0]
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return kernel[idx]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12])
+def test_circulant_rows_matches_legacy_for_every_block(n):
+    kernel = np.random.default_rng(n).standard_normal(n)
+    legacy = legacy_index_construction(kernel)
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            rows = circulant_rows(kernel, lo, hi)
+            assert rows.shape == (hi - lo, n)
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == legacy[lo:hi].tobytes(), (n, lo, hi)
+    full = circulant_matrix(kernel)
+    assert full.flags.c_contiguous
+    assert full.tobytes() == legacy.tobytes()
+
+
+def test_circulant_rows_is_a_fresh_writable_block():
+    kernel = np.arange(6.0)
+    rows = circulant_rows(kernel, 1, 4)
+    rows[...] = -1.0  # must not write through to the kernel
+    np.testing.assert_array_equal(kernel, np.arange(6.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 3), (2, 2), (3, 2), (0, 7)])
+def test_circulant_rows_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError):
+        circulant_rows(np.arange(6.0), lo, hi)
+
+
+def test_product_is_bit_identical_at_paper_size():
+    """What the ring backend computes: its longitude block of rows times
+    the assembled lines (a strided column view of the packed array)."""
+    rng = np.random.default_rng(144)
+    kernel = rng.standard_normal(144)
+    lines = rng.standard_normal((144, 29))[:, 9:18]
+    legacy = legacy_index_construction(kernel)[np.arange(36, 72)] @ lines
+    assert (circulant_rows(kernel, 36, 72) @ lines).tobytes() == legacy.tobytes()
+
+
+# ----------------------------------------------------------------------
+# (b) gathered filtered fields: sha256 recorded at the parent commit
+# ----------------------------------------------------------------------
+
+def _numeric_platform_digest() -> str:
+    """A digest of the two library kernels the backends rest on (BLAS
+    matmul and pocketfft), on fixed inputs and through no repo code.
+    The field digests below are only comparable where this one agrees
+    with the machine they were recorded on."""
+    rng = np.random.default_rng(2026)
+    a = rng.standard_normal((8, 32))
+    x = rng.standard_normal((32, 7))
+    spec = np.fft.rfft(x, axis=0) * rng.standard_normal((17, 1))
+    h = hashlib.sha256()
+    h.update((a @ x).tobytes())
+    h.update(np.fft.irfft(spec, n=32, axis=0).tobytes())
+    return h.hexdigest()
+
+
+#: Recorded at commit 4c2cf82 (the parent of the prepared-operator
+#: change), numpy 2.4.6 + OpenBLAS 0.3.31, as the sha256 of this file's
+#: ``_filtered_bytes`` there.
+RECORDED_PLATFORM = (
+    "81045f9eb10a12646418a7ec7dc920be4e5e6ae70a13a47cf853dcbd1d842f03"
+)
+_CONVOLUTION = "c885d020a4c1e1c95cd2a7ffdb7740020e5a58eb1b29e68d8a37b379db1b5585"
+_TRANSPOSE_FFT = "85689330c22aec986471d71f3597994eea439d7c05a5c295216a6055df6a5023"
+_DISTRIBUTED_FFT = "beed02bbfe92f780131ea2d7819050cfedb0ee280c783a7c3b1afa47a5e76926"
+#: The parent's bits do not depend on the mesh, and the ring and the tree
+#: (and the plain and the balanced transpose FFT) agree to the last bit.
+RECORDED_DIGESTS = {
+    "convolution-ring": _CONVOLUTION,
+    "convolution-tree": _CONVOLUTION,
+    "fft": _TRANSPOSE_FFT,
+    "fft-lb": _TRANSPOSE_FFT,
+    "fft-distributed": _DISTRIBUTED_FFT,
+}
+
+
+_FIELD_GRID = SphericalGrid(nlat=16, nlon=32)
+
+
+def _input_fields():
+    rng = np.random.default_rng(11)
+    fields = {
+        n: rng.standard_normal((_FIELD_GRID.nlat, _FIELD_GRID.nlon, 3))
+        for n in ("u", "v", "pt", "q")
+    }
+    fields["ps"] = rng.standard_normal((_FIELD_GRID.nlat, _FIELD_GRID.nlon, 1))
+    return fields
+
+
+def _field_bytes(applications) -> bytes:
+    """The fields after each application, variables in name order."""
+    return b"".join(
+        np.ascontiguousarray(fields[n]).tobytes()
+        for fields in applications for n in sorted(fields)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _filtered_bytes(backend_name: str, mesh_dims) -> bytes:
+    """Every gathered field after one and after two applications of one
+    prepared backend (the second runs entirely on prepared state)."""
+    grid, fields = _FIELD_GRID, _input_fields()
+    mesh = ProcessorMesh(*mesh_dims)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
+
+    def program(ctx):
+        local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+        yield from backend.apply(ctx, local)
+        once = {n: a.copy() for n, a in local.items()}
+        yield from ctx.barrier()
+        yield from backend.apply(ctx, local)
+        return once, local
+
+    res = Simulator(mesh.size, GENERIC).run(program)
+    applications = [
+        {
+            n: decomp.gather([res.returns[r][k][n] for r in range(mesh.size)])
+            for n in fields
+        }
+        for k in (0, 1)
+    ]
+    for gathered in applications:
+        for n in fields:
+            assert not np.array_equal(gathered[n], fields[n])  # it did filter
+    return _field_bytes(applications)
+
+
+MESHES = pytest.mark.parametrize("mesh_dims", [(2, 4), (4, 4)], ids=["2x4", "4x4"])
+
+
+@MESHES
+@pytest.mark.parametrize("backend_name", EXTENDED_BACKENDS)
+def test_filtered_fields_unchanged_since_parent(backend_name, mesh_dims):
+    if _numeric_platform_digest() != RECORDED_PLATFORM:
+        pytest.skip("BLAS/FFT build differs from the one the digests were "
+                    "recorded on; float bit patterns are not comparable")
+    assert (
+        hashlib.sha256(_filtered_bytes(backend_name, mesh_dims)).hexdigest()
+        == RECORDED_DIGESTS[backend_name]
+    )
+
+
+# The same guard without a recorded platform: exact relations between the
+# backends that held at the parent and run wherever the suite does.
+
+@MESHES
+def test_ring_and_tree_agree_to_the_last_bit(mesh_dims):
+    assert (
+        _filtered_bytes("convolution-ring", mesh_dims)
+        == _filtered_bytes("convolution-tree", mesh_dims)
+    )
+
+
+@MESHES
+def test_balanced_transpose_fft_agrees_with_plain_to_the_last_bit(mesh_dims):
+    assert _filtered_bytes("fft", mesh_dims) == _filtered_bytes("fft-lb", mesh_dims)
+
+
+@MESHES
+def test_parallel_fft_agrees_with_serial_to_the_last_bit(mesh_dims):
+    plan, fields = make_filter_plan(_FIELD_GRID), _input_fields()
+    applications = []
+    for _ in range(2):
+        apply_serial_filter(plan, fields, method="fft")  # fft_filter_rows
+        applications.append({n: a.copy() for n, a in fields.items()})
+    assert _filtered_bytes("fft", mesh_dims) == _field_bytes(applications)
+
+
+# ----------------------------------------------------------------------
+# (c) cached vectors are read-only
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [strong_filter, weak_filter])
+def test_cached_filter_vectors_are_read_only(make, small_grid):
+    f = make(small_grid)
+    j = int(f.latitude_indices()[0])
+    for vector in (f.kernel(j), f.transfer(j)):
+        before = vector.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            vector *= 2.0
+        np.testing.assert_array_equal(vector, before)
+    assert f.kernel(j) is f.kernel(j)  # memoised, not rebuilt
+    assert isinstance(f.damped_bin_count(j), int)
+
+
+# ----------------------------------------------------------------------
+# count-based regression guard: the second application does no set-up
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "backend_name", ["convolution-ring", "convolution-tree", "fft-lb"]
+)
+def test_second_application_does_no_setup_work(backend_name, monkeypatch):
+    grid = SphericalGrid(nlat=18, nlon=24)
+    mesh = ProcessorMesh(3, 4)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
+    rng = np.random.default_rng(5)
+    fields = {
+        n: rng.standard_normal((grid.nlat, grid.nlon, 2))
+        for n in ("u", "v", "pt", "q", "ps")
+    }
+
+    counts = {"irfft": 0, "stage_a_moves": 0, "units_assigned_to_row": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+    for name in ("stage_a_moves", "units_assigned_to_row"):
+        monkeypatch.setattr(
+            FilterAssignment, name, counted(name, getattr(FilterAssignment, name))
+        )
+
+    def program(ctx):
+        local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+        yield from backend.apply(ctx, local)
+
+    sim = Simulator(mesh.size, GENERIC)
+    sim.run(program)
+    first = dict(counts)
+    sim.run(program)
+    second = {k: counts[k] - first[k] for k in counts}
+
+    assert second["stage_a_moves"] == 0
+    assert second["units_assigned_to_row"] == 0
+    if backend_name == "fft-lb":
+        # The filtering itself: one stacked inverse transform per rank
+        # that holds lines — never one per unit, never a kernel build.
+        ranks_with_lines = int((backend.assignment.lines_per_rank() > 0).sum())
+        assert 0 < second["irfft"] == ranks_with_lines
+    else:
+        assert second["irfft"] == 0
+
+
+def test_foreign_packing_cannot_address_local_rows():
+    """A packing of units held elsewhere knows their wire offsets only."""
+    from repro.core.parallel_filter import _Packing
+
+    plan = make_filter_plan(SphericalGrid(nlat=16, nlon=32))
+    layers = {n: 3 for n in ("u", "v", "pt", "q", "ps")}
+    foreign = _Packing(plan, [0, 1], layers)
+    assert foreign.rows is None and foreign.width == 6
+    with pytest.raises(TypeError):
+        foreign.pack({}, 8)
+    with pytest.raises(TypeError):
+        foreign.store({}, np.zeros((8, 6)))
