@@ -69,21 +69,6 @@ def test_operator_build_not_dearer_than_its_product(paper_field):
     assert t_build < 5.0 * t_product
 
 
-def test_fft_actually_faster(paper_field):
-    """The algorithmic win is real, not just modelled."""
-    import timeit
-
-    grid, field = paper_field
-    pfilter = strong_filter(grid)
-    t_conv = timeit.timeit(
-        lambda: convolution_filter_rows(field, pfilter), number=3
-    )
-    t_fft = timeit.timeit(
-        lambda: fft_filter_rows(field, pfilter), number=3
-    )
-    assert t_fft < t_conv
-
-
 def test_fft_faster_above_paper_size():
     """Where the O(N^2) vs O(N log N) gap is wide in host time: four
     times the paper's longitudes (27 ms vs 5.4 ms)."""

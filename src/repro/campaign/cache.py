@@ -28,11 +28,14 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import tempfile
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-__all__ = ["ResultCache", "cache_key", "canonical_params"]
+from repro import __version__
+
+__all__ = ["ResultCache", "cache_key", "canonical_params", "unit_meta"]
 
 
 def canonical_params(obj: Any) -> Any:
@@ -69,6 +72,24 @@ def cache_key(ident: str, params: Any, version: str) -> str:
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def unit_meta(unit, seconds: float, worker) -> Dict[str, Any]:
+    """The sidecar ``meta`` of a unit this process just executed.
+
+    One schema for every executor: ``worker`` is the campaign worker
+    index, or ``"serve"`` for the gateway pool (how the result index
+    tells the two sources apart).
+    """
+    return {
+        "ident": unit.ident,
+        "point": unit.point.label,
+        "params": canonical_params(unit.point.as_dict()),
+        "duration": seconds,
+        "version": __version__,
+        "worker": worker,
+        "host": f"{socket.gethostname()}:{os.getpid()}",
+    }
 
 
 class ResultCache:

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from typing import List, Optional, Sequence
 
 from repro import __version__
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, unit_meta
 from repro.util.validation import check_positive_int
 from repro.campaign.report import CampaignReport, UnitOutcome
 from repro.campaign.units import (
@@ -76,22 +76,7 @@ def _run_one(unit: CampaignUnit, worker: int,
         error = f"{type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - t0
     if cache is not None and error is None:
-        import socket
-
-        from repro.campaign.cache import canonical_params
-
-        cache.put(
-            unit.key, value,
-            meta={
-                "ident": unit.ident,
-                "point": unit.point.label,
-                "params": canonical_params(unit.point.as_dict()),
-                "duration": seconds,
-                "version": __version__,
-                "worker": worker,
-                "host": f"{socket.gethostname()}:{os.getpid()}",
-            },
-        )
+        cache.put(unit.key, value, meta=unit_meta(unit, seconds, worker))
     return UnitOutcome(
         ident=unit.ident, label=unit.label, key=unit.key,
         status="failed" if error else "ran",

@@ -1,11 +1,23 @@
 """The SPMD parallel AGCM: the rank program the virtual machine executes.
 
 This is the parallel counterpart of :class:`repro.model.agcm.AGCM` — same
-numerics, decomposed over a 2-D processor mesh, with every message and
-flop charged to the machine model.  Integration tests assert the gathered
+numerics, decomposed over a processor mesh, with every message and flop
+charged to the machine model.  Integration tests assert the gathered
 parallel fields equal the serial driver's bit-for-bit (the numerics use
 the same kernels on halo-padded blocks), while the virtual trace supplies
 all the paper's timing tables.
+
+One program serves both layouts, chosen by the decomposition it is given:
+
+* the paper's 2-D layout (:class:`~repro.grid.decomposition.Decomposition2D`,
+  or a :class:`~repro.grid.decomposition3d.Decomposition3D` whose mesh has
+  ``nlev_procs == 1``) — each rank owns a lat-lon block with every layer;
+* the AGCM-3DLF layout (``nlev_procs > 1``) — each rank owns a
+  ``(nlat_loc, nlon_loc, nlev_loc)`` slab.  Horizontal work runs per slab
+  through the unmodified 2-D halo/filter code via
+  :meth:`Decomposition3D.slab`; vertically coupled work (column physics,
+  the surface-pressure closure, the implicit vertical-diffusion solves)
+  transposes to column space over the pillar of ranks sharing a tile.
 
 Per step:
 
@@ -17,7 +29,8 @@ Per step:
 
 Phase names recorded in the trace: ``"physics"``, ``"dynamics"``, and
 within dynamics ``"halo"``, ``"fd"``, ``"filtering"``, ``"update"`` —
-these give the Figure-1 component breakdown directly.  With periodic
+these give the Figure-1 component breakdown directly; a vertical split
+adds ``"transpose"`` around every pillar collective.  With periodic
 checkpointing (``checkpointer=``) a ``"checkpoint"`` phase appears, and
 on a resumed run (``resume=``) a ``"restart"`` phase covers the
 read-and-scatter of the last checkpoint (see :mod:`repro.faults`).
@@ -32,8 +45,7 @@ workload-induced imbalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,13 +59,18 @@ from repro.dynamics.tendencies import (
     compute_tendencies,
     dynamics_flops,
     dynamics_mem_bytes,
+    surface_pressure_tendency,
 )
 from repro.faults.mitigation import LoadMeasurement, estimate_rank_loads
 from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition3d import Decomposition3D
 from repro.grid.halo import exchange_halos
 from repro.model.config import AGCMConfig
 from repro.model.physics_balance import ColumnFlowPlan, plan_column_flow
+from repro.parallel.collectives import exchange_vertical_halo
 from repro.physics.driver import ColumnSet, run_physics
+from repro.physics.workload import leap_schedule
+from repro.util.partition import block_bounds
 
 _TAG_LB_DATA = 0x00CC0001
 _TAG_LB_RESULT = 0x00CC0002
@@ -68,7 +85,7 @@ VDIFF_FLOPS_PER_POINT_LAYER = 16.0
 def agcm_rank_program(
     ctx,
     cfg: AGCMConfig,
-    decomp: Decomposition2D,
+    decomp: Union[Decomposition2D, Decomposition3D],
     nsteps: int,
     return_fields: bool = False,
     checkpointer=None,
@@ -79,6 +96,32 @@ def agcm_rank_program(
 
     Returns a summary dict; with ``return_fields=True`` it includes the
     final local prognostic arrays (used by the equivalence tests).
+
+    ``decomp`` picks the layout.  When its mesh is vertically split
+    (``nlev_procs > 1``, a :class:`Decomposition3D`) the step gains the
+    pillar branches, each inside a ``"transpose"`` phase:
+
+    * column physics — slab -> column transpose, compute (balanced or
+      not) on the pillar share, transpose the tendencies back;
+    * the vertical ghost-layer exchange for the full model's vertical
+      differencing, priced per step (the reduced kernel has no vertical
+      stencil, but the calibrated ``AGCM_FLOPS_PER_POINT_LAYER``
+      workload it stands in for does);
+    * the surface-pressure closure — pillar allgather of the
+      pre-forcing ``pt`` tendency, full-K layer mean in global layer
+      order (:func:`~repro.dynamics.tendencies.surface_pressure_tendency`);
+    * implicit vertical diffusion — the Thomas solves run on the
+      transposed full columns.
+
+    Leap-format stepping: the pairwise transpose rounds rotate partners
+    per vertical rank, and the finite-difference latitude sweep is
+    charged in ``nlev_procs`` chunks in :func:`leap-rotated
+    <repro.physics.workload.leap_schedule>` order, so pillar members
+    touch different latitude bands (and different filter rows) at any
+    instant instead of serialising on the same ones.  Without a split
+    the sweep is one chunk and the step is the paper's 2-D one; the
+    gathered trajectory is bit-identical to the serial driver for the
+    fft filter backends on every mesh.
 
     ``checkpointer`` (a :class:`repro.faults.checkpoint.Checkpointer`
     or :class:`repro.guard.buddy.BuddyCheckpointer` — same interface)
@@ -94,29 +137,76 @@ def agcm_rank_program(
     state can be checkpointed — a snapshot is therefore always
     guard-clean.  Disabled (``None`` or ``guard.enabled`` False) it
     costs exactly nothing: one attribute check here, no virtual ops.
+
+    The three hooks gather, scatter, pair buddies and run detectors on
+    full-column blocks, so each raises ``ValueError`` on a vertically
+    split mesh rather than being dropped.
     """
     grid = cfg.make_grid()
     mesh = decomp.mesh
+    nlev_procs = mesh.nlev_procs
+    split = nlev_procs > 1
+    guarded = guard is not None and guard.enabled
+    if split:
+        for hook, given in (("checkpointer", checkpointer is not None),
+                            ("resume", resume is not None),
+                            ("guard", guarded)):
+            if given:
+                raise ValueError(
+                    f"{hook} works on full-column blocks and cannot run on "
+                    f"the vertically split mesh {mesh.describe()} "
+                    f"(nlev_procs must be 1)"
+                )
     sub = decomp.subdomain(ctx.rank)
+    nlayers = cfg.nlayers
+    extent = (sub.lat0, sub.lat1, sub.lon0, sub.lon1)
+    klev, nlev_loc, horiz = 0, nlayers, decomp
+    if isinstance(decomp, Decomposition3D):
+        # Halo exchange and filtering see one vertical level of the mesh.
+        klev, nlev_loc = sub.klev_proc, sub.nlev
+        horiz = decomp.slab(klev)
+        extent += (sub.lev0, sub.lev1)
     geom = LocalGeometry.from_grid(grid, sub.lat0, sub.lat1)
     lat_rad_loc = grid.lat_rad[sub.lat_slice]
     lon_rad_loc = grid.lon_rad[sub.lon_slice]
     plan = make_filter_plan(grid)
-    backend = prepare_filter_backend(cfg.filter_backend, plan, decomp)
+    backend = prepare_filter_backend(cfg.filter_backend, plan, horiz)
     dt = cfg.timestep()
     npts = sub.nlat * sub.nlon
-    nlayers = cfg.nlayers
     is_north_edge = sub.lat1 == decomp.nlat
+
+    # This rank's share of the tile's columns once the pillar has
+    # transposed to column space — the whole tile without a split.
+    col_bounds = block_bounds(npts, nlev_procs)
+    my_c0, my_c1 = col_bounds[klev]
+    my_ncols = my_c1 - my_c0
+    # Leap-format latitude sweep: chunk bounds + this rank's rotation.
+    sweep = leap_schedule(nlev_procs, klev)
+    sweep_bounds = block_bounds(sub.nlat, nlev_procs)
 
     # One enabled-attribute check (the NULL_OBSERVER pattern): a disabled
     # guard never constructs state and never yields a virtual op.
-    gstate = None
-    if guard is not None and guard.enabled:
-        gstate = guard.rank_state(ctx, cfg, grid, sub, dt)
+    gstate = guard.rank_state(ctx, cfg, grid, sub, dt) if guarded else None
 
+    # The full-K tile block is deterministic per global coordinate.
     now = initial_fields_block(lat_rad_loc, lon_rad_loc, nlayers, seed=cfg.seed)
+    if split:
+        i_proc, j_proc, _ = mesh.coords3_of(ctx.rank)
+        pillar = ctx.group(mesh.pillar_ranks(i_proc, j_proc))
+        lev_bounds = [decomp.lev_bounds_of_proc(k) for k in range(nlev_procs)]
+        # Latitude/longitude of the column share, in the lat-major
+        # flattening order of ColumnSet.from_block.
+        share_lat = np.repeat(lat_rad_loc, sub.nlon)[my_c0:my_c1]
+        share_lon = np.tile(lon_rad_loc, sub.nlat)[my_c0:my_c1]
+        # Keep the slab's layers; ps stays whole — single-level fields
+        # are replicated across the pillar.
+        now = {
+            name: arr if name == "ps"
+            else np.ascontiguousarray(arr[:, :, sub.lev_slice])
+            for name, arr in now.items()
+        }
     prev: Optional[Dict[str, np.ndarray]] = None
-    forcing_pt = np.zeros((sub.nlat, sub.nlon, nlayers))
+    forcing_pt = np.zeros((sub.nlat, sub.nlon, nlev_loc))
     forcing_q = np.zeros_like(forcing_pt)
 
     # Physics-LB state: static column counts are exchanged once at setup;
@@ -151,13 +241,22 @@ def agcm_rank_program(
     for step in range(start_step, nsteps):
         step_span = ctx.span("step", step=step)
         step_span.__enter__()
-        # ---------------- physics ------------------------------------
+        # ---------------- physics (column space) ----------------------
         if step % cfg.physics_every == 0:
             with ctx.region("physics"):
                 time_frac = (time_now % c.SECONDS_PER_DAY) / c.SECONDS_PER_DAY
-                cols = ColumnSet.from_block(
-                    now["pt"], now["q"], lat_rad_loc, lon_rad_loc
-                )
+                if split:
+                    with ctx.region("transpose"):
+                        col_pt = yield from _pillar_to_columns(
+                            pillar, now["pt"], col_bounds)
+                        col_q = yield from _pillar_to_columns(
+                            pillar, now["q"], col_bounds)
+                    cols = ColumnSet(pt=col_pt, q=col_q,
+                                     lat_rad=share_lat, lon_rad=share_lon)
+                else:
+                    cols = ColumnSet.from_block(
+                        now["pt"], now["q"], lat_rad_loc, lon_rad_loc
+                    )
                 use_lb = cfg.physics_lb and mesh.size > 1
                 if use_lb and all_ncols is None:
                     all_ncols = yield from ctx.allgather(cols.ncol)
@@ -183,8 +282,16 @@ def agcm_rank_program(
                         ctx.clock - t_compute0, cols.ncol, cols.ncol
                     )
                     tend_pt_cols, tend_q_cols = result.tend_pt, result.tend_q
-                forcing_pt[...] = tend_pt_cols.reshape(sub.nlat, sub.nlon, nlayers)
-                forcing_q[...] = tend_q_cols.reshape(sub.nlat, sub.nlon, nlayers)
+                if split:
+                    with ctx.region("transpose"):
+                        tend_pt_cols = yield from _columns_to_pillar(
+                            pillar, tend_pt_cols, col_bounds, lev_bounds
+                        )
+                        tend_q_cols = yield from _columns_to_pillar(
+                            pillar, tend_q_cols, col_bounds, lev_bounds
+                        )
+                forcing_pt[...] = tend_pt_cols.reshape(forcing_pt.shape)
+                forcing_q[...] = tend_q_cols.reshape(forcing_q.shape)
                 phys_compute_seconds += my_measure.compute_seconds
                 if physics_calls > 0:
                     phys_compute_steady += my_measure.compute_seconds
@@ -196,21 +303,41 @@ def agcm_rank_program(
                 padded = {}
                 for name in PROGNOSTIC_NAMES:
                     padded[name] = yield from exchange_halos(
-                        ctx, decomp, now[name])
+                        ctx, horiz, now[name])
+            if split:
+                # Ghost layers for the full model's vertical
+                # differencing (priced, not consumed by the reduced
+                # kernel — see the docstring).
+                with ctx.region("transpose"):
+                    yield from exchange_vertical_halo(ctx, decomp, now["pt"])
             with ctx.region("fd"):
-                yield from ctx.compute(
-                    flops=dynamics_flops(npts, nlayers),
-                    mem_bytes=dynamics_mem_bytes(npts, nlayers),
-                    inner_length=sub.nlon,
-                )
+                for chunk in sweep:
+                    c_lat0, c_lat1 = sweep_bounds[chunk]
+                    chunk_pts = (c_lat1 - c_lat0) * sub.nlon
+                    if chunk_pts == 0:
+                        continue
+                    yield from ctx.compute(
+                        flops=dynamics_flops(chunk_pts, nlev_loc),
+                        mem_bytes=dynamics_mem_bytes(chunk_pts, nlev_loc),
+                        inner_length=sub.nlon,
+                    )
                 tend = compute_tendencies(padded, geom, cfg.dynamics)
-                tend["pt"] = tend["pt"] + forcing_pt
-                tend["q"] = tend["q"] + forcing_q
+            if split:
+                # Pillar surface-pressure closure: the layer mean needs
+                # every layer of the column, assembled in global layer
+                # order from the pre-forcing pt tendency.
+                with ctx.region("transpose"):
+                    dpt_blocks = yield from pillar.allgather(tend["pt"])
+                tend["ps"] = surface_pressure_tendency(
+                    np.concatenate(dpt_blocks, axis=2)
+                )
+            tend["pt"] = tend["pt"] + forcing_pt
+            tend["q"] = tend["q"] + forcing_q
             with ctx.region("filtering"):
                 yield from backend.apply(ctx, tend)
             with ctx.region("update"):
                 yield from ctx.compute(
-                    flops=UPDATE_FLOPS_PER_POINT_LAYER * npts * nlayers,
+                    flops=UPDATE_FLOPS_PER_POINT_LAYER * npts * nlev_loc,
                     inner_length=sub.nlon,
                 )
                 prev, now = _advance(prev, now, tend, dt, cfg.ra_coeff)
@@ -218,13 +345,29 @@ def agcm_rank_program(
                     now["v"][-1, ...] = 0.0
                 if cfg.vertical_diffusion > 0:
                     yield from ctx.compute(
-                        flops=VDIFF_FLOPS_PER_POINT_LAYER * npts * nlayers,
+                        flops=VDIFF_FLOPS_PER_POINT_LAYER * my_ncols * nlayers,
                         inner_length=nlayers,
                     )
                     for name in ("pt", "q"):
-                        now[name] = implicit_vertical_diffusion(
-                            now[name], dt, cfg.vertical_diffusion, cfg.dz
-                        )
+                        if not split:
+                            now[name] = implicit_vertical_diffusion(
+                                now[name], dt, cfg.vertical_diffusion, cfg.dz
+                            )
+                            continue
+                        # Thomas solves need full columns: solve in
+                        # transposed space, then return to slabs.
+                        with ctx.region("transpose"):
+                            col = yield from _pillar_to_columns(
+                                pillar, now[name], col_bounds)
+                        solved = implicit_vertical_diffusion(
+                            col.reshape(my_ncols, 1, nlayers),
+                            dt, cfg.vertical_diffusion, cfg.dz,
+                        ).reshape(my_ncols, nlayers)
+                        with ctx.region("transpose"):
+                            back = yield from _columns_to_pillar(
+                                pillar, solved, col_bounds, lev_bounds
+                            )
+                        now[name] = back.reshape(forcing_pt.shape)
         time_now += dt
 
         # ---------------- numerical-health guard ----------------------
@@ -261,7 +404,7 @@ def agcm_rank_program(
 
     summary = {
         "rank": ctx.rank,
-        "subdomain": (sub.lat0, sub.lat1, sub.lon0, sub.lon1),
+        "subdomain": extent,
         "steps": nsteps,
         "start_step": start_step,
         "physics_calls": physics_calls,
@@ -415,15 +558,16 @@ def _physics_balanced(
 # 3-D decomposition with leap-format stepping (AGCM-3DLF)
 # ----------------------------------------------------------------------
 
-def _pillar_to_columns(comm, flat: np.ndarray, col_bounds) -> "np.ndarray":
-    """Slab -> column-space transpose of one flattened field.
+def _pillar_to_columns(comm, block: np.ndarray, col_bounds) -> "np.ndarray":
+    """Slab -> column-space transpose of one field.
 
-    ``flat`` is ``(npts, nlev_loc)`` (tile columns x local layers);
-    ``col_bounds[d]`` the column share of pillar member ``d``.  Returns
-    this member's ``(my_ncols, nlayers)`` full columns, layer blocks
-    concatenated in global layer order — bit-identical rows of the
-    serial field.
+    ``block`` is this rank's ``(nlat_loc, nlon_loc, nlev_loc)`` slab;
+    ``col_bounds[d]`` the share of the tile's lat-major flattened
+    columns that pillar member ``d`` takes.  Returns this member's
+    ``(my_ncols, nlayers)`` full columns, layer blocks concatenated in
+    global layer order — bit-identical rows of the serial field.
     """
+    flat = block.reshape(col_bounds[-1][1], -1)
     chunks = [
         np.ascontiguousarray(flat[c0:c1]) for c0, c1 in col_bounds
     ]
@@ -451,265 +595,5 @@ def _columns_to_pillar(comm, cols: np.ndarray, col_bounds,
     return out
 
 
-def agcm3d_rank_program(
-    ctx,
-    cfg: AGCMConfig,
-    decomp,
-    nsteps: int,
-    return_fields: bool = False,
-):
-    """Generator: run ``nsteps`` AGCM steps on this rank's 3-D slab.
-
-    The AGCM-3DLF counterpart of :func:`agcm_rank_program`: ``decomp``
-    is a :class:`repro.grid.decomposition3d.Decomposition3D` and each
-    rank owns a ``(nlat_loc, nlon_loc, nlev_loc)`` vertical slab.
-    Horizontal work (halo exchange, finite differences, polar
-    filtering, leapfrog update) runs per-slab through the unmodified
-    2-D machinery via :meth:`Decomposition3D.slab`; vertically coupled
-    work transposes to column space over the pillar group:
-
-    * column physics — slab -> column transpose, compute on the pillar
-      share, transpose back (``"transpose"`` phase);
-    * the surface-pressure closure — pillar allgather of the
-      pre-forcing ``pt`` tendency, full-K layer mean in global layer
-      order (:func:`~repro.dynamics.tendencies.surface_pressure_tendency`);
-    * implicit vertical diffusion — the Thomas solves run on the
-      transposed full columns.
-
-    Leap-format stepping: the pairwise transpose rounds rotate partners
-    per vertical rank, and the finite-difference latitude sweep is
-    charged in ``nlev_procs`` chunks in :func:`leap-rotated
-    <repro.physics.workload.leap_schedule>` order, so pillar members
-    touch different latitude bands (and different filter rows) at any
-    instant instead of serialising on the same ones.  The vertical
-    ghost-layer exchange for the full model's vertical differencing is
-    priced per step (the reduced kernel has no vertical stencil, but
-    the calibrated ``AGCM_FLOPS_PER_POINT_LAYER`` workload it stands in
-    for does).
-
-    With ``nlev_procs == 1`` every collective degenerates to a local
-    copy and the step is the classic 2-D one.  The gathered trajectory
-    is bit-identical to the serial driver for the fft filter backends
-    (the ``agcm-3d-vs-serial`` pair asserts EXACT tolerance).
-    """
-    from repro.dynamics.tendencies import surface_pressure_tendency
-    from repro.parallel.collectives import exchange_vertical_halo
-    from repro.physics.workload import leap_schedule
-    from repro.util.partition import block_bounds
-
-    grid = cfg.make_grid()
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    slab = decomp.slab(sub.klev_proc)
-    geom = LocalGeometry.from_grid(grid, sub.lat0, sub.lat1)
-    lat_rad_loc = grid.lat_rad[sub.lat_slice]
-    lon_rad_loc = grid.lon_rad[sub.lon_slice]
-    plan = make_filter_plan(grid)
-    backend = prepare_filter_backend(cfg.filter_backend, plan, slab)
-    dt = cfg.timestep()
-    npts = sub.nlat * sub.nlon
-    nlayers = cfg.nlayers
-    nlev_loc = sub.nlev
-    nlev_procs = mesh.nlev_procs
-    klev = sub.klev_proc
-    is_north_edge = sub.lat1 == decomp.nlat
-
-    pillar = None
-    col_bounds = [(0, npts)]
-    lev_bounds = [(0, nlayers)]
-    if nlev_procs > 1:
-        i_proc, j_proc, _ = mesh.coords3_of(ctx.rank)
-        pillar = ctx.group(mesh.pillar_ranks(i_proc, j_proc))
-        col_bounds = block_bounds(npts, nlev_procs)
-        lev_bounds = [
-            decomp.lev_bounds_of_proc(k) for k in range(nlev_procs)
-        ]
-    my_c0, my_c1 = col_bounds[klev]
-    my_ncols = my_c1 - my_c0
-    # Latitude/longitude of this rank's column share, in the lat-major
-    # flattening order of ColumnSet.from_block.
-    share_lat = np.repeat(lat_rad_loc, sub.nlon)[my_c0:my_c1]
-    share_lon = np.tile(lon_rad_loc, sub.nlat)[my_c0:my_c1]
-    # Leap-format latitude sweep: chunk bounds + this rank's rotation.
-    sweep = leap_schedule(nlev_procs, klev)
-    sweep_bounds = block_bounds(sub.nlat, nlev_procs)
-
-    # Initial state: build the full-K tile block (deterministic per
-    # global coordinate) and slice the slab's layers; ps stays whole —
-    # single-level fields are replicated across the pillar.
-    full = initial_fields_block(
-        lat_rad_loc, lon_rad_loc, nlayers, seed=cfg.seed
-    )
-    now = {
-        name: (
-            np.ascontiguousarray(arr[:, :, sub.lev_slice])
-            if name != "ps" else arr
-        )
-        for name, arr in full.items()
-    }
-    prev: Optional[Dict[str, np.ndarray]] = None
-    forcing_pt = np.zeros((sub.nlat, sub.nlon, nlev_loc))
-    forcing_q = np.zeros_like(forcing_pt)
-
-    physics_calls = 0
-    time_now = 0.0
-
-    for step in range(nsteps):
-        step_span = ctx.span("step", step=step)
-        step_span.__enter__()
-        # ---------------- physics (column space) ----------------------
-        if step % cfg.physics_every == 0:
-            with ctx.region("physics"):
-                time_frac = (
-                    time_now % c.SECONDS_PER_DAY
-                ) / c.SECONDS_PER_DAY
-                if pillar is None:
-                    cols = ColumnSet.from_block(
-                        now["pt"], now["q"], lat_rad_loc, lon_rad_loc
-                    )
-                else:
-                    with ctx.region("transpose"):
-                        col_pt = yield from _pillar_to_columns(
-                            pillar, now["pt"].reshape(npts, nlev_loc),
-                            col_bounds,
-                        )
-                        col_q = yield from _pillar_to_columns(
-                            pillar, now["q"].reshape(npts, nlev_loc),
-                            col_bounds,
-                        )
-                    cols = ColumnSet(
-                        pt=col_pt, q=col_q,
-                        lat_rad=share_lat, lon_rad=share_lon,
-                    )
-                result = run_physics(
-                    cols, time_frac, step, cfg.physics,
-                    metrics=ctx.metrics if ctx.obs.enabled else None,
-                )
-                with ctx.span("physics.compute", ncols=cols.ncol):
-                    yield from ctx.compute(flops=result.total_flops)
-                if pillar is None:
-                    forcing_pt[...] = result.tend_pt.reshape(
-                        sub.nlat, sub.nlon, nlev_loc
-                    )
-                    forcing_q[...] = result.tend_q.reshape(
-                        sub.nlat, sub.nlon, nlev_loc
-                    )
-                else:
-                    with ctx.region("transpose"):
-                        back_pt = yield from _columns_to_pillar(
-                            pillar, result.tend_pt, col_bounds, lev_bounds
-                        )
-                        back_q = yield from _columns_to_pillar(
-                            pillar, result.tend_q, col_bounds, lev_bounds
-                        )
-                    forcing_pt[...] = back_pt.reshape(
-                        sub.nlat, sub.nlon, nlev_loc
-                    )
-                    forcing_q[...] = back_q.reshape(
-                        sub.nlat, sub.nlon, nlev_loc
-                    )
-                physics_calls += 1
-
-        # ---------------- dynamics ------------------------------------
-        with ctx.region("dynamics"):
-            with ctx.region("halo"):
-                padded = {}
-                for name in PROGNOSTIC_NAMES:
-                    padded[name] = yield from exchange_halos(
-                        ctx, slab, now[name])
-            if pillar is not None:
-                # Ghost layers for the full model's vertical
-                # differencing (priced, not consumed by the reduced
-                # kernel — see the docstring).
-                with ctx.region("transpose"):
-                    yield from exchange_vertical_halo(
-                        ctx, decomp, now["pt"]
-                    )
-            with ctx.region("fd"):
-                # Leap-format latitude sweep: rotated chunk order per
-                # vertical rank.
-                for chunk in sweep:
-                    c_lat0, c_lat1 = sweep_bounds[chunk]
-                    chunk_pts = (c_lat1 - c_lat0) * sub.nlon
-                    if chunk_pts == 0:
-                        continue
-                    yield from ctx.compute(
-                        flops=dynamics_flops(chunk_pts, nlev_loc),
-                        mem_bytes=dynamics_mem_bytes(chunk_pts, nlev_loc),
-                        inner_length=sub.nlon,
-                    )
-                tend = compute_tendencies(padded, geom, cfg.dynamics)
-            if pillar is not None:
-                # Pillar surface-pressure closure: the layer mean needs
-                # every layer of the column, assembled in global layer
-                # order from the pre-forcing pt tendency.
-                with ctx.region("transpose"):
-                    dpt_blocks = yield from pillar.allgather(tend["pt"])
-                tend["ps"] = surface_pressure_tendency(
-                    np.concatenate(dpt_blocks, axis=2)
-                )
-            tend["pt"] = tend["pt"] + forcing_pt
-            tend["q"] = tend["q"] + forcing_q
-            with ctx.region("filtering"):
-                yield from backend.apply(ctx, tend)
-            with ctx.region("update"):
-                yield from ctx.compute(
-                    flops=UPDATE_FLOPS_PER_POINT_LAYER * npts * nlev_loc,
-                    inner_length=sub.nlon,
-                )
-                prev, now = _advance(prev, now, tend, dt, cfg.ra_coeff)
-                if is_north_edge:
-                    now["v"][-1, ...] = 0.0
-                if cfg.vertical_diffusion > 0:
-                    yield from ctx.compute(
-                        flops=(
-                            VDIFF_FLOPS_PER_POINT_LAYER
-                            * my_ncols * nlayers
-                        ),
-                        inner_length=nlayers,
-                    )
-                    if pillar is None:
-                        for name in ("pt", "q"):
-                            now[name] = implicit_vertical_diffusion(
-                                now[name], dt, cfg.vertical_diffusion,
-                                cfg.dz,
-                            )
-                    else:
-                        # Thomas solves need full columns: solve in
-                        # transposed space, then return to slabs.
-                        for name in ("pt", "q"):
-                            with ctx.region("transpose"):
-                                col = yield from _pillar_to_columns(
-                                    pillar,
-                                    now[name].reshape(npts, nlev_loc),
-                                    col_bounds,
-                                )
-                            solved = implicit_vertical_diffusion(
-                                col.reshape(my_ncols, 1, nlayers),
-                                dt, cfg.vertical_diffusion, cfg.dz,
-                            ).reshape(my_ncols, nlayers)
-                            with ctx.region("transpose"):
-                                back = yield from _columns_to_pillar(
-                                    pillar, solved, col_bounds,
-                                    lev_bounds,
-                                )
-                            now[name] = back.reshape(
-                                sub.nlat, sub.nlon, nlev_loc
-                            )
-        time_now += dt
-        step_span.__exit__(None, None, None)
-
-    summary = {
-        "rank": ctx.rank,
-        "subdomain": (sub.lat0, sub.lat1, sub.lon0, sub.lon1,
-                      sub.lev0, sub.lev1),
-        "steps": nsteps,
-        "physics_calls": physics_calls,
-        "max_wind": float(
-            max(np.abs(now["u"]).max(), np.abs(now["v"]).max())
-        ),
-        "finite": bool(all(np.isfinite(a).all() for a in now.values())),
-    }
-    if return_fields:
-        summary["fields"] = now
-    return summary
+#: Alias: ``bench/probes.py`` imports the program under this name.
+agcm3d_rank_program = agcm_rank_program

@@ -44,7 +44,7 @@ class ComponentBreakdown:
     checkpoint: float = 0.0
     guard: float = 0.0
     #: Pillar lat/lon <-> lev transposes + vertical collectives — only
-    #: nonzero for the 3-D decomposition (AGCM-3DLF) rank program.
+    #: nonzero on a vertically split (AGCM-3DLF) mesh.
     transpose: float = 0.0
 
     @property

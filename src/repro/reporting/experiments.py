@@ -31,7 +31,7 @@ from repro.dynamics.state import initial_fields_block
 from repro.grid import Decomposition2D
 from repro.grid.decomposition3d import Decomposition3D
 from repro.model import AGCM, ComponentBreakdown, make_config, plan_column_flow
-from repro.model.parallel_agcm import agcm3d_rank_program, agcm_rank_program
+from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, T3D, MachineModel, ProcessorMesh, Simulator
 from repro.perf import (
     ALL_VARIANTS,
@@ -139,9 +139,8 @@ def run_fig_3d(
     horizontal-only layout at the same processor count: taller
     horizontal tiles keep the vectorised inner (longitude) loops long
     under the machine's vector-startup penalty and shrink the halo and
-    filter row groups, at the price of the pillar transposes.  Meshes
-    with ``nlev_procs == 1`` run the classic 2-D rank program and the
-    first such mesh is the speedup baseline.
+    filter row groups, at the price of the pillar transposes.  The first
+    mesh with ``nlev_procs == 1`` is the speedup baseline.
     """
     cfg = make_config("tiny")
     table = Table(
@@ -156,15 +155,12 @@ def run_fig_3d(
         p, q, k = (*dims, 1)[:3] if len(dims) == 2 else dims
         mesh = ProcessorMesh(p, q, k)
         if mesh.is_3d:
-            decomp3 = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
-            res = Simulator(mesh.size, machine).run(
-                agcm3d_rank_program, cfg, decomp3, nsteps
-            )
+            decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
         else:
-            decomp2 = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
-            res = Simulator(mesh.size, machine).run(
-                agcm_rank_program, cfg, decomp2, nsteps
-            )
+            decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        res = Simulator(mesh.size, machine).run(
+            agcm_rank_program, cfg, decomp, nsteps
+        )
         br = ComponentBreakdown.from_result(res, nsteps, cfg)
         if baseline_total is None and not mesh.is_3d:
             baseline_total = br.total

@@ -23,8 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro import __version__
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, unit_meta
 from repro.campaign.units import CampaignUnit, execute_unit
 
 __all__ = ["WorkerPool"]
@@ -111,23 +110,12 @@ class WorkerPool:
         index is configured, record the run right after the cache
         write — the index row and the cache entry describe the same
         payload)."""
-        from repro.campaign.cache import canonical_params
-
         t0 = time.perf_counter()
         value = self.runner(unit)
         seconds = time.perf_counter() - t0
         if self.cache is not None:
-            self.cache.put(
-                unit.key, value,
-                meta={
-                    "ident": unit.ident,
-                    "point": unit.point.label,
-                    "params": canonical_params(unit.point.as_dict()),
-                    "duration": seconds,
-                    "version": __version__,
-                    "worker": "serve",
-                },
-            )
+            self.cache.put(unit.key, value,
+                           meta=unit_meta(unit, seconds, "serve"))
         if self.results_db is not None:
             from repro.results.hooks import record_unit_execution
 

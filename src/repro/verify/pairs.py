@@ -54,7 +54,7 @@ from repro.grid.decomposition3d import Decomposition3D
 from repro.grid.sphere import SphericalGrid
 from repro.model.agcm import AGCM
 from repro.model.config import AGCMConfig
-from repro.model.parallel_agcm import agcm3d_rank_program, agcm_rank_program
+from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 from repro.perf.access_patterns import (
     ADVECTION_LOOP_MIX,
@@ -565,7 +565,7 @@ def _agcm3d_candidate(config: Config, rng: np.random.Generator):
     mesh = ProcessorMesh(config["mi"], config["mj"], config["mk"])
     decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
     res = Simulator(mesh.size, GENERIC).run(
-        agcm3d_rank_program, cfg, decomp, config["nsteps"], True
+        agcm_rank_program, cfg, decomp, config["nsteps"], True
     )
     return {
         name: decomp.gather(

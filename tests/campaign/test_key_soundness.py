@@ -16,8 +16,8 @@ from repro import api
 from repro.campaign.cache import ResultCache
 from repro.options import FIELD_NAMES
 
-#: Cheap units covering a phase-reading table (table8), the 3-D rank
-#: program (fig_3d) and two that run no simulator regions at all.
+#: Cheap units covering a phase-reading table (table8), vertically
+#: split meshes (fig_3d) and two that run no simulator regions at all.
 UNITS = ["fig_3d", "fig2_3", "fig4_6", "table8@4x4"]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.grid import Decomposition2D
 from repro.grid.decomposition3d import Decomposition3D
+from repro.guard.detectors import NULL_GUARD, GuardConfig, StepGuard
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
 from repro.model.parallel_agcm import agcm3d_rank_program, agcm_rank_program
@@ -34,11 +35,11 @@ def serial_reference():
     return cfg, model.state.fields()
 
 
-def _run_3d(cfg, dims, nsteps=NSTEPS):
+def _run_3d(cfg, dims, nsteps=NSTEPS, **hooks):
     mesh = ProcessorMesh(*dims)
     decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
     res = Simulator(mesh.size, PARAGON).run(
-        agcm3d_rank_program, cfg, decomp, nsteps, True
+        agcm_rank_program, cfg, decomp, nsteps, True, **hooks
     )
     gathered = {
         name: decomp.gather(
@@ -90,15 +91,35 @@ class TestExactEquivalence:
                 gathered[name], want, err_msg=f"vdiff field {name}"
             )
 
+    def test_physics_lb_honoured_under_vertical_split(self,
+                                                      serial_reference):
+        """The scheme-3 balancer moves pillar-share columns and the
+        trajectory stays bit-exact (the flag used to be ignored)."""
+        cfg, ref = serial_reference
+        cfg2 = cfg.with_(filter_backend="fft-lb", physics_lb=True)
+        res, gathered = _run_3d(cfg2, (2, 2, 2))
+        assert sum(s["columns_moved"] for s in res.returns) > 0
+        for name, want in ref.items():
+            np.testing.assert_array_equal(
+                gathered[name], want, err_msg=f"physics_lb field {name}"
+            )
+
     def test_degenerates_to_2d_program(self, serial_reference):
-        """nlev_procs == 1 reproduces the classic 2-D program exactly."""
+        """nlev_procs == 1 reproduces the classic 2-D program exactly:
+        one function, and the same virtual run from either decomposition
+        class."""
+        assert agcm3d_rank_program is agcm_rank_program
         cfg, _ = serial_reference
         mesh = ProcessorMesh(2, 3)
         decomp2 = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
         res2 = Simulator(mesh.size, PARAGON).run(
             agcm_rank_program, cfg, decomp2, NSTEPS, True
         )
-        _, g3 = _run_3d(cfg, (2, 3, 1))
+        res3, g3 = _run_3d(cfg, (2, 3, 1))
+        assert res3.clocks == res2.clocks
+        assert res3.elapsed == res2.elapsed
+        assert res3.trace.total_messages() == res2.trace.total_messages()
+        assert res3.trace.total_bytes() == res2.trace.total_bytes()
         g2 = {
             name: decomp2.gather(
                 [res2.returns[r]["fields"][name] for r in range(mesh.size)]
@@ -132,6 +153,32 @@ class TestTraceStructure:
             assert summary["steps"] == 5
             assert summary["finite"]
             assert len(summary["subdomain"]) == 6
+            # the keys faults.mitigation / run_faults read on any mesh
+            assert set(summary) == {
+                "rank", "subdomain", "steps", "start_step",
+                "physics_calls", "columns_moved", "phys_compute_seconds",
+                "phys_compute_steady", "max_wind", "finite", "fields",
+            }
+
+
+class TestHooksNeedFullColumns:
+    @pytest.mark.parametrize("hook, value", [
+        ("checkpointer", object()),
+        ("resume", object()),
+        ("guard", StepGuard(GuardConfig())),
+    ])
+    def test_rejected_under_vertical_split(self, serial_reference,
+                                           hook, value):
+        """Checkpoint, resume and guard work on full-column blocks: a
+        vertical split refuses them instead of dropping them."""
+        cfg, _ = serial_reference
+        with pytest.raises(ValueError, match=f"{hook}.*2 x 2 x 2"):
+            _run_3d(cfg, (2, 2, 2), nsteps=2, **{hook: value})
+
+    def test_disabled_guard_is_not_a_hook(self, serial_reference):
+        cfg, _ = serial_reference
+        res, _ = _run_3d(cfg, (1, 2, 2), nsteps=2, guard=NULL_GUARD)
+        assert "guard" not in res.trace.phases()
 
 
 class TestSpeedup:

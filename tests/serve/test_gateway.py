@@ -104,6 +104,11 @@ class TestCoalescing:
         assert first.doc["units"][0]["served"] == "executed"
         assert second.doc["units"][0]["served"] == "hit"
         assert runner.total() == 1
+        # the executed unit's sidecar has the campaign workers' schema
+        cache = ResultCache(str(tmp_path))
+        (key,) = cache.keys()
+        meta = cache.meta(key)
+        assert meta["worker"] == "serve" and meta["host"]
 
 
 class TestCacheFirst:
