@@ -56,7 +56,6 @@ from repro.core.fft import fft_filter_rows, fft_filter_flop_count
 from repro.core.masks import FilterPlan
 from repro.grid.decomposition import Decomposition2D
 from repro.parallel import collectives as coll
-from repro.parallel import engine as _engine
 from repro.parallel.comm import VirtualComm
 from repro.parallel.events import Exchange
 
@@ -76,9 +75,9 @@ def _staged_exchange(sends, recvs) -> Exchange:
     """One Exchange for an *all-sends-then-all-recvs* schedule.
 
     Stage A of the transpose filter posts every outgoing segment before
-    draining the incoming ones; the batched form pads the rounds so the
-    wire order is identical to the loop path: the received payloads sit
-    in ``result()[len(sends):]``.
+    draining the incoming ones; the rounds are padded with ``None`` so
+    the wire order is exactly that: the received payloads sit in
+    ``result()[len(sends):]``.
     """
     return Exchange(
         sends=tuple(sends) + (None,) * len(recvs),
@@ -457,22 +456,13 @@ def filter_fft_transpose(
         for u, (var, row) in zip(state.own.units, state.own.rows)
     }
     with ctx.span("filter.redistribute"):
-        if _engine.batched():
-            if outgoing or incoming:
-                received = yield _staged_exchange(
-                    [(peer, p.pack(local_fields, sub.nlon), _TAG_STAGE_A, None, True)
-                     for peer, p in outgoing],
-                    [(peer, _TAG_STAGE_A) for peer, _ in incoming],
-                )
-                for (_, p), payload in zip(incoming, received[len(outgoing):]):
-                    p.deliver(seg_store, payload)
-        else:
-            for peer, p in outgoing:
-                yield from ctx.send(
-                    peer, p.pack(local_fields, sub.nlon), tag=_TAG_STAGE_A
-                )
-            for peer, p in incoming:
-                payload = yield from ctx.recv(peer, tag=_TAG_STAGE_A)
+        if outgoing or incoming:
+            received = yield _staged_exchange(
+                [(peer, p.pack(local_fields, sub.nlon), _TAG_STAGE_A, None, True)
+                 for peer, p in outgoing],
+                [(peer, _TAG_STAGE_A) for peer, _ in incoming],
+            )
+            for (_, p), payload in zip(incoming, received[len(outgoing):]):
                 p.deliver(seg_store, payload)
 
     # ---------- stage B: transpose within the processor row ------------
@@ -508,23 +498,13 @@ def filter_fft_transpose(
 
     # ---------- inverse stage A -----------------------------------------
     with ctx.span("filter.redistribute"):
-        if _engine.batched():
-            if outgoing or incoming:
-                received = yield _staged_exchange(
-                    [(peer, p.collect(seg_store, sub.nlon),
-                      _TAG_STAGE_A_BACK, None, True) for peer, p in incoming],
-                    [(peer, _TAG_STAGE_A_BACK) for peer, _ in outgoing],
-                )
-                for (_, p), payload in zip(outgoing, received[len(incoming):]):
-                    p.store(local_fields, payload)
-        else:
-            for peer, p in incoming:
-                yield from ctx.send(
-                    peer, p.collect(seg_store, sub.nlon),
-                    tag=_TAG_STAGE_A_BACK,
-                )
-            for peer, p in outgoing:
-                payload = yield from ctx.recv(peer, tag=_TAG_STAGE_A_BACK)
+        if outgoing or incoming:
+            received = yield _staged_exchange(
+                [(peer, p.collect(seg_store, sub.nlon),
+                  _TAG_STAGE_A_BACK, None, True) for peer, p in incoming],
+                [(peer, _TAG_STAGE_A_BACK) for peer, _ in outgoing],
+            )
+            for (_, p), payload in zip(outgoing, received[len(incoming):]):
                 p.store(local_fields, payload)
 
     # Write back the segments this rank both owns and was assigned.

@@ -98,7 +98,7 @@ class SlabMesh:
     the horizontal code (halo exchange, filter backends) needs, but in
     terms of **global 3-D ranks**: ``rank_of(i, j)`` returns the global
     rank at ``(i, j, klev)`` and ``coords_of`` accepts a global rank.
-    Because the batched filter backends place mesh ranks directly into
+    Because the filter backends place mesh ranks directly into
     the ``Exchange`` schedules they yield, this is the property that
     lets them run per-slab on the world communicator unmodified.
     """

@@ -9,9 +9,10 @@ latitude boundaries.
 Two implementations are provided and cross-checked in tests:
 
 * :func:`pad_with_halo` — a serial reference that pads a *global* field;
-* :func:`exchange_halos` — the virtual-parallel generator that performs
-  real ``sendrecv`` ops with actual edge arrays, so simulations both move
-  correct data and get charged the correct message costs.
+* :func:`exchange_halos` — the virtual-parallel generator that yields
+  two :class:`Exchange` schedules carrying actual edge arrays, so
+  simulations both move correct data and get charged the correct
+  message costs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.grid.decomposition import Decomposition2D
-from repro.parallel import engine as _engine
 from repro.parallel.comm import VirtualComm
 from repro.parallel.events import Exchange
 
@@ -78,10 +78,9 @@ def exchange_halos(
 
     Four messages per rank per call: this is the "relatively insignificant"
     nearest-neighbour traffic of paper Section 3.4 (~10% of Dynamics cost
-    on 240 nodes), and the simulation charges it explicitly.  Under the
-    batched engine the four messages ride in two :class:`Exchange` ops
-    (one east-west, one north-south) — same wire order, same costs, one
-    scheduler round-trip each.
+    on 240 nodes), and the simulation charges it explicitly.  The four
+    messages ride in two :class:`Exchange` ops (one east-west, one
+    north-south), each priced message by message in wire order.
     """
     mesh = decomp.mesh
     rank = ctx.rank
@@ -108,7 +107,7 @@ def exchange_halos(
     if east == rank:  # single processor column: periodic wrap is local
         padded[halo:-halo, :halo] = east_edge
         padded[halo:-halo, -halo:] = west_edge
-    elif _engine.batched():
+    else:
         ghosts = yield Exchange(
             sends=(
                 (east, east_edge, _TAG_EW, None, True),
@@ -118,15 +117,6 @@ def exchange_halos(
         )
         padded[halo:-halo, :halo] = ghosts[0]
         padded[halo:-halo, -halo:] = ghosts[1]
-    else:
-        west_ghost = yield from ctx.sendrecv(
-            dest=east, payload=east_edge, source=west, tag=_TAG_EW
-        )
-        padded[halo:-halo, :halo] = west_ghost
-        east_ghost = yield from ctx.sendrecv(
-            dest=west, payload=west_edge, source=east, tag=_TAG_WE
-        )
-        padded[halo:-halo, -halo:] = east_ghost
 
     # --- north-south (closed at poles) ----------------------------------
     north = mesh.north_of(rank)
@@ -134,10 +124,10 @@ def exchange_halos(
     north_edge = np.ascontiguousarray(padded[-2 * halo : -halo, :])
     south_edge = np.ascontiguousarray(padded[halo : 2 * halo, :])
 
-    if _engine.batched() and (north is not None or south is not None):
-        # Same wire order as the loop path below: (send north, recv
-        # south), then (send south, recv north); polar rows have None in
-        # the missing slots.
+    # Wire order: (send north, recv south), then (send south, recv
+    # north); polar rows have None in the missing slots.
+    ghosts = (None, None)
+    if north is not None or south is not None:
         ghosts = yield Exchange(
             sends=(
                 (north, north_edge, _TAG_NS, None, True)
@@ -150,36 +140,14 @@ def exchange_halos(
                 (north, _TAG_SN) if north is not None else None,
             ),
         )
-        if south is not None:
-            padded[:halo, :] = ghosts[0]
-        else:
-            for g in range(halo):  # south pole: replicate boundary row
-                padded[g] = padded[halo]
-        if north is not None:
-            padded[-halo:, :] = ghosts[1]
-        else:
-            for g in range(halo):  # north pole: replicate boundary row
-                padded[-(g + 1)] = padded[-(halo + 1)]
-        return padded
-
-    # Exchange with north: send my north edge up, receive their south edge.
-    if north is not None:
-        yield from ctx.send(north, north_edge, tag=_TAG_NS)
     if south is not None:
-        south_ghost = yield from ctx.recv(south, tag=_TAG_NS)
-        padded[:halo, :] = south_ghost
+        padded[:halo, :] = ghosts[0]
     else:
         for g in range(halo):  # south pole: replicate boundary row
             padded[g] = padded[halo]
-
-    # Exchange with south: send my south edge down, receive their north edge.
-    if south is not None:
-        yield from ctx.send(south, south_edge, tag=_TAG_SN)
     if north is not None:
-        north_ghost = yield from ctx.recv(north, tag=_TAG_SN)
-        padded[-halo:, :] = north_ghost
+        padded[-halo:, :] = ghosts[1]
     else:
         for g in range(halo):  # north pole: replicate boundary row
             padded[-(g + 1)] = padded[-(halo + 1)]
-
     return padded

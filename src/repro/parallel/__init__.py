@@ -6,7 +6,6 @@ generators under a deterministic discrete-event scheduler, with every
 message and flop priced by a :class:`~repro.parallel.machine.MachineModel`.
 """
 
-from repro.parallel.engine import batched, legacy_engine
 from repro.parallel.events import (
     ACCUM,
     Barrier,
@@ -52,8 +51,6 @@ __all__ = [
     "Recv",
     "Send",
     "payload_nbytes",
-    "batched",
-    "legacy_engine",
     "CohortQueue",
     "MachineModel",
     "make_machine",

@@ -3,8 +3,10 @@
 The paper compares filtering implementations by the message counts and
 data volumes of the underlying communication patterns (ring, binary tree,
 transpose).  To make those comparisons real, every collective here is an
-explicit algorithm over ``Send``/``Recv`` primitives, so a simulation run
-charges exactly the messages the algorithm performs:
+explicit algorithm — a :class:`~repro.parallel.events.Exchange` schedule
+of send/recv rounds priced per message, or ``Send``/``Recv`` ops for the
+trees — so a simulation run charges exactly the messages the algorithm
+performs:
 
 * broadcast / reduce — binomial trees, ``ceil(log2 P)`` rounds;
 * allgather — the ring algorithm, ``P - 1`` rounds (the pattern used by
@@ -15,20 +17,15 @@ charges exactly the messages the algorithm performs:
 All functions are generators intended to be driven through a
 :class:`~repro.parallel.comm.GroupComm` with ``yield from``.
 
-Engine batching (PR 8): on the default batched engine, the hot
-multi-round collectives (all-to-all, ring allgather, recursive-doubling
-allreduce, ring reduce-scatter) yield **one**
-:class:`~repro.parallel.events.Exchange` describing all their rounds
-instead of one ``Send``/``Recv`` per message.  The scheduler interprets
-the schedule in a tight loop with vectorized cost pricing — same
-messages, same clocks, same float arithmetic, but a single generator
-resume per collective.  The original per-message algorithms are kept as
-``*_loop`` variants and selected by
-:func:`repro.parallel.engine.legacy_engine`; differential pairs assert
-the two paths stay bit-identical.  The log-round tree collectives
-(bcast/reduce/gather/scatter) are not batched: their round counts are
-logarithmic and their payloads data-dependent, so there is nothing to
-win.
+The multi-round collectives (all-to-all, ring allgather,
+recursive-doubling allreduce, ring reduce-scatter) yield **one**
+``Exchange`` describing all their rounds.  The scheduler interprets the
+schedule message by message — each round is one send then one receive,
+with the same pricing, accounting and FIFO matching as a ``Send`` and a
+``Recv`` op — but resumes the rank's generator once per collective.  The
+log-round tree collectives (bcast/reduce/gather/scatter) stay on
+``Send``/``Recv``: their round counts are logarithmic and their payloads
+data-dependent, so there is nothing to win.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.parallel import engine as _engine
 from repro.parallel.events import ACCUM, Exchange, FromRound
 from repro.util.validation import check_chunk_count
 
@@ -177,7 +173,7 @@ def gather_binomial(comm, value: Any, root: int = 0):
 
 
 # ----------------------------------------------------------------------
-# Hot multi-round collectives: batched front doors + legacy loop bodies.
+# Multi-round collectives: one Exchange schedule each.
 # ----------------------------------------------------------------------
 
 def allgather_ring(comm, value: Any):
@@ -186,17 +182,14 @@ def allgather_ring(comm, value: Any):
     This is the communication pattern of the original convolution filter's
     "processor ring" variant (paper Section 3.1): every element travels
     all the way around the ring, giving ``P(P-1)`` messages total and an
-    aggregate volume of ``(P-1) * sum(nbytes)``.  Batched engine: one
-    Exchange whose round ``i`` forwards what round ``i - 1`` received
+    aggregate volume of ``(P-1) * sum(nbytes)``.  One Exchange whose
+    round ``i`` forwards what round ``i - 1`` received
     (:class:`FromRound` chaining).
     """
     size = comm.size
     result: List[Any] = [None] * size
     result[comm.rank] = value
     if size == 1:
-        return result
-    if not _engine.batched():
-        result = yield from allgather_ring_loop(comm, value)
         return result
     rank = comm.rank
     granks = comm.ranks
@@ -213,43 +206,20 @@ def allgather_ring(comm, value: Any):
     return result
 
 
-def allgather_ring_loop(comm, value: Any):
-    """Per-message (pre-batching) ring allgather; kept for legacy_engine."""
-    size = comm.size
-    result: List[Any] = [None] * size
-    result[comm.rank] = value
-    if size == 1:
-        return result
-    right = (comm.rank + 1) % size
-    left = (comm.rank - 1) % size
-    for step in range(size - 1):
-        send_idx = (comm.rank - step) % size
-        recv_idx = (comm.rank - step - 1) % size
-        received = yield from comm.sendrecv(
-            dest=right, payload=result[send_idx], source=left,
-            tag=_TAG_ALLGATHER,
-        )
-        result[recv_idx] = received
-    return result
-
-
-def alltoall_pairwise(comm, chunks: Sequence[Any]):
+def alltoall_pairwise(comm, chunks: Sequence[Any], tag: int = _TAG_ALLTOALL):
     """Pairwise-exchange all-to-all: ``P - 1`` rounds of shifted sendrecv.
 
     ``chunks[d]`` is destined for group rank ``d``; returns the received
-    chunks indexed by source rank.  This is the pattern of both the data
-    transpose in the FFT filter and the cyclic shuffle of physics
-    load-balancing scheme 1.  Batched engine: the full shift schedule is
-    one Exchange with vectorized cost pricing — the O(P²) per-message
-    Python iteration disappears.
+    chunks indexed by source rank.  This is the pattern of the data
+    transpose in the FFT filter, of the cyclic shuffle of physics
+    load-balancing scheme 1 and — under their own ``tag`` — of the
+    pillar transposes of a 3-D mesh.  The full shift schedule is one
+    Exchange whose static payload sizes are priced in one NumPy pass.
     """
     size = comm.size
     check_chunk_count(chunks, size, "alltoall")
     if size == 1:
         return [chunks[0]]
-    if not _engine.batched():
-        result = yield from alltoall_pairwise_loop(comm, chunks)
-        return result
     rank = comm.rank
     granks = comm.ranks
     # Rotated views precompute the shift-s peers without a modulo per
@@ -258,7 +228,6 @@ def alltoall_pairwise(comm, chunks: Sequence[Any]):
     src_local = list(range(rank - 1, -1, -1)) + list(
         range(size - 1, rank, -1)
     )
-    tag = _TAG_ALLTOALL
     sends = tuple(
         (granks[d], chunks[d], tag, None, True) for d in dest_local
     )
@@ -276,22 +245,6 @@ def alltoall_pairwise(comm, chunks: Sequence[Any]):
     return result
 
 
-def alltoall_pairwise_loop(comm, chunks: Sequence[Any]):
-    """Per-message (pre-batching) pairwise all-to-all; kept for legacy_engine."""
-    size = comm.size
-    check_chunk_count(chunks, size, "alltoall")
-    result: List[Any] = [None] * size
-    result[comm.rank] = chunks[comm.rank]
-    for shift in range(1, size):
-        dest = (comm.rank + shift) % size
-        src = (comm.rank - shift) % size
-        received = yield from comm.sendrecv(
-            dest=dest, payload=chunks[dest], source=src, tag=_TAG_ALLTOALL,
-        )
-        result[src] = received
-    return result
-
-
 def allreduce_recursive_doubling(comm, value: Any,
                                  op: Optional[Callable[[Any, Any], Any]] = None):
     """Recursive-doubling allreduce: ``log2 P`` rounds, no broadcast phase.
@@ -300,18 +253,15 @@ def allreduce_recursive_doubling(comm, value: Any,
     for other sizes the surplus ranks fold into the largest power-of-two
     core first and receive the result afterwards (the standard
     construction).  Halves the critical-path rounds of reduce+bcast for
-    small payloads — the variant modern MPI libraries choose.  Batched
-    engine: the whole ladder is one combining Exchange sending the
-    running accumulator (:data:`ACCUM`) each round; fold order matches
-    the loop path exactly (``value = op(value, other)``).
+    small payloads — the variant modern MPI libraries choose.  The
+    whole ladder is one combining Exchange sending the running
+    accumulator (:data:`ACCUM`) each round, folded as
+    ``value = op(value, other)``.
     """
     op = _default_op(op)
     size = comm.size
     if size == 1:
         return value
-    if not _engine.batched():
-        result = yield from allreduce_recursive_doubling_loop(comm, value, op)
-        return result
     pow2 = 1
     while pow2 * 2 <= size:
         pow2 *= 2
@@ -348,43 +298,6 @@ def allreduce_recursive_doubling(comm, value: Any,
     return value
 
 
-def allreduce_recursive_doubling_loop(comm, value: Any,
-                                      op: Optional[Callable[[Any, Any], Any]] = None):
-    """Per-message (pre-batching) recursive doubling; kept for legacy_engine."""
-    op = _default_op(op)
-    size = comm.size
-    if size == 1:
-        return value
-    pow2 = 1
-    while pow2 * 2 <= size:
-        pow2 *= 2
-    rem = size - pow2
-    rank = comm.rank
-
-    # Fold the remainder: ranks >= pow2 send to rank - rem... pair each
-    # surplus rank r (>= pow2) with core rank r - pow2.
-    if rank >= pow2:
-        yield from comm.send(rank - pow2, value, tag=_TAG_RDOUBLE)
-        result = yield from comm.recv(rank - pow2, tag=_TAG_RDOUBLE)
-        return result
-    if rank < rem:
-        other = yield from comm.recv(rank + pow2, tag=_TAG_RDOUBLE)
-        value = op(value, other)
-
-    mask = 1
-    while mask < pow2:
-        partner = rank ^ mask
-        other = yield from comm.sendrecv(
-            dest=partner, payload=value, source=partner, tag=_TAG_RDOUBLE
-        )
-        value = op(value, other)
-        mask <<= 1
-
-    if rank < rem:
-        yield from comm.send(rank + pow2, value, tag=_TAG_RDOUBLE)
-    return value
-
-
 def reduce_scatter_ring(comm, chunks: Sequence[Any],
                         op: Optional[Callable[[Any, Any], Any]] = None):
     """Ring reduce-scatter: each rank ends with the reduction of chunk
@@ -394,17 +307,14 @@ def reduce_scatter_ring(comm, chunks: Sequence[Any],
     ``P - 1`` rounds; the partial sum for chunk ``d`` starts at rank
     ``d + 1`` and travels once around the ring, each rank folding in its
     own contribution — the bandwidth-optimal first half of a ring
-    allreduce.  Batched engine: one combining Exchange that sends the
-    pre-fold accumulator each round, exactly like the loop's sendrecv.
+    allreduce.  One combining Exchange that sends the pre-fold
+    accumulator each round.
     """
     op = _default_op(op)
     size = comm.size
     check_chunk_count(chunks, size, "reduce_scatter")
     if size == 1:
         return chunks[0]
-    if not _engine.batched():
-        result = yield from reduce_scatter_ring_loop(comm, chunks, op)
-        return result
     rank = comm.rank
     granks = comm.ranks
     right = granks[(rank + 1) % size]
@@ -426,26 +336,6 @@ def reduce_scatter_ring(comm, chunks: Sequence[Any],
     return acc
 
 
-def reduce_scatter_ring_loop(comm, chunks: Sequence[Any],
-                             op: Optional[Callable[[Any, Any], Any]] = None):
-    """Per-message (pre-batching) ring reduce-scatter; kept for legacy_engine."""
-    op = _default_op(op)
-    size = comm.size
-    check_chunk_count(chunks, size, "reduce_scatter")
-    if size == 1:
-        return chunks[0]
-    right = (comm.rank + 1) % size
-    left = (comm.rank - 1) % size
-    acc = chunks[(comm.rank - 1) % size]
-    for step in range(size - 1):
-        recv_idx = (comm.rank - 2 - step) % size
-        received = yield from comm.sendrecv(
-            dest=right, payload=acc, source=left, tag=_TAG_RSCAT
-        )
-        acc = op(received, chunks[recv_idx])
-    return acc
-
-
 # ----------------------------------------------------------------------
 # 3-D decomposition collectives (AGCM-3DLF)
 # ----------------------------------------------------------------------
@@ -454,54 +344,6 @@ _TAG_VHALO_UP = 0x7FFF0009
 _TAG_VHALO_DOWN = 0x7FFF000A
 _TAG_TRANS_FWD = 0x7FFF000B
 _TAG_TRANS_BACK = 0x7FFF000C
-
-
-def _pairwise_transpose(comm, chunks: Sequence[Any], tag: int):
-    """Shared body of the lat/lon <-> lev transposes: a pairwise
-    all-to-all over the pillar group under a direction-specific tag.
-
-    The shift schedule is closed and per-round matched exactly like
-    :func:`alltoall_pairwise`, so the group declaration routes large
-    transposes through the scheduler's vectorized ``_bulk_exchange``.
-    """
-    size = comm.size
-    check_chunk_count(chunks, size, "transpose")
-    if size == 1:
-        return [chunks[0]]
-    if not _engine.batched():
-        result = yield from _pairwise_transpose_loop(comm, chunks, tag)
-        return result
-    rank = comm.rank
-    granks = comm.ranks
-    dest_local = list(range(rank + 1, size)) + list(range(rank))
-    src_local = list(range(rank - 1, -1, -1)) + list(
-        range(size - 1, rank, -1)
-    )
-    sends = tuple(
-        (granks[d], chunks[d], tag, None, True) for d in dest_local
-    )
-    recvs = tuple((granks[s], tag) for s in src_local)
-    received = yield Exchange(sends=sends, recvs=recvs,
-                              group=tuple(granks))
-    result: List[Any] = [None] * size
-    result[rank] = chunks[rank]
-    for s, value in zip(src_local, received):
-        result[s] = value
-    return result
-
-
-def _pairwise_transpose_loop(comm, chunks: Sequence[Any], tag: int):
-    """Per-message transpose (legacy engine): P - 1 shifted sendrecvs."""
-    size = comm.size
-    result: List[Any] = [None] * size
-    result[comm.rank] = chunks[comm.rank]
-    for shift in range(1, size):
-        dest = (comm.rank + shift) % size
-        src = (comm.rank - shift) % size
-        result[src] = yield from comm.sendrecv(
-            dest=dest, payload=chunks[dest], source=src, tag=tag
-        )
-    return result
 
 
 def transpose_to_levels(comm, chunks: Sequence[Any]):
@@ -513,7 +355,8 @@ def transpose_to_levels(comm, chunks: Sequence[Any]):
     layer order** — concatenating along the layer axis reassembles full
     columns deterministically.
     """
-    result = yield from _pairwise_transpose(comm, chunks, _TAG_TRANS_FWD)
+    check_chunk_count(chunks, comm.size, "transpose")
+    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_FWD)
     return result
 
 
@@ -521,7 +364,8 @@ def transpose_from_levels(comm, chunks: Sequence[Any]):
     """Column-space -> slab transpose (inverse of
     :func:`transpose_to_levels`); distinct tag so the two directions of
     a leap-format round can never cross-match."""
-    result = yield from _pairwise_transpose(comm, chunks, _TAG_TRANS_BACK)
+    check_chunk_count(chunks, comm.size, "transpose")
+    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_BACK)
     return result
 
 
@@ -556,7 +400,8 @@ def exchange_vertical_halo(ctx, decomp, local, halo: int = 1):
     top_edge = np.ascontiguousarray(local[:, :, -halo:])
     bottom_edge = np.ascontiguousarray(local[:, :, :halo])
 
-    if _engine.batched() and (up is not None or down is not None):
+    ghosts = (None, None)
+    if up is not None or down is not None:
         ghosts = yield Exchange(
             sends=(
                 (up, top_edge, _TAG_VHALO_UP, None, True)
@@ -569,34 +414,14 @@ def exchange_vertical_halo(ctx, decomp, local, halo: int = 1):
                 (up, _TAG_VHALO_DOWN) if up is not None else None,
             ),
         )
-        if down is not None:
-            padded[:, :, :halo] = ghosts[0]
-        else:
-            for g in range(halo):  # bottom of atmosphere: replicate
-                padded[:, :, g] = padded[:, :, halo]
-        if up is not None:
-            padded[:, :, -halo:] = ghosts[1]
-        else:
-            for g in range(halo):  # top of atmosphere: replicate
-                padded[:, :, -(g + 1)] = padded[:, :, -(halo + 1)]
-        return padded
-
-    if up is not None:
-        yield from ctx.send(up, top_edge, tag=_TAG_VHALO_UP)
     if down is not None:
-        bottom_ghost = yield from ctx.recv(down, tag=_TAG_VHALO_UP)
-        padded[:, :, :halo] = bottom_ghost
+        padded[:, :, :halo] = ghosts[0]
     else:
         for g in range(halo):  # bottom of atmosphere: replicate
             padded[:, :, g] = padded[:, :, halo]
-
-    if down is not None:
-        yield from ctx.send(down, bottom_edge, tag=_TAG_VHALO_DOWN)
     if up is not None:
-        top_ghost = yield from ctx.recv(up, tag=_TAG_VHALO_DOWN)
-        padded[:, :, -halo:] = top_ghost
+        padded[:, :, -halo:] = ghosts[1]
     else:
         for g in range(halo):  # top of atmosphere: replicate
             padded[:, :, -(g + 1)] = padded[:, :, -(halo + 1)]
-
     return padded

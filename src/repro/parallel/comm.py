@@ -12,11 +12,11 @@ programs compose them with ``yield from``::
         total = yield from ctx.allreduce(local_sum)
         return total
 
-Collectives are implemented on top of point-to-point sends/receives in
-:mod:`repro.parallel.collectives`, so their virtual cost is exactly the
-cost of the underlying algorithm (binomial trees, rings, pairwise
-exchanges) under the machine model — which is the property the paper's
-complexity comparisons rely on.
+Collectives are explicit algorithms in :mod:`repro.parallel.collectives`
+(binomial trees over sends/receives, rings and pairwise exchanges as
+:class:`Exchange` schedules), every message priced by the machine model,
+so their virtual cost is exactly the cost of the underlying algorithm —
+which is the property the paper's complexity comparisons rely on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import NULL_OBSERVER, NULL_SPAN, _LiveSpan
 from repro.parallel import collectives as coll
-from repro.parallel import engine as _engine
 from repro.parallel.events import Barrier, Compute, Exchange, Recv, Send
 from repro.parallel.machine import MachineModel
 from repro.parallel.trace import Trace
@@ -72,20 +71,14 @@ class GroupComm:
         """Paired exchange: send to ``dest`` and receive from ``source``.
 
         Deadlock-free under the eager-send model; returns the received
-        payload.  On the batched engine (the default) the pair executes
-        as a one-round :class:`Exchange` — one generator resume instead
-        of two, bit-identical costs.
+        payload.  The pair is a one-round :class:`Exchange` — one
+        generator resume, priced as one send followed by one receive.
         """
-        if _engine.batched():
-            received = yield Exchange(
-                sends=((self.ranks[dest], payload, tag, nbytes, droppable),),
-                recvs=((self.ranks[source], tag),),
-            )
-            return received[0]
-        yield Send(self.ranks[dest], payload=payload, tag=tag, nbytes=nbytes,
-                   droppable=droppable)
-        payload = yield Recv(self.ranks[source], tag=tag)
-        return payload
+        received = yield Exchange(
+            sends=((self.ranks[dest], payload, tag, nbytes, droppable),),
+            recvs=((self.ranks[source], tag),),
+        )
+        return received[0]
 
     # -- synchronisation ----------------------------------------------------
     def barrier(self, tag: int = 0):

@@ -135,20 +135,18 @@ ACCUM = _AccumSentinel()
 
 @dataclass
 class Exchange:
-    """A batched schedule of send/recv rounds executed by the scheduler.
+    """A schedule of send/recv rounds executed by the scheduler.
 
     Collectives yield **one** ``Exchange`` describing all their rounds
     instead of ``2 (P - 1)`` individual ``Send``/``Recv`` ops, so the
     scheduler interprets the whole schedule in a tight loop (with
-    vectorized cost pricing) and the rank program resumes once — this is
-    the engine-level batching the hot-path overhaul is built on.
+    vectorized cost pricing) and the rank program resumes once.
 
     Per round ``i`` the scheduler executes, in program order, the send
     ``sends[i]`` (if not None) and then the receive ``recvs[i]`` (if not
     None), exactly as if the program had yielded the equivalent
     ``Send``/``Recv`` pair — virtual clocks, accounting, fault handling
-    and per-channel FIFO order are identical, so results are
-    bit-identical to the loop path.
+    and per-channel FIFO order are those of the two ops.
 
     ``sends[i]`` is ``(dest, payload, tag, nbytes, droppable)`` with
     **global** destination ranks; ``payload`` may be the

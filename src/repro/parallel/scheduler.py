@@ -11,21 +11,32 @@ for the message-passing semantics the AGCM needs:
 * ``Recv`` blocks until a matching message (source, tag) exists; its
   completion time is ``max(post time, arrival time) + receive overhead``;
   the gap between post time and arrival is accounted as wait time.
-* ``Exchange`` is a batched schedule of send/recv rounds (how collectives
-  execute): the scheduler interprets the whole schedule in one visit,
-  pricing the rounds with vectorized NumPy costs, and resumes the rank
+* ``Exchange`` is a schedule of send/recv rounds (how collectives
+  execute): each round is one eager send then one blocking receive with
+  exactly the ``Send`` / ``Recv`` semantics above, but the scheduler
+  interprets the whole schedule in one visit and resumes the rank
   program once instead of ``2 (P - 1)`` times.
 * ``Barrier`` synchronises a group: all members advance to the group's
   maximum clock plus a dissemination-barrier cost.
 
 Ready ranks are dispatched in same-timestamp **cohorts**: the run queue
 (:class:`CohortQueue`) extracts all entries sharing the minimum clock,
-sorted by rank, and dispatches them together — replacing the per-event
-heap churn of the original engine.  Virtual results are independent of
-host dispatch order (each rank executes its ops in program order until it
-blocks, and per-channel message order is FIFO), so the cohort engine is
-bit-identical to the old heap engine; cohort-vs-heap ordering is also
-property-tested in ``tests/parallel/test_event_batching.py``.
+sorted by rank, and dispatches them together.  Virtual results are
+independent of host dispatch order: each rank executes its ops in
+program order until it blocks, per-channel message order is FIFO, and a
+wake-up never carries a clock below the waker's.
+
+An ``Exchange`` has three interpreters that compute the same bits.
+:meth:`Simulator._advance_exchange` executes it message by message
+through :meth:`Simulator._do_send` and :meth:`Simulator._complete_recv`,
+the code the ``Send`` and ``Recv`` ops run; it is what a fault plan or a
+``record_events=True`` timeline runs through, and it is the reference
+(the ``engine-fast-vs-general`` differential pair, and the digests
+frozen in ``tests/parallel/test_engine_frozen.py``).  On a perfect
+machine with the timeline off, :meth:`Simulator._advance_exchange_fast`
+does the same arithmetic with the rank's clock and accounting in locals,
+and :meth:`Simulator._bulk_exchange` advances a whole closed group with
+one array operation per round.
 
 A situation where no rank can progress is a genuine communication
 deadlock and raises :class:`DeadlockError`.
@@ -41,7 +52,6 @@ mode) or silently hanging until the run deadlocks ("hang" mode).
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
@@ -49,7 +59,6 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.spans import NULL_OBSERVER, get_active
-from repro.parallel import engine as _engine
 from repro.parallel.costs import batch_message_costs
 from repro.parallel.events import (
     ACCUM,
@@ -177,34 +186,6 @@ class CohortQueue:
         self._cohort_clock = t
         self._ci = 1
         return (t, cohort[0])
-
-
-class _HeapQueue:
-    """Binary-heap ready list of the pre-batching engine.
-
-    Kept (behind :func:`repro.parallel.engine.legacy_engine`) so the
-    old engine stays runnable end to end — the old-vs-new differential
-    pair and the ``sim_events_per_second`` probe compare against it.
-    Same push/pop surface as :class:`CohortQueue` so the shared helpers
-    (``_do_send``, ``_release_barrier``) work with either.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, entries: Iterable[Tuple[float, int]] = ()):
-        self._heap: List[Tuple[float, int]] = list(entries)
-        heapq.heapify(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, clock: float, rank: int) -> None:
-        heapq.heappush(self._heap, (clock, rank))
-
-    def pop(self) -> Optional[Tuple[float, int]]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
 
 
 class _ExchState:
@@ -403,18 +384,11 @@ class Simulator:
             {f.rank: f for f in faults.failures} if faults is not None else {}
         )
 
-        entries = ((0.0, r) for r in range(self.nranks))
-        if _engine.batched():
-            ready: Any = CohortQueue(entries)
-            event_loop = self._event_loop
-        else:
-            # legacy_engine(): the pre-batching heap engine end to end.
-            ready = _HeapQueue(entries)
-            event_loop = self._event_loop_legacy
+        ready = CohortQueue((0.0, r) for r in range(self.nranks))
 
         try:
-            event_loop(states, mailbox, barrier_waiting, faults,
-                       link_seq, fail_pending, ready, trace, obs)
+            self._event_loop(states, mailbox, barrier_waiting, faults,
+                             link_seq, fail_pending, ready, trace, obs)
         except BaseException:
             # One rank's exception abandons every other rank mid-step.
             # Close their generators now so nested trace regions unwind
@@ -490,7 +464,9 @@ class Simulator:
         bulk_ok = not has_faults and events is None
         exch_waiting: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
         # Fault-free, timeline-free runs interpret Exchanges through the
-        # specialized fast interpreter (same arithmetic, hoisted locals).
+        # specialized fast interpreter (same arithmetic, hoisted locals);
+        # a fault plan or a timeline takes the general one, the reference
+        # the other two are checked against.
         if has_faults or events is not None:
             def advance_exchange(st):
                 return self._advance_exchange(
@@ -640,191 +616,17 @@ class Simulator:
 
                 raise TypeError(f"rank {rank} yielded unknown op {op!r}")
 
-    def _event_loop_legacy(
-        self,
-        states: List[_RankState],
-        mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]],
-        barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]],
-        faults,
-        link_seq: Dict[Tuple[int, int], int],
-        fail_pending: Dict[int, Any],
-        ready: _HeapQueue,
-        trace: Trace,
-        obs,
-    ) -> None:
-        """The pre-batching per-event engine, kept verbatim.
-
-        One heap pop per event, ``isinstance`` dispatch, per-op machine
-        attribute chains, inline ``Send`` handling — this is the loop the
-        cohort engine replaced, preserved as the honest baseline for the
-        ``sim_events_per_second`` probe and the old-vs-new differential
-        pair.  Selected by :meth:`run` under
-        :func:`repro.parallel.engine.legacy_engine`; ``Exchange`` ops
-        (which legacy-mode collectives never emit, but user programs may)
-        fall back to the general interpreter.
-        """
-        finished = 0
-        while finished < self.nranks:
-            entry = ready.pop()
-            if entry is None:
-                raise self._deadlock_error(states, barrier_waiting)
-
-            rank = entry[1]
-            state = states[rank]
-            if state.done or state.blocked:
-                continue  # stale heap entry
-
-            if state.exch is not None:
-                if not self._advance_exchange(
-                    state, states, mailbox, faults, link_seq,
-                    fail_pending, ready, trace, obs,
-                ):
-                    continue
-                state.send_value = state.exch.result()
-                state.exch = None
-
-            # Advance this rank until it blocks or finishes.
-            while True:
-                # Injected failures fire at the first op boundary at or
-                # after their scheduled virtual time.
-                if fail_pending:
-                    fault = fail_pending.get(rank)
-                    if fault is not None and state.clock >= fault.at:
-                        del fail_pending[rank]
-                        state.failed = True
-                        if obs.enabled:
-                            obs.instant(rank, "rank_failure", state.clock,
-                                        {"mode": fault.mode})
-                        if fault.mode == "hang":
-                            state.blocked = True
-                            break
-                        raise RankFailedError(rank, state.clock)
-                try:
-                    op = state.gen.send(state.send_value)
-                except StopIteration as stop:
-                    state.done = True
-                    state.retval = stop.value
-                    finished += 1
-                    break
-                state.send_value = None
-
-                if isinstance(op, Compute):
-                    seconds = (
-                        op.seconds
-                        if op.seconds is not None
-                        else self.machine.compute_time(
-                            op.flops, op.mem_bytes, op.inner_length
-                        )
-                    )
-                    if seconds < 0:
-                        raise ValueError("Compute seconds must be non-negative")
-                    if faults is not None and seconds > 0:
-                        seconds = faults.stretch_compute(
-                            rank, state.clock, seconds
-                        )
-                    if trace.events is not None and seconds > 0:
-                        trace.events.append(_Event(
-                            rank, "compute", state.clock,
-                            state.clock + seconds,
-                        ))
-                    state.clock += seconds
-                    trace.ranks[rank].compute_time += seconds
-                    continue
-
-                if isinstance(op, Send):
-                    nbytes = op.wire_bytes()
-                    busy = self.machine.send_busy_time(nbytes)
-                    arrival = state.clock + self.machine.message_time(nbytes)
-                    if faults is not None and op.droppable:
-                        key = (rank, op.dest)
-                        seq = link_seq[key]
-                        link_seq[key] = seq + 1
-                        delivery = faults.plan_delivery(
-                            rank, op.dest, seq, state.clock,
-                            self.machine.message_time(nbytes),
-                        )
-                        arrival = delivery.arrival
-                        if delivery.drop_times:
-                            self._account_retries(
-                                trace, rank, op.dest, nbytes, busy, delivery,
-                                obs,
-                            )
-                    mailbox[(op.dest, rank, op.tag)].append(
-                        (arrival, op.payload, nbytes)
-                    )
-                    if trace.events is not None:
-                        trace.events.append(_Event(
-                            rank, "send", state.clock, state.clock + busy,
-                            peer=op.dest, nbytes=nbytes,
-                        ))
-                    state.clock += busy
-                    acc = trace.ranks[rank]
-                    acc.send_busy_time += busy
-                    acc.messages_sent += 1
-                    acc.bytes_sent += nbytes
-                    # The destination may have been blocked on this message.
-                    dest_state = states[op.dest]
-                    if dest_state.blocked and dest_state.pending_recv is not None:
-                        src, tag, _post = dest_state.pending_recv
-                        if src == rank and tag == op.tag:
-                            self._complete_recv(
-                                dest_state, mailbox, trace
-                            )
-                            ready.push(dest_state.clock, op.dest)
-                    continue
-
-                if isinstance(op, Recv):
-                    key = (rank, op.source, op.tag)
-                    state.pending_recv = (op.source, op.tag, state.clock)
-                    if mailbox[key]:
-                        self._complete_recv(state, mailbox, trace)
-                        continue
-                    state.blocked = True
-                    break
-
-                if isinstance(op, Exchange):
-                    state.exch = _ExchState(op, self.machine)
-                    if not self._advance_exchange(
-                        state, states, mailbox, faults, link_seq,
-                        fail_pending, ready, trace, obs,
-                    ):
-                        break
-                    state.send_value = state.exch.result()
-                    state.exch = None
-                    continue
-
-                if isinstance(op, Barrier):
-                    group = tuple(sorted(op.group)) if op.group else tuple(
-                        range(self.nranks)
-                    )
-                    if rank not in group:
-                        raise ValueError(
-                            f"rank {rank} issued barrier for group {group} "
-                            "it does not belong to"
-                        )
-                    bkey = (group, op.tag)
-                    barrier_waiting[bkey].append(rank)
-                    if len(barrier_waiting[bkey]) == len(group):
-                        self._release_barrier(
-                            bkey, barrier_waiting, states, trace, ready
-                        )
-                        # This rank was released too; continue running it.
-                        continue
-                    state.pending_barrier = bkey
-                    state.blocked = True
-                    break
-
-                raise TypeError(f"rank {rank} yielded unknown op {op!r}")
-
     # ------------------------------------------------------------------
     def _maybe_fail(self, state: _RankState, fail_pending: Dict[int, Any],
                     obs) -> bool:
         """Fire a pending injected failure if its time has come.
 
         Returns True when the rank hangs (caller stops driving it);
-        raises :class:`RankFailedError` for "stop" mode.  Checked at
-        every op boundary — including each send/recv inside a batched
-        Exchange, so failure timing matches the per-message loop path.
+        raises :class:`RankFailedError` for "stop" mode.  This is the
+        only place an injected failure fires: it is checked at every op
+        boundary, including each send and each recv inside an Exchange,
+        so a failure lands on the same message it would between
+        ``Send`` and ``Recv`` ops.
         """
         fault = fail_pending.get(state.rank)
         if fault is None or state.clock < fault.at:
@@ -853,10 +655,15 @@ class Simulator:
     ) -> bool:
         """Interpret an Exchange until it completes (True) or blocks (False).
 
-        Each round executes its send then its recv with *identical*
-        pricing, accounting, fault handling and FIFO matching to the
-        per-message loop path — the whole schedule just runs without
-        resuming the rank's generator.  A rank blocked on a round's recv
+        The general interpreter: each round executes its send then its
+        recv through :meth:`_do_send` and :meth:`_complete_recv`, the
+        code the ``Send`` and ``Recv`` ops run, so pricing, accounting,
+        fault handling and FIFO matching are those of the per-message
+        ops — the whole schedule just runs without resuming the rank's
+        generator.  Fault plans and ``record_events=True`` timelines run
+        through here, and it is the reference that
+        :meth:`_advance_exchange_fast` and :meth:`_bulk_exchange` must
+        reproduce bit for bit.  A rank blocked on a round's recv
         is woken by the sender's :meth:`_do_send`, which delivers the
         payload straight into the cursor (never recursing into this
         method) and re-queues the rank; the main loop then resumes the
@@ -1236,7 +1043,7 @@ class Simulator:
     def _deadlock_error(
         states: List[_RankState],
         barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]],
-        exch_waiting: Optional[Dict[Tuple[int, ...], List[int]]] = None,
+        exch_waiting: Dict[Tuple[int, ...], List[int]],
     ) -> DeadlockError:
         """Build the per-rank wait graph of a stuck simulation."""
         wait_graph: Dict[int, dict] = {}
@@ -1281,9 +1088,7 @@ class Simulator:
                 )
             elif s.exch is not None and s.exch.op.group is not None:
                 group = s.exch.op.group
-                arrived = set(
-                    (exch_waiting or {}).get(group, ())
-                )
+                arrived = set(exch_waiting.get(group, ()))
                 missing = [m for m in group if m not in arrived]
                 wait_graph[r] = {
                     "kind": "exchange", "on": missing, "tag": None,

@@ -87,14 +87,6 @@ SERVE_MAX_WARM_HIT_P99_US = 200_000.0
 #: (recovered from disk), never recomputed.
 FLEET_MAX_RECOVERY_OVERHEAD = 1.5
 
-#: Absolute floor on the event-engine overhaul (wall-clock ratio, so
-#: floor-gated): the default engine must simulate the collective-heavy
-#: 240-rank probe at least this many times faster than
-#: ``legacy_engine()`` (PR 8 acceptance: >= 3x) — one change measured.
-#: A ratio of two wall-clock times on the same host in the same
-#: process, so it is far more stable than either throughput number.
-SIM_MIN_EVENT_ENGINE_SPEEDUP = 3.0
-
 #: Meshes of the 3-D decomposition probe: the same 16 nodes laid out
 #: horizontally (classic 2-D) and as a 2 x 2 x 4 slab mesh (AGCM-3DLF).
 AGCM_3D_BASELINE: Tuple[int, int, int] = (4, 4, 1)
@@ -296,13 +288,6 @@ def check_constraints(metrics: Dict[str, float]) -> List[str]:
             f"fleet_chaos_failures is {fleet_failed:g}; every unit of "
             f"the chaos campaign must complete (re-queue or salvage), "
             f"none may fail"
-        )
-    sim = metrics.get("sim_event_engine_speedup")
-    if sim is not None and sim < SIM_MIN_EVENT_ENGINE_SPEEDUP:
-        problems.append(
-            f"sim_event_engine_speedup {sim:.2f}x is below the "
-            f"{SIM_MIN_EVENT_ENGINE_SPEEDUP:g}x floor (default engine vs "
-            f"legacy_engine() on the 240-rank probe)"
         )
     s3d = metrics.get("sim_3d_speedup_vs_2d")
     if s3d is not None and s3d < SIM_MIN_3D_SPEEDUP:

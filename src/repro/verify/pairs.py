@@ -936,13 +936,13 @@ def guard_buddy_recovery_pair() -> ImplementationPair:
 
 
 # ----------------------------------------------------------------------
-# 10. engine overhaul: batched vs legacy engine, plain vs observed run
+# 10. event engine: fast vs general interpreter, plain vs observed run
 # ----------------------------------------------------------------------
 
 def _engine_probe_program(ctx, data):
-    """Collective-heavy program touching every schedule the batched
-    engine treats specially: pairwise all-to-all (bulk group-synchronous
-    above the message threshold), ring allgather (chained ``FromRound``
+    """Collective-heavy program touching every schedule the scheduler
+    treats specially: pairwise all-to-all (bulk group-synchronous above
+    the message threshold), ring allgather (chained ``FromRound``
     payloads) and recursive-doubling allreduce (combining ``ACCUM``
     payloads, always per-message)."""
     from repro.parallel.collectives import allreduce_recursive_doubling
@@ -959,7 +959,7 @@ def _engine_probe_program(ctx, data):
 
 
 def _engine_observables(res) -> Dict[str, np.ndarray]:
-    """Everything the engines must agree on, bit for bit: every rank's
+    """Everything the interpreters must agree on, bit for bit: every rank's
     return values, final clocks, makespan, and the full per-rank
     time/count accounting."""
     p = len(res.returns)
@@ -986,39 +986,35 @@ def _engine_observables(res) -> Dict[str, np.ndarray]:
     }
 
 
-def _engine_runner(legacy: bool):
-    from contextlib import nullcontext
-
-    from repro.parallel import engine as _engine
-
+def _engine_runner(general: bool):
     def run(config: Config, rng: np.random.Generator):
         data = rng.standard_normal((config["p"], config["n"]))
-        ctxmgr = _engine.legacy_engine() if legacy else nullcontext()
-        with ctxmgr:
-            res = Simulator(config["p"], GENERIC).run(
-                _engine_probe_program, data
-            )
+        # A timeline forces every Exchange through the general
+        # per-message interpreter: never bulk, never the fast path.
+        res = Simulator(config["p"], GENERIC, record_events=general).run(
+            _engine_probe_program, data
+        )
         return _engine_observables(res)
 
     return run
 
 
-def engine_batched_vs_loop_pair() -> ImplementationPair:
+def engine_fast_vs_general_pair() -> ImplementationPair:
     return ImplementationPair(
-        name="engine-batched-vs-loop",
+        name="engine-fast-vs-general",
         # p reaches past 23 so some sampled configs push the pairwise
         # all-to-all over the bulk group-synchronous threshold
         # (p*(p-1) >= 512) while smaller ones take the per-exchange
         # vectorized and scalar paths — all three must agree with the
-        # legacy engine exactly.
+        # general interpreter exactly.
         space=ParamSpace({"p": (2, 26), "n": (1, 24)}),
-        reference=_engine_runner(legacy=True),
-        candidate=_engine_runner(legacy=False),
+        reference=_engine_runner(general=True),
+        candidate=_engine_runner(general=False),
         atol=tolerances.EXACT,
         rtol=0.0,
-        description="batched Exchange engine + cohort dispatch vs the "
-        "legacy per-message heap engine: returns, clocks and accounting "
-        "bit-for-bit",
+        description="fast and bulk Exchange interpreters vs the general "
+        "per-message interpreter (the one fault plans and timelines run "
+        "through): returns, clocks and accounting bit-for-bit",
     )
 
 
@@ -1148,7 +1144,7 @@ def default_pairs() -> List[ImplementationPair]:
         parallel_filter_vs_serial_pair(),
         agcm_serial_vs_parallel_pair(),
         agcm_3d_vs_serial_pair(),
-        engine_batched_vs_loop_pair(),
+        engine_fast_vs_general_pair(),
         agcm_plain_vs_observed_pair(),
         faulty_collectives_pair(),
         fault_recovery_agcm_pair(),

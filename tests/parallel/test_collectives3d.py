@@ -6,21 +6,21 @@ import pytest
 
 from repro.grid.decomposition3d import Decomposition3D
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
-from repro.parallel import engine as _engine
 from repro.physics.workload import leap_schedule, pillar_column_share
 
 
-def run(nranks, program, *args, legacy=False):
-    if legacy:
-        with _engine.legacy_engine():
-            return Simulator(nranks, GENERIC).run(program, *args)
-    return Simulator(nranks, GENERIC).run(program, *args)
+def run(nranks, program, *args, general=False):
+    # general=True records a timeline, which keeps every Exchange on the
+    # scheduler's general per-message interpreter.
+    return Simulator(nranks, GENERIC, record_events=general).run(
+        program, *args
+    )
 
 
 class TestPillarTranspose:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_forward_is_alltoall(self, size, legacy):
+    @pytest.mark.parametrize("general", [False, True])
+    def test_forward_is_alltoall(self, size, general):
         def program(ctx):
             chunks = [
                 np.full((2, 2), 10 * ctx.rank + d) for d in range(size)
@@ -29,7 +29,7 @@ class TestPillarTranspose:
             # Indexed by source member: got[s] is what s sent to us.
             return [float(g[0, 0]) for g in got]
 
-        res = run(size, program, legacy=legacy)
+        res = run(size, program, general=general)
         for r, row in enumerate(res.returns):
             assert row == [10 * s + r for s in range(size)]
 
@@ -57,8 +57,8 @@ class TestPillarTranspose:
 
 class TestVerticalHalo:
     @pytest.mark.parametrize("kprocs", [1, 2, 3])
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_ghost_layers_match_neighbours(self, kprocs, legacy):
+    @pytest.mark.parametrize("general", [False, True])
+    def test_ghost_layers_match_neighbours(self, kprocs, general):
         from repro.parallel.collectives import exchange_vertical_halo
 
         nlev = 6
@@ -73,7 +73,7 @@ class TestVerticalHalo:
             )
             return padded
 
-        res = run(mesh.size, program, legacy=legacy)
+        res = run(mesh.size, program, general=general)
         for r, padded in enumerate(res.returns):
             sub = decomp.subdomain(r)
             # Interior layers are the local slab.

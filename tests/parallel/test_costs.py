@@ -1,9 +1,11 @@
 """Tests for the analytic communication/computation cost formulas."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.parallel import GENERIC, Simulator
+from repro.parallel import GENERIC, Simulator, available_machines, make_machine
 from repro.parallel.costs import (
+    batch_message_costs,
     convolution_flops,
     fft_filter_flops,
     halo_exchange_estimate,
@@ -67,3 +69,32 @@ class TestCommEstimates:
         t4 = ring_allgather_estimate(100, 4, GENERIC).time
         t8 = ring_allgather_estimate(100, 8, GENERIC).time
         assert t8 > t4
+
+
+# Sizes where a divide-then-add could round differently if the batched
+# pricing reassociated anything: empty and one-byte messages, powers of
+# two (packet and page boundaries) and their neighbours, and >= 1 MB.
+_EDGE_SIZES = [0, 1] + [
+    (1 << k) + d for k in (3, 6, 10, 12, 16, 20, 24) for d in (-1, 0, 1)
+]
+_WIRE_SIZES = st.lists(
+    st.one_of(
+        st.sampled_from(_EDGE_SIZES),
+        st.integers(min_value=0, max_value=1 << 26),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestBatchMessageCosts:
+    @pytest.mark.parametrize("name", available_machines())
+    @given(wires=_WIRE_SIZES)
+    @example(wires=_EDGE_SIZES)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_pricing_bit_for_bit(self, name, wires):
+        """The one-pass NumPy pricing of an Exchange's rounds is the
+        scalar pricing of each message: ``==`` on floats, not approx."""
+        machine = make_machine(name)
+        busy, msg = batch_message_costs(machine, wires)
+        assert busy.tolist() == [machine.send_busy_time(w) for w in wires]
+        assert msg.tolist() == [machine.message_time(w) for w in wires]

@@ -1,13 +1,12 @@
 """Tests for the array-based event engine: cohort-queue ordering
-(property-tested), the bulk group-synchronous exchange executor and the
-legacy-engine escape hatch."""
+(property-tested) and the bulk group-synchronous exchange executor,
+checked against the general per-message interpreter."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel import collectives as coll
-from repro.parallel import engine as _engine
 from repro.parallel.events import Exchange
 from repro.parallel.machine import GENERIC
 from repro.parallel.scheduler import (
@@ -15,7 +14,6 @@ from repro.parallel.scheduler import (
     CohortQueue,
     DeadlockError,
     Simulator,
-    _HeapQueue,
 )
 
 # Small clock alphabet so timestamp ties (the interesting case for
@@ -39,13 +37,8 @@ class TestCohortQueueOrdering:
     @settings(max_examples=200, deadline=None)
     def test_drain_is_exact_clock_rank_order(self, entries):
         """With no interleaved pushes, dispatch is exactly sorted
-        (clock, rank) order — identical to a heap."""
+        (clock, rank) order."""
         assert _drain(CohortQueue(iter(entries))) == sorted(entries)
-
-    @given(entries=_ENTRIES)
-    @settings(max_examples=100, deadline=None)
-    def test_heap_queue_agrees_with_sort(self, entries):
-        assert _drain(_HeapQueue(iter(entries))) == sorted(entries)
 
     @given(
         entries=_ENTRIES,
@@ -121,11 +114,12 @@ def _alltoall_program(ctx, data):
     return np.stack(out)
 
 
-def _run_alltoall(p, data, legacy=False):
-    if legacy:
-        with _engine.legacy_engine():
-            return Simulator(p, GENERIC).run(_alltoall_program, data)
-    return Simulator(p, GENERIC).run(_alltoall_program, data)
+def _run_alltoall(p, data, general=False):
+    # A timeline keeps every Exchange on the general per-message
+    # interpreter: never the bulk executor, never the fast path.
+    return Simulator(p, GENERIC, record_events=general).run(
+        _alltoall_program, data
+    )
 
 
 def _bulk_rank_count():
@@ -137,12 +131,12 @@ def _bulk_rank_count():
 
 
 class TestBulkExchange:
-    def test_bulk_alltoall_matches_legacy_engine_exactly(self):
+    def test_bulk_alltoall_matches_general_interpreter(self):
         p = _bulk_rank_count()
         rng = np.random.default_rng(7)
         data = rng.standard_normal((p, p, 3))
         res = _run_alltoall(p, data)
-        ref = _run_alltoall(p, data, legacy=True)
+        ref = _run_alltoall(p, data, general=True)
         for r in range(p):
             np.testing.assert_array_equal(res.returns[r], ref.returns[r])
         assert res.clocks == ref.clocks
@@ -161,7 +155,7 @@ class TestBulkExchange:
         rng = np.random.default_rng(11)
         data = rng.standard_normal((p, p, 2))
         res = _run_alltoall(p, data)
-        ref = _run_alltoall(p, data, legacy=True)
+        ref = _run_alltoall(p, data, general=True)
         assert res.clocks == ref.clocks
         for r in range(p):
             np.testing.assert_array_equal(res.returns[r], ref.returns[r])
@@ -209,26 +203,19 @@ class TestBulkExchange:
             Simulator(p, GENERIC).run(program)
 
 
-# ----------------------------------------------------------------------
-# engine selection contract
-# ----------------------------------------------------------------------
-
-class TestFastpathContract:
-    def test_legacy_engine_flag_restores(self):
-        assert _engine.batched()
-        with _engine.legacy_engine():
-            assert not _engine.batched()
-        assert _engine.batched()
-
-
 class TestSimbenchProbe:
     def test_probe_reports_metrics_and_bit_identity(self):
         from repro.perf.simbench import run_probe
 
-        # Tiny probe: run_probe itself asserts both engines agree on
-        # the virtual makespan (the bit-identity canary).
         metrics = run_probe(nranks=12, rounds=1)
+        assert sorted(metrics) == [
+            "sim_events_per_second", "sim_probe_events",
+            "sim_probe_ranks", "sim_probe_rounds",
+        ]
         assert metrics["sim_events_per_second"] > 0
-        assert metrics["sim_events_per_second_loop"] > 0
-        assert metrics["sim_event_engine_speedup"] > 0
         assert metrics["sim_probe_ranks"] == 12.0
+        assert metrics["sim_probe_rounds"] == 1.0
+        # All-to-all: 12 x 11 messages.  Recursive doubling: 3 rounds on
+        # the 8 core ranks, plus one fold-in and one result message for
+        # each of the 4 surplus ranks.  Every message is sent and received.
+        assert metrics["sim_probe_events"] == 2.0 * (12 * 11 + 8 * 3 + 2 * 4)

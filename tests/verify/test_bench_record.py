@@ -123,6 +123,57 @@ def test_repo_trajectory_passes_validation():
     assert traj["entries"]
 
 
+#: Recorded by ``perf/simbench.py`` while it still ran a second engine;
+#: nothing writes them now, but the historical entries keep theirs.
+_RETIRED_ENGINE_METRICS = (
+    "sim_event_engine_speedup", "sim_events_per_second_loop",
+)
+
+
+def test_entry_without_retired_engine_metrics_joins_the_trajectory(
+    tmp_path, capsys
+):
+    from repro.results.cli import main as results_main
+
+    metrics = _fake_metrics(sim_events_per_second=1.0e6)
+    entry = br.make_entry(metrics, timestamp="2026-09-29T00:00:00",
+                          label="one event engine")
+    assert not set(_RETIRED_ENGINE_METRICS) & set(entry["metrics"])
+    assert br.validate_entry(entry) == []
+    assert br.check_constraints(metrics) == []
+
+    traj = br.load_trajectory(os.path.join(_REPO_ROOT, "BENCH_agcm.json"))
+    carrying = [
+        e for e in traj["entries"]
+        if set(_RETIRED_ENGINE_METRICS) <= set(e["metrics"])
+    ]
+    assert carrying, "the historical entries were rewritten"
+    # A speedup below the deleted 3x floor is history now, not a failure.
+    assert br.check_constraints(
+        dict(carrying[-1]["metrics"], sim_event_engine_speedup=1.0)
+    ) == []
+
+    traj["entries"].append(entry)
+    path = str(tmp_path / "BENCH_agcm.json")
+    br.save_trajectory(path, traj)
+    db = str(tmp_path / "index.db")
+    assert results_main(["ingest", "--db", db, "--bench", path, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["sources"][0]["added"] == len(traj["entries"])
+    assert stats["sources"][0]["errors"] == []
+
+    argv = ["trajectory", "--db", db, "--json"]
+    for name in _RETIRED_ENGINE_METRICS:
+        argv += ["--metric", name]
+    assert results_main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["entries"]
+    assert len(rows) == len(traj["entries"])
+    assert rows[-1]["values"] == dict.fromkeys(_RETIRED_ENGINE_METRICS)
+    for row, old in zip(rows, traj["entries"]):
+        for name in _RETIRED_ENGINE_METRICS:
+            assert row["values"][name] == old["metrics"].get(name)
+
+
 # ----------------------------------------------------------------------
 # gating
 # ----------------------------------------------------------------------
