@@ -525,7 +525,7 @@ def _cmd_serve(rest: list[str]) -> int:
             return 2
 
     if bench:
-        from repro.serve.bench import run_bench
+        from repro.serve.bench import failed_requests, run_bench
         from repro.serve.loadgen import DEFAULT_SEED
 
         report = run_bench(seed if seed is not None else DEFAULT_SEED,
@@ -545,9 +545,7 @@ def _cmd_serve(rest: list[str]) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"SLO summary written to {json_out}")
-        failed = (cold["failures"] + warm["failures"]
-                  + len(cold["sha_conflicts"]) + len(warm["sha_conflicts"]))
-        return 1 if failed else 0
+        return 1 if failed_requests(report) else 0
 
     from repro.serve import Gateway, ServeConfig
 

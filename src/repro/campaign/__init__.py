@@ -12,8 +12,7 @@ variant), executed as independent work units.  The pieces:
   (key = SHA-256 of ident + canonical params + repro version) that makes
   reruns replay only invalidated units;
 * :mod:`repro.campaign.report` — merged per-unit status, cache hit/miss
-  accounting, worker utilization and speedup-vs-serial;
-* :mod:`repro.campaign.bench` — the gated throughput/cache benchmarks.
+  accounting, worker utilization and speedup-vs-serial.
 
 Front doors: :func:`repro.api.run_campaign` and
 ``python -m repro campaign [--workers N] [--cache-dir P] [--resume]``.

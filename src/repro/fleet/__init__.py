@@ -16,8 +16,7 @@ scheduler across machines with nothing but the standard library:
 * :mod:`repro.fleet.requeue` — attempt accounting shared with the
   local pool;
 * :mod:`repro.fleet.chaos` — the deterministic seeded chaos harness;
-* :mod:`repro.fleet.harness` — :class:`LocalFleet` for tests, CI and
-  the recovery benchmark.
+* :mod:`repro.fleet.harness` — :class:`LocalFleet` for tests and CI.
 
 Entry points: ``api.run_campaign(..., options=RunOptions(fleet=...))``,
 ``python -m repro campaign --fleet HOST:PORT,...`` or ``--listen``.

@@ -1,7 +1,7 @@
 """LocalFleet: spawn a coordinator-plus-workers fleet on localhost.
 
-The chaos tests, the CI ``fleet-smoke`` job and the
-``fleet_recovery_overhead`` benchmark all need the same scaffolding: a
+The chaos tests (the recovery-overhead floor among them) and the CI
+``fleet-smoke`` job all need the same scaffolding: a
 free port, N worker subprocesses dialing it (each optionally carrying a
 scripted :mod:`~repro.fleet.chaos` plan), a :class:`FleetConfig` with
 test-scale timeouts, and a teardown that never leaks a process — chaos

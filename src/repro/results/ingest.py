@@ -220,6 +220,8 @@ class Ingestor:
     # -- serve SLO dumps -------------------------------------------------
     def ingest_serve_slo(self, path: str) -> IngestStats:
         """Index one serve SLO summary (cold + warm replay report)."""
+        from repro.serve.bench import failed_requests
+
         stats = IngestStats(source="serve-slo", path=str(path))
         try:
             with open(path, encoding="utf-8") as fh:
@@ -246,8 +248,7 @@ class Ingestor:
             metrics["serve_warm_seconds"] = (
                 float(warm["wall_seconds"]), "s")
             metrics["serve_throughput_rps"] = float(warm["throughput_rps"])
-            metrics["serve_failed_requests"] = float(
-                cold["failures"] + warm["failures"])
+            metrics["serve_failed_requests"] = float(failed_requests(doc))
             p99 = warm.get("latency_us", {}).get("hit", {}).get("p99")
             if p99 is not None:
                 metrics["serve_warm_hit_p99_us"] = (float(p99), "us")

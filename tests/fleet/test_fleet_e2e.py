@@ -135,6 +135,25 @@ class TestChaosMatrix:
         assert again.cache_misses == 0
         assert again.hit_rate == 1.0
 
+    def test_recovery_overlaps_the_survivors_compute(self, tmp_path):
+        """Losing one of three workers costs the re-balanced tail and
+        one detection timeout, never a rerun: dead-host detection,
+        re-queue and salvage happen while the survivors compute."""
+        selectors = [f"sleep:0.4#b{i}" for i in range(12)]
+
+        def run(name, chaos):
+            cache = str(tmp_path / name)
+            with LocalFleet(nworkers=3, cache_dir=cache,
+                            chaos=chaos) as fleet:
+                return run_campaign(selectors, fleet=fleet.config,
+                                    cache_dir=cache)
+
+        clean = run("clean", {})
+        chaotic = run("chaos", {0: "kill@2"})
+        assert (clean.failures, clean.salvaged) == (0, 0)
+        assert (chaotic.failures, chaotic.salvaged) == (0, 1)
+        assert chaotic.wall_seconds <= 1.5 * clean.wall_seconds
+
 
 class TestDegradationLadder:
     def test_zero_reachable_workers_falls_back_locally(self, tmp_path):

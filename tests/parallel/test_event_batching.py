@@ -204,18 +204,14 @@ class TestBulkExchange:
 
 
 class TestSimbenchProbe:
-    def test_probe_reports_metrics_and_bit_identity(self):
-        from repro.perf.simbench import run_probe
+    def test_probe_event_count_is_exact(self):
+        from repro.perf.simbench import probe_program
 
-        metrics = run_probe(nranks=12, rounds=1)
-        assert sorted(metrics) == [
-            "sim_events_per_second", "sim_probe_events",
-            "sim_probe_ranks", "sim_probe_rounds",
-        ]
-        assert metrics["sim_events_per_second"] > 0
-        assert metrics["sim_probe_ranks"] == 12.0
-        assert metrics["sim_probe_rounds"] == 1.0
+        res = Simulator(12, GENERIC).run(probe_program, 1)
+        events = sum(
+            r.messages_sent + r.messages_received for r in res.trace.ranks
+        )
         # All-to-all: 12 x 11 messages.  Recursive doubling: 3 rounds on
         # the 8 core ranks, plus one fold-in and one result message for
         # each of the 4 surplus ranks.  Every message is sent and received.
-        assert metrics["sim_probe_events"] == 2.0 * (12 * 11 + 8 * 3 + 2 * 4)
+        assert events == 2 * (12 * 11 + 8 * 3 + 2 * 4)

@@ -182,9 +182,11 @@ class TestServeSloIngest:
     def _slo_doc(self):
         return {
             "cold": {"coalesce_rate": 0.8, "requests": 100,
-                     "wall_seconds": 2.5, "failures": 0},
+                     "wall_seconds": 2.5, "failures": 0,
+                     "sha_conflicts": ["k1"]},
             "warm": {"hit_rate": 0.99, "wall_seconds": 0.5,
                      "throughput_rps": 200.0, "failures": 1,
+                     "sha_conflicts": [],
                      "latency_us": {"hit": {"p99": 850.0}}},
         }
 
@@ -200,7 +202,8 @@ class TestServeSloIngest:
             metrics = db.metrics_for(key)
             assert metrics["serve_coalesce_rate"] == 0.8
             assert metrics["serve_warm_hit_rate"] == 0.99
-            assert metrics["serve_failed_requests"] == 1.0
+            # one non-200 answer + one key whose answers disagreed
+            assert metrics["serve_failed_requests"] == 2.0
             assert metrics["serve_warm_hit_p99_us"] == 850.0
 
     def test_reingest_slo_is_idempotent(self, tmp_path):

@@ -2,22 +2,25 @@
 
 Replays the canonical seeded bursty plan against a live gateway —
 exactly what ``python -m repro serve --bench`` and the CI serve-smoke
-job run — and asserts the gated floors directly.
+job run — and asserts the serving floors.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve.bench import run_bench, serve_bench_metrics
-from repro.verify.bench_record import (
-    SERVE_MAX_WARM_HIT_P99_US,
-    SERVE_MIN_COALESCE_RATE,
-    SERVE_MIN_WARM_HIT_RATE,
-    check_constraints,
-)
+from repro.serve.bench import run_bench
 
 pytestmark = pytest.mark.serve
+
+#: Floors on the seeded bursty replay.  Bursts aim concurrent identical
+#: requests at fresh keys, so at least half of all answered requests
+#: must coalesce onto a shared computation; the warm replay must be
+#: answered from cache with a bounded tail (generous for loaded CI
+#: runners — the typical p99 over local TCP is ~2 ms).
+SERVE_MIN_COALESCE_RATE = 0.5
+SERVE_MIN_WARM_HIT_RATE = 0.9
+SERVE_MAX_WARM_HIT_P99_US = 200_000.0
 
 
 class TestSeededReplay:
@@ -42,26 +45,3 @@ class TestSeededReplay:
         assert warm["latency_us"]["hit"]["p99"] <= SERVE_MAX_WARM_HIT_P99_US
         assert warm["served"]["executed"] == 0
         assert warm["throughput_rps"] > 0
-
-    def test_bench_metrics_satisfy_the_gate(self):
-        metrics = serve_bench_metrics()
-        expected = {
-            "serve_coalesce_rate", "serve_warm_hit_rate",
-            "serve_warm_hit_p99_us", "serve_throughput_rps",
-            "serve_failed_requests", "serve_cold_seconds",
-            "serve_warm_seconds", "serve_cold_requests",
-        }
-        assert expected <= set(metrics)
-        assert check_constraints(metrics) == []
-
-    def test_gate_rejects_degraded_serving(self):
-        problems = check_constraints({
-            "serve_coalesce_rate": 0.1,
-            "serve_warm_hit_rate": 0.5,
-            "serve_warm_hit_p99_us": 10 * SERVE_MAX_WARM_HIT_P99_US,
-            "serve_failed_requests": 3.0,
-        })
-        assert len(problems) == 4
-        assert any("coalesce" in p for p in problems)
-        assert any("hit_rate" in p or "hit rate" in p.lower()
-                   for p in problems)

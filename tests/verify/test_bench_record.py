@@ -123,11 +123,11 @@ def test_repo_trajectory_passes_validation():
     assert traj["entries"]
 
 
-#: Recorded by ``perf/simbench.py`` while it still ran a second engine;
-#: nothing writes them now, but the historical entries keep theirs.
-_RETIRED_ENGINE_METRICS = (
-    "sim_event_engine_speedup", "sim_events_per_second_loop",
-)
+#: Name prefixes of the metrics nothing writes any more: the second
+#: event engine's two (retired with it) and the host wall-clock scalars
+#: whose ledger is now ``bench/``.  The historical entries keep theirs.
+_RETIRED_PREFIXES = ("campaign_", "serve_", "fleet_", "sim_event",
+                     "sim_probe")
 
 
 def test_entry_without_retired_engine_metrics_joins_the_trajectory(
@@ -135,23 +135,27 @@ def test_entry_without_retired_engine_metrics_joins_the_trajectory(
 ):
     from repro.results.cli import main as results_main
 
-    metrics = _fake_metrics(sim_events_per_second=1.0e6)
-    entry = br.make_entry(metrics, timestamp="2026-09-29T00:00:00",
-                          label="one event engine")
-    assert not set(_RETIRED_ENGINE_METRICS) & set(entry["metrics"])
+    traj = br.load_trajectory(os.path.join(_REPO_ROOT, "BENCH_agcm.json"))
+    carrying = traj["entries"][7]  # entry #8, the last with host scalars
+    retired = sorted(
+        name for name in carrying["metrics"]
+        if name.startswith(_RETIRED_PREFIXES)
+    )
+    assert len(retired) == 32, "the historical entries were rewritten"
+    # Values below the deleted floors are history now, not a failure.
+    assert br.check_constraints(dict(
+        carrying["metrics"], sim_event_engine_speedup=1.0,
+        serve_failed_requests=3.0, fleet_recovery_overhead=9.0,
+        campaign_parallel_speedup_4w=1.0,
+    )) == []
+
+    # Dated after anything the gate can have recorded, so it sorts last.
+    metrics = _fake_metrics()
+    entry = br.make_entry(metrics, timestamp="2099-01-01T00:00:00+00:00",
+                          label="one host-time ledger")
+    assert not set(retired) & set(entry["metrics"])
     assert br.validate_entry(entry) == []
     assert br.check_constraints(metrics) == []
-
-    traj = br.load_trajectory(os.path.join(_REPO_ROOT, "BENCH_agcm.json"))
-    carrying = [
-        e for e in traj["entries"]
-        if set(_RETIRED_ENGINE_METRICS) <= set(e["metrics"])
-    ]
-    assert carrying, "the historical entries were rewritten"
-    # A speedup below the deleted 3x floor is history now, not a failure.
-    assert br.check_constraints(
-        dict(carrying[-1]["metrics"], sim_event_engine_speedup=1.0)
-    ) == []
 
     traj["entries"].append(entry)
     path = str(tmp_path / "BENCH_agcm.json")
@@ -163,14 +167,15 @@ def test_entry_without_retired_engine_metrics_joins_the_trajectory(
     assert stats["sources"][0]["errors"] == []
 
     argv = ["trajectory", "--db", db, "--json"]
-    for name in _RETIRED_ENGINE_METRICS:
+    for name in retired:
         argv += ["--metric", name]
     assert results_main(argv) == 0
     rows = json.loads(capsys.readouterr().out)["entries"]
     assert len(rows) == len(traj["entries"])
-    assert rows[-1]["values"] == dict.fromkeys(_RETIRED_ENGINE_METRICS)
+    assert rows[-1]["values"] == dict.fromkeys(retired)
+    assert None not in rows[7]["values"].values()
     for row, old in zip(rows, traj["entries"]):
-        for name in _RETIRED_ENGINE_METRICS:
+        for name in retired:
             assert row["values"][name] == old["metrics"].get(name)
 
 
@@ -225,6 +230,14 @@ def test_collected_metrics_cover_all_tracked_ratios():
     # actually be faster, or the repo's whole story is broken
     assert metrics["speedup_filter_fft_lb_vs_convolution"] > 1.0
     assert metrics["speedup_agcm_total_new_vs_old"] > 1.0
+
+
+@pytest.mark.bench_gate
+def test_collected_metrics_are_reproducible_and_virtual_time_only():
+    """The whole entry is deterministic: nothing host-timed is in it."""
+    metrics = br.collect_metrics()
+    assert metrics == br.collect_metrics()
+    assert not [k for k in metrics if k.startswith(_RETIRED_PREFIXES)]
 
 
 @pytest.mark.bench_gate

@@ -2,9 +2,12 @@
 """Benchmark-regression gate: recompute, compare, record.
 
 Recomputes the deterministic AGCM benchmarks (filtering tables, old/new
-component timings), gates every tracked speedup ratio against the most
-recent entry in ``BENCH_agcm.json``, and — when the gate passes —
-appends the new entry to the trajectory.
+component timings, straggler, guard and 3-D probes — virtual time only,
+so an entry is exactly reproducible), checks the guard and 3-D absolute
+bounds, gates every tracked speedup ratio against the most recent entry
+in ``BENCH_agcm.json``, and — when the gate passes — appends the new
+entry to the trajectory.  Host wall time is not measured here: that
+ledger is ``bench/`` (``python bench/run.py``).
 
 Exit codes: 0 = pass (entry recorded), 2 = tracked ratio regressed
 (entry NOT recorded, so the bad run can't become the next baseline),
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
     violations = bench_record.check_constraints(metrics)
     if violations:
         print(
-            f"\nGATE FAILED: {len(violations)} absolute guard "
+            f"\nGATE FAILED: {len(violations)} absolute "
             f"constraint(s) violated:"
         )
         for violation in violations:

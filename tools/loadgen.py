@@ -29,7 +29,7 @@ import sys
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
-from repro.serve.bench import run_bench  # noqa: E402
+from repro.serve.bench import failed_requests, run_bench  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
     DEFAULT_SEED,
     LoadPlan,
@@ -61,9 +61,7 @@ def main(argv=None) -> int:
     else:
         report = run_bench(args.seed)
         cold, warm = report["cold"], report["warm"]
-        failed = (cold["failures"] + warm["failures"]
-                  + len(cold["sha_conflicts"])
-                  + len(warm["sha_conflicts"]))
+        failed = failed_requests(report)
         print(f"cold: coalesce rate {cold['coalesce_rate']:.0%}, "
               f"{cold['failures']} failed")
         print(f"warm: hit rate {warm['hit_rate']:.0%}, "
