@@ -101,10 +101,17 @@ class FilterBackend:
       offsets in every packed message, the flop charge, the row group, and
       the prescribed coefficients (convolution kernels, or one stacked
       transfer matrix) — vectors from the memoised per-latitude arrays of
-      :mod:`repro.core.spectral`, never N x N operators.
+      :mod:`repro.core.spectral`, never N x N operators.  Of this, what
+      the transpose backends need is the same on every rank of a
+      processor row — which units the row keeps, ships and takes in, and
+      the lines each of its columns holds: the first rank of a row to
+      apply builds that once (:class:`_RowState`) and the others of the
+      row read it.
 
     Every later ``apply`` is data movement and arithmetic.  The state is
-    rebuilt only if a rank's layer counts change.
+    rebuilt only if a rank's layer counts change.  It lives and dies with
+    the backend and holds nothing of a simulator run (no ``ctx``, trace or
+    group communicator), so one backend may be applied in run after run.
     """
 
     name: str
@@ -112,6 +119,9 @@ class FilterBackend:
     decomp: Decomposition2D
     assignment: Optional[FilterAssignment]  # None for convolution backends
     _ranks: Dict[int, "_RankState"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _rows: Dict[int, "_RowState"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -131,6 +141,13 @@ class FilterBackend:
             yield from filter_fft_distributed(ctx, state, local_fields)
         else:  # pragma: no cover - prepare_filter_backend validates
             raise ValueError(f"unknown backend {self.name!r}")
+
+    def _row_state(self, i_row: int, layers: Dict[str, int]) -> "_RowState":
+        """The transpose state of processor row ``i_row``, built once."""
+        row = self._rows.get(i_row)
+        if row is None or row.layers != layers:
+            row = self._rows[i_row] = _RowState(self, i_row, layers)
+        return row
 
 
 def prepare_filter_backend(
@@ -174,7 +191,7 @@ def apply_serial_filter(
 
 
 # ----------------------------------------------------------------------
-# prepared per-rank state: unit lists <-> wire arrays
+# prepared per-row and per-rank state: unit lists <-> wire arrays
 # ----------------------------------------------------------------------
 
 def _layers_of(local_fields: Dict[str, np.ndarray]) -> Dict[str, int]:
@@ -253,12 +270,47 @@ class _Packing:
         return out
 
 
+class _RowState:
+    """What the ranks of one processor row share under a transpose backend:
+    everything that depends only on ``(plan, decomp, assignment, row)`` and
+    the variables' layer counts.  Read-only once built."""
+
+    def __init__(self, backend: FilterBackend, i_row: int, layers: Dict[str, int]):
+        plan, decomp, a = backend.plan, backend.decomp, backend.assignment
+        mesh = decomp.mesh
+        self.layers = layers
+        lat0, _ = decomp.lat_bounds_of_proc_row(i_row)
+
+        def owned(units) -> _Packing:
+            return _Packing(plan, units, layers, lat0)
+
+        def foreign(units) -> _Packing:
+            return _Packing(plan, units, layers)
+
+        assigned = a.units_assigned_to_row(i_row)
+        self.has_units = bool(assigned)
+        #: Units this row both owns and keeps through stage A.
+        self.own = owned(u for u in assigned if a.owner_row[u] == i_row)
+        moves = a.stage_a_moves()
+        #: Stage A, (peer row, units): shipped out / taken in.
+        self.outgoing = [
+            (dst, owned(units)) for src, dst, units in moves if src == i_row
+        ]
+        self.incoming = [
+            (src, foreign(units)) for src, dst, units in moves if dst == i_row
+        ]
+        #: Stage B: the complete lines each column of the row holds.
+        self.by_col = [
+            foreign(a.lines_on_rank(r)) for r in mesh.row_ranks(i_row)
+        ]
+
+
 class _RankState:
     """What one rank's applications share: everything that depends only on
     ``(plan, decomp, assignment, rank)`` and the variables' layer counts."""
 
     def __init__(self, backend: FilterBackend, rank: int, layers: Dict[str, int]):
-        plan, decomp, a = backend.plan, backend.decomp, backend.assignment
+        plan, decomp = backend.plan, backend.decomp
         mesh = decomp.mesh
         self.layers = layers
         self.nlon = decomp.nlon
@@ -269,23 +321,19 @@ class _RankState:
             decomp.lon_bounds_of_proc_col(c) for c in range(mesh.nlon_procs)
         ]
 
-        def owned(units) -> _Packing:
-            return _Packing(plan, units, layers, sub.lat0)
-
-        def foreign(units) -> _Packing:
-            return _Packing(plan, units, layers)
-
         def filters_of(p: _Packing):
             """(filter, latitude) of each unit: what its coefficients are
             memoised under in :mod:`repro.core.spectral`."""
             units = [plan.units[u] for u in p.units]
             return [(plan.filter_for(ru), ru.lat) for ru in units]
 
-        if a is None:
+        if backend.assignment is None:
             #: The units whose latitudes this rank holds.
-            self.own = owned(
-                u for u, ru in enumerate(plan.units)
-                if sub.lat0 <= ru.lat < sub.lat1
+            self.own = _Packing(
+                plan,
+                (u for u, ru in enumerate(plan.units)
+                 if sub.lat0 <= ru.lat < sub.lat1),
+                layers, sub.lat0,
             )
             if backend.name == "fft-distributed":
                 # Per-layer bit-reversed transfer factors for this rank's block.
@@ -304,23 +352,18 @@ class _RankState:
                     sub.nlon if backend.name == "convolution-ring" else decomp.nlon,
                 )
         else:
-            assigned = a.units_assigned_to_row(i_row)
-            self.row_has_units = bool(assigned)
-            #: Units this rank's row both owns and keeps through stage A.
-            self.own = owned(u for u in assigned if a.owner_row[u] == i_row)
-            moves = a.stage_a_moves()
-            #: Stage A, (peer rank, units): shipped out / taken in.
+            row = backend._row_state(i_row, layers)
+            self.row_has_units = row.has_units
+            self.own = row.own
+            #: Stage A, (peer rank, units): the row's moves, in this column.
             self.outgoing = [
-                (mesh.rank_of(dst, j_col), owned(units))
-                for src, dst, units in moves if src == i_row
+                (mesh.rank_of(dst, j_col), p) for dst, p in row.outgoing
             ]
             self.incoming = [
-                (mesh.rank_of(src, j_col), foreign(units))
-                for src, dst, units in moves if dst == i_row
+                (mesh.rank_of(src, j_col), p) for src, p in row.incoming
             ]
-            #: Stage B: the complete lines each column of the row holds.
-            self.by_col = [foreign(a.lines_on_rank(r)) for r in self.row_ranks]
-            self.lines = self.by_col[j_col]
+            self.by_col = row.by_col
+            self.lines = row.by_col[j_col]
             self.transfer = self.lines.stack(
                 [f.transfer(lat) for f, lat in filters_of(self.lines)]
             )

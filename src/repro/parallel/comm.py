@@ -158,8 +158,8 @@ class VirtualComm(GroupComm):
     top of :class:`GroupComm`.
     """
 
-    def __init__(self, rank: int, size: int, machine: MachineModel,
-                 trace: Trace, observer=None):
+    def __init__(self, rank: int, world: Tuple[int, ...],
+                 machine: MachineModel, trace: Trace, observer=None):
         #: Read by GroupComm.__init__ below; in the world communicator the
         #: local position it then assigns is the same number.
         self.rank = rank
@@ -169,10 +169,11 @@ class VirtualComm(GroupComm):
         #: NULL_OBSERVER unless the simulator was given a live one.
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._state = None  # set by the scheduler; exposes the virtual clock
-        # The world group is valid by construction (every rank once, in
-        # order): no per-element checks, which would be O(size) on each
-        # of ``size`` ranks.
-        super().__init__(self, tuple(range(size)))
+        # ``world`` is the simulator's ``(0, ..., size - 1)``, one tuple
+        # shared by every rank of the run: valid by construction, so no
+        # per-element checks and no copy, either of which would be
+        # O(size) on each of ``size`` ranks.
+        super().__init__(self, world)
 
     # -- compute -------------------------------------------------------------
     def compute(self, flops: float = 0.0, mem_bytes: float = 0.0,
@@ -250,6 +251,11 @@ class VirtualComm(GroupComm):
     def group(self, ranks: Sequence[int]) -> GroupComm:
         """Create a sub-communicator over ``ranks`` (must include self)."""
         ranks = tuple(int(r) for r in ranks)
+        outside = [r for r in ranks if not 0 <= r < self.size]
+        if outside:
+            raise ValueError(
+                f"ranks {outside} outside 0..{self.size - 1} in group {ranks}"
+            )
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate ranks in group: {ranks}")
         if self.rank not in ranks:

@@ -52,6 +52,7 @@ mode) or silently hanging until the run deadlocks ("hang" mode).
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
@@ -77,9 +78,6 @@ from repro.parallel.trace import RankAccounting, SimResult, Trace
 #: Exchanges with at least this many statically-sized rounds get their
 #: send costs priced in one vectorized NumPy pass.
 _VECTORIZE_ROUNDS = 8
-
-#: Pending queues at least this long use NumPy to find the cohort clock.
-_VECTORIZE_QUEUE = 64
 
 #: Closed-group exchanges moving at least this many messages in total
 #: (members x rounds) run through the vectorized bulk executor; smaller
@@ -120,41 +118,39 @@ class RankFailedError(RuntimeError):
 
 
 class CohortQueue:
-    """Array-based ready queue dispatching same-timestamp cohorts.
+    """Heap-backed ready queue dispatching same-timestamp cohorts.
 
-    Entries are ``(clock, rank)``.  Instead of a binary heap, the queue
-    keeps a flat pending list and, when asked for the next entry,
-    extracts the whole cohort sharing the minimum clock (sorted by rank)
-    in one pass — NumPy-assisted once the pending list is long enough.
-    Cohort members then pop in O(1) until the cohort drains.
+    Entries are ``(clock, rank)``.  Pending entries live in a binary
+    heap; when asked for the next entry, the queue pops every entry
+    sharing the minimum clock — the heap yields them already in rank
+    order — and serves that cohort in O(1) per member until it drains.
+    Forming a cohort of ``k`` out of ``n`` pending entries costs
+    O(k log n): a whole mesh released by one barrier forms in one go,
+    and a sweep of pairwise-distinct clocks (every rank of a large mesh
+    leaving a bulk exchange at its own time) never re-scans the rest.
 
     Ordering contract (property-tested): for any entries present when a
-    cohort is formed, dispatch follows exact ``(clock, rank)`` order —
-    identical to a heap.  Entries pushed *while* a cohort drains dispatch
-    no earlier than the cohort's timestamp; the engine only pushes
-    wake-ups at clocks ``>=`` the waker's current clock, so cohort
-    timestamps never regress.
+    cohort is formed, dispatch follows exact ``(clock, rank)`` order.
+    Entries pushed *while* a cohort drains dispatch no earlier than the
+    cohort's timestamp; the engine only pushes wake-ups at clocks ``>=``
+    the waker's current clock, so cohort timestamps never regress.
     """
 
-    __slots__ = ("_clocks", "_ranks", "_cohort", "_cohort_clock", "_ci")
+    __slots__ = ("_heap", "_cohort", "_cohort_clock", "_ci")
 
     def __init__(self, entries: Iterable[Tuple[float, int]] = ()):
-        self._clocks: List[float] = []
-        self._ranks: List[int] = []
-        for clock, rank in entries:
-            self._clocks.append(clock)
-            self._ranks.append(rank)
+        self._heap: List[Tuple[float, int]] = list(entries)
+        heapq.heapify(self._heap)
         self._cohort: List[int] = []
         self._cohort_clock = 0.0
         self._ci = 0
 
     def __len__(self) -> int:
-        return (len(self._cohort) - self._ci) + len(self._clocks)
+        return (len(self._cohort) - self._ci) + len(self._heap)
 
     def push(self, clock: float, rank: int) -> None:
         """Enqueue a ready rank at its current clock."""
-        self._clocks.append(clock)
-        self._ranks.append(rank)
+        heapq.heappush(self._heap, (clock, rank))
 
     def pop(self) -> Optional[Tuple[float, int]]:
         """Next ``(clock, rank)`` entry, or None when the queue is empty."""
@@ -162,30 +158,25 @@ class CohortQueue:
             rank = self._cohort[self._ci]
             self._ci += 1
             return (self._cohort_clock, rank)
-        clocks = self._clocks
-        if not clocks:
+        heap = self._heap
+        if not heap:
             return None
-        if len(clocks) >= _VECTORIZE_QUEUE:
-            t = float(np.min(np.asarray(clocks)))
-        else:
-            t = min(clocks)
-        ranks = self._ranks
-        cohort: List[int] = []
-        keep_c: List[float] = []
-        keep_r: List[int] = []
-        for c, r in zip(clocks, ranks):
-            if c == t:
-                cohort.append(r)
-            else:
-                keep_c.append(c)
-                keep_r.append(r)
-        cohort.sort()
-        self._clocks = keep_c
-        self._ranks = keep_r
+        heappop = heapq.heappop
+        first = heappop(heap)
+        t = first[0]
+        cohort = [first[1]]
+        while heap and heap[0][0] == t:
+            cohort.append(heappop(heap)[1])
         self._cohort = cohort
         self._cohort_clock = t
         self._ci = 1
-        return (t, cohort[0])
+        return first
+
+
+#: What a barrier in flight is filed under: ``(sorted group, tag)``, with
+#: the world group spelt ``None`` so that the P arrivals at a world
+#: barrier never hash a P-tuple.
+_BarrierKey = Tuple[Optional[Tuple[int, ...]], int]
 
 
 class _ExchState:
@@ -278,7 +269,7 @@ class _RankState:
         self.clock = 0.0
         self.blocked = False
         self.pending_recv: Optional[Tuple[int, int, float]] = None  # (src, tag, post time)
-        self.pending_barrier: Optional[Tuple[Tuple[int, ...], int]] = None
+        self.pending_barrier: Optional[_BarrierKey] = None
         self.done = False
         self.failed = False  # an injected failure fired on this rank
         self.retval: Any = None
@@ -359,9 +350,12 @@ class Simulator:
                 nranks=self.nranks,
             )
         trace = Trace(self.nranks, record_events=self.record_events)
+        # One world group for the whole run: every rank's ``ctx.ranks``
+        # is this object, and the event loop knows it by identity.
+        world = tuple(range(self.nranks))
         states: List[_RankState] = []
         for rank in range(self.nranks):
-            ctx = VirtualComm(rank, self.nranks, self.machine, trace,
+            ctx = VirtualComm(rank, world, self.machine, trace,
                               observer=obs)
             gen = program(ctx, *args, **kwargs)
             state = _RankState(rank, gen)
@@ -372,8 +366,9 @@ class Simulator:
         mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]] = (
             defaultdict(deque)
         )
-        # barrier arrivals: (group, tag) -> list of ranks arrived
-        barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]] = defaultdict(list)
+        # barrier arrivals: (group, tag) -> list of ranks arrived; the
+        # world group is keyed as None (see _BarrierKey)
+        barrier_waiting: Dict[_BarrierKey, List[int]] = defaultdict(list)
 
         faults = self.faults
         # per-link message sequence numbers: (src, dst) -> next seq, the
@@ -387,7 +382,7 @@ class Simulator:
         ready = CohortQueue((0.0, r) for r in range(self.nranks))
 
         try:
-            self._event_loop(states, mailbox, barrier_waiting, faults,
+            self._event_loop(states, world, mailbox, barrier_waiting, faults,
                              link_seq, fail_pending, ready, trace, obs)
         except BaseException:
             # One rank's exception abandons every other rank mid-step.
@@ -435,8 +430,9 @@ class Simulator:
     def _event_loop(
         self,
         states: List[_RankState],
+        world: Tuple[int, ...],
         mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]],
-        barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]],
+        barrier_waiting: Dict[_BarrierKey, List[int]],
         faults,
         link_seq: Dict[Tuple[int, int], int],
         fail_pending: Dict[int, Any],
@@ -594,17 +590,29 @@ class Simulator:
                     break
 
                 if cls is Barrier:
-                    group = tuple(sorted(op.group)) if op.group else tuple(
-                        range(nranks)
-                    )
-                    if rank not in group:
-                        raise ValueError(
-                            f"rank {rank} issued barrier for group {group} "
-                            "it does not belong to"
-                        )
-                    bkey = (group, op.tag)
-                    barrier_waiting[bkey].append(rank)
-                    if len(barrier_waiting[bkey]) == len(group):
+                    group = op.group
+                    if group is world or not group:
+                        # ``ctx.barrier()``: every rank arrives with the
+                        # run's one world tuple, so nothing O(P) is
+                        # sorted, scanned or hashed per arrival.
+                        bkey = (None, op.tag)
+                        size = nranks
+                    else:
+                        group = tuple(sorted(group))
+                        if rank not in group:
+                            raise ValueError(
+                                f"rank {rank} issued barrier for group "
+                                f"{group} it does not belong to"
+                            )
+                        size = len(group)
+                        # A hand-built group naming every rank meets the
+                        # world barrier of the same tag.
+                        if group == world:
+                            group = None
+                        bkey = (group, op.tag)
+                    waiting = barrier_waiting[bkey]
+                    waiting.append(rank)
+                    if len(waiting) == size:
                         self._release_barrier(
                             bkey, barrier_waiting, states, trace, ready
                         )
@@ -1042,7 +1050,7 @@ class Simulator:
     @staticmethod
     def _deadlock_error(
         states: List[_RankState],
-        barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]],
+        barrier_waiting: Dict[_BarrierKey, List[int]],
         exch_waiting: Dict[Tuple[int, ...], List[int]],
     ) -> DeadlockError:
         """Build the per-rank wait graph of a stuck simulation."""
@@ -1075,6 +1083,8 @@ class Simulator:
                 )
             elif s.pending_barrier is not None:
                 group, tag = s.pending_barrier
+                if group is None:  # the world barrier
+                    group = range(len(states))
                 arrived = set(barrier_waiting.get(s.pending_barrier, ()))
                 missing = [m for m in group if m not in arrived]
                 wait_graph[r] = {
@@ -1192,8 +1202,8 @@ class Simulator:
 
     def _release_barrier(
         self,
-        bkey: Tuple[Tuple[int, ...], int],
-        barrier_waiting: Dict[Tuple[Tuple[int, ...], int], List[int]],
+        bkey: _BarrierKey,
+        barrier_waiting: Dict[_BarrierKey, List[int]],
         states: List[_RankState],
         trace: Trace,
         ready: CohortQueue,
@@ -1204,12 +1214,14 @@ class Simulator:
         queue as a single cohort — the whole mesh dispatches together on
         the next queue visit.
         """
-        group, _tag = bkey
+        # Complete means every member arrived: ``members`` is the group.
         members = barrier_waiting.pop(bkey)
+        size = len(members)
         release = max(states[r].clock for r in members)
-        cost = math.ceil(math.log2(len(group))) * self.machine.latency if len(
-            group
-        ) > 1 else 0.0
+        cost = (
+            math.ceil(math.log2(size)) * self.machine.latency
+            if size > 1 else 0.0
+        )
         for r in members:
             s = states[r]
             wait = release - s.clock

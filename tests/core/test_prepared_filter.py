@@ -128,6 +128,14 @@ def _input_fields():
     return fields
 
 
+def _random_fields(grid, nlayers, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        n: rng.standard_normal((grid.nlat, grid.nlon, nlayers))
+        for n in ("u", "v", "pt", "q", "ps")
+    }
+
+
 def _field_bytes(applications) -> bytes:
     """The fields after each application, variables in name order."""
     return b"".join(
@@ -239,11 +247,7 @@ def test_second_application_does_no_setup_work(backend_name, monkeypatch):
     mesh = ProcessorMesh(3, 4)
     decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
-    rng = np.random.default_rng(5)
-    fields = {
-        n: rng.standard_normal((grid.nlat, grid.nlon, 2))
-        for n in ("u", "v", "pt", "q", "ps")
-    }
+    fields = _random_fields(grid, nlayers=2, seed=5)
 
     counts = {"irfft": 0, "stage_a_moves": 0, "units_assigned_to_row": 0}
 
@@ -278,6 +282,73 @@ def test_second_application_does_no_setup_work(backend_name, monkeypatch):
         assert 0 < second["irfft"] == ranks_with_lines
     else:
         assert second["irfft"] == 0
+
+
+def test_packings_are_built_once_per_processor_row(monkeypatch):
+    """A host-independent work count: what the transpose filter knows
+    about a processor row (the units it keeps, each stage-A move that
+    touches it, the lines of each of its columns) is packed once per
+    row, not once per rank of the row."""
+    from repro.core.parallel_filter import _Packing
+
+    grid = SphericalGrid(nlat=32, nlon=64)
+    mesh = ProcessorMesh(4, 8)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    backend = prepare_filter_backend("fft-lb", make_filter_plan(grid), decomp)
+    fields = _random_fields(grid, nlayers=2, seed=7)
+
+    built = [0]
+    init = _Packing.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Packing, "__init__", counted)
+
+    def program(ctx):
+        local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+        yield from backend.apply(ctx, local)
+        yield from ctx.barrier()
+        yield from backend.apply(ctx, local)
+
+    Simulator(mesh.size, GENERIC).run(program)
+    moves = backend.assignment.stage_a_moves()
+    assert moves  # the balancer does ship units between rows here
+    rows, cols = mesh.nlat_procs, mesh.nlon_procs
+    # Per row: the kept units, one packing per column; per move: its
+    # source row's and its target row's.
+    assert built[0] <= rows * (1 + cols) + 2 * len(moves) < mesh.size * cols
+
+
+def test_backend_reused_across_runs_filters_like_fresh_ones():
+    """The prepared state (per row and per rank) outlives a simulator
+    run; a second run through it must not see anything of the first."""
+    grid = SphericalGrid(nlat=16, nlon=32)
+    mesh = ProcessorMesh(2, 4)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    plan = make_filter_plan(grid)
+
+    def gathered(backend, fields):
+        def program(ctx):
+            local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+            yield from backend.apply(ctx, local)
+            return local
+
+        res = Simulator(mesh.size, GENERIC).run(program)
+        return {
+            n: decomp.gather([res.returns[r][n] for r in range(mesh.size)])
+            for n in fields
+        }
+
+    for name in ("fft", "fft-lb"):
+        reused = prepare_filter_backend(name, plan, decomp)
+        for seed in (1, 2):
+            fields = _random_fields(grid, nlayers=3, seed=seed)
+            fresh = prepare_filter_backend(name, plan, decomp)
+            assert _field_bytes([gathered(reused, fields)]) == _field_bytes(
+                [gathered(fresh, fields)]
+            )
 
 
 def test_foreign_packing_cannot_address_local_rows():

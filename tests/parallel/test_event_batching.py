@@ -2,6 +2,9 @@
 (property-tested) and the bulk group-synchronous exchange executor,
 checked against the general per-message interpreter."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +98,47 @@ class TestCohortQueueOrdering:
         assert queue.pop() == (1.0, 4)
         assert queue.pop() == (1.0, 0)
         assert queue.pop() is None
+
+    def test_distinct_clock_sweep_costs_n_log_n_comparisons(self):
+        """A host-independent work count: 4 000 pairwise-distinct clocks
+        (every rank of a big mesh leaving a bulk exchange at its own
+        time) drain, with wake-ups pushed on the way, in O(n log n)
+        clock comparisons.  Re-scanning the pending entries on every
+        pop costs about n^2 / 2."""
+        compared = [0]
+
+        @functools.total_ordering  # whichever comparison is used, count it
+        class Clock:
+            def __init__(self, t):
+                self.t = t
+
+            def __float__(self):
+                return self.t
+
+            def __eq__(self, other):
+                compared[0] += 1
+                return self.t == float(other)
+
+            def __lt__(self, other):
+                compared[0] += 1
+                return self.t < float(other)
+
+        n = 4000
+        rng = np.random.default_rng(8)
+        first = rng.permutation(n // 2)
+        # Wake-ups never carry a clock below the waker's: all come later.
+        later = n + rng.permutation(n // 2)
+        queue = CohortQueue(
+            (Clock(float(t)), rank) for rank, t in enumerate(first)
+        )
+        popped = []
+        for t in later:
+            clock, rank = queue.pop()
+            popped.append(float(clock))
+            queue.push(Clock(float(t)), rank)
+        popped.extend(float(clock) for clock, _ in _drain(queue))
+        assert popped == [float(t) for t in sorted([*first, *later])]
+        assert compared[0] <= 6 * n * math.log2(n)
 
     def test_len_counts_cohort_remainder(self):
         queue = CohortQueue([(1.0, 0), (1.0, 1), (2.0, 2)])

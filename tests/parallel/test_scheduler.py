@@ -194,6 +194,34 @@ class TestDeadlock:
         assert graph[2]["kind"] == "recv" and graph[2]["on"] == [0]
         assert "waiting on rank(s) [2]" in str(err.value)
 
+    def test_world_barrier_report_names_group_and_missing_rank(self):
+        """The text recorded before world barriers stopped being filed
+        under their P-tuple: group and missing rank are still spelt out."""
+        def program(ctx):
+            yield Compute(seconds=0.25 * ctx.rank)
+            if ctx.rank < 3:
+                yield from ctx.barrier(tag=5)
+            else:
+                yield Recv(0, tag=9)  # never comes
+
+        with pytest.raises(DeadlockError) as err:
+            Simulator(4, GENERIC).run(program)
+        assert str(err.value) == (
+            "communication deadlock; wait graph:\n"
+            "  rank 0 waiting on rank(s) [3] at barrier(tag=0x00000005, "
+            "group=[0, 1, 2, 3]) since t=0 s\n"
+            "  rank 1 waiting on rank(s) [3] at barrier(tag=0x00000005, "
+            "group=[0, 1, 2, 3]) since t=0.25 s\n"
+            "  rank 2 waiting on rank(s) [3] at barrier(tag=0x00000005, "
+            "group=[0, 1, 2, 3]) since t=0.5 s\n"
+            "  rank 3 waiting on rank 0 for recv(tag=0x00000009) "
+            "since t=0.75 s"
+        )
+        assert err.value.wait_graph[1] == {
+            "kind": "barrier", "on": [3], "tag": 5, "since": 0.25,
+            "group": [0, 1, 2, 3],
+        }
+
     def test_wait_graph_marks_hung_rank(self):
         from repro.faults import FaultPlan, RankFailure
 
@@ -243,6 +271,45 @@ class TestBarrier:
 
         with pytest.raises(ValueError):
             Simulator(3, GENERIC).run(program)
+
+    def test_every_spelling_of_the_world_meets_at_one_barrier(self):
+        """``ctx.barrier()``, a group-less Barrier and a hand-built group
+        naming every rank (in any order) are the same barrier."""
+        def program(ctx):
+            yield Compute(seconds=float(ctx.rank))
+            if ctx.rank == 0:
+                yield from ctx.barrier()
+            elif ctx.rank == 1:
+                yield Barrier()
+            elif ctx.rank == 2:
+                yield Barrier(group=(3, 2, 1, 0))
+            else:
+                yield from ctx.group(range(ctx.size)).barrier()
+            return ctx.clock
+
+        res = Simulator(4, GENERIC).run(program)
+        assert len(set(res.returns)) == 1 and res.returns[0] >= 3.0
+
+
+class TestGroups:
+    def test_world_group_is_one_object_per_run(self):
+        def program(ctx):
+            return ctx.ranks
+            yield  # pragma: no cover - makes this a generator
+
+        res = Simulator(6, GENERIC).run(program)
+        assert res.returns[0] == tuple(range(6))
+        assert all(ranks is res.returns[0] for ranks in res.returns)
+
+    @pytest.mark.parametrize("outsider", [99, -1])
+    def test_group_rejects_ranks_outside_the_world(self, outsider):
+        """Not an IndexError inside the scheduler, not a deadlock on a
+        rank that does not exist."""
+        def program(ctx):
+            yield from ctx.group([ctx.rank, outsider]).barrier()
+
+        with pytest.raises(ValueError, match=rf"\[{outsider}\] outside 0\.\.3"):
+            Simulator(4, GENERIC).run(program)
 
 
 class TestDeterminism:
