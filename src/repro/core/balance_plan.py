@@ -106,10 +106,6 @@ class FilterAssignment:
         """Unit indices held by a processor row after stage A (ordered)."""
         return list(self._units_by_target_row[proc_row])
 
-    def units_owned_by_row(self, proc_row: int) -> List[int]:
-        """Unit indices natively owned by a processor row (ordered)."""
-        return [u for u, r in enumerate(self.owner_row) if r == proc_row]
-
     def lines_on_rank(self, rank: int) -> List[int]:
         """Unit indices whose complete lines land on ``rank`` after stage B."""
         i, j = self.decomp.mesh.coords_of(rank)

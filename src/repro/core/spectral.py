@@ -108,16 +108,6 @@ class PolarFilter:
             self.critical_lat_deg,
         )
 
-    def transfer_matrix(self) -> np.ndarray:
-        """All transfer rows stacked: shape (n_filtered_rows, N//2 + 1).
-
-        Row order matches :meth:`latitude_indices`.
-        """
-        idx = self.latitude_indices()
-        if idx.size == 0:
-            return np.ones((0, self.nlon // 2 + 1))
-        return np.stack([self.transfer(j) for j in idx])
-
     def kernel(self, lat_index: int) -> np.ndarray:
         """Equivalent circular-convolution kernel (length N) for a row.
 

@@ -391,13 +391,6 @@ class FaultPlan:
             return Delivery(tuple(drops), inject, inject + message_time + delay)
         raise AssertionError("unreachable: final attempt always delivers")
 
-    def failure_for(self, rank: int) -> Optional[RankFailure]:
-        """The failure scheduled for ``rank``, if any."""
-        for f in self.failures:
-            if f.rank == rank:
-                return f
-        return None
-
     # -- recovery helpers ----------------------------------------------
     def without_failure(self, rank: int) -> "FaultPlan":
         """A copy with ``rank``'s failure consumed (for restart attempts:

@@ -1,26 +1,17 @@
 """``python -m repro fleet ...``: worker processes and transport tools.
 
-Subcommands::
+``fleet worker`` is one execution worker of a distributed campaign; it
+may start before its coordinator (``--connect`` retries with backoff).
+``fleet echo`` reflects every frame back verbatim, for the two-process
+codec test and as a connectivity probe: anything it returns survived a
+real encode/decode round trip over TCP.
 
-    fleet worker --connect HOST:PORT [--cache-dir [PATH]] [--name NAME]
-                 [--chaos SPEC] [--retries N]
-    fleet worker --listen HOST:PORT ...
-        One execution worker.  ``--connect`` dials the campaign
-        coordinator (retrying with backoff, so start order does not
-        matter); ``--listen`` waits to be dialed (the coordinator side
-        then uses ``campaign --fleet HOST:PORT``).  ``--chaos`` injects
-        scripted failures ("kill@2", "disconnect@1,hang@3",
-        "seed=7:p=0.05") for resilience testing.
-
-    fleet echo --listen HOST:PORT [--once]
-        A frame echo server: accepts connections and reflects every
-        frame back verbatim.  Exists for the two-process codec test
-        (and as a quick connectivity probe: anything the echo returns
-        survived a real encode/decode round trip over TCP).
+``python -m repro fleet <worker|echo> --help`` lists the flags.
 """
 
 from __future__ import annotations
 
+import argparse
 import socket
 import sys
 
@@ -30,86 +21,54 @@ from repro.fleet.frames import (
     read_frame,
     send_frame,
 )
+from repro.util.cli import Command, StrictParser, run_command
 
 __all__ = ["main"]
 
 
-def _cmd_worker(rest: list) -> int:
-    from repro.fleet.worker import CONNECT_ATTEMPTS, run_worker
+def _declare_worker(p: StrictParser) -> None:
+    from repro.fleet.worker import CONNECT_ATTEMPTS
 
-    connect = listen = cache_dir = name = chaos = None
-    retries = CONNECT_ATTEMPTS
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
-        if arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        if arg in ("--connect", "--listen", "--name", "--chaos",
-                   "--cache-dir", "--retries"):
-            if i + 1 >= len(rest):
-                print(f"fleet worker: {arg} requires a value",
-                      file=sys.stderr)
-                return 2
-            value = rest[i + 1]
-            i += 2
-            if arg == "--connect":
-                connect = value
-            elif arg == "--listen":
-                listen = value
-            elif arg == "--name":
-                name = value
-            elif arg == "--chaos":
-                chaos = value
-            elif arg == "--cache-dir":
-                cache_dir = value
-            else:
-                try:
-                    retries = int(value)
-                except ValueError:
-                    print(f"fleet worker: --retries expects an integer, "
-                          f"got {value!r}", file=sys.stderr)
-                    return 2
-        else:
-            print(f"fleet worker: unknown option {arg!r}", file=sys.stderr)
-            return 2
+    p.add_argument("--connect", metavar="HOST:PORT",
+                   help="dial the campaign coordinator here")
+    p.add_argument("--listen", metavar="HOST:PORT",
+                   help="wait here to be dialed by `campaign --fleet`")
+    p.add_argument("--cache-dir", metavar="PATH",
+                   help="result store (default: the one the coordinator's "
+                   "welcome frame names)")
+    p.add_argument("--name", help="worker name in reports and events")
+    p.add_argument("--chaos", metavar="SPEC",
+                   help='scripted failures for resilience testing: '
+                   '"kill@2", "disconnect@1,hang@3", "seed=7:p=0.05"')
+    p.add_argument("--retries", type=int, default=CONNECT_ATTEMPTS,
+                   metavar="N", help="--connect attempts "
+                   "(default: %(default)s)")
+
+
+def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.fleet.worker import run_worker
+
     try:
-        return run_worker(connect=connect, listen=listen,
-                          cache_dir=cache_dir, name=name, chaos=chaos,
-                          connect_attempts=retries)
+        return run_worker(connect=args.connect, listen=args.listen,
+                          cache_dir=args.cache_dir, name=args.name,
+                          chaos=args.chaos, connect_attempts=args.retries)
     except ValueError as exc:
         print(f"fleet worker: {exc}", file=sys.stderr)
         return 2
 
 
-def _cmd_echo(rest: list) -> int:
+def _declare_echo(p: StrictParser) -> None:
+    p.add_argument("--listen", metavar="HOST:PORT", required=True,
+                   help="bind address (port 0 picks a free port)")
+    p.add_argument("--once", action="store_true",
+                   help="exit after the first connection closes")
+
+
+def _cmd_echo(args: argparse.Namespace) -> int:
     from repro.fleet.config import parse_address
 
-    listen = None
-    once = False
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
-        if arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        if arg == "--listen":
-            if i + 1 >= len(rest):
-                print("fleet echo: --listen requires HOST:PORT",
-                      file=sys.stderr)
-                return 2
-            listen, i = rest[i + 1], i + 2
-        elif arg == "--once":
-            once = True
-            i += 1
-        else:
-            print(f"fleet echo: unknown option {arg!r}", file=sys.stderr)
-            return 2
-    if listen is None:
-        print("fleet echo: --listen HOST:PORT is required", file=sys.stderr)
-        return 2
     try:
-        host, port = parse_address(listen)
+        host, port = parse_address(args.listen)
     except ValueError as exc:
         print(f"fleet echo: {exc}", file=sys.stderr)
         return 2
@@ -129,7 +88,7 @@ def _cmd_echo(rest: list) -> int:
                 pass
             finally:
                 sock.close()
-            if once:
+            if args.once:
                 return 0
     except KeyboardInterrupt:
         return 130
@@ -137,14 +96,14 @@ def _cmd_echo(rest: list) -> int:
         server.close()
 
 
+COMMANDS = {
+    "worker": Command("one execution worker of a distributed campaign",
+                      _declare_worker, _cmd_worker),
+    "echo": Command("frame echo server (codec test, connectivity probe)",
+                    _declare_echo, _cmd_echo),
+}
+
+
 def main(rest: list) -> int:
-    if not rest or rest[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    if rest[0] == "worker":
-        return _cmd_worker(rest[1:])
-    if rest[0] == "echo":
-        return _cmd_echo(rest[1:])
-    print(f"fleet: unknown subcommand {rest[0]!r} "
-          f"(expected 'worker' or 'echo')", file=sys.stderr)
-    return 2
+    # A bare `fleet` prints the help and exits 0, as it always has.
+    return run_command(COMMANDS, rest or ["--help"], "fleet", __doc__)

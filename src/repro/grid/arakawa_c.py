@@ -100,10 +100,6 @@ class ArakawaCGrid:
         """Full field shape (nlat, nlon, nlayers)."""
         return (*self.grid.shape, self.nlayers)
 
-    def zeros2d(self) -> np.ndarray:
-        """A zero-filled horizontal field."""
-        return np.zeros(self.shape2d)
-
     def zeros3d(self) -> np.ndarray:
         """A zero-filled 3-D field."""
         return np.zeros(self.shape3d)

@@ -93,21 +93,6 @@ class ColumnFlowPlan:
         """Columns shipped across all passes (data-movement volume proxy)."""
         return sum(m.ncols for p in self.passes for m in p)
 
-    def movement_matrix(self) -> np.ndarray:
-        """``M[i, j]`` — columns shipped from rank ``i`` to rank ``j``.
-
-        Sums over every pass, so a column relayed i→k→j counts once in
-        ``M[i, k]`` and once in ``M[k, j]``.  Its grand total equals
-        :meth:`total_columns_moved`; row/column sums show who donates
-        and who absorbs work — the straggler diagnostic the mitigation
-        experiment prints.
-        """
-        mat = np.zeros((self.nranks, self.nranks), dtype=np.int64)
-        for p in self.passes:
-            for m in p:
-                mat[m.src, m.dst] += m.ncols
-        return mat
-
 
 def _pop_tail(runs: List[Run], n: int) -> List[Run]:
     """Remove the last ``n`` columns from an ordered run list.

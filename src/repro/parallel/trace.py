@@ -37,16 +37,6 @@ class RankAccounting:
     messages_retransmitted: int = 0
     bytes_retransmitted: int = 0
 
-    @property
-    def comm_time(self) -> float:
-        """Total time attributable to communication on this rank."""
-        return (
-            self.send_busy_time
-            + self.recv_busy_time
-            + self.recv_wait_time
-            + self.barrier_wait_time
-        )
-
 
 class Trace:
     """Collects per-rank and per-phase accounting during a simulation.

@@ -1,12 +1,9 @@
 """``python -m repro results`` — the index's command-line front end.
 
-Subcommands::
-
-    results ingest  --cache-dir P ... --bench F ... --serve-slo F ...
-    results query   "SELECT ..." [--param V ...]
-    results runs    [--ident X] [--source S]
-    results trajectory [--metric NAME ...]
-    results prune   --cache-dir P [--older-than DAYS] [--dry-run]
+Subcommands: ``ingest`` (index campaign caches, bench trajectories and
+serve SLO dumps), ``query`` (read-only SQL), ``runs`` and
+``trajectory`` (canned reports), ``prune`` (cache GC);
+``python -m repro results <subcommand> --help`` lists the flags.
 
 All reads are forced read-only (``query`` cannot mutate the index no
 matter what SQL it is handed); every report renders as a monospace
@@ -15,7 +12,6 @@ table by default or as JSON with ``--json``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sqlite3
@@ -23,81 +19,72 @@ import sys
 from typing import List, Optional
 
 from repro.results.db import DEFAULT_DB, ResultsDB
+from repro.util.cli import Command, StrictParser, run_command
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro results",
-        description="Query and maintain the cross-run result index.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _db_flag(p: StrictParser) -> None:
+    p.add_argument("--db", default=DEFAULT_DB,
+                   help="index file (default: %(default)s)")
 
-    ingest = sub.add_parser(
-        "ingest", help="index campaign caches, bench trajectories, "
-        "serve SLO dumps")
-    ingest.add_argument("--db", default=DEFAULT_DB,
-                        help="index file (default: %(default)s)")
-    ingest.add_argument("--cache-dir", action="append", default=[],
-                        metavar="DIR",
-                        help="campaign/serve --cache-dir to walk "
-                        "(repeatable)")
-    ingest.add_argument("--bench", action="append", default=[],
-                        metavar="FILE",
-                        help="BENCH_agcm.json trajectory (repeatable)")
-    ingest.add_argument("--serve-slo", action="append", default=[],
-                        metavar="FILE",
-                        help="serve SLO summary from "
-                        "`serve --bench --json-out` (repeatable)")
-    ingest.add_argument("--git-sha", default=None,
-                        help="provenance stamp override (default: "
-                        "$REPRO_GIT_SHA, then `git rev-parse HEAD`)")
-    ingest.add_argument("--json", action="store_true",
-                        help="machine-readable ingest stats")
 
-    query = sub.add_parser(
-        "query", help="run read-only SQL against the index")
-    query.add_argument("sql", help="one SELECT statement; bind values "
-                       "with ? placeholders")
-    query.add_argument("--db", default=DEFAULT_DB)
-    query.add_argument("--param", action="append", default=[],
-                       metavar="VALUE",
-                       help="positional ? binding (repeatable, in order)")
-    query.add_argument("--json", action="store_true",
-                       help="rows as a JSON list of objects")
+def _declare_ingest(p: StrictParser) -> None:
+    _db_flag(p)
+    p.add_argument("--cache-dir", action="append", default=[],
+                   metavar="DIR",
+                   help="campaign/serve --cache-dir to walk (repeatable)")
+    p.add_argument("--bench", action="append", default=[], metavar="FILE",
+                   help="BENCH_agcm.json trajectory (repeatable)")
+    p.add_argument("--serve-slo", action="append", default=[],
+                   metavar="FILE",
+                   help="serve SLO summary from "
+                   "`serve --bench --json-out` (repeatable)")
+    p.add_argument("--git-sha", default=None,
+                   help="provenance stamp override (default: "
+                   "$REPRO_GIT_SHA, then `git rev-parse HEAD`)")
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable ingest stats")
 
-    runs = sub.add_parser(
-        "runs", help="per-unit rows + per-experiment best/worst rollup")
-    runs.add_argument("--db", default=DEFAULT_DB)
-    runs.add_argument("--ident", default=None,
-                      help="restrict to one experiment ident")
-    runs.add_argument("--source", default=None,
-                      choices=("campaign", "serve", "bench", "api"))
-    runs.add_argument("--json", action="store_true")
 
-    traj = sub.add_parser(
-        "trajectory", help="benchmark metrics across recorded entries")
-    traj.add_argument("--db", default=DEFAULT_DB)
-    traj.add_argument("--metric", action="append", default=[],
-                      metavar="NAME",
-                      help="metric column (repeatable; default: the "
-                      "gated tracked ratios)")
-    traj.add_argument("--json", action="store_true")
+def _declare_query(p: StrictParser) -> None:
+    p.add_argument("sql", help="one SELECT statement; bind values "
+                   "with ? placeholders")
+    _db_flag(p)
+    p.add_argument("--param", action="append", default=[], metavar="VALUE",
+                   help="positional ? binding (repeatable, in order)")
+    p.add_argument("--json", action="store_true",
+                   help="rows as a JSON list of objects")
 
-    prune = sub.add_parser(
-        "prune", help="GC cache entries unreferenced by manifest/index")
-    prune.add_argument("--cache-dir", required=True, metavar="DIR")
-    prune.add_argument("--db", default=None,
-                       help="also keep entries referenced by this index")
-    prune.add_argument("--older-than", type=float, default=30.0,
-                       metavar="DAYS",
-                       help="only remove entries older than DAYS "
-                       "(default: %(default)s)")
-    prune.add_argument("--dry-run", action="store_true",
-                       help="list what would be removed; delete nothing")
-    prune.add_argument("--json", action="store_true")
-    return parser
+
+def _declare_runs(p: StrictParser) -> None:
+    _db_flag(p)
+    p.add_argument("--ident", default=None,
+                   help="restrict to one experiment ident")
+    p.add_argument("--source", default=None,
+                   choices=("campaign", "serve", "bench", "api"))
+    p.add_argument("--json", action="store_true")
+
+
+def _declare_trajectory(p: StrictParser) -> None:
+    _db_flag(p)
+    p.add_argument("--metric", action="append", default=[], metavar="NAME",
+                   help="metric column (repeatable; default: the "
+                   "gated tracked ratios)")
+    p.add_argument("--json", action="store_true")
+
+
+def _declare_prune(p: StrictParser) -> None:
+    p.add_argument("--cache-dir", required=True, metavar="DIR")
+    p.add_argument("--db", default=None,
+                   help="also keep entries referenced by this index")
+    p.add_argument("--older-than", type=float, default=30.0,
+                   metavar="DAYS",
+                   help="only remove entries older than DAYS "
+                   "(default: %(default)s)")
+    p.add_argument("--dry-run", action="store_true",
+                   help="list what would be removed; delete nothing")
+    p.add_argument("--json", action="store_true")
 
 
 def _require_db(path: str) -> Optional[str]:
@@ -219,17 +206,19 @@ def _cmd_prune(args) -> int:
     return 1 if report.errors else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors
-        return int(exc.code or 0)
-    handler = {
-        "ingest": _cmd_ingest,
-        "query": _cmd_query,
-        "runs": _cmd_runs,
-        "trajectory": _cmd_trajectory,
-        "prune": _cmd_prune,
-    }[args.command]
-    return handler(args)
+COMMANDS = {
+    "ingest": Command("index campaign caches, bench trajectories, "
+                      "serve SLO dumps", _declare_ingest, _cmd_ingest),
+    "query": Command("run read-only SQL against the index",
+                     _declare_query, _cmd_query),
+    "runs": Command("per-unit rows + per-experiment best/worst rollup",
+                    _declare_runs, _cmd_runs),
+    "trajectory": Command("benchmark metrics across recorded entries",
+                          _declare_trajectory, _cmd_trajectory),
+    "prune": Command("GC cache entries unreferenced by manifest/index",
+                     _declare_prune, _cmd_prune),
+}
+
+
+def main(argv: List[str]) -> int:
+    return run_command(COMMANDS, argv, "results", __doc__)

@@ -396,12 +396,12 @@ def check_pairs(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI driver; returns a process exit code."""
-    import argparse
-
+    from repro.util.cli import StrictParser
     from repro.verify import pairs as pairs_mod
 
-    parser = argparse.ArgumentParser(
-        description="Run the differential verification suite."
+    parser = StrictParser(
+        "verify.differential", prog="python -m repro.verify.differential",
+        description="Run the differential verification suite.",
     )
     parser.add_argument(
         "--pairs", default=None,

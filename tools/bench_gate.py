@@ -26,7 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import os
 import sys
@@ -34,11 +33,13 @@ import sys
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
+from repro.util.cli import StrictParser  # noqa: E402
 from repro.verify import bench_record  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = StrictParser("bench_gate.py", prog="python tools/bench_gate.py",
+                          description=__doc__.splitlines()[0])
     parser.add_argument(
         "--output",
         default=os.path.join(_REPO_ROOT, "BENCH_agcm.json"),

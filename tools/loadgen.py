@@ -20,7 +20,6 @@ were not bit-identical per key; 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import os
@@ -35,10 +34,12 @@ from repro.serve.loadgen import (  # noqa: E402
     LoadPlan,
     replay,
 )
+from repro.util.cli import StrictParser  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = StrictParser("loadgen.py", prog="python tools/loadgen.py",
+                          description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="traffic plan seed (default: %(default)s)")
     parser.add_argument("--host", default=None,
