@@ -7,6 +7,7 @@ from repro.dynamics.state import (
     PT_REFERENCE,
     ModelState,
     initial_fields_block,
+    scatter_initial_fields,
 )
 from repro.dynamics.tendencies import (
     FLOPS_PER_POINT_LAYER,
@@ -35,6 +36,7 @@ __all__ = [
     "LocalGeometry",
     "ModelState",
     "initial_fields_block",
+    "scatter_initial_fields",
     "PROGNOSTIC_NAMES",
     "PT_REFERENCE",
     "PHI_SCALE",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +29,9 @@ class LocalGeometry:
     Face arrays refer to the *northern* face of each padded row; face
     latitudes are clipped to the poles, which makes ``cos(face)`` vanish
     there and closes the meridional mass flux through the poles for free.
+
+    One instance may serve many callers (every rank of a processor row
+    in a simulated run), so its arrays are read-only.
     """
 
     lat0: int
@@ -87,6 +92,8 @@ class LocalGeometry:
         # diffusive one.
         dx_ref = grid.radius * math.cos(math.radians(45.0)) * dlon_rad
         diff_scale = np.minimum(1.0, (dx_c / dx_ref) ** 2)
+        for arr in (lat_c, cos_c, dx_c, f_c, cos_n, f_n, dx_n, diff_scale):
+            arr.setflags(write=False)
         return cls(
             lat0=lat0,
             lat1=lat1,
@@ -107,3 +114,30 @@ class LocalGeometry:
         """Interior rows of a padded-row metric, shaped for broadcasting."""
         v = padded_row_array[1:-1]
         return v.reshape(v.shape[0], *([1] * (ndim - 1)))
+
+    @cached_property
+    def stencil(self) -> SimpleNamespace:
+        """Row coefficients of the tendency kernel, formed once.
+
+        Read-only ``(nlat_local, 1, 1)`` columns (``cos_n`` one row
+        longer: the north faces of padded rows ``0 .. nlat_local``) that
+        broadcast over ``(nlat, nlon, K)`` interiors, each computed with
+        the expression the kernel would otherwise evaluate on every call.
+        ``polar`` indexes the interior rows whose north face is a pole.
+        """
+        def col(rows: np.ndarray) -> np.ndarray:
+            return self.col(rows, 3)
+
+        dx_c, dx_n = col(self.dx_c), col(self.dx_n)
+        cols = SimpleNamespace(
+            dx_c=dx_c, two_dx_c=2.0 * dx_c, dx_c_sq=dx_c ** 2,
+            dx_n=dx_n, two_dx_n=2.0 * dx_n, dx_n_sq=dx_n ** 2,
+            cos_dy=col(self.cos_c) * self.dy,
+            cos_n=self.cos_n[:-1].reshape(-1, 1, 1),
+            f_c=col(self.f_c), neg_f_n=-col(self.f_n),
+            diff_scale=col(self.diff_scale),
+            polar=np.flatnonzero(self.cos_n[1:-1] <= 0.0),
+        )
+        for arr in vars(cols).values():
+            arr.setflags(write=False)
+        return cols

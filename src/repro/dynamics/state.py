@@ -31,7 +31,7 @@ row-redistribution machinery, and incidentally of the paper's own
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -173,3 +173,26 @@ def initial_fields_block(
     ).copy()
     ps = np.full((nlat, nlon, 1), c.P_REFERENCE)
     return {"u": u, "v": v, "pt": pt, "ps": ps, "q": q}
+
+
+def scatter_initial_fields(
+    decomp, grid: SphericalGrid, nlayers: int, seed: int = 7,
+) -> List[Dict[str, np.ndarray]]:
+    """Every rank's block of the initial fields, for one simulator run.
+
+    The fields are a pointwise function of the coordinates, so they are
+    computed once on the whole grid and cut up by ``decomp.scatter`` (a
+    2-D or 3-D decomposition), not once per rank; each global array is
+    dropped as soon as it is scattered, so a run holds one copy.  The
+    blocks are the ranks' own memory, bit-identical to what
+    :func:`initial_fields_block` gives on each rank's coordinates.
+    """
+    fields = initial_fields_block(
+        grid.lat_rad, grid.lon_rad, nlayers, seed=seed)
+    blocks: List[Dict[str, np.ndarray]] = [
+        {} for _ in range(decomp.mesh.size)
+    ]
+    for name in list(fields):
+        for block, part in zip(blocks, decomp.scatter(fields.pop(name))):
+            block[name] = part
+    return blocks

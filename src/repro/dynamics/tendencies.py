@@ -12,9 +12,10 @@ halo-padded block.  The discretisation is the classic C-grid scheme:
 * a weak del-squared diffusion for numerical stability (configurable);
 * ``ps`` relaxes with the layer-mean mass tendency.
 
-Everything is a vectorised numpy expression over the padded block — the
-"production" kernel.  The deliberately *unoptimised* variants the paper's
-single-node study starts from live in :mod:`repro.perf.advection_opt`.
+Everything is a vectorised numpy operation over the padded block, written
+into a reusable :class:`TendencyWorkspace` — the "production" kernel.
+The deliberately *unoptimised* variants the paper's single-node study
+starts from live in :mod:`repro.perf.advection_opt`.
 
 ``FLOPS_PER_POINT_LAYER`` is the hand-counted arithmetic cost of this
 kernel per grid point per layer; the virtual machine charges it when the
@@ -24,17 +25,12 @@ kernel runs inside a simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro import constants as c
 from repro.dynamics.geometry import LocalGeometry
-from repro.dynamics.operators import (
-    laplacian5,
-    u_at_v_points,
-    v_at_u_points,
-)
 from repro.dynamics.state import PHI_SCALE, PT_REFERENCE
 
 #: Hand-counted flops per grid point per layer of one tendency evaluation
@@ -63,10 +59,38 @@ class DynamicsParams:
     phi_scale: float = PHI_SCALE
 
 
+class TendencyWorkspace:
+    """Scratch memory of :func:`compute_tendencies` for one interior shape.
+
+    Four interior-shaped arrays plus the two flux buffers.  The kernel
+    leaves nothing in them that a later call reads, so one workspace may
+    serve any number of blocks of its shape, one call after another —
+    in a simulated run, every rank of one tile shape, because the kernel
+    never yields.
+    """
+
+    def __init__(self, nlat: int, nlon: int, nlayers: int):
+        self.shape = (nlat, nlon, nlayers)
+        self.scratch = tuple(np.empty(self.shape) for _ in range(4))
+        #: Zonal mass flux through the east faces, interior rows only.
+        self.fx = np.empty((nlat, nlon + 1, nlayers))
+        #: Meridional mass flux through the north faces, interior columns.
+        self.fy = np.empty((nlat + 1, nlon, nlayers))
+
+
+# Interior points of a halo-1 padded array and their four neighbours.
+_C = (slice(1, -1), slice(1, -1))
+_E = (slice(1, -1), slice(2, None))
+_W = (slice(1, -1), slice(None, -2))
+_N = (slice(2, None), slice(1, -1))
+_S = (slice(None, -2), slice(1, -1))
+
+
 def compute_tendencies(
     padded: Dict[str, np.ndarray],
     geom: LocalGeometry,
     params: DynamicsParams = DynamicsParams(),
+    workspace: Optional[TendencyWorkspace] = None,
 ) -> Dict[str, np.ndarray]:
     """Tendencies of all prognostics on the interior of a padded block.
 
@@ -77,80 +101,145 @@ def compute_tendencies(
         halo-1 padded local fields.
     geom:
         The block's :class:`LocalGeometry` (padded-row metrics).
+    workspace:
+        A :class:`TendencyWorkspace` of the block's interior shape to
+        reuse; without one the call makes its own.
 
     Returns
     -------
-    dict of interior-shaped tendency arrays, same keys as ``padded``.
+    dict of interior-shaped tendency arrays, same keys as ``padded``,
+    each freshly allocated (the caller owns them).
+
+    Every intermediate is written with ``out=`` into the workspace, so a
+    call streams through a handful of cache-resident arrays instead of
+    allocating one per operator.  Each element still sees the IEEE
+    operations of the textbook expression (quoted beside each group) in
+    the same order; ``tests/dynamics/test_tendencies.py`` holds that
+    expression form as the byte-for-byte oracle.
     """
     u, v, pt, q = padded["u"], padded["v"], padded["pt"], padded["q"]
-    ndim = u.ndim
-    dx_c = geom.col(geom.dx_c, ndim)
-    cos_c = geom.col(geom.cos_c, ndim)
-    f_c = geom.col(geom.f_c, ndim)
+    shape = (u.shape[0] - 2, u.shape[1] - 2, u.shape[2])
+    if workspace is None:
+        workspace = TendencyWorkspace(*shape)
+    elif workspace.shape != shape:
+        raise ValueError(
+            f"workspace of shape {workspace.shape} given a block of {shape}"
+        )
+    s, t, w, _ = scratch = workspace.scratch
+    fx, fy = workspace.fx, workspace.fy
+    g = geom.stencil
     dy = geom.dy
+    two_dy = 2.0 * dy
+    dy_sq = dy ** 2
     # Latitude-scaled diffusion coefficient (see LocalGeometry.diff_scale).
-    nu = params.diffusion * geom.col(geom.diff_scale, ndim)
+    nu = params.diffusion * g.diff_scale
     phi_fac = params.phi_scale / PT_REFERENCE
 
     # ---- continuity: flux-form mass transport -------------------------
-    # Zonal flux at the east face of every padded column but the last.
-    fx = u[:, :-1] * (0.5 * (pt[:, :-1] + pt[:, 1:]))
-    div_x = (fx[1:-1, 1:] - fx[1:-1, :-1]) / dx_c
-    # Meridional flux through the north face of every padded row but the
-    # last, weighted by the face cosine (zero at the poles -> closed).
-    cos_n_rows = geom.cos_n[:-1].reshape(-1, *([1] * (ndim - 1)))
-    fy = v[:-1] * (0.5 * (pt[:-1] + pt[1:])) * cos_n_rows
-    div_y = (fy[1:] - fy[:-1])[:, 1:-1] / (cos_c * dy)
-    dpt = -(div_x + div_y)
+    # fx = u * (0.5 * (pt + pt_east)) at the east face of every padded
+    # column but the last; dpt = -((fx - fx_west) / dx + div_y).
+    np.add(pt[1:-1, :-1], pt[1:-1, 1:], out=fx)
+    fx *= 0.5
+    fx *= u[1:-1, :-1]
+    dpt = np.subtract(fx[:, 1:], fx[:, :-1])
+    dpt /= g.dx_c
+    # fy = v * (0.5 * (pt + pt_north)) * cos_n through the north face of
+    # every padded row but the last: the face cosine is zero at the poles
+    # and closes the domain.  div_y = (fy - fy_south) / (cos * dy).
+    np.add(pt[:-1, 1:-1], pt[1:, 1:-1], out=fy)
+    fy *= 0.5
+    fy *= v[:-1, 1:-1]
+    fy *= g.cos_n
+    np.subtract(fy[1:], fy[:-1], out=s)
+    s /= g.cos_dy
+    dpt += s
+    np.negative(dpt, out=dpt)
+    # pt diffusion stabilises the mass field.
+    _add_diffusion(pt, g.dx_c_sq, dy_sq, nu, scratch, dpt)
 
     # ---- u momentum (u points = east faces) ----------------------------
-    dphi_dx = phi_fac * (pt[1:-1, 2:] - pt[1:-1, 1:-1]) / dx_c
-    v4 = v_at_u_points(v)
-    u_c = u[1:-1, 1:-1]
-    du_dx = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * dx_c)
-    du_dy = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dy)
-    du = (
-        f_c * v4
-        - dphi_dx
-        - (u_c * du_dx + v4 * du_dy)
-        + nu * laplacian5(u, geom.dx_c[1:-1], dy)
-    )
+    # du = f*v4 - phi_fac*(pt_east - pt)/dx - (u*du_dx + v4*du_dy) + diff
+    np.add(v[_C], v[_E], out=w)  # v4: the four v points around a u point
+    w += v[_S]
+    w += v[:-2, 2:]
+    w *= 0.25
+    du = np.multiply(g.f_c, w)
+    np.subtract(pt[_E], pt[_C], out=s)
+    s *= phi_fac
+    s /= g.dx_c
+    du -= s
+    np.subtract(u[_E], u[_W], out=s)
+    s /= g.two_dx_c
+    s *= u[_C]
+    np.subtract(u[_N], u[_S], out=t)
+    t /= two_dy
+    t *= w
+    s += t
+    du -= s
+    _add_diffusion(u, g.dx_c_sq, dy_sq, nu, scratch, du)
 
     # ---- v momentum (v points = north faces) ---------------------------
-    f_n = geom.col(geom.f_n, ndim)
-    dx_n = geom.col(geom.dx_n, ndim)
-    dphi_dy = phi_fac * (pt[2:, 1:-1] - pt[1:-1, 1:-1]) / dy
-    u4 = u_at_v_points(u)
-    v_c = v[1:-1, 1:-1]
-    dv_dx = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * dx_n)
-    dv_dy = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * dy)
-    dv = (
-        -f_n * u4
-        - dphi_dy
-        - (u4 * dv_dx + v_c * dv_dy)
-        + nu * laplacian5(v, geom.dx_n[1:-1], dy)
-    )
+    # dv = -f_n*u4 - phi_fac*(pt_north - pt)/dy - (u4*dv_dx + v*dv_dy) + diff
+    np.add(u[_C], u[_W], out=w)  # u4: the four u points around a v point
+    w += u[_N]
+    w += u[2:, :-2]
+    w *= 0.25
+    dv = np.multiply(g.neg_f_n, w)
+    np.subtract(pt[_N], pt[_C], out=s)
+    s *= phi_fac
+    s /= dy
+    dv -= s
+    np.subtract(v[_E], v[_W], out=s)
+    s /= g.two_dx_n
+    s *= w
+    np.subtract(v[_N], v[_S], out=t)
+    t /= two_dy
+    t *= v[_C]
+    s += t
+    dv -= s
+    _add_diffusion(v, g.dx_n_sq, dy_sq, nu, scratch, dv)
     # No flow through the poles: zero the tendency where the face cosine
     # vanishes (the top row of the northernmost block).
-    polar = geom.cos_n[1:-1] <= 0.0
-    if polar.any():
-        dv[polar] = 0.0
+    if g.polar.size:
+        dv[g.polar] = 0.0
 
     # ---- humidity tracer (advective form at centres) --------------------
-    u_ctr = 0.5 * (u[1:-1, 1:-1] + u[1:-1, :-2])
-    v_ctr = 0.5 * (v[1:-1, 1:-1] + v[:-2, 1:-1])
-    dq = -(
-        u_ctr * (q[1:-1, 2:] - q[1:-1, :-2]) / (2.0 * dx_c)
-        + v_ctr * (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * dy)
-    ) + nu * laplacian5(q, geom.dx_c[1:-1], dy)
-
-    # ---- pt diffusion (stabilises the mass field) ------------------------
-    dpt = dpt + nu * laplacian5(pt, geom.dx_c[1:-1], dy)
+    # dq = -(u_ctr*(q_east - q_west)/(2 dx) + v_ctr*(q_north - q_south)/(2 dy))
+    np.add(u[_C], u[_W], out=w)
+    w *= 0.5
+    np.subtract(q[_E], q[_W], out=s)
+    s *= w
+    s /= g.two_dx_c
+    np.add(v[_C], v[_S], out=w)
+    w *= 0.5
+    np.subtract(q[_N], q[_S], out=t)
+    t *= w
+    t /= two_dy
+    dq = np.add(s, t)
+    np.negative(dq, out=dq)
+    _add_diffusion(q, g.dx_c_sq, dy_sq, nu, scratch, dq)
 
     # ---- surface pressure proxy -------------------------------------------
     dps = surface_pressure_tendency(dpt)
 
     return {"u": du, "v": dv, "pt": dpt, "q": dq, "ps": dps}
+
+
+def _add_diffusion(p, dx_sq, dy_sq, nu, scratch, out) -> None:
+    """``out += nu * laplacian5(p)``: the five-point del-squared of
+    :func:`repro.dynamics.operators.laplacian5`, ``2 * centre`` formed
+    once for both directions."""
+    s, t, _, two_c = scratch
+    np.multiply(p[_C], 2.0, out=two_c)
+    np.subtract(p[_E], two_c, out=s)
+    s += p[_W]
+    s /= dx_sq
+    np.subtract(p[_N], two_c, out=t)
+    t += p[_S]
+    t /= dy_sq
+    s += t
+    s *= nu
+    out += s
 
 
 def surface_pressure_tendency(dpt: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.core.parallel_filter import apply_serial_filter
 from repro.dynamics.geometry import LocalGeometry
 from repro.dynamics.implicit import implicit_vertical_diffusion
 from repro.dynamics.state import ModelState, PROGNOSTIC_NAMES
-from repro.dynamics.tendencies import compute_tendencies
+from repro.dynamics.tendencies import TendencyWorkspace, compute_tendencies
 from repro.dynamics.timestep import euler_step, leapfrog_step, pin_polar_v
 from repro.grid.halo import pad_with_halo
 from repro.model.config import AGCMConfig
@@ -59,6 +59,8 @@ class AGCM:
         self.config = config
         self.grid = config.make_grid()
         self.geom = LocalGeometry.from_grid(self.grid)
+        self._work = TendencyWorkspace(
+            config.nlat, config.nlon, config.nlayers)
         self.plan: FilterPlan = make_filter_plan(self.grid)
         self.dt = config.timestep()
         self._prev: Optional[ModelState] = None
@@ -98,7 +100,8 @@ class AGCM:
         padded = {
             name: pad_with_halo(arr) for name, arr in state.fields().items()
         }
-        tend = compute_tendencies(padded, self.geom, self.config.dynamics)
+        tend = compute_tendencies(
+            padded, self.geom, self.config.dynamics, self._work)
         tend["pt"] = tend["pt"] + self._forcing_pt
         tend["q"] = tend["q"] + self._forcing_q
         return tend

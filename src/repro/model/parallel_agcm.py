@@ -54,8 +54,9 @@ from repro.core.masks import make_filter_plan
 from repro.core.parallel_filter import prepare_filter_backend
 from repro.dynamics.geometry import LocalGeometry
 from repro.dynamics.implicit import implicit_vertical_diffusion
-from repro.dynamics.state import PROGNOSTIC_NAMES, initial_fields_block
+from repro.dynamics.state import PROGNOSTIC_NAMES, scatter_initial_fields
 from repro.dynamics.tendencies import (
+    TendencyWorkspace,
     compute_tendencies,
     dynamics_flops,
     dynamics_mem_bytes,
@@ -80,6 +81,69 @@ UPDATE_FLOPS_PER_POINT_LAYER = 15.0
 
 #: Flops per point-layer of one batched Thomas solve (2 fields x ~8 ops).
 VDIFF_FLOPS_PER_POINT_LAYER = 16.0
+
+
+class _RunPlan:
+    """What is the same on every rank of one run: the ``(cfg, decomp)``-
+    pure set-up, built once by the first rank to start.
+
+    The paper's "one-time cost", paid once per run on the host instead of
+    once per rank — the virtual set-up charges stay per rank, so clocks
+    and traces do not change.  It lives in the run's store
+    (:meth:`VirtualComm.once`) and dies with the run; it holds no
+    ``ctx``, trace or group communicator, and nothing a rank keeps
+    across a ``yield`` except arrays it took out for good.
+    """
+
+    def __init__(self, cfg: AGCMConfig,
+                 decomp: Union[Decomposition2D, Decomposition3D]):
+        self.grid = grid = cfg.make_grid()
+        self._cfg, self._decomp = cfg, decomp
+        mesh = decomp.mesh
+        # Halo exchange and filtering see one vertical level of the mesh.
+        slabs = (
+            [decomp.slab(k) for k in range(mesh.nlev_procs)]
+            if isinstance(decomp, Decomposition3D) else [decomp]
+        )
+        filter_plan = make_filter_plan(grid)
+        #: One prepared backend per slab (``backend.decomp`` is the slab),
+        #: so that its per-row state is built once per processor row.
+        self.backends = [
+            prepare_filter_backend(cfg.filter_backend, filter_plan, slab)
+            for slab in slabs
+        ]
+        #: One read-only geometry (and its stencil columns) per processor row.
+        self.geoms = [
+            LocalGeometry.from_grid(grid, *decomp.lat_bounds_of_proc_row(i))
+            for i in range(mesh.nlat_procs)
+        ]
+        self._initial: Optional[List[Optional[Dict[str, np.ndarray]]]] = None
+        self._workspaces: Dict[Tuple[int, int, int], TendencyWorkspace] = {}
+
+    def take_initial(self, rank: int) -> Dict[str, np.ndarray]:
+        """``rank``'s block of the initial fields, handed over for good.
+
+        Computed once on the whole grid and scattered when the first rank
+        asks (never on a resumed run, which starts from a checkpoint).
+        """
+        if self._initial is None:
+            self._initial = scatter_initial_fields(
+                self._decomp, self.grid, self._cfg.nlayers,
+                seed=self._cfg.seed,
+            )
+        block, self._initial[rank] = self._initial[rank], None
+        return block
+
+    def workspace(self, shape: Tuple[int, int, int]) -> TendencyWorkspace:
+        """The kernel scratch shared by every rank whose tile is ``shape``.
+
+        Safe only because nothing between taking it and the last use of
+        it yields: a rank must not keep anything in it across a ``yield``.
+        """
+        work = self._workspaces.get(shape)
+        if work is None:
+            work = self._workspaces[shape] = TendencyWorkspace(*shape)
+        return work
 
 
 def agcm_rank_program(
@@ -142,7 +206,9 @@ def agcm_rank_program(
     full-column blocks, so each raises ``ValueError`` on a vertically
     split mesh rather than being dropped.
     """
-    grid = cfg.make_grid()
+    plan: _RunPlan = ctx.once(
+        (_RunPlan, cfg, decomp), lambda: _RunPlan(cfg, decomp))
+    grid = plan.grid
     mesh = decomp.mesh
     nlev_procs = mesh.nlev_procs
     split = nlev_procs > 1
@@ -160,17 +226,16 @@ def agcm_rank_program(
     sub = decomp.subdomain(ctx.rank)
     nlayers = cfg.nlayers
     extent = (sub.lat0, sub.lat1, sub.lon0, sub.lon1)
-    klev, nlev_loc, horiz = 0, nlayers, decomp
+    klev, nlev_loc = 0, nlayers
     if isinstance(decomp, Decomposition3D):
-        # Halo exchange and filtering see one vertical level of the mesh.
         klev, nlev_loc = sub.klev_proc, sub.nlev
-        horiz = decomp.slab(klev)
         extent += (sub.lev0, sub.lev1)
-    geom = LocalGeometry.from_grid(grid, sub.lat0, sub.lat1)
+    backend = plan.backends[klev]
+    horiz = backend.decomp
+    geom = plan.geoms[sub.ilat_proc]
+    work = plan.workspace((sub.nlat, sub.nlon, nlev_loc))
     lat_rad_loc = grid.lat_rad[sub.lat_slice]
     lon_rad_loc = grid.lon_rad[sub.lon_slice]
-    plan = make_filter_plan(grid)
-    backend = prepare_filter_backend(cfg.filter_backend, plan, horiz)
     dt = cfg.timestep()
     npts = sub.nlat * sub.nlon
     is_north_edge = sub.lat1 == decomp.nlat
@@ -188,8 +253,9 @@ def agcm_rank_program(
     # guard never constructs state and never yields a virtual op.
     gstate = guard.rank_state(ctx, cfg, grid, sub, dt) if guarded else None
 
-    # The full-K tile block is deterministic per global coordinate.
-    now = initial_fields_block(lat_rad_loc, lon_rad_loc, nlayers, seed=cfg.seed)
+    # This rank's slab of the initial fields (``ps`` whole: single-level
+    # fields are replicated across the pillar).
+    now = plan.take_initial(ctx.rank) if resume is None else None
     if split:
         i_proc, j_proc, _ = mesh.coords3_of(ctx.rank)
         pillar = ctx.group(mesh.pillar_ranks(i_proc, j_proc))
@@ -198,13 +264,6 @@ def agcm_rank_program(
         # flattening order of ColumnSet.from_block.
         share_lat = np.repeat(lat_rad_loc, sub.nlon)[my_c0:my_c1]
         share_lon = np.tile(lon_rad_loc, sub.nlat)[my_c0:my_c1]
-        # Keep the slab's layers; ps stays whole — single-level fields
-        # are replicated across the pillar.
-        now = {
-            name: arr if name == "ps"
-            else np.ascontiguousarray(arr[:, :, sub.lev_slice])
-            for name, arr in now.items()
-        }
     prev: Optional[Dict[str, np.ndarray]] = None
     forcing_pt = np.zeros((sub.nlat, sub.nlon, nlev_loc))
     forcing_q = np.zeros_like(forcing_pt)
@@ -321,7 +380,7 @@ def agcm_rank_program(
                         mem_bytes=dynamics_mem_bytes(chunk_pts, nlev_loc),
                         inner_length=sub.nlon,
                     )
-                tend = compute_tendencies(padded, geom, cfg.dynamics)
+                tend = compute_tendencies(padded, geom, cfg.dynamics, work)
             if split:
                 # Pillar surface-pressure closure: the layer mean needs
                 # every layer of the column, assembled in global layer
@@ -340,7 +399,8 @@ def agcm_rank_program(
                     flops=UPDATE_FLOPS_PER_POINT_LAYER * npts * nlev_loc,
                     inner_length=sub.nlon,
                 )
-                prev, now = _advance(prev, now, tend, dt, cfg.ra_coeff)
+                prev, now = _advance(prev, now, tend, dt, cfg.ra_coeff,
+                                     work.scratch[0])
                 if is_north_edge:
                     now["v"][-1, ...] = 0.0
                 if cfg.vertical_diffusion > 0:
@@ -427,26 +487,38 @@ def _advance(
     tend: Dict[str, np.ndarray],
     dt: float,
     ra_coeff: float,
+    scratch: np.ndarray,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
     """Leapfrog (or initial Euler) update on plain field dicts.
 
     Mirrors :func:`repro.dynamics.timestep.leapfrog_step` exactly,
-    including the in-place Robert-Asselin correction of ``now``.
+    including the in-place Robert-Asselin correction of ``now`` — the
+    same operations per element, without its temporaries: the new time
+    level is written into the arrays of ``tend`` (which the caller gives
+    up) and the correction is formed in ``scratch``, an interior-shaped
+    array nothing else is using.
     """
     if prev is None:
-        nxt = {
-            name: now[name] + dt * tend[name] for name in PROGNOSTIC_NAMES
-        }
-        return now, nxt
-    nxt = {
-        name: prev[name] + 2.0 * dt * tend[name] for name in PROGNOSTIC_NAMES
-    }
-    if ra_coeff > 0:
         for name in PROGNOSTIC_NAMES:
-            now[name] += ra_coeff * (
-                prev[name] - 2.0 * now[name] + nxt[name]
-            )
-    return now, nxt
+            nxt = tend[name]
+            nxt *= dt
+            nxt += now[name]
+        return now, tend
+    two_dt = 2.0 * dt
+    for name in PROGNOSTIC_NAMES:
+        nxt = tend[name]
+        nxt *= two_dt
+        nxt += prev[name]
+        if ra_coeff > 0:
+            # now += ra_coeff * (prev - 2.0 * now + nxt)
+            cur = now[name]
+            corr = scratch[:, :, :cur.shape[2]]
+            np.multiply(cur, 2.0, out=corr)
+            np.subtract(prev[name], corr, out=corr)
+            corr += nxt
+            corr *= ra_coeff
+            cur += corr
+    return now, tend
 
 
 def _physics_balanced(

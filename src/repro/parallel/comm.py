@@ -159,7 +159,8 @@ class VirtualComm(GroupComm):
     """
 
     def __init__(self, rank: int, world: Tuple[int, ...],
-                 machine: MachineModel, trace: Trace, observer=None):
+                 machine: MachineModel, trace: Trace, observer=None,
+                 run_store: Optional[dict] = None):
         #: Read by GroupComm.__init__ below; in the world communicator the
         #: local position it then assigns is the same number.
         self.rank = rank
@@ -169,6 +170,9 @@ class VirtualComm(GroupComm):
         #: NULL_OBSERVER unless the simulator was given a live one.
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._state = None  # set by the scheduler; exposes the virtual clock
+        #: The run's shared host-side store (see :meth:`once`): one dict
+        #: per ``Simulator.run``, emptied when the run ends.
+        self._run_store = run_store if run_store is not None else {}
         # ``world`` is the simulator's ``(0, ..., size - 1)``, one tuple
         # shared by every rank of the run: valid by construction, so no
         # per-element checks and no copy, either of which would be
@@ -246,6 +250,26 @@ class VirtualComm(GroupComm):
     def metrics(self):
         """The observer's counter/gauge registry (a no-op sink when off)."""
         return self.obs.metrics
+
+    # -- run-scoped sharing ----------------------------------------------------
+    def once(self, key, build: Callable[[], Any]) -> Any:
+        """``build()`` of the first rank of this run to ask for ``key``.
+
+        Host-side sharing of what is the same on every rank (a set-up
+        plan, precomputed coefficients): the first caller builds it, the
+        others of the same ``Simulator.run`` read it, and the run drops
+        it when it returns or raises.  It changes no virtual cost — each
+        rank still charges its own set-up.  Ranks of one run interleave
+        at every ``yield``, so a shared value may hold scratch memory
+        only for code that does not yield while using it, and must hold
+        no ``ctx``, trace or group communicator (they would keep the run
+        alive through the store).
+        """
+        try:
+            return self._run_store[key]
+        except KeyError:
+            value = self._run_store[key] = build()
+            return value
 
     # -- groups ----------------------------------------------------------------
     def group(self, ranks: Sequence[int]) -> GroupComm:

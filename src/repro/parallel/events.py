@@ -74,6 +74,13 @@ class Send:
     message may be lost and retransmitted with backoff, delaying its
     arrival; ``droppable=False`` exempts it (a reliable control channel).
     On a perfect machine the flag has no effect.
+
+    Payloads travel **by reference**: the receiver is handed the very
+    object that was sent, whenever the engine gets to its receive — which
+    on the host may be long after the sender has moved on.  Never write
+    to an array after handing it to a ``Send`` (or an :class:`Exchange`
+    or a collective built from them); send a copy, or write to a new
+    array.
     """
 
     dest: int
@@ -146,7 +153,9 @@ class Exchange:
     ``sends[i]`` (if not None) and then the receive ``recvs[i]`` (if not
     None), exactly as if the program had yielded the equivalent
     ``Send``/``Recv`` pair — virtual clocks, accounting, fault handling
-    and per-channel FIFO order are those of the two ops.
+    and per-channel FIFO order are those of the two ops — and so is the
+    by-reference payload rule of :class:`Send`: an array named in
+    ``sends`` must not be written again by its sender.
 
     ``sends[i]`` is ``(dest, payload, tag, nbytes, droppable)`` with
     **global** destination ranks; ``payload`` may be the

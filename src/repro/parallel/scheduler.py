@@ -353,10 +353,15 @@ class Simulator:
         # One world group for the whole run: every rank's ``ctx.ranks``
         # is this object, and the event loop knows it by identity.
         world = tuple(range(self.nranks))
+        # What the ranks share on the host for this run only
+        # (``ctx.once``).  A ``ctx`` refers to itself, so whatever it can
+        # reach waits for the cyclic collector: the ``finally`` below
+        # empties the store so a finished run's plan dies with the run.
+        run_store: Dict[Any, Any] = {}
         states: List[_RankState] = []
         for rank in range(self.nranks):
             ctx = VirtualComm(rank, world, self.machine, trace,
-                              observer=obs)
+                              observer=obs, run_store=run_store)
             gen = program(ctx, *args, **kwargs)
             state = _RankState(rank, gen)
             ctx._state = state  # back-reference for clock access
@@ -397,6 +402,7 @@ class Simulator:
                     pass
             raise
         finally:
+            run_store.clear()
             # Observer teardown runs even when the simulation dies
             # (RankFailedError, DeadlockError): dangling spans are closed
             # at each rank's final clock so partial traces stay loadable.

@@ -27,7 +27,7 @@ from repro.core.physics_lb import (
     SortedGreedyBalancer,
     imbalance,
 )
-from repro.dynamics.state import initial_fields_block
+from repro.dynamics.state import scatter_initial_fields
 from repro.grid import Decomposition2D
 from repro.grid.decomposition3d import Decomposition3D
 from repro.model import AGCM, ComponentBreakdown, make_config, plan_column_flow
@@ -498,23 +498,6 @@ def run_table7(**kw) -> ExperimentResult:
 # Tables 8-11: isolated filtering costs
 # ----------------------------------------------------------------------
 
-def _initial_blocks(decomp, grid, nlayers):
-    """Every rank's block of the initial fields, for one simulator run.
-
-    The fields are a pointwise function of the coordinates, so they are
-    computed once on the whole grid and cut up, not once per rank; each
-    global array is dropped as soon as it is scattered, so a run holds
-    one copy.  The blocks are the ranks' own memory: the filter writes
-    them in place.
-    """
-    fields = initial_fields_block(grid.lat_rad, grid.lon_rad, nlayers)
-    blocks = [{} for _ in range(decomp.mesh.size)]
-    for name in list(fields):
-        for block, part in zip(blocks, decomp.scatter(fields.pop(name))):
-            block[name] = part
-    return blocks
-
-
 def _filter_once_program(ctx, backend, blocks, napps):
     """Rank program: barrier, then apply the filter ``napps`` times.
 
@@ -564,7 +547,7 @@ def run_filtering_table(
             backend = prepare_filter_backend(name, plan, decomp)
             res = Simulator(mesh.size, machine).run(
                 _filter_once_program, backend,
-                _initial_blocks(decomp, grid, nlayers), napps,
+                scatter_initial_fields(decomp, grid, nlayers), napps,
             )
             per_app = res.trace.phase_max("filter") / napps
             per_day.append(per_app * steps_per_day)
@@ -938,7 +921,7 @@ def run_bigmesh(
         backend = prepare_filter_backend("fft-lb", plan, decomp)
         res = Simulator(mesh.size, machine).run(
             _filter_once_program, backend,
-            _initial_blocks(decomp, grid, nlayers), napps,
+            scatter_initial_fields(decomp, grid, nlayers), napps,
         )
         messages = res.trace.total_messages()
         nbytes = res.trace.total_bytes()

@@ -60,3 +60,31 @@ class TestSubBlocks:
             LocalGeometry.from_grid(small_grid, 5, 5)
         with pytest.raises(ValueError):
             LocalGeometry.from_grid(small_grid, -1, 5)
+
+
+class TestSharedInstanceIsReadOnly:
+    """One geometry serves every rank of a processor row, so ``frozen``
+    has to cover the arrays too."""
+
+    def test_row_metrics_refuse_writes(self, small_grid):
+        g = LocalGeometry.from_grid(small_grid, 2, 6)
+        for name in ("lat_c", "cos_c", "dx_c", "f_c", "cos_n", "f_n",
+                     "dx_n", "diff_scale"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                g.col(getattr(g, name), 3)[0] = 1.0
+
+    def test_stencil_columns_refuse_writes_and_are_built_once(self, small_grid):
+        g = LocalGeometry.from_grid(small_grid)
+        cols = g.stencil
+        assert g.stencil is cols
+        n = small_grid.nlat
+        for name, arr in vars(cols).items():
+            assert not arr.flags.writeable, name
+            if name not in ("polar", "cos_n"):
+                assert arr.shape == (n, 1, 1), name
+        with pytest.raises(ValueError, match="read-only"):
+            cols.two_dx_c[0] = 1.0
+        assert cols.cos_n.shape == (n + 1, 1, 1)
+        assert cols.polar.tolist() == [n - 1]
