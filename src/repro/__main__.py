@@ -344,20 +344,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     async def _serve_forever() -> None:
+        import signal
+
+        # SIGTERM leaves through Gateway.stop() exactly as Ctrl-C does:
+        # queued hit counters are committed before the process exits.
+        stop = asyncio.Event()
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stop.set)
+        except NotImplementedError:  # pragma: no cover - non-POSIX loops
+            pass
         async with Gateway(config) as gateway:
             bound_host, bound_port = await gateway.start_server()
             print(f"gateway listening on http://{bound_host}:{bound_port} "
                   f"(POST /run, POST /campaign, GET /status, GET /metrics; "
-                  f"Ctrl-C to stop)")
+                  f"Ctrl-C to stop)", flush=True)
             try:
-                await asyncio.Event().wait()
+                await stop.wait()
             finally:
                 print(json.dumps(gateway.status(), indent=1, sort_keys=True))
 
     try:
         asyncio.run(_serve_forever())
     except KeyboardInterrupt:
-        print("gateway stopped")
+        pass
+    print("gateway stopped")
     return 0
 
 

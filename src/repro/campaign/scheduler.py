@@ -277,10 +277,11 @@ def run_campaign(
     order = {u.key: i for i, u in enumerate(units)}
     outcomes.sort(key=lambda o: order.get(o.key, len(order)))
     if results_db is not None:
-        # Parent-side recording keeps sqlite single-writer; a unit is
-        # already safe in the cache by the time its outcome arrives, so
-        # a crash here loses only index rows that `results ingest`
-        # recovers idempotently from the sidecars.
+        # Parent-side recording keeps sqlite single-writer: one
+        # connection and one transaction for the whole campaign.  Every
+        # unit is already safe in the cache by now, so a crash here
+        # loses only index rows that `results ingest` recovers
+        # idempotently from the sidecars.
         from repro.results.hooks import record_campaign_outcomes
 
         record_campaign_outcomes(results_db, outcomes, cache)

@@ -10,11 +10,7 @@ service gateway.  See ``docs/results.md``.
 """
 
 from repro.results.db import DEFAULT_DB, ResultsDB, open_readonly
-from repro.results.hooks import (
-    record_campaign_outcomes,
-    record_unit_execution,
-    record_unit_hit,
-)
+from repro.results.hooks import ResultsRecorder, record_campaign_outcomes
 from repro.results.ingest import Ingestor, IngestStats, bench_entry_key
 from repro.results.provenance import current_git_sha
 from repro.results.prune import PruneReport, prune_cache
@@ -32,14 +28,13 @@ __all__ = [
     "IngestStats",
     "PruneReport",
     "ResultsDB",
+    "ResultsRecorder",
     "bench_entry_key",
     "current_git_sha",
     "experiment_rollup",
     "open_readonly",
     "prune_cache",
     "record_campaign_outcomes",
-    "record_unit_execution",
-    "record_unit_hit",
     "run_query",
     "runs_report",
     "trajectory_from_db",

@@ -25,9 +25,12 @@ gateway hooks bump it), which is what the hit-rate rollups query.
 
 Writes go through one connection per :class:`ResultsDB` (sqlite's
 single-writer model; cross-process writers serialize on the database
-lock with a generous busy timeout).  Ad-hoc SQL from the CLI goes
-through :func:`open_readonly` instead — a ``mode=ro`` URI connection
-with ``query_only`` pinned, so user queries can never mutate the index.
+lock with a generous busy timeout).  Each ``record_*`` call commits by
+itself; inside :meth:`ResultsDB.transaction` they share one commit,
+which is how the campaign and gateway hooks batch.  Ad-hoc SQL from the
+CLI goes through :func:`open_readonly` instead — a ``mode=ro`` URI
+connection with ``query_only`` pinned, so user queries can never mutate
+the index.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["ResultsDB", "open_readonly", "DEFAULT_DB"]
 
@@ -119,6 +124,14 @@ class ResultsDB:
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT)
+        self._in_transaction = False
+        try:
+            self._open()
+        except BaseException:
+            self._conn.close()  # not a database, locked for good, ...
+            raise
+
+    def _open(self) -> None:
         self._conn.execute("PRAGMA foreign_keys = ON")
         # WAL lets readers (the query CLI, a serving gateway) proceed
         # while a campaign writes, and busy_timeout makes the remaining
@@ -158,6 +171,34 @@ class ResultsDB:
         self.close()
 
     # -- recording ------------------------------------------------------
+    @contextmanager
+    def transaction(self) -> Iterator["ResultsDB"]:
+        """One commit for every ``record_*`` call made inside the block.
+
+        Takes the write lock up front (``BEGIN IMMEDIATE`` waits out
+        another process's writer under the busy timeout instead of
+        failing on a mid-transaction lock upgrade) and holds it for this
+        one batch.  An exception rolls the whole batch back and
+        propagates; nesting is an error.
+        """
+        if self._in_transaction:
+            raise RuntimeError("ResultsDB.transaction() does not nest")
+        _retry_locked(lambda: self._conn.execute("BEGIN IMMEDIATE"))
+        self._in_transaction = True
+        try:
+            yield self
+            _retry_locked(self._conn.commit)
+        except BaseException:
+            self._conn.rollback()
+            raise
+        finally:
+            self._in_transaction = False
+
+    def _commit(self) -> None:
+        """Per-call commit; :meth:`transaction` commits once instead."""
+        if not self._in_transaction:
+            _retry_locked(self._conn.commit)
+
     def record_run(
         self,
         *,
@@ -198,7 +239,7 @@ class ResultsDB:
              status, git_sha, created_at, _utcnow(), host),
         ))
         if cur.rowcount == 0:
-            _retry_locked(self._conn.commit)
+            self._commit()
             return False
         run_id = cur.lastrowid
         for name, value in (metrics or {}).items():
@@ -216,15 +257,16 @@ class ResultsDB:
                 "bytes) VALUES (?,?,?,?)",
                 (run_id, path, sha256, nbytes),
             )
-        _retry_locked(self._conn.commit)
+        self._commit()
         return True
 
-    def record_hit(self, run_key: str) -> bool:
-        """Bump the cache-hit counter of an indexed run; True if found."""
+    def record_hit(self, run_key: str, count: int = 1) -> bool:
+        """Add ``count`` cache hits to an indexed run; True if found."""
         cur = _retry_locked(lambda: self._conn.execute(
-            "UPDATE runs SET hits = hits + 1 WHERE run_key = ?", (run_key,)
+            "UPDATE runs SET hits = hits + ? WHERE run_key = ?",
+            (count, run_key),
         ))
-        _retry_locked(self._conn.commit)
+        self._commit()
         return cur.rowcount > 0
 
     def mark_ran(self, run_key: str) -> None:
@@ -233,7 +275,7 @@ class ResultsDB:
             "UPDATE runs SET status = 'ran' WHERE run_key = ? "
             "AND status = 'failed'", (run_key,)
         ))
-        _retry_locked(self._conn.commit)
+        self._commit()
 
     # -- reading --------------------------------------------------------
     def query(self, sql: str, params: Sequence[Any] = ()

@@ -2,28 +2,45 @@
 
 The campaign scheduler and the service gateway both already persist
 completed units to the content-addressed cache; with a ``results_db``
-path configured they additionally record each completed unit here — the
-campaign parent as outcomes arrive (a single sqlite writer, right after
-the worker's cache write), the gateway's pool thread at cache-write
-time.  Recording is best-effort bookkeeping on top of the cache's
-crash-safety story: if the process dies between cache write and index
-write, ``results ingest --cache-dir`` recovers the row idempotently
-from the sidecar.
+path configured they additionally record each completed unit here.
+Each process has **one** writer and no request opens a connection:
+
+* a campaign records its outcomes once, parent-side, after the last
+  unit arrived — :func:`record_campaign_outcomes` is one connection and
+  one transaction per campaign;
+* a gateway owns one :class:`ResultsRecorder`: a writer thread with the
+  process's only read-write connection.  Callers enqueue and the thread
+  applies *everything queued while the previous commit ran* in one
+  transaction (group commit: batches grow under load, an idle gateway
+  commits at once; there is no timer and no batch size to tune).
+
+Durability.  A unit's cache entry is on disk and its run row is
+committed before its ``executed`` reply: :meth:`ResultsRecorder.execution`
+returns after the commit.  Hit counters are write-behind:
+:meth:`ResultsRecorder.hit` returns at once, :meth:`ResultsRecorder.close`
+(a clean stop, Ctrl-C, ``SIGTERM``) drains every queued hit, and a
+``kill -9`` loses at most the hits still queued — never a run row or a
+cache entry.  Recording stays bookkeeping on top of the cache's
+crash-safety story: whatever a dead process did not index,
+``results ingest --cache-dir`` recovers idempotently from the sidecars.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from datetime import datetime, timezone
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.results.db import ResultsDB
 from repro.results.provenance import current_git_sha
 
-__all__ = [
-    "record_campaign_outcomes",
-    "record_unit_execution",
-    "record_unit_hit",
-]
+__all__ = ["ResultsRecorder", "record_campaign_outcomes"]
+
+#: Records a :class:`ResultsRecorder` holds before ``hit`` blocks its
+#: caller: a writer that cannot keep up slows the producers down instead
+#: of dropping counters or growing without bound.
+_QUEUE_BOUND = 4096
 
 
 def _utcnow() -> str:
@@ -52,6 +69,23 @@ def _split_label(ident: str, label: str) -> str:
     return label[len(prefix):] if label.startswith(prefix) else label
 
 
+def _record_ran(db: ResultsDB, cache, meta: Dict[str, Any], *, key: str,
+                source: str, ident: str, point: str,
+                seconds: Optional[float], git_sha: Optional[str],
+                host: Optional[str] = None) -> None:
+    """The row of a unit whose payload is in the cache, described by its
+    sidecar ``meta``; idempotent on ``key``."""
+    db.record_run(
+        run_key=key, source=source, ident=ident, point=point,
+        params=meta.get("params", {"point": point}), cache_key=key,
+        status="ran", git_sha=git_sha,
+        created_at=meta.get("created_at") or _utcnow(),
+        metrics={} if seconds is None
+        else {"duration_seconds": (seconds, "s")},
+        artifacts=_artifact_rows(cache, key, meta), host=host,
+    )
+
+
 def record_campaign_outcomes(db_path: str, outcomes: Iterable,
                              cache=None,
                              git_sha: Optional[str] = None) -> None:
@@ -62,32 +96,31 @@ def record_campaign_outcomes(db_path: str, outcomes: Iterable,
     an earlier ``failed`` row for the same key; ``failed`` inserts a
     failed row; ``hit`` bumps the hit counter — inserting the row first
     from the cache sidecar when the cache predates the index.  All
-    inserts are idempotent on the unit's sha256 key.
+    inserts are idempotent on the unit's sha256 key, and the whole
+    campaign is one transaction: every outcome is indexed or none is.
     """
     sha = current_git_sha() if git_sha is None else (git_sha or None)
-    with ResultsDB(db_path) as db:
+    with ResultsDB(db_path) as db, db.transaction():
         for o in outcomes:
             point = _split_label(o.ident, o.label)
-            meta = _sidecar(cache, o.key)
-            params = meta.get("params", {"point": point})
-            host = getattr(o, "host", None) or meta.get("host")
             if o.status == "hit":
                 if not db.record_hit(o.key):
-                    db.record_run(
-                        run_key=o.key, source="campaign", ident=o.ident,
-                        point=point, params=params, cache_key=o.key,
-                        status="ran", git_sha=sha,
-                        created_at=meta.get("created_at") or _utcnow(),
-                        metrics={"duration_seconds":
-                                 (o.compute_seconds, "s")},
-                        artifacts=_artifact_rows(cache, o.key, meta),
-                    )
+                    # The cache predates the index: the sidecar (read
+                    # only now) describes the row to count the hit on.
+                    _record_ran(db, cache, _sidecar(cache, o.key),
+                                key=o.key, source="campaign",
+                                ident=o.ident, point=point,
+                                seconds=o.compute_seconds, git_sha=sha)
                     db.record_hit(o.key)
-            elif o.status == "failed":
+                continue
+            meta = _sidecar(cache, o.key)
+            host = getattr(o, "host", None) or meta.get("host")
+            if o.status == "failed":
                 db.record_run(
                     run_key=o.key, source="campaign", ident=o.ident,
-                    point=point, params=params, cache_key=o.key,
-                    status="failed", git_sha=sha, created_at=_utcnow(),
+                    point=point, params=meta.get("params", {"point": point}),
+                    cache_key=o.key, status="failed", git_sha=sha,
+                    created_at=_utcnow(),
                     metrics={"duration_seconds": (o.seconds, "s")},
                     host=host,
                 )
@@ -95,57 +128,172 @@ def record_campaign_outcomes(db_path: str, outcomes: Iterable,
                 # "ran" on any worker, or "salvaged" from a dead one:
                 # either way the unit executed exactly once and its
                 # payload is in the cache.
-                db.record_run(
-                    run_key=o.key, source="campaign", ident=o.ident,
-                    point=point, params=params, cache_key=o.key,
-                    status="ran", git_sha=sha,
-                    created_at=meta.get("created_at") or _utcnow(),
-                    metrics={"duration_seconds": (o.compute_seconds, "s")},
-                    artifacts=_artifact_rows(cache, o.key, meta),
-                    host=host,
-                )
+                _record_ran(db, cache, meta, key=o.key, source="campaign",
+                            ident=o.ident, point=point,
+                            seconds=o.compute_seconds, git_sha=sha,
+                            host=host)
                 db.mark_ran(o.key)
 
 
-def record_unit_execution(db_path: str, unit, seconds: float,
-                          cache=None,
-                          git_sha: Optional[str] = None) -> None:
-    """Gateway hook: one freshly-executed unit, at cache-write time.
+class _Execution:
+    """One queued ``execution``: the pool thread waits on ``done`` and
+    finds its batch's failure, if any, in ``error``."""
 
-    Runs on a pool thread; opens a short-lived connection so threads
-    never share a sqlite handle.
+    __slots__ = ("unit", "seconds", "done", "error")
+
+    def __init__(self, unit, seconds: float) -> None:
+        self.unit = unit
+        self.seconds = seconds
+        self.done = threading.Event()
+        self.error: Optional[BaseException] = None
+
+
+class ResultsRecorder:
+    """The one results writer of a serving process.
+
+    Owns a writer thread and, on it, the process's only read-write
+    :class:`ResultsDB` connection (opened with the first batch).
+    ``cache`` supplies the sidecars rows are built from; ``git_sha``
+    stamps them; ``on_error(n)`` is called on the writer thread with the
+    number of records each failed batch lost.  A failed batch is rolled
+    back whole and never silent: :attr:`errors` counts its records,
+    :attr:`first_error` keeps the first exception, and each
+    :meth:`execution` of the batch raises it.
     """
-    meta = _sidecar(cache, unit.key)
-    with ResultsDB(db_path) as db:
-        db.record_run(
-            run_key=unit.key, source="serve", ident=unit.ident,
-            point=unit.point.label,
-            params=meta.get("params", {"point": unit.point.label}),
-            cache_key=unit.key, status="ran", git_sha=git_sha,
-            created_at=meta.get("created_at") or _utcnow(),
-            metrics={"duration_seconds": (seconds, "s")},
-            artifacts=_artifact_rows(cache, unit.key, meta),
+
+    def __init__(self, db_path: str, cache=None,
+                 git_sha: Optional[str] = None,
+                 on_error: Optional[Callable[[int], None]] = None) -> None:
+        self.db_path = str(db_path)
+        self.cache = cache
+        self.git_sha = git_sha
+        self.errors = 0
+        self.first_error: Optional[BaseException] = None
+        self._on_error = on_error
+        self._queue: "queue.Queue[Any]" = queue.Queue(_QUEUE_BOUND)
+        # pending = queued - settled; each has one writer (the producers
+        # under _put_lock, the writer thread), so neither needs a lock.
+        self._queued = 0
+        self._settled = 0
+        self._closed = False
+        #: The connection; opened, used and closed by the writer thread.
+        self._db: Optional[ResultsDB] = None
+        # Orders every put against close()'s end marker, so that no
+        # record is queued behind it and waited for forever.
+        self._put_lock = threading.Lock()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-results-writer", daemon=True
         )
+        self._thread.start()
+
+    # -- producers (any thread) -----------------------------------------
+    def hit(self, unit) -> None:
+        """Count one cache hit of ``unit``; returns without waiting for
+        the commit (blocks only while the queue is full)."""
+        self._put(unit)
+
+    def execution(self, unit, seconds: float) -> None:
+        """Record one freshly executed unit and return once its row is
+        committed; raises what its batch raised.  Call it off the event
+        loop: it waits for the disk."""
+        item = _Execution(unit, seconds)
+        self._put(item)
+        item.done.wait()
+        if item.error is not None:
+            raise item.error
+
+    def _put(self, item) -> None:
+        with self._put_lock:
+            if self._closed:
+                raise RuntimeError("results recorder is closed")
+            self._queued += 1
+            self._queue.put(item)
+
+    @property
+    def pending(self) -> int:
+        """Records queued or being applied, not yet committed."""
+        return self._queued - self._settled
+
+    def close(self) -> None:
+        """Commit everything queued, then stop the thread and close the
+        connection.  Idempotent."""
+        with self._put_lock:
+            if not self._closed:
+                self._closed = True
+                self._queue.put(None)
+        self._thread.join()
+
+    # -- the writer thread ----------------------------------------------
+    def _run(self) -> None:
+        try:
+            while True:
+                batch = [self._queue.get()]
+                try:
+                    while True:
+                        batch.append(self._queue.get_nowait())
+                except queue.Empty:
+                    pass
+                last = batch[-1] is None  # nothing is queued behind it
+                if last:
+                    batch.pop()
+                if batch:
+                    self._write(batch)
+                if last:
+                    return
+        finally:
+            if self._db is not None:
+                self._db.close()
+
+    def _write(self, batch: List[Any]) -> None:
+        """Apply ``batch`` in one transaction and settle its records."""
+        executions: List[_Execution] = []
+        hits: Dict[str, list] = {}  # key -> [unit, times hit in batch]
+        for item in batch:
+            if isinstance(item, _Execution):
+                executions.append(item)
+            else:
+                hits.setdefault(item.key, [item, 0])[1] += 1
+        error: Optional[BaseException] = None
+        try:
+            if self._db is None:
+                self._db = ResultsDB(self.db_path)
+            db = self._db
+            with db.transaction():
+                # Rows before counters: a unit executed and hit in one
+                # batch finds its row.
+                for item in executions:
+                    self._record_execution(db, item)
+                for unit, count in hits.values():
+                    self._record_hits(db, unit, count)
+        except Exception as exc:  # noqa: BLE001 - kept, counted, re-raised
+            error = exc
+            self.errors += len(batch)
+            if self.first_error is None:
+                self.first_error = exc
+            if self._on_error is not None:
+                self._on_error(len(batch))
+        self._settled += len(batch)
+        for item in executions:
+            item.error = error
+            item.done.set()
+
+    def _record_execution(self, db: ResultsDB, item: _Execution) -> None:
+        unit = item.unit
+        _record_ran(db, self.cache, _sidecar(self.cache, unit.key),
+                    key=unit.key, source="serve", ident=unit.ident,
+                    point=unit.point.label, seconds=item.seconds,
+                    git_sha=self.git_sha)
         db.mark_ran(unit.key)
 
-
-def record_unit_hit(db_path: str, unit, cache=None,
-                    git_sha: Optional[str] = None) -> None:
-    """Gateway hook: a cache hit observed for ``unit``."""
-    with ResultsDB(db_path) as db:
-        if db.record_hit(unit.key):
+    def _record_hits(self, db: ResultsDB, unit, count: int) -> None:
+        if db.record_hit(unit.key, count):
             return
-        meta = _sidecar(cache, unit.key)
-        db.record_run(
-            run_key=unit.key,
+        # The cache predates the index: insert the row from the sidecar.
+        meta = _sidecar(self.cache, unit.key)
+        _record_ran(
+            db, self.cache, meta, key=unit.key,
             source="serve" if meta.get("worker") == "serve" else "campaign",
             ident=unit.ident, point=unit.point.label,
-            params=meta.get("params", {"point": unit.point.label}),
-            cache_key=unit.key, status="ran", git_sha=git_sha,
-            created_at=meta.get("created_at") or _utcnow(),
-            metrics={"duration_seconds":
-                     (float(meta["duration"]), "s")}
-            if "duration" in meta else {},
-            artifacts=_artifact_rows(cache, unit.key, meta),
-        )
-        db.record_hit(unit.key)
+            seconds=float(meta["duration"]) if "duration" in meta else None,
+            git_sha=self.git_sha)
+        db.record_hit(unit.key, count)

@@ -117,16 +117,11 @@ class Gateway:
         self.metrics = ServeMetrics(
             registry, reservoir_size=self.config.reservoir_size
         )
-        self._git_sha: Optional[str] = None
-        if self.config.results_db is not None:
-            # Resolve provenance once (it shells out to git); the pool
-            # and the hit path stamp every recorded row with it.
-            from repro.results.provenance import current_git_sha
-
-            self._git_sha = current_git_sha()
+        #: The process's one results writer while the gateway runs with
+        #: a ``results_db`` (see :mod:`repro.results.hooks`).
+        self._recorder = None
         self.pool = WorkerPool(
             self.config.pool_workers, cache=self.cache, runner=runner,
-            results_db=self.config.results_db, git_sha=self._git_sha,
         )
         self.observer: Optional[Observer] = (
             Observer() if self.config.spans else None
@@ -141,6 +136,15 @@ class Gateway:
     async def start(self) -> None:
         """Start the worker pool (idempotent); no sockets yet."""
         if not self.pool.running:
+            if self.config.results_db is not None:
+                from repro.results.hooks import ResultsRecorder
+                from repro.results.provenance import current_git_sha
+
+                self._recorder = self.pool.recorder = ResultsRecorder(
+                    self.config.results_db, self.cache,
+                    git_sha=current_git_sha(),
+                    on_error=self.metrics.results_write_errors,
+                )
             self.pool.start()
             if self.observer is not None:
                 self.observer.start_run("serve")
@@ -151,6 +155,12 @@ class Gateway:
             await self._server.wait_closed()
             self._server = None
         await self.pool.stop()
+        recorder = self._recorder
+        if recorder is not None:
+            # Every hit counted so far is committed before stop()
+            # returns; nothing is answered once the pool has stopped.
+            self._recorder = self.pool.recorder = None
+            recorder.close()
         for future in self._inflight.values():
             if not future.done():
                 future.cancel()
@@ -205,11 +215,8 @@ class Gateway:
             if value is not None:
                 seconds = time.perf_counter() - t0
                 self.metrics.unit("hit", seconds)
-                if self.config.results_db is not None:
-                    from repro.results.hooks import record_unit_hit
-
-                    record_unit_hit(self.config.results_db, unit,
-                                    self.cache, git_sha=self._git_sha)
+                if self._recorder is not None:
+                    self._recorder.hit(unit)  # write-behind: enqueue only
                 return self._entry(unit, "hit", seconds, value), value
 
         shared = self._inflight.get(unit.key)
@@ -361,5 +368,11 @@ class Gateway:
         )
         doc["spans_recorded"] = (
             len(self.observer.spans) if self.observer is not None else 0
+        )
+        # Hit counters are write-behind: the records still waiting for
+        # the results writer (``results_errors`` counts the lost ones).
+        recorder = self._recorder
+        doc["results_pending"] = (
+            recorder.pending if recorder is not None else 0
         )
         return doc

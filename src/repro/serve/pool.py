@@ -38,15 +38,15 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, cache: Optional[ResultCache] = None,
-                 runner: Optional[Callable[[CampaignUnit], Any]] = None,
-                 results_db: Optional[str] = None,
-                 git_sha: Optional[str] = None) -> None:
+                 runner: Optional[Callable[[CampaignUnit], Any]] = None
+                 ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
         self.cache = cache
-        self.results_db = results_db
-        self.git_sha = git_sha
+        #: The gateway's :class:`repro.results.hooks.ResultsRecorder`
+        #: while it runs with a result index; None otherwise.
+        self.recorder = None
         self.runner = runner if runner is not None else execute_unit
         self._queue: "asyncio.PriorityQueue[Tuple[float, int, Any]]" = (
             asyncio.PriorityQueue()
@@ -107,20 +107,19 @@ class WorkerPool:
     def _execute(self, unit: CampaignUnit) -> Any:
         """Run one unit in a pool thread and persist it like a campaign
         worker would: cache first, report after (and, when a result
-        index is configured, record the run right after the cache
-        write — the index row and the cache entry describe the same
-        payload)."""
+        index is configured, wait here — on the pool thread, never the
+        event loop — until the recorder has committed the run row: the
+        index row and the cache entry describe the same payload, and
+        both exist before the ``executed`` reply)."""
         t0 = time.perf_counter()
         value = self.runner(unit)
         seconds = time.perf_counter() - t0
         if self.cache is not None:
             self.cache.put(unit.key, value,
                            meta=unit_meta(unit, seconds, "serve"))
-        if self.results_db is not None:
-            from repro.results.hooks import record_unit_execution
-
-            record_unit_execution(self.results_db, unit, seconds,
-                                  self.cache, git_sha=self.git_sha)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.execution(unit, seconds)
         return value
 
     async def _worker(self) -> None:

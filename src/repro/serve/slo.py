@@ -93,6 +93,9 @@ class ServeMetrics:
             "serve.rejected", "requests refused by admission control (429)")
         self._errors = self.registry.counter(
             "serve.errors", "requests that failed while executing")
+        self._results_write_errors = self.registry.counter(
+            "serve.results_write_errors",
+            "result-index records lost to a failed writer batch")
         self._units = {
             cls: self.registry.counter(
                 f"serve.units_{cls}", f"units answered as {cls!r}")
@@ -112,6 +115,11 @@ class ServeMetrics:
 
     def error(self) -> None:
         self._errors.inc()
+
+    def results_write_errors(self, records: int) -> None:
+        """A results-writer batch of ``records`` failed.  Called on the
+        writer thread, the only one that touches this counter."""
+        self._results_write_errors.inc(records)
 
     def unit(self, served: str, seconds: float) -> None:
         """One unit answered as ``served`` in ``seconds`` wall time."""
@@ -152,6 +160,7 @@ class ServeMetrics:
             "units": units,
             "queue_depth": self._queue_depth.value,
             "inflight_keys": self._inflight.value,
+            "results_errors": self._results_write_errors.value,
             "hit_rate": units["hit"] / answered if answered else None,
             "coalesce_rate":
                 units["coalesced"] / answered if answered else None,

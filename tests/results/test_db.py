@@ -111,6 +111,82 @@ class TestHitAndUpgrade:
             assert rows == [("recorded",)]
 
 
+def _commits(db: ResultsDB) -> list:
+    """Every ``COMMIT`` the handle issues from now on lands in the list."""
+    seen: list = []
+    db._conn.set_trace_callback(
+        lambda sql: seen.append(sql) if sql == "COMMIT" else None)
+    return seen
+
+
+class TestTransaction:
+    def test_one_commit_for_the_whole_block(self, tmp_path):
+        with ResultsDB(_db(tmp_path)) as db:
+            commits = _commits(db)
+            with db.transaction():
+                for i in range(5):
+                    db.record_run(run_key=f"k{i}", source="serve",
+                                  ident="x", metrics={"m": 1.0})
+                    db.record_hit(f"k{i}", 3)
+                    db.mark_ran(f"k{i}")
+                assert commits == []
+            assert commits == ["COMMIT"]
+            assert db.query("SELECT SUM(hits), COUNT(*) FROM runs")[1] \
+                == [(15, 5)]
+
+    def test_exception_rolls_the_whole_batch_back(self, tmp_path):
+        path = _db(tmp_path)
+        with ResultsDB(path) as db:
+            db.record_run(run_key="old", source="serve", ident="x")
+            with pytest.raises(ValueError, match="unknown source"):
+                with db.transaction():
+                    db.record_run(run_key="new", source="serve", ident="x")
+                    db.record_hit("old", 7)
+                    db.record_run(run_key="bad", source="nonsense",
+                                  ident="x")
+            # No partial batch, and the handle is usable again.
+            assert db.query("SELECT run_key, hits FROM runs")[1] \
+                == [("old", 0)]
+            assert db.record_hit("old") is True
+        with ResultsDB(path) as db:
+            assert db.query("SELECT run_key, hits FROM runs")[1] \
+                == [("old", 1)]
+
+    def test_nesting_is_an_error(self, tmp_path):
+        with ResultsDB(_db(tmp_path)) as db:
+            with db.transaction():
+                db.record_run(run_key="k", source="serve", ident="x")
+                with pytest.raises(RuntimeError, match="does not nest"):
+                    with db.transaction():
+                        pass  # pragma: no cover - never entered
+            # The refused inner block did not end the outer one.
+            assert len(db) == 1
+
+    def test_per_call_commit_outside_is_unchanged(self, tmp_path):
+        """What ``bench/probes.py`` times: each call is its own commit,
+        before a transaction block and after one."""
+        with ResultsDB(_db(tmp_path)) as db:
+            commits = _commits(db)
+            db.record_run(run_key="a", source="bench", ident="x")
+            db.record_hit("a")
+            assert len(commits) == 2
+            with db.transaction():
+                db.record_hit("a")
+            assert len(commits) == 3
+            db.record_hit("a")
+            db.mark_ran("a")
+            assert len(commits) == 5
+
+    def test_another_connection_sees_nothing_before_the_commit(
+            self, tmp_path):
+        path = _db(tmp_path)
+        with ResultsDB(path) as db, ResultsDB(path) as reader:
+            with db.transaction():
+                db.record_run(run_key="k", source="serve", ident="x")
+                assert len(reader) == 0
+            assert len(reader) == 1
+
+
 class TestKeySets:
     def test_run_and_cache_keys(self, tmp_path):
         with ResultsDB(_db(tmp_path)) as db:

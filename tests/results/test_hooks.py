@@ -14,11 +14,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.report import UnitOutcome
 from repro.campaign.units import enumerate_units
 from repro.results.db import ResultsDB
-from repro.results.hooks import (
-    record_campaign_outcomes,
-    record_unit_execution,
-    record_unit_hit,
-)
+from repro.results.hooks import ResultsRecorder, record_campaign_outcomes
 from repro.results.queries import experiment_rollup
 
 FAST = ["sleep:0.01#a", "sleep:0.01#b", "sleep:0.01#c"]
@@ -98,8 +94,11 @@ class TestServeRecording:
     def test_execution_then_hit(self, tmp_path, unit_and_cache):
         unit, cache = unit_and_cache
         db_path = str(tmp_path / "i.db")
-        record_unit_execution(db_path, unit, 0.01, cache, git_sha="g1")
-        record_unit_hit(db_path, unit, cache, git_sha="g1")
+        recorder = ResultsRecorder(db_path, cache, git_sha="g1")
+        recorder.execution(unit, 0.01)
+        recorder.hit(unit)
+        recorder.close()
+        assert recorder.errors == 0
         with ResultsDB(db_path) as db:
             cols, rows = db.query(
                 "SELECT source, status, hits, git_sha FROM runs")
@@ -110,7 +109,10 @@ class TestServeRecording:
             self, tmp_path, unit_and_cache):
         unit, cache = unit_and_cache
         db_path = str(tmp_path / "i.db")
-        record_unit_hit(db_path, unit, cache, git_sha=None)
+        recorder = ResultsRecorder(db_path, cache)
+        recorder.hit(unit)
+        recorder.close()
+        assert recorder.errors == 0
         with ResultsDB(db_path) as db:
             cols, rows = db.query("SELECT source, hits FROM runs")
             # Sidecar says worker == "serve", so the backfilled row
