@@ -102,14 +102,14 @@ class FilterAssignment:
             for (src, dst), units in sorted(groups.items())
         )
 
-    def units_assigned_to_row(self, proc_row: int) -> List[int]:
+    def units_assigned_to_row(self, proc_row: int) -> Tuple[int, ...]:
         """Unit indices held by a processor row after stage A (ordered)."""
-        return list(self._units_by_target_row[proc_row])
+        return self._units_by_target_row[proc_row]
 
-    def lines_on_rank(self, rank: int) -> List[int]:
+    def lines_on_rank(self, rank: int) -> Tuple[int, ...]:
         """Unit indices whose complete lines land on ``rank`` after stage B."""
         i, j = self.decomp.mesh.coords_of(rank)
-        return list(self._lines_by_row_and_col[i][j])
+        return self._lines_by_row_and_col[i][j]
 
     def rows_moved(self) -> int:
         """Number of units whose stage-A target differs from their owner."""
@@ -132,14 +132,14 @@ class FilterAssignment:
         return counts
 
     # -- stage-A move lists (per processor column; identical across cols) --
-    def stage_a_moves(self) -> List[Tuple[int, int, List[int]]]:
+    def stage_a_moves(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
         """Grouped stage-A moves: (src_row, dst_row, unit indices).
 
         One entry per (src, dst) pair with at least one unit; each entry
         becomes exactly one message per processor column, which is how the
         implementation keeps the message count linear in the mesh size.
         """
-        return [(src, dst, list(units)) for src, dst, units in self._stage_a_moves]
+        return self._stage_a_moves
 
 
 def _owner_rows(plan: FilterPlan, decomp: Decomposition2D) -> List[int]:

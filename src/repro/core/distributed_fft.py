@@ -29,8 +29,6 @@ preferred local mixed-radix library FFTs after a transpose.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -53,19 +51,14 @@ def bit_reverse_indices(n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# serial reference transforms
+# serial reference transforms, and the stages that need no partner
 # ----------------------------------------------------------------------
 
-def fft_dif_bitrev(x: np.ndarray) -> np.ndarray:
-    """Forward DFT, output in bit-reversed order (Gentleman-Sande DIF).
-
-    ``x`` has shape (N[, K]); the transform runs along axis 0.  Equals
-    ``np.fft.fft(x, axis=0)[bit_reverse_indices(N)]`` (tested).
-    """
-    x = np.asarray(x, dtype=complex).copy()
+def _dif_stages(x: np.ndarray) -> np.ndarray:
+    """Gentleman-Sande stages of span < ``len(x)``, in place on a complex
+    array.  On a block of a distributed line the twiddles need the global
+    offset only through ``j mod span``, which is block-aligned."""
     n = x.shape[0]
-    if not is_power_of_two(n):
-        raise ValueError(f"length must be a power of two, got {n}")
     span = n // 2
     while span >= 1:
         j = np.arange(span)
@@ -81,15 +74,10 @@ def fft_dif_bitrev(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def ifft_dit_bitrev(x: np.ndarray) -> np.ndarray:
-    """Inverse DFT from bit-reversed input to natural order (DIT).
-
-    Exactly inverts :func:`fft_dif_bitrev` (including the 1/N scaling).
-    """
-    x = np.asarray(x, dtype=complex).copy()
+def _dit_stages(x: np.ndarray) -> np.ndarray:
+    """Cooley-Tukey stages of span < ``len(x)`` from bit-reversed input,
+    in place on a complex array; unscaled."""
     n = x.shape[0]
-    if not is_power_of_two(n):
-        raise ValueError(f"length must be a power of two, got {n}")
     span = 1
     while span < n:
         j = np.arange(span)
@@ -102,7 +90,30 @@ def ifft_dit_bitrev(x: np.ndarray) -> np.ndarray:
             x[start : start + span] = a + b
             x[start + span : start + 2 * span] = a - b
         span *= 2
-    return x / n
+    return x
+
+
+def fft_dif_bitrev(x: np.ndarray) -> np.ndarray:
+    """Forward DFT, output in bit-reversed order (Gentleman-Sande DIF).
+
+    ``x`` has shape (N[, K]); the transform runs along axis 0.  Equals
+    ``np.fft.fft(x, axis=0)[bit_reverse_indices(N)]`` (tested).
+    """
+    x = np.asarray(x, dtype=complex).copy()
+    if not is_power_of_two(x.shape[0]):
+        raise ValueError(f"length must be a power of two, got {x.shape[0]}")
+    return _dif_stages(x)
+
+
+def ifft_dit_bitrev(x: np.ndarray) -> np.ndarray:
+    """Inverse DFT from bit-reversed input to natural order (DIT).
+
+    Exactly inverts :func:`fft_dif_bitrev` (including the 1/N scaling).
+    """
+    x = np.asarray(x, dtype=complex).copy()
+    if not is_power_of_two(x.shape[0]):
+        raise ValueError(f"length must be a power of two, got {x.shape[0]}")
+    return _dit_stages(x) / x.shape[0]
 
 
 def bitrev_transfer(transfer_rfft: np.ndarray, n: int) -> np.ndarray:
@@ -129,7 +140,7 @@ def bitrev_transfer(transfer_rfft: np.ndarray, n: int) -> np.ndarray:
 _TAG_FFT = 0x00DD0001
 
 
-def _exchange_stages(comm, x, n, local_n, spans, twiddle_sign):
+def _exchange_stages(comm, x, local_n, spans, twiddle_sign):
     """The block-exchange butterfly stages (span >= local_n).
 
     Generator; mutates and returns ``x`` (the local block).  ``spans``
@@ -160,41 +171,6 @@ def _exchange_stages(comm, x, n, local_n, spans, twiddle_sign):
         yield from comm.ctx.compute(
             flops=10.0 * x.size, inner_length=local_n
         )
-    return x
-
-
-def _local_dif(x, n_total, local_n):
-    """Local DIF stages (span < local_n) on a block; twiddles need the
-    global offset only through ``j mod span`` which is block-aligned."""
-    span = local_n // 2
-    while span >= 1:
-        j = np.arange(span)
-        w = np.exp(-2j * np.pi * j / (2 * span))
-        if x.ndim > 1:
-            w = w.reshape(span, *([1] * (x.ndim - 1)))
-        for start in range(0, local_n, 2 * span):
-            a = x[start : start + span].copy()
-            b = x[start + span : start + 2 * span]
-            x[start : start + span] = a + b
-            x[start + span : start + 2 * span] = (a - b) * w
-        span //= 2
-    return x
-
-
-def _local_dit(x, local_n):
-    """Local DIT stages (span < local_n) from bit-reversed input."""
-    span = 1
-    while span < local_n:
-        j = np.arange(span)
-        w = np.exp(2j * np.pi * j / (2 * span))
-        if x.ndim > 1:
-            w = w.reshape(span, *([1] * (x.ndim - 1)))
-        for start in range(0, local_n, 2 * span):
-            a = x[start : start + span].copy()
-            b = x[start + span : start + 2 * span] * w
-            x[start : start + span] = a + b
-            x[start + span : start + 2 * span] = a - b
-        span *= 2
     return x
 
 
@@ -234,8 +210,8 @@ def distributed_fft_filter_line(comm, local_block, transfer_bitrev_local):
         for span in (n_total // 2**k for k in range(1, n_total.bit_length()))
         if span >= n_local
     ]
-    x = yield from _exchange_stages(comm, x, n_total, n_local, spans_fwd, -1)
-    x = _local_dif(x, n_total, n_local)
+    x = yield from _exchange_stages(comm, x, n_local, spans_fwd, -1)
+    x = _dif_stages(x)
     yield from comm.ctx.compute(
         flops=5.0 * n_local * max(1, np.log2(max(n_local, 2))) * (
             x.size // n_local
@@ -252,13 +228,13 @@ def distributed_fft_filter_line(comm, local_block, transfer_bitrev_local):
     x = x * t
 
     # Inverse DIT: local stages first, then exchange stages (small->large).
-    x = _local_dit(x, n_local)
+    x = _dit_stages(x)
     spans_inv = [
         span
         for span in (2**k for k in range(n_total.bit_length() - 1))
         if span >= n_local
     ]
-    x = yield from _exchange_stages(comm, x, n_total, n_local, spans_inv, +1)
+    x = yield from _exchange_stages(comm, x, n_local, spans_inv, +1)
     x = x / n_total
     yield from comm.ctx.compute(
         flops=5.0 * n_local * max(1, np.log2(max(n_local, 2))) * (

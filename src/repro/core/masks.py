@@ -74,15 +74,6 @@ class FilterPlan:
         """Row units whose latitude lies in the half-open range [lat0, lat1)."""
         return [u for u in self.units if lat0 <= u.lat < lat1]
 
-    def balanced_rows_per_group(self, ngroups: int) -> List[int]:
-        """Paper eq. (3): ~``ceil(sum_j R_j / n)`` rows per group.
-
-        Returns the exact balanced row counts (front-loaded remainder).
-        """
-        from repro.util.partition import block_partition
-
-        return block_partition(self.total_rows, ngroups)
-
 
 #: Default variable assignment, mirroring the AGCM's convention that the
 #: wind tendencies need the strong filter and the thermodynamic variables

@@ -17,23 +17,38 @@ serial case):
   (:func:`~repro.core.balance_plan.balanced_assignment`), so every rank
   FFTs ~``sum_j R_j / P`` lines.
 
-Every driver is a generator to be run inside a rank program.  They move
-*real* array data (results are asserted identical to the serial filters in
-the test suite) and charge the machine model for every message and flop,
-so the virtual timings reproduce the paper's comparisons structurally.
+Every backend runs one pipeline, :meth:`FilterBackend.apply` (a generator
+to be run inside a rank program), and is one row of :data:`_BACKENDS`: an
+assignment, its coefficient set-up and a ``filter_held`` generator.
+*Pack* the segments of the units the rank's processor row owns and keeps;
+*stage A* (the Section 3.3 balancer, Figure 2 — nothing to do under a
+natural assignment) ships the segments assigned to another row, takes in
+the row's arrivals and puts kept and arrived segments in plan order with
+one precomputed index, so the rank *holds* its longitude segment of every
+unit assigned to its row.  ``filter_held`` exchanges within the row,
+filters, and returns an array of the same shape; visitors go home;
+*store*.  The balancer only decides where row units live, whatever
+filters them: in plan order the lines of each processor column are a
+contiguous column slice of the held array and each stage-A move is one
+index array, so nothing between pack and store works unit by unit.
 
-Wire format: a group of row-unit segments is concatenated along the layer
-axis into one ``(nlon_segment, sum_of_layers)`` array — variables with
-different layer counts (``ps`` has one, the 3-D fields have K) pack into
-a single message, and both endpoints derive the split offsets from the
-globally known plan.  All filtered fields must be 3-D
-``(nlat, nlon, nlayers)`` arrays.
+The drivers move *real* array data (results are asserted identical to the
+serial filters in the test suite) and charge the machine model for every
+message and flop, so the virtual timings reproduce the paper's
+comparisons structurally.
+
+Wire format, and the held array's: a group of row-unit segments is
+concatenated along the layer axis into one ``(nlon_segment,
+sum_of_layers)`` array — variables with different layer counts (``ps``
+has one, the 3-D fields have K) pack into a single message, and both
+endpoints derive the split offsets from the globally known plan.  All
+filtered fields must be 3-D ``(nlat, nlon, nlayers)`` arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +57,7 @@ from repro.core.balance_plan import (
     balanced_assignment,
     natural_assignment,
 )
-from repro.core.convolution import (
-    circulant_matrix,
-    circulant_rows,
-    convolution_filter_rows,
-)
+from repro.core.convolution import circulant_rows, convolution_filter_rows
 from repro.core.distributed_fft import (
     bitrev_transfer,
     check_distributed_fft_shape,
@@ -71,18 +82,20 @@ _TAG_STAGE_A = 0x00BB0001
 _TAG_STAGE_A_BACK = 0x00BB0002
 
 
-def _staged_exchange(sends, recvs) -> Exchange:
+def _stage_a(ctx: VirtualComm, tag: int, sends, sources):
     """One Exchange for an *all-sends-then-all-recvs* schedule.
 
-    Stage A of the transpose filter posts every outgoing segment before
-    draining the incoming ones; the rounds are padded with ``None`` so
-    the wire order is exactly that: the received payloads sit in
-    ``result()[len(sends):]``.
+    Stage A posts every outgoing ``(peer, segment)`` before draining the
+    incoming ones; the rounds are padded with ``None`` so the wire order
+    is exactly that.  Returns the payloads received, in ``sources`` order.
     """
-    return Exchange(
-        sends=tuple(sends) + (None,) * len(recvs),
-        recvs=(None,) * len(sends) + tuple(recvs),
-    )
+    sends = tuple((peer, payload, tag, None, True) for peer, payload in sends)
+    with ctx.span("filter.redistribute"):
+        received = yield Exchange(
+            sends=sends + (None,) * len(sources),
+            recvs=(None,) * len(sends) + tuple((peer, tag) for peer in sources),
+        )
+    return received[len(sends):]
 
 
 @dataclass
@@ -101,12 +114,12 @@ class FilterBackend:
       offsets in every packed message, the flop charge, the row group, and
       the prescribed coefficients (convolution kernels, or one stacked
       transfer matrix) — vectors from the memoised per-latitude arrays of
-      :mod:`repro.core.spectral`, never N x N operators.  Of this, what
-      the transpose backends need is the same on every rank of a
-      processor row — which units the row keeps, ships and takes in, and
-      the lines each of its columns holds: the first rank of a row to
-      apply builds that once (:class:`_RowState`) and the others of the
-      row read it.
+      :mod:`repro.core.spectral`, never N x N operators.  Of this, the
+      layout is the same on every rank of a processor row — which units
+      the row keeps, ships and takes in, and where the lines of each of
+      its columns sit in the held array: the first rank of a row to apply
+      builds that once (:class:`_RowState`) and the others of the row
+      read it.
 
     Every later ``apply`` is data movement and arithmetic.  The state is
     rebuilt only if a rank's layer counts change.  It lives and dies with
@@ -117,55 +130,72 @@ class FilterBackend:
     name: str
     plan: FilterPlan
     decomp: Decomposition2D
-    assignment: Optional[FilterAssignment]  # None for convolution backends
-    _ranks: Dict[int, "_RankState"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _rows: Dict[int, "_RowState"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    assignment: FilterAssignment
+
+    def __post_init__(self):
+        self._ranks: Dict[int, "_RankState"] = {}
+        self._rows: Dict[int, "_RowState"] = {}
 
     def apply(self, ctx: VirtualComm, local_fields: Dict[str, np.ndarray]):
         """Generator: filter the local fields in place on this rank."""
+        _, prepare, filter_held = _BACKENDS[self.name]
         layers = _layers_of(local_fields)
-        state = self._ranks.get(ctx.rank)
-        if state is None or state.layers != layers:
-            state = self._ranks[ctx.rank] = _RankState(self, ctx.rank, layers)
-        if self.name == "convolution-ring":
-            yield from filter_convolution_ring(ctx, state, local_fields)
-        elif self.name == "convolution-tree":
-            yield from filter_convolution_tree(ctx, state, local_fields)
-        elif self.name in ("fft", "fft-lb"):
-            yield from filter_fft_transpose(ctx, state, local_fields)
-        elif self.name == "fft-distributed":
-            yield from filter_fft_distributed(ctx, state, local_fields)
-        else:  # pragma: no cover - prepare_filter_backend validates
-            raise ValueError(f"unknown backend {self.name!r}")
+        st = self._ranks.get(ctx.rank)
+        if st is None or st.layers != layers:
+            st = self._ranks[ctx.rank] = _RankState(self, ctx.rank, layers)
+            prepare(st, self.plan)
+        row, j, nlon_loc = st.row, st.j_col, st.sub.nlon
 
-    def _row_state(self, i_row: int, layers: Dict[str, int]) -> "_RowState":
-        """The transpose state of processor row ``i_row``, built once."""
-        row = self._rows.get(i_row)
-        if row is None or row.layers != layers:
-            row = self._rows[i_row] = _RowState(self, i_row, layers)
-        return row
+        # ---------- pack, stage A: latitudinal redistribution -------------
+        held = row.own.pack(local_fields, nlon_loc)
+        if row.outgoing or row.incoming:
+            arrived = yield from _stage_a(
+                ctx, _TAG_STAGE_A,
+                [(to[j], p.pack(local_fields, nlon_loc)) for to, p in row.outgoing],
+                [source[j] for source, _ in row.incoming],
+            )
+            if arrived:
+                # take, not held[:, index]: the result must be C-ordered
+                # or every later row slice of the lines is a real copy.
+                held = np.concatenate([held, *arrived], axis=1)
+                held = held.take(row.arrive, axis=1)
+            del arrived
+
+        # ---------- the backend filters what the row holds ----------------
+        if row.held.units:  # else idle: the load imbalance the paper measures
+            # The backend owns the array from here: a reference left in
+            # this frame while it is suspended in a collective would keep
+            # one packed array alive for every rank of the run at once.
+            filtering = filter_held(ctx, st, held)
+            del held
+            held = yield from filtering
+
+        # ---------- stage A home, store -----------------------------------
+        if row.outgoing or row.incoming:
+            returned = yield from _stage_a(
+                ctx, _TAG_STAGE_A_BACK,
+                [(to[j], held.take(cols, axis=1)) for to, cols in row.incoming],
+                [source[j] for source, _ in row.outgoing],
+            )
+            for (_, p), payload in zip(row.outgoing, returned):
+                p.store(local_fields, payload)
+            if row.incoming:
+                held = held.take(row.own_cols, axis=1)
+        row.own.store(local_fields, held)
 
 
 def prepare_filter_backend(
     name: str, plan: FilterPlan, decomp: Decomposition2D
 ) -> FilterBackend:
     """Build the per-run setup state for a named filter backend."""
-    if name not in EXTENDED_BACKENDS:
+    if name not in _BACKENDS:
         raise ValueError(
             f"unknown filter backend {name!r}; choose from {EXTENDED_BACKENDS}"
         )
-    if name == "fft-distributed":
-        check_distributed_fft_shape(decomp.nlon, decomp.mesh.nlon_procs)
-    assignment: Optional[FilterAssignment] = None
-    if name == "fft":
-        assignment = natural_assignment(plan, decomp)
-    elif name == "fft-lb":
-        assignment = balanced_assignment(plan, decomp)
-    return FilterBackend(name=name, plan=plan, decomp=decomp, assignment=assignment)
+    assign, _, _ = _BACKENDS[name]
+    return FilterBackend(
+        name=name, plan=plan, decomp=decomp, assignment=assign(plan, decomp)
+    )
 
 
 def apply_serial_filter(
@@ -176,23 +206,16 @@ def apply_serial_filter(
     ``method`` is ``"fft"`` or ``"convolution"``; both must (and, by the
     convolution theorem, do) give identical results — asserted in tests.
     """
-    for var in plan.strong_vars:
-        if var in fields:
-            if method == "fft":
-                fields[var][...] = fft_filter_rows(fields[var], plan.strong)
-            else:
-                fields[var][...] = convolution_filter_rows(fields[var], plan.strong)
-    for var in plan.weak_vars:
-        if var in fields:
-            if method == "fft":
-                fields[var][...] = fft_filter_rows(fields[var], plan.weak)
-            else:
-                fields[var][...] = convolution_filter_rows(fields[var], plan.weak)
+    filter_rows = fft_filter_rows if method == "fft" else convolution_filter_rows
+    for names, polar in (
+        (plan.strong_vars, plan.strong), (plan.weak_vars, plan.weak)
+    ):
+        for var in names:
+            if var in fields:
+                fields[var][...] = filter_rows(fields[var], polar)
 
 
-# ----------------------------------------------------------------------
-# prepared per-row and per-rank state: unit lists <-> wire arrays
-# ----------------------------------------------------------------------
+# -- prepared per-row and per-rank state: unit lists <-> wire arrays --
 
 def _layers_of(local_fields: Dict[str, np.ndarray]) -> Dict[str, int]:
     """Layer count of each filtered variable (identical on every rank)."""
@@ -212,9 +235,10 @@ class _Packing:
 
     A packing of units whose latitudes this rank holds is built with the
     rank's ``lat0`` and can also address the local field rows
-    (:meth:`pack`, :meth:`store`).  One of units held elsewhere (stage-A
-    arrivals, the lines of a column) has ``rows = None``, so those two
-    raise instead of indexing somebody else's latitude.
+    (:meth:`pack`, :meth:`store`).  One of units held elsewhere (a row
+    that took in stage-A arrivals, the lines of a column) has
+    ``rows = None``, so those two raise instead of indexing somebody
+    else's latitude.
     """
 
     def __init__(
@@ -222,13 +246,14 @@ class _Packing:
         layers: Dict[str, int], lat0: Optional[int] = None,
     ):
         self.units = tuple(units)
+        row_units = [plan.units[u] for u in self.units]
         #: (variable, local latitude row) of each unit; owned units only.
         self.rows = None if lat0 is None else [
-            (plan.units[u].var, plan.units[u].lat - lat0) for u in self.units
+            (ru.var, ru.lat - lat0) for ru in row_units
         ]
-        offsets = [0]
-        for u in self.units:
-            offsets.append(offsets[-1] + layers[plan.units[u].var])
+        #: (filter, latitude) of each unit: :mod:`repro.core.spectral`'s memo key.
+        self.filters = [(plan.filter_for(ru), ru.lat) for ru in row_units]
+        offsets = np.cumsum([0] + [layers[ru.var] for ru in row_units]).tolist()
         #: Layer-column range of each unit inside the packed array.
         self.bounds = list(zip(offsets, offsets[1:]))
         self.width = offsets[-1]
@@ -241,25 +266,17 @@ class _Packing:
             [local_fields[var][row] for var, row in self.rows], axis=1
         )
 
-    def split(self, packed: np.ndarray) -> List[np.ndarray]:
-        """Invert packing: one ``(nlon, K_var)`` view per unit."""
-        return [packed[:, a:b] for a, b in self.bounds]
-
     def store(self, local_fields: Dict[str, np.ndarray], packed: np.ndarray):
         """Write filtered segments back into the local field rows."""
         for (var, row), (a, b) in zip(self.rows, self.bounds):
             local_fields[var][row] = packed[:, a:b]
 
-    def collect(self, seg_store: Dict[int, np.ndarray], nlon_loc: int):
-        """Like :meth:`pack`, from segments held by unit — wherever they
-        came from."""
-        if not self.units:
-            return np.empty((nlon_loc, 0))
-        return np.concatenate([seg_store[u] for u in self.units], axis=1)
-
-    def deliver(self, seg_store: Dict[int, np.ndarray], packed: np.ndarray):
-        """Invert :meth:`collect`: hold each unit's view of ``packed``."""
-        seg_store.update(zip(self.units, self.split(packed)))
+    def cols(self, units: Sequence[int]) -> np.ndarray:
+        """The layer columns, in the packed array, of some of its units."""
+        where = dict(zip(self.units, self.bounds))
+        return np.array(
+            [c for u in units for c in range(*where[u])], dtype=np.intp
+        )
 
     def stack(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
         """One coefficient vector per unit, repeated over the unit's
@@ -271,132 +288,103 @@ class _Packing:
 
 
 class _RowState:
-    """What the ranks of one processor row share under a transpose backend:
-    everything that depends only on ``(plan, decomp, assignment, row)`` and
-    the variables' layer counts.  Read-only once built."""
+    """The layout the ranks of one processor row share: everything that
+    depends only on ``(plan, decomp, assignment, row)`` and the variables'
+    layer counts.  Read-only once built."""
 
     def __init__(self, backend: FilterBackend, i_row: int, layers: Dict[str, int]):
         plan, decomp, a = backend.plan, backend.decomp, backend.assignment
         mesh = decomp.mesh
         self.layers = layers
+        self.ranks = tuple(mesh.row_ranks(i_row))
+        #: Longitude range of each processor column.
+        self.col_bounds = [
+            decomp.lon_bounds_of_proc_col(c) for c in range(mesh.nlon_procs)
+        ]
         lat0, _ = decomp.lat_bounds_of_proc_row(i_row)
-
-        def owned(units) -> _Packing:
-            return _Packing(plan, units, layers, lat0)
-
-        def foreign(units) -> _Packing:
-            return _Packing(plan, units, layers)
-
         assigned = a.units_assigned_to_row(i_row)
-        self.has_units = bool(assigned)
-        #: Units this row both owns and keeps through stage A.
-        self.own = owned(u for u in assigned if a.owner_row[u] == i_row)
+        kept = [u for u in assigned if a.owner_row[u] == i_row]
         moves = a.stage_a_moves()
-        #: Stage A, (peer row, units): shipped out / taken in.
+        #: Units this row both owns and keeps through stage A.
+        self.own = _Packing(plan, kept, layers, lat0)
+        #: Every unit the row holds after stage A, in plan order.
+        natural = len(kept) == len(assigned)
+        self.held = held = self.own if natural else _Packing(plan, assigned, layers)
+        #: Stage A out, (the target row's ranks, units): packed to ship,
+        #: stored when they come home.
         self.outgoing = [
-            (dst, owned(units)) for src, dst, units in moves if src == i_row
+            (mesh.row_ranks(dst), _Packing(plan, units, layers, lat0))
+            for src, dst, units in moves if src == i_row
         ]
+        #: Stage A in, (the source row's ranks, the arrivals' held columns).
         self.incoming = [
-            (src, foreign(units)) for src, dst, units in moves if dst == i_row
+            (mesh.row_ranks(src), held.cols(units))
+            for src, dst, units in moves if dst == i_row
         ]
-        #: Stage B: the complete lines each column of the row holds.
-        self.by_col = [
-            foreign(a.lines_on_rank(r)) for r in mesh.row_ranks(i_row)
-        ]
+        self.own_cols = held.cols(kept)
+        #: Kept segments, then each arrival, side by side -> plan order.
+        self.arrive = np.argsort(
+            np.concatenate([self.own_cols] + [c for _, c in self.incoming])
+        )
+        #: Stage B: the units whose complete lines each column holds, and
+        #: the slice of the held array they are.
+        self.lines = [a.lines_on_rank(r) for r in self.ranks]
+        if [u for units in self.lines for u in units] != list(assigned):
+            raise ValueError(
+                "line columns must block-partition a row's units in plan order"
+            )
+        edges = np.cumsum([0] + [len(held.cols(units)) for units in self.lines])
+        self.col_slices = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
 class _RankState:
     """What one rank's applications share: everything that depends only on
-    ``(plan, decomp, assignment, rank)`` and the variables' layer counts."""
+    ``(plan, decomp, assignment, rank)`` and the variables' layer counts,
+    and the coefficients its backend's set-up adds."""
 
     def __init__(self, backend: FilterBackend, rank: int, layers: Dict[str, int]):
-        plan, decomp = backend.plan, backend.decomp
-        mesh = decomp.mesh
+        decomp = backend.decomp
         self.layers = layers
         self.nlon = decomp.nlon
-        self.sub = sub = decomp.subdomain(rank)
-        i_row, j_col = mesh.coords_of(rank)
-        self.row_ranks = tuple(mesh.row_ranks(i_row))
-        self.col_bounds = [
-            decomp.lon_bounds_of_proc_col(c) for c in range(mesh.nlon_procs)
-        ]
-
-        def filters_of(p: _Packing):
-            """(filter, latitude) of each unit: what its coefficients are
-            memoised under in :mod:`repro.core.spectral`."""
-            units = [plan.units[u] for u in p.units]
-            return [(plan.filter_for(ru), ru.lat) for ru in units]
-
-        if backend.assignment is None:
-            #: The units whose latitudes this rank holds.
-            self.own = _Packing(
-                plan,
-                (u for u, ru in enumerate(plan.units)
-                 if sub.lat0 <= ru.lat < sub.lat1),
-                layers, sub.lat0,
-            )
-            if backend.name == "fft-distributed":
-                # Per-layer bit-reversed transfer factors for this rank's block.
-                local_n = decomp.nlon // mesh.nlon_procs
-                block = slice(j_col * local_n, (j_col + 1) * local_n)
-                self.transfer = self.own.stack([
-                    bitrev_transfer(f.transfer(lat), decomp.nlon)[block]
-                    for f, lat in filters_of(self.own)
-                ])
-            else:
-                self.kernels = [f.kernel(lat) for f, lat in filters_of(self.own)]
-                # The ring computes only its own longitude segment of each
-                # output line; the tree's row leader computes whole lines.
-                self.conv_flops = _convolution_segment_flops(
-                    plan, self.own.units, layers,
-                    sub.nlon if backend.name == "convolution-ring" else decomp.nlon,
-                )
-        else:
-            row = backend._row_state(i_row, layers)
-            self.row_has_units = row.has_units
-            self.own = row.own
-            #: Stage A, (peer rank, units): the row's moves, in this column.
-            self.outgoing = [
-                (mesh.rank_of(dst, j_col), p) for dst, p in row.outgoing
-            ]
-            self.incoming = [
-                (mesh.rank_of(src, j_col), p) for src, p in row.incoming
-            ]
-            self.by_col = row.by_col
-            self.lines = row.by_col[j_col]
-            self.transfer = self.lines.stack(
-                [f.transfer(lat) for f, lat in filters_of(self.lines)]
-            )
-            self.fft_flops = fft_filter_flop_count(decomp.nlon, 1, self.lines.width)
+        self.sub = decomp.subdomain(rank)
+        i_row, self.j_col = decomp.mesh.coords_of(rank)
+        row = backend._rows.get(i_row)  # the first rank of a row builds it
+        if row is None or row.layers != layers:
+            row = backend._rows[i_row] = _RowState(backend, i_row, layers)
+        self.row = row
 
 
-def _convolution_segment_flops(
-    plan: FilterPlan,
-    units: Sequence[int],
-    layers: Dict[str, int],
-    out_points: int,
-) -> float:
-    """Eq.-2 wavenumber-sum cost of convolving ``out_points`` per line.
+# -- convolution backends (the original code's algorithms) --
 
-    ``4 * out_points * M_s`` flops per layer of each unit, where ``M_s``
-    is the number of damped wavenumbers at the unit's latitude (sine and
-    cosine contributions, one multiply + one add each).
-    """
-    total = 0.0
-    for u in units:
-        ru = plan.units[u]
-        m = plan.filter_for(ru).damped_bin_count(ru.lat)
-        total += 4.0 * out_points * m * layers[ru.var]
-    return total
+def _prepare_convolution(st: _RankState, plan: FilterPlan):
+    """Kernels, and the flops per output point in the AGCM's wavenumber-sum
+    form of eq. (2): ``4 * M_s`` per layer of each unit, where ``M_s`` is
+    the number of damped wavenumbers at the unit's latitude (sine and
+    cosine contributions, one multiply + one add each)."""
+    held = st.row.held
+    st.kernels = [f.kernel(lat) for f, lat in held.filters]
+    st.flops_per_point = sum(
+        4.0 * f.damped_bin_count(lat) * (b - a)
+        for (f, lat), (a, b) in zip(held.filters, held.bounds)
+    )
 
 
-# ----------------------------------------------------------------------
-# convolution backends (the original code's algorithms)
-# ----------------------------------------------------------------------
+def _convolve(ctx: VirtualComm, st: _RankState, lines: np.ndarray, lo: int, hi: int):
+    """Charge and compute longitudes ``lo:hi`` of every filtered line:
+    that block of each unit's circulant rows times the unit's lines."""
+    with ctx.span("filter.convolve", units=len(st.kernels)):
+        yield from ctx.compute(
+            flops=st.flops_per_point * (hi - lo),
+            mem_bytes=2.0 * lines.nbytes,
+            inner_length=hi - lo,
+        )
+    filtered = np.empty((hi - lo, lines.shape[1]))
+    for (a, b), kernel in zip(st.row.held.bounds, st.kernels):
+        filtered[:, a:b] = circulant_rows(kernel, lo, hi) @ lines[:, a:b]
+    return filtered
 
-def filter_convolution_ring(
-    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
-):
+
+def _convolve_ring(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     """Eq.-2 convolution with ring allgather of line segments.
 
     Within each processor row, all ranks allgather their segments of every
@@ -405,179 +393,121 @@ def filter_convolution_ring(
     direction" with no partial summation), then each rank convolves the
     full lines to produce *its own* longitude segment of the output.
     """
-    own, sub = state.own, state.sub
-    if not own.units:
-        # Idle during filtering: the load imbalance the paper measures.
-        return
-    row_group = ctx.group(state.row_ranks)
-
-    packed = own.pack(local_fields, sub.nlon)
-    with ctx.span("filter.gather", units=len(own.units)):
-        gathered = yield from row_group.allgather(packed)
+    with ctx.span("filter.gather", units=len(st.kernels)):
+        gathered = yield from ctx.group(st.row.ranks).allgather(held)
     lines = np.concatenate(gathered, axis=0)  # (nlon, sum K)
-
-    # Charge the AGCM's wavenumber-sum form of eq. (2): each output point
-    # of a line sums over the M_s damped wavenumbers of that latitude
-    # (sine and cosine components), and this rank only computes its own
-    # longitude segment of each line.
-    # The ring variant computes only its own (short) longitude segment of
-    # each output line, so its inner loops suffer the vector-startup
-    # penalty on small blocks — one of the reasons the original filter
-    # scales poorly.
-    with ctx.span("filter.convolve", units=len(own.units)):
-        yield from ctx.compute(
-            flops=state.conv_flops,
-            mem_bytes=2.0 * lines.nbytes,
-            inner_length=sub.nlon,
-        )
-    for (var, row), (a, b), kernel in zip(own.rows, own.bounds, state.kernels):
-        rows = circulant_rows(kernel, sub.lon0, sub.lon1)  # (nlon_loc, nlon)
-        local_fields[var][row] = rows @ lines[:, a:b]
+    # The ring computes only its own (short) longitude segment of each
+    # output line, so its inner loops suffer the vector-startup penalty on
+    # small blocks — one of the reasons the original filter scales poorly.
+    return (yield from _convolve(ctx, st, lines, st.sub.lon0, st.sub.lon1))
 
 
-def filter_convolution_tree(
-    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
-):
+def _convolve_tree(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     """Eq.-2 convolution with binomial-tree gather to a row leader.
 
     Segments funnel up a binary tree to column 0 of each processor row
     (``O(2P)`` messages, ``O(NP + N log P)`` volume), the leader convolves
     whole lines, and filtered segments are scattered straight back.
     """
-    own, sub = state.own, state.sub
-    if not own.units:
-        return
-    row_group = ctx.group(state.row_ranks)
-
-    packed = own.pack(local_fields, sub.nlon)
-    with ctx.span("filter.gather", units=len(own.units)):
-        gathered = yield from coll.gather_binomial(row_group, packed, root=0)
-
+    row_group = ctx.group(st.row.ranks)
+    with ctx.span("filter.gather", units=len(st.kernels)):
+        gathered = yield from coll.gather_binomial(row_group, held, root=0)
+    del held
+    pieces = None
     if row_group.rank == 0:
         lines = np.concatenate(gathered, axis=0)  # (nlon, sum K)
-        with ctx.span("filter.convolve", units=len(own.units)):
-            yield from ctx.compute(
-                flops=state.conv_flops,
-                mem_bytes=2.0 * lines.nbytes,
-                inner_length=state.nlon,
-            )
-        filtered = np.empty_like(lines)
-        for (a, b), kernel in zip(own.bounds, state.kernels):
-            filtered[:, a:b] = circulant_matrix(kernel) @ lines[:, a:b]
-        pieces = [
-            np.ascontiguousarray(filtered[lo:hi]) for lo, hi in state.col_bounds
-        ]
-        with ctx.span("filter.scatter"):
-            mine = yield from row_group.scatter(pieces, root=0)
-    else:
-        with ctx.span("filter.scatter"):
-            mine = yield from row_group.scatter(None, root=0)
-    own.store(local_fields, mine)
+        filtered = yield from _convolve(ctx, st, lines, 0, st.nlon)
+        pieces = [filtered[lo:hi] for lo, hi in st.row.col_bounds]
+    with ctx.span("filter.scatter"):
+        return (yield from row_group.scatter(pieces, root=0))
 
 
-# ----------------------------------------------------------------------
-# transpose-based FFT backends (the paper's optimisation)
-# ----------------------------------------------------------------------
+# -- transpose-based FFT backends (the paper's optimisation) --
 
-def filter_fft_transpose(
-    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
-):
-    """Transpose-based FFT filtering, optionally load balanced.
+def _prepare_transpose(st: _RankState, plan: FilterPlan):
+    # The units whose complete lines this rank holds after stage B.
+    lines = _Packing(plan, st.row.lines[st.j_col], st.layers)
+    st.n_lines = len(lines.units)
+    st.transfer = lines.stack([f.transfer(lat) for f, lat in lines.filters])
+    st.fft_flops = fft_filter_flop_count(st.nlon, 1, lines.width)
 
-    Stage A ships row-unit segments from owning to target processor rows
-    (identity when the assignment is natural); stage B transposes within
-    each processor row so complete lines land on their owning column;
-    local FFTs filter the lines; the inverse movements restore the
-    original layout (paper Figures 2-3 and Section 3.2).
+
+def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
+    """Transpose-based FFT filtering (paper Figure 3 and Section 3.2).
+
+    Stage B transposes within each processor row so complete lines land
+    on their owning column; local FFTs filter the lines; the inverse
+    transpose restores the held layout.  Balanced or not is the
+    assignment's business.
     """
-    sub, nlon = state.sub, state.nlon
-    outgoing, incoming = state.outgoing, state.incoming
-
-    # ---------- stage A: latitudinal redistribution --------------------
-    seg_store: Dict[int, np.ndarray] = {
-        u: local_fields[var][row]
-        for u, (var, row) in zip(state.own.units, state.own.rows)
-    }
-    with ctx.span("filter.redistribute"):
-        if outgoing or incoming:
-            received = yield _staged_exchange(
-                [(peer, p.pack(local_fields, sub.nlon), _TAG_STAGE_A, None, True)
-                 for peer, p in outgoing],
-                [(peer, _TAG_STAGE_A) for peer, _ in incoming],
+    row_group = ctx.group(st.row.ranks)
+    chunks = [held[:, a:b] for a, b in st.row.col_slices]
+    del held
+    with ctx.span("filter.transpose"):
+        received = yield from row_group.alltoall(chunks)
+    # Assemble complete lines: concatenate column segments along lon.
+    lines = np.concatenate(received, axis=0)
+    del chunks, received
+    if st.n_lines:
+        # Whole-line FFTs: full vector length — the reason the paper
+        # chose the transpose over a distributed 1-D FFT.
+        with ctx.span("filter.fft", lines=st.n_lines):
+            yield from ctx.compute(
+                flops=st.fft_flops,
+                mem_bytes=2.0 * lines.nbytes,
+                inner_length=st.nlon,
             )
-            for (_, p), payload in zip(incoming, received[len(outgoing):]):
-                p.deliver(seg_store, payload)
+        # Every line of every layer in one batched transform pair.
+        spec = np.fft.rfft(lines, axis=0)
+        spec *= st.transfer
+        lines = np.fft.irfft(spec, n=st.nlon, axis=0)
+        del spec
 
-    # ---------- stage B: transpose within the processor row ------------
-    if state.row_has_units:
-        row_group = ctx.group(state.row_ranks)
-        chunks = [p.collect(seg_store, sub.nlon) for p in state.by_col]
-        with ctx.span("filter.transpose"):
-            received = yield from row_group.alltoall(chunks)
-        # Assemble complete lines: concatenate column segments along lon.
-        lines = np.concatenate(received, axis=0)
-        if state.lines.units:
-            # Whole-line FFTs: full vector length — the reason the paper
-            # chose the transpose over a distributed 1-D FFT.
-            with ctx.span("filter.fft", lines=len(state.lines.units)):
-                yield from ctx.compute(
-                    flops=state.fft_flops,
-                    mem_bytes=2.0 * lines.nbytes,
-                    inner_length=nlon,
-                )
-            # Every line of every layer in one batched transform pair.
-            spec = np.fft.rfft(lines, axis=0)
-            spec *= state.transfer
-            lines = np.fft.irfft(spec, n=nlon, axis=0)
-
-        # ---------- inverse stage B -------------------------------------
-        back_chunks = [
-            np.ascontiguousarray(lines[lo:hi]) for lo, hi in state.col_bounds
-        ]
-        with ctx.span("filter.transpose"):
-            back = yield from row_group.alltoall(back_chunks)
-        for p, payload in zip(state.by_col, back):
-            p.deliver(seg_store, payload)
-
-    # ---------- inverse stage A -----------------------------------------
-    with ctx.span("filter.redistribute"):
-        if outgoing or incoming:
-            received = yield _staged_exchange(
-                [(peer, p.collect(seg_store, sub.nlon),
-                  _TAG_STAGE_A_BACK, None, True) for peer, p in incoming],
-                [(peer, _TAG_STAGE_A_BACK) for peer, _ in outgoing],
-            )
-            for (_, p), payload in zip(outgoing, received[len(incoming):]):
-                p.store(local_fields, payload)
-
-    # Write back the segments this rank both owns and was assigned.
-    for u, (var, row) in zip(state.own.units, state.own.rows):
-        local_fields[var][row] = seg_store[u]
+    back_chunks = [
+        np.ascontiguousarray(lines[lo:hi]) for lo, hi in st.row.col_bounds
+    ]
+    with ctx.span("filter.transpose"):
+        back = yield from row_group.alltoall(back_chunks)
+    return np.concatenate(back, axis=1)
 
 
-# ----------------------------------------------------------------------
-# the distributed 1-D FFT backend (the paper's rejected alternative)
-# ----------------------------------------------------------------------
+# -- the distributed 1-D FFT backend (the paper's rejected alternative) --
 
-def filter_fft_distributed(
-    ctx: VirtualComm, state: _RankState, local_fields: Dict[str, np.ndarray]
-):
+def _pow2_assignment(plan: FilterPlan, decomp: Decomposition2D) -> FilterAssignment:
+    check_distributed_fft_shape(decomp.nlon, decomp.mesh.nlon_procs)
+    return natural_assignment(plan, decomp)
+
+
+def _prepare_distributed(st: _RankState, plan: FilterPlan):
+    # Per-layer bit-reversed transfer factors for this rank's block.
+    block = slice(st.sub.lon0, st.sub.lon1)
+    st.transfer = st.row.held.stack([
+        bitrev_transfer(f.transfer(lat), st.nlon)[block]
+        for f, lat in st.row.held.filters
+    ])
+
+
+def _fft_distributed(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     """Filter via binary-exchange distributed FFTs along processor rows.
 
     No transpose: each rank keeps its longitude segment and the FFT
     butterflies themselves communicate (``2 log2 P`` block exchanges per
     filtering pass).  Requires power-of-two line lengths and ranks per
     row — one of the practical reasons the paper preferred the
-    transpose + local (mixed-radix library) FFT.  Load balance matches
-    the plain ``fft`` backend: rows without filtered latitudes idle.
+    transpose + local (mixed-radix library) FFT.
     """
-    own = state.own
-    if not own.units:
-        return
-    row_group = ctx.group(state.row_ranks)
-    packed = own.pack(local_fields, state.sub.nlon)
-    with ctx.span("filter.fft", lines=len(own.units)):
-        filtered = yield from distributed_fft_filter_line(
-            row_group, packed, state.transfer
-        )
-    own.store(local_fields, filtered)
+    with ctx.span("filter.fft", lines=len(st.row.held.units)):
+        return (yield from distributed_fft_filter_line(
+            ctx.group(st.row.ranks), held, st.transfer
+        ))
+
+
+#: name -> (assignment, per-rank coefficient set-up, filter_held): the one
+#: place a backend name becomes code.
+_BACKENDS = {
+    "convolution-ring": (natural_assignment, _prepare_convolution, _convolve_ring),
+    "convolution-tree": (natural_assignment, _prepare_convolution, _convolve_tree),
+    "fft": (natural_assignment, _prepare_transpose, _fft_transpose),
+    "fft-lb": (balanced_assignment, _prepare_transpose, _fft_transpose),
+    "fft-distributed": (_pow2_assignment, _prepare_distributed, _fft_distributed),
+}

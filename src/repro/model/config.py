@@ -14,8 +14,6 @@ usable globally.
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -27,9 +25,10 @@ from repro.grid.sphere import SphericalGrid
 from repro.physics.driver import PhysicsParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AGCMConfig:
-    """Everything needed to build and run one AGCM instance."""
+    """Everything needed to build and run one AGCM instance.  Keyword-only:
+    the field order carries no meaning and has already changed once."""
 
     nlat: int = 90
     nlon: int = 144
@@ -103,10 +102,9 @@ class AGCMConfig:
         )
 
     # -- named constructors ------------------------------------------------
-    # A call like AGCMConfig(90, 144, 15) forces readers to count fields
-    # to know what it builds; these spell out the intent and are the
-    # supported way to construct configs (positional construction is
-    # deprecated, see below).
+    # A call like AGCMConfig(90, 144, 15) would force readers to count
+    # fields to know what it builds (the dataclass is keyword-only);
+    # these spell out the intent.
 
     @classmethod
     def paper_2x2_5(cls, nlayers: int = 9, **overrides) -> "AGCMConfig":
@@ -140,30 +138,6 @@ class AGCMConfig:
             )
         cfg = _PRESETS[name]
         return cfg.with_(**overrides) if overrides else cfg
-
-
-# Positional construction — AGCMConfig(90, 144, 15) — is deprecated in
-# favour of the named constructors / explicit keywords: the field order
-# carries no meaning and has already changed once.  The shim wraps the
-# dataclass-generated __init__ so keyword construction stays pristine.
-_dataclass_init = AGCMConfig.__init__
-
-
-@functools.wraps(_dataclass_init)
-def _deprecating_init(self, *args, **kwargs):
-    if args:
-        warnings.warn(
-            "positional AGCMConfig construction is deprecated and will be "
-            "removed in the next release; use keyword arguments or a named "
-            "constructor (AGCMConfig.paper_2x2_5(), AGCMConfig.tiny(), "
-            "AGCMConfig.from_preset(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _dataclass_init(self, *args, **kwargs)
-
-
-AGCMConfig.__init__ = _deprecating_init
 
 
 #: The paper's production 9-layer resolution (144 x 90 x 9 grid).

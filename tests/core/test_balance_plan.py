@@ -24,7 +24,7 @@ class TestNaturalAssignment:
         a = natural_assignment(plan, decomp)
         assert a.target_row == a.owner_row
         assert a.rows_moved() == 0
-        assert a.stage_a_moves() == []
+        assert a.stage_a_moves() == ()
 
     def test_owner_rows_match_latitudes(self):
         _, decomp, plan = _setup()
@@ -38,7 +38,7 @@ class TestNaturalAssignment:
         _, decomp, plan = _setup(m=3)
         a = natural_assignment(plan, decomp)
         # Middle processor row owns no filtered rows on this grid.
-        assert a.units_assigned_to_row(1) == []
+        assert a.units_assigned_to_row(1) == ()
         lines = a.lines_per_rank()
         assert (lines == 0).sum() > 0
 

@@ -54,11 +54,3 @@ class TestPlanQueries:
         assert all(0 <= u.lat < 10 for u in south)
         equatorial = plan.units_in_lat_range(40, 50)
         assert equatorial == []
-
-    def test_balanced_rows_per_group(self, paper_grid):
-        """Paper eq. (3): ceil/floor(sum R_j / n) per group."""
-        plan = make_filter_plan(paper_grid)
-        for n in (1, 3, 8, 30):
-            counts = plan.balanced_rows_per_group(n)
-            assert sum(counts) == plan.total_rows
-            assert max(counts) - min(counts) <= 1

@@ -4,7 +4,8 @@ The filter backends do their set-up once (kernels, transfer matrices,
 assignment move lists, per-rank index state) and every later application
 is data movement and arithmetic only.  These tests pin that the prepared
 path computes *the same bits* as the per-application path it replaced,
-and that a second application really does no set-up work.
+at the same virtual cost and with the same spans, and that a second
+application really does no set-up work.
 """
 
 import functools
@@ -23,7 +24,8 @@ from repro.core import (
 from repro.core.convolution import circulant_matrix, circulant_rows
 from repro.core.spectral import strong_filter, weak_filter
 from repro.grid import Decomposition2D, SphericalGrid
-from repro.parallel import GENERIC, ProcessorMesh, Simulator
+from repro.obs import Observer
+from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -144,10 +146,10 @@ def _field_bytes(applications) -> bytes:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _filtered_bytes(backend_name: str, mesh_dims) -> bytes:
-    """Every gathered field after one and after two applications of one
-    prepared backend (the second runs entirely on prepared state)."""
+def _two_applications(backend_name, mesh_dims, machine=GENERIC, observer=None):
+    """Two barrier-separated applications of one prepared backend (the
+    second runs entirely on prepared state): the run, its decomposition
+    and the backend."""
     grid, fields = _FIELD_GRID, _input_fields()
     mesh = ProcessorMesh(*mesh_dims)
     decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
@@ -161,10 +163,18 @@ def _filtered_bytes(backend_name: str, mesh_dims) -> bytes:
         yield from backend.apply(ctx, local)
         return once, local
 
-    res = Simulator(mesh.size, GENERIC).run(program)
+    res = Simulator(mesh.size, machine, observer=observer).run(program)
+    return res, decomp, backend
+
+
+@functools.lru_cache(maxsize=None)
+def _filtered_bytes(backend_name: str, mesh_dims) -> bytes:
+    """Every gathered field after one and after two applications."""
+    fields = _input_fields()
+    res, decomp, _ = _two_applications(backend_name, mesh_dims)
     applications = [
         {
-            n: decomp.gather([res.returns[r][k][n] for r in range(mesh.size)])
+            n: decomp.gather([ret[k][n] for ret in res.returns])
             for n in fields
         }
         for k in (0, 1)
@@ -217,7 +227,94 @@ def test_parallel_fft_agrees_with_serial_to_the_last_bit(mesh_dims):
 
 
 # ----------------------------------------------------------------------
-# (c) cached vectors are read-only
+# (c) virtual cost and spans: recorded at the parent of the one-pipeline
+#     change (commit c7b1b67), before the filter was touched
+# ----------------------------------------------------------------------
+
+def _cost_digest(res) -> str:
+    """The ``_digest`` recipe of tests/parallel/test_engine_frozen.py:
+    per-rank clocks, the busy/wait accounting floats, message and byte
+    counts — priced from shapes and counts, so platform-independent."""
+    acc = res.trace.ranks
+    h = hashlib.sha256()
+    h.update(np.array(res.clocks, dtype=np.float64).tobytes())
+    for name in ("send_busy_time", "recv_busy_time", "recv_wait_time"):
+        h.update(
+            np.array([getattr(a, name) for a in acc], dtype=np.float64).tobytes()
+        )
+    h.update(np.array(
+        [[a.messages_sent, a.messages_received, a.bytes_sent, a.bytes_received]
+         for a in acc],
+        dtype=np.int64,
+    ).tobytes())
+    return h.hexdigest()
+
+
+RECORDED_COSTS = {
+    ("convolution-ring", (2, 4)):
+        "04457284b560900f1139a855b6e2b3132cc8bc2d3499aca4a6f92868a05180a4",
+    ("convolution-ring", (4, 4)):
+        "30443217294ce3a2e599a99584b3f7e8f4e3afeeac6cdcde5b2a21a323c05e42",
+    ("convolution-tree", (2, 4)):
+        "91dc645ae7a9cc17791297c9e24afea9a3ef1af42cf6e6ab13ef5fba2025e32c",
+    ("convolution-tree", (4, 4)):
+        "c7fe650a41a30201fe7278761e86aa1f99899a6f4c8972cca22a23ad78aa90aa",
+    ("fft", (2, 4)):
+        "9e6f47dd977b3a95bfbb0eb034adc92cd3319d249a478dafae9a83f717064a1b",
+    ("fft", (4, 4)):
+        "76a67ded5f8cfd0ecdbc199e94343f2c2b31760ac34aaaa399110c1a2925f118",
+    ("fft-lb", (2, 4)):
+        "a3e34ab6170aa04c224b5ac4b91e7eb6feb729eb0c9f521e677c79d9682498dc",
+    ("fft-lb", (4, 4)):
+        "2f0d8b90677b552ad4b40865dfcbe7bded904e67a0d65804f5c137d3d756f028",
+    ("fft-distributed", (2, 4)):
+        "c0801289e8cd71332654637c0adff4e5ce2776cd15b3a252e2d8249b0983d52d",
+    ("fft-distributed", (4, 4)):
+        "a0906109e7960c825d5e283d5442e3e919fca3b3334756e6952e5d373da8ef49",
+}
+
+
+@MESHES
+@pytest.mark.parametrize("backend_name", EXTENDED_BACKENDS)
+def test_virtual_cost_unchanged_since_parent(backend_name, mesh_dims):
+    res, _, _ = _two_applications(backend_name, mesh_dims, PARAGON)
+    assert _cost_digest(res) == RECORDED_COSTS[backend_name, mesh_dims]
+
+
+RECORDED_FILTER_SPANS = (
+    "f650b852ef35fe6d832a42a926fd31320b8b7696840b63be4677e2c6e86d2680"
+)
+
+
+def test_filter_spans_unchanged_since_parent():
+    """Every ``filter.*`` span of a traced ``fft-lb`` 4 x 4 run, as a
+    multiset of (rank, name, begin, end).  The parent also opened a
+    zero-length ``filter.redistribute`` on a rank that neither ships nor
+    receives a stage-A segment; that one may be absent."""
+    obs = Observer()
+    _, decomp, backend = _two_applications("fft-lb", (4, 4), PARAGON, obs)
+    moving_rows = {
+        row for src, dst, _ in backend.assignment.stage_a_moves()
+        for row in (src, dst)
+    }
+    spans = sorted(
+        (s.rank, s.name, s.start.hex(), s.end.hex())
+        for s in obs.spans
+        if s.name.startswith("filter.") and not (
+            s.name == "filter.redistribute" and s.start == s.end
+            and decomp.mesh.coords_of(s.rank)[0] not in moving_rows
+        )
+    )
+    assert {name for _, name, _, _ in spans} == {
+        "filter.redistribute", "filter.transpose", "filter.fft"
+    }
+    assert (
+        hashlib.sha256(repr(spans).encode()).hexdigest() == RECORDED_FILTER_SPANS
+    )
+
+
+# ----------------------------------------------------------------------
+# (d) cached vectors are read-only
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [strong_filter, weak_filter])
@@ -285,40 +382,50 @@ def test_second_application_does_no_setup_work(backend_name, monkeypatch):
 
 
 def test_packings_are_built_once_per_processor_row(monkeypatch):
-    """A host-independent work count: what the transpose filter knows
-    about a processor row (the units it keeps, each stage-A move that
-    touches it, the lines of each of its columns) is packed once per
-    row, not once per rank of the row."""
+    """A host-independent work count, for every backend: what the filter
+    knows about a processor row (the units it keeps, each stage-A move it
+    ships) is packed once per row, not once per rank of the row; the
+    transposes add one packing per rank, for the lines it holds."""
     from repro.core.parallel_filter import _Packing
 
     grid = SphericalGrid(nlat=32, nlon=64)
     mesh = ProcessorMesh(4, 8)
     decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
-    backend = prepare_filter_backend("fft-lb", make_filter_plan(grid), decomp)
+    plan = make_filter_plan(grid)
     fields = _random_fields(grid, nlayers=2, seed=7)
+    rows, cols = mesh.nlat_procs, mesh.nlon_procs
 
-    built = [0]
+    built = {}
     init = _Packing.__init__
 
-    def counted(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+    def counted(self, plan, units, layers, lat0=None):
+        kind = "foreign" if lat0 is None else "owned"
+        built[kind] = built.get(kind, 0) + 1
+        init(self, plan, units, layers, lat0)
 
     monkeypatch.setattr(_Packing, "__init__", counted)
 
-    def program(ctx):
-        local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
-        yield from backend.apply(ctx, local)
-        yield from ctx.barrier()
-        yield from backend.apply(ctx, local)
+    for backend_name in EXTENDED_BACKENDS:
+        backend = prepare_filter_backend(backend_name, plan, decomp)
+        built.clear()
 
-    Simulator(mesh.size, GENERIC).run(program)
-    moves = backend.assignment.stage_a_moves()
-    assert moves  # the balancer does ship units between rows here
-    rows, cols = mesh.nlat_procs, mesh.nlon_procs
-    # Per row: the kept units, one packing per column; per move: its
-    # source row's and its target row's.
-    assert built[0] <= rows * (1 + cols) + 2 * len(moves) < mesh.size * cols
+        def program(ctx):
+            local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+            yield from backend.apply(ctx, local)
+            yield from ctx.barrier()
+            yield from backend.apply(ctx, local)
+
+        Simulator(mesh.size, GENERIC).run(program)
+        moves = backend.assignment.stage_a_moves()
+        # Only the balancer ships units between rows.
+        assert bool(moves) == (backend_name == "fft-lb")
+        # Owned: the row's kept units, and each move at its source row.
+        assert 0 < built["owned"] <= rows + len(moves), backend_name
+        # In all: also the row a move arrives in, and a rank's lines.
+        assert (
+            sum(built.values()) <= rows * (1 + cols) + 2 * len(moves)
+            < mesh.size * cols
+        ), backend_name
 
 
 def test_backend_reused_across_runs_filters_like_fresh_ones():

@@ -162,10 +162,9 @@ class TestMetricsRegistry:
 
 
 class TestConfigDeprecation:
-    def test_positional_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            cfg = AGCMConfig(24, 36)
-        assert (cfg.nlat, cfg.nlon) == (24, 36)
+    def test_positional_construction_is_a_type_error(self):
+        with pytest.raises(TypeError, match="positional"):
+            AGCMConfig(24, 36)
 
     def test_keyword_and_named_constructors_do_not_warn(self):
         import warnings
