@@ -17,15 +17,19 @@ performs:
 All functions are generators intended to be driven through a
 :class:`~repro.parallel.comm.GroupComm` with ``yield from``.
 
-The multi-round collectives (all-to-all, ring allgather,
-recursive-doubling allreduce, ring reduce-scatter) yield **one**
-``Exchange`` describing all their rounds.  The scheduler interprets the
-schedule message by message — each round is one send then one receive,
-with the same pricing, accounting and FIFO matching as a ``Send`` and a
-``Recv`` op — but resumes the rank's generator once per collective.  The
-log-round tree collectives (bcast/reduce/gather/scatter) stay on
-``Send``/``Recv``: their round counts are logarithmic and their payloads
-data-dependent, so there is nothing to win.
+The multi-round collectives (ring allgather, recursive-doubling
+allreduce, ring reduce-scatter) yield **one** ``Exchange`` describing
+all their rounds.  The scheduler interprets the schedule message by
+message — each round is one send then one receive, with the same
+pricing, accounting and FIFO matching as a ``Send`` and a ``Recv`` op —
+but resumes the rank's generator once per collective.  The pairwise
+all-to-all goes further and yields one
+:class:`~repro.parallel.events.AllToAll`: its structure, from which the
+scheduler either builds the same shift schedule or, for a large group,
+advances every member at once.  The log-round tree collectives
+(bcast/reduce/gather/scatter) stay on ``Send``/``Recv``: their round
+counts are logarithmic and their payloads data-dependent, so there is
+nothing to win.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.parallel.events import ACCUM, Exchange, FromRound
+from repro.parallel.events import ACCUM, AllToAll, Exchange, FromRound
 from repro.util.validation import check_chunk_count
 
 _TAG_BCAST = 0x7FFF0001
@@ -213,36 +217,17 @@ def alltoall_pairwise(comm, chunks: Sequence[Any], tag: int = _TAG_ALLTOALL):
     chunks indexed by source rank.  This is the pattern of the data
     transpose in the FFT filter, of the cyclic shuffle of physics
     load-balancing scheme 1 and — under their own ``tag`` — of the
-    pillar transposes of a 3-D mesh.  The full shift schedule is one
-    Exchange whose static payload sizes are priced in one NumPy pass.
+    pillar transposes of a 3-D mesh.  It is one :class:`AllToAll` op:
+    the scheduler is told the structure, not ``P - 1`` messages, and
+    either interprets its shift schedule or advances the whole group at
+    once.
     """
     size = comm.size
     check_chunk_count(chunks, size, "alltoall")
     if size == 1:
         return [chunks[0]]
-    rank = comm.rank
-    granks = comm.ranks
-    # Rotated views precompute the shift-s peers without a modulo per
-    # round: dest(s) = (rank+s) % size, src(s) = (rank-s) % size.
-    dest_local = list(range(rank + 1, size)) + list(range(rank))
-    src_local = list(range(rank - 1, -1, -1)) + list(
-        range(size - 1, rank, -1)
-    )
-    sends = tuple(
-        (granks[d], chunks[d], tag, None, True) for d in dest_local
-    )
-    recvs = tuple((granks[s], tag) for s in src_local)
-    # The shift schedule is closed and per-round matched (rank r's round-s
-    # send to r+s is exactly what r+s receives in its round s), so declare
-    # the group: big exchanges execute through the scheduler's vectorized
-    # bulk path instead of round-by-round.
-    received = yield Exchange(sends=sends, recvs=recvs,
-                              group=tuple(granks))
-    result: List[Any] = [None] * size
-    result[rank] = chunks[rank]
-    for s, value in zip(src_local, received):
-        result[s] = value
-    return result
+    received = yield AllToAll(comm.ranks, comm.rank, chunks, tag)
+    return received
 
 
 def allreduce_recursive_doubling(comm, value: Any,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,25 +164,12 @@ class Exchange:
     list of received payloads (``None`` for recv-less rounds); with
     ``combine(acc, received, round)`` the accumulator (seeded from
     ``initial``) is folded on every delivery and returned instead.
-
-    ``group`` opts a *closed, per-round-matched* collective into the
-    scheduler's vectorized bulk executor: every listed (global) rank
-    yields an Exchange with the same number of rounds, round ``i`` of
-    each member sends to another member whose round ``i`` receive names
-    it back (same tag), no round is ``None``, and no other traffic uses
-    these (dest, src, tag) channels while the exchange is in flight.
-    The pairwise all-to-all satisfies this; the scheduler validates the
-    matching before executing.  Leave ``group=None`` (the default) for
-    any schedule that does not meet the contract — it is interpreted
-    round-by-round with identical semantics, just without the NumPy
-    bulk pricing.
     """
 
     sends: Tuple[Optional[Tuple[int, Any, int, Optional[int], bool]], ...]
     recvs: Tuple[Optional[Tuple[int, int]], ...]
     combine: Optional[Callable[[Any, Any, int], Any]] = None
     initial: Any = None
-    group: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if len(self.sends) != len(self.recvs):
@@ -190,6 +177,49 @@ class Exchange:
                 f"Exchange rounds mismatched: {len(self.sends)} sends vs "
                 f"{len(self.recvs)} recvs (pad with None)"
             )
+
+
+@dataclass
+class AllToAll:
+    """The pairwise all-to-all of one member of ``group``, as one op.
+
+    ``group`` holds the members' global ranks, ``pos`` is this member's
+    position in it, ``chunks[d]`` is the payload for position ``d`` and
+    ``tag`` labels every message.  The ``yield`` returns the chunks
+    received, indexed by source position, with the member's own chunk at
+    ``pos``.  Every member of the group must yield one with the same
+    ``tag``.
+
+    Its cost is that of the shift schedule :meth:`schedule` spells out:
+    in round ``s`` every member sends to position ``pos + s + 1`` and
+    receives from ``pos - s - 1`` (mod the group size).  The scheduler
+    interprets that schedule (a fault plan, a timeline, a small group)
+    or, being told the structure instead of the messages, advances the
+    whole group at once with the same arithmetic.
+    """
+
+    group: Tuple[int, ...]
+    pos: int
+    chunks: Sequence[Any]
+    tag: int
+
+    def schedule(self) -> Exchange:
+        """The shift schedule as an explicit :class:`Exchange`."""
+        group, pos, chunks, tag = self.group, self.pos, self.chunks, self.tag
+        size = len(group)
+        dests = [*range(pos + 1, size), *range(pos)]
+        srcs = [*range(pos - 1, -1, -1), *range(size - 1, pos, -1)]
+        return Exchange(
+            sends=tuple((group[d], chunks[d], tag, None, True) for d in dests),
+            recvs=tuple((group[s], tag) for s in srcs),
+        )
+
+    def by_source(self, received: List[Any]) -> List[Any]:
+        """Reorder :meth:`schedule`'s per-round results by source position:
+        round ``s`` received from ``pos - s - 1``."""
+        pos = self.pos
+        return [*reversed(received[:pos]), self.chunks[pos],
+                *reversed(received[pos:])]
 
 
 @dataclass

@@ -16,6 +16,9 @@ for the message-passing semantics the AGCM needs:
   exactly the ``Send`` / ``Recv`` semantics above, but the scheduler
   interprets the whole schedule in one visit and resumes the rank
   program once instead of ``2 (P - 1)`` times.
+* ``AllToAll`` is one member's pairwise all-to-all, described by its
+  structure (group, position, chunks, tag) instead of its messages; it
+  costs exactly its shift schedule of ``P - 1`` rounds.
 * ``Barrier`` synchronises a group: all members advance to the group's
   maximum clock plus a dissemination-barrier cost.
 
@@ -26,7 +29,7 @@ independent of host dispatch order: each rank executes its ops in
 program order until it blocks, per-channel message order is FIFO, and a
 wake-up never carries a clock below the waker's.
 
-An ``Exchange`` has three interpreters that compute the same bits.
+An ``Exchange`` has two interpreters that compute the same bits.
 :meth:`Simulator._advance_exchange` executes it message by message
 through :meth:`Simulator._do_send` and :meth:`Simulator._complete_recv`,
 the code the ``Send`` and ``Recv`` ops run; it is what a fault plan or a
@@ -34,9 +37,13 @@ the code the ``Send`` and ``Recv`` ops run; it is what a fault plan or a
 (the ``engine-fast-vs-general`` differential pair, and the digests
 frozen in ``tests/parallel/test_engine_frozen.py``).  On a perfect
 machine with the timeline off, :meth:`Simulator._advance_exchange_fast`
-does the same arithmetic with the rank's clock and accounting in locals,
-and :meth:`Simulator._bulk_exchange` advances a whole closed group with
-one array operation per round.
+does the same arithmetic with the rank's clock and accounting in locals.
+An ``AllToAll`` is lowered to its explicit ``Exchange``
+(:meth:`AllToAll.schedule`) and interpreted, except on a perfect
+machine with the timeline off and a group moving at least
+``_BULK_MIN_MSGS`` messages: there its members park until the group
+closes and :meth:`Simulator._bulk_alltoall` advances all of them with
+one array operation per round, from the chunk lists alone.
 
 A situation where no rank can progress is a genuine communication
 deadlock and raises :class:`DeadlockError`.
@@ -63,6 +70,7 @@ from repro.obs.spans import NULL_OBSERVER, get_active
 from repro.parallel.costs import batch_message_costs
 from repro.parallel.events import (
     ACCUM,
+    AllToAll,
     Barrier,
     Compute,
     Exchange,
@@ -79,10 +87,21 @@ from repro.parallel.trace import RankAccounting, SimResult, Trace
 #: send costs priced in one vectorized NumPy pass.
 _VECTORIZE_ROUNDS = 8
 
-#: Closed-group exchanges moving at least this many messages in total
-#: (members x rounds) run through the vectorized bulk executor; smaller
-#: ones are interpreted round-by-round (the NumPy setup would dominate).
+#: All-to-alls moving at least this many messages in total (members x
+#: rounds) run through the vectorized bulk executor; smaller ones are
+#: interpreted round-by-round (the NumPy setup would dominate).
 _BULK_MIN_MSGS = 512
+
+
+def _wire_size(payload: Any) -> int:
+    """:func:`payload_nbytes`, with the two payload types every hot
+    collective sends tested first; it agrees with it by construction."""
+    tp = type(payload)
+    if tp is np.ndarray:
+        return payload.nbytes
+    if tp is float or tp is int:
+        return 8
+    return payload_nbytes(payload)
 
 
 class DeadlockError(RuntimeError):
@@ -91,8 +110,10 @@ class DeadlockError(RuntimeError):
     The message contains the full per-rank wait graph — who waits on
     whom, for what tag, since when — so a hang is diagnosable from the
     exception alone.  The same information is available structured via
-    ``wait_graph``: ``{rank: {"kind": "recv" | "barrier" | "hang",
-    "on": [ranks waited on], "tag": int | None, "since": float}}``.
+    ``wait_graph``: ``{rank: {"kind": "recv" | "barrier" | "exchange" |
+    "hang" | "unknown", "on": [ranks waited on], "tag": int | None,
+    "since": float}}``; ``"barrier"`` and ``"exchange"`` (a member parked
+    for a bulk all-to-all) also carry the ``"group"``.
     """
 
     def __init__(self, message: str, wait_graph: Optional[Dict[int, dict]] = None):
@@ -187,23 +208,27 @@ class _ExchState:
     re-send on resume), and either the per-round results list or the
     running accumulator of a combining exchange.  ``pre_busy``/``pre_msg``
     hold vectorized send costs when every payload is statically sized.
+    ``arrange``, if given, maps the per-round results to what the
+    ``yield`` returns (a lowered :class:`AllToAll` orders them by source).
     """
 
-    __slots__ = ("op", "i", "sent", "results", "acc", "combine",
+    __slots__ = ("op", "i", "sent", "results", "acc", "combine", "arrange",
                  "pre_wire", "pre_busy", "pre_msg")
 
-    def __init__(self, op: Exchange, machine: MachineModel):
+    def __init__(self, op: Exchange, machine: MachineModel,
+                 arrange: Optional[Callable[[List[Any]], Any]] = None):
         self.op = op
         self.i = 0
         self.sent = False
         self.combine = op.combine
+        self.arrange = arrange
         self.acc = op.initial
         self.results: Optional[List[Any]] = (
             None if op.combine is not None else [None] * len(op.recvs)
         )
         self.pre_wire = self.pre_busy = self.pre_msg = None
         sends = op.sends
-        if len(sends) >= _VECTORIZE_ROUNDS or op.group is not None:
+        if len(sends) >= _VECTORIZE_ROUNDS:
             wires: List[int] = []
             append = wires.append
             for s in sends:
@@ -211,20 +236,11 @@ class _ExchState:
                     append(0)
                     continue
                 payload = s[1]
-                tp = type(payload)
-                if tp is FromRound or payload is ACCUM:
+                if type(payload) is FromRound or payload is ACCUM:
                     return  # chained payload: sizes only known per round
                 nbytes = s[3]
-                if nbytes is not None:
-                    append(int(nbytes))
-                # Inline the two payload types every hot collective uses;
-                # payload_nbytes agrees with these by construction.
-                elif tp is float or tp is int:
-                    append(8)
-                elif tp is np.ndarray:
-                    append(int(payload.nbytes))
-                else:
-                    append(payload_nbytes(payload))
+                append(int(nbytes) if nbytes is not None
+                       else _wire_size(payload))
             self.pre_wire = wires
             busy, msg = batch_message_costs(machine, wires)
             # Python lists: indexing them in the interpreter loop is much
@@ -243,7 +259,11 @@ class _ExchState:
         self.sent = False
 
     def result(self) -> Any:
-        return self.acc if self.combine is not None else self.results
+        if self.combine is not None:
+            return self.acc
+        if self.arrange is not None:
+            return self.arrange(self.results)
+        return self.results
 
 
 class _RankState:
@@ -256,6 +276,7 @@ class _RankState:
         "blocked",
         "pending_recv",
         "pending_barrier",
+        "pending_alltoall",
         "done",
         "failed",
         "retval",
@@ -270,6 +291,7 @@ class _RankState:
         self.blocked = False
         self.pending_recv: Optional[Tuple[int, int, float]] = None  # (src, tag, post time)
         self.pending_barrier: Optional[_BarrierKey] = None
+        self.pending_alltoall: Optional[AllToAll] = None  # parked, bulk
         self.done = False
         self.failed = False  # an injected failure fired on this rank
         self.retval: Any = None
@@ -460,7 +482,7 @@ class Simulator:
         has_faults = faults is not None
         nranks = self.nranks
         finished = 0
-        # Closed-group exchanges rendezvous here (like a barrier) until
+        # Bulk all-to-all members rendezvous here (like a barrier) until
         # every member has arrived, then execute in one vectorized pass.
         # Bulk execution needs a perfect machine and no per-op timeline.
         bulk_ok = not has_faults and events is None
@@ -543,35 +565,47 @@ class Simulator:
                     continue
 
                 if cls is Exchange:
-                    state.exch = ex = _ExchState(op, machine)
+                    state.exch = _ExchState(op, machine)
+                    if not advance_exchange(state):
+                        break
+                    state.send_value = state.exch.result()
+                    state.exch = None
+                    continue
+
+                if cls is AllToAll:
                     group = op.group
-                    if group is not None and rank not in group:
-                        # Mirror the barrier membership check: a rank
-                        # issuing a grouped exchange it does not belong
-                        # to would park in exch_waiting forever (the
-                        # group closes without it) — a silent deadlock.
+                    size = len(group)
+                    if not 0 <= op.pos < size or group[op.pos] != rank:
+                        # A wrong position would pair the wrong messages;
+                        # a non-member would park forever.
+                        where = group.index(rank) if rank in group else None
                         raise ValueError(
-                            f"rank {rank} issued grouped exchange for "
-                            f"group {group} it does not belong to"
+                            f"rank {rank} issued all-to-all for group "
+                            f"{group} at position {op.pos}, but its "
+                            f"position there is {where}"
                         )
-                    if (group is not None and bulk_ok
-                            and ex.pre_busy is not None
-                            and ex.combine is None
-                            and len(group) * len(op.sends) >= _BULK_MIN_MSGS
-                            and None not in op.sends
-                            and None not in op.recvs):
+                    if bulk_ok and size * (size - 1) >= _BULK_MIN_MSGS:
                         waiting = exch_waiting[group]
+                        if waiting:
+                            tag = states[waiting[0]].pending_alltoall.tag
+                            if op.tag != tag:
+                                raise ValueError(
+                                    f"rank {rank} issued all-to-all for "
+                                    f"group {group} with tag {op.tag:#x}, "
+                                    f"the group's is {tag:#x}"
+                                )
                         waiting.append(rank)
-                        if len(waiting) < len(group):
+                        state.pending_alltoall = op
+                        if len(waiting) < size:
                             # Park like a barrier until the group closes.
                             state.blocked = True
                             break
                         del exch_waiting[group]
-                        self._bulk_exchange(group, states, ready, trace)
-                        # This rank triggered the bulk pass; keep running.
-                        state.send_value = state.exch.result()
-                        state.exch = None
+                        # This rank closed the group; keep running it.
+                        self._bulk_alltoall(group, states, ready, trace)
                         continue
+                    state.exch = _ExchState(op.schedule(), machine,
+                                            op.by_source)
                     if not advance_exchange(state):
                         break
                     state.send_value = state.exch.result()
@@ -676,7 +710,7 @@ class Simulator:
         ops — the whole schedule just runs without resuming the rank's
         generator.  Fault plans and ``record_events=True`` timelines run
         through here, and it is the reference that
-        :meth:`_advance_exchange_fast` and :meth:`_bulk_exchange` must
+        :meth:`_advance_exchange_fast` and :meth:`_bulk_alltoall` must
         reproduce bit for bit.  A rank blocked on a round's recv
         is woken by the sender's :meth:`_do_send`, which delivers the
         payload straight into the cursor (never recursing into this
@@ -799,7 +833,7 @@ class Simulator:
                             arrival = clock + pre_msg[i]
                         else:
                             wire = (int(nbytes) if nbytes is not None
-                                    else payload_nbytes(payload))
+                                    else _wire_size(payload))
                             busy = send_busy_time(wire)
                             arrival = clock + message_time(wire)
                         mailbox[(dest, rank, tag)].append(
@@ -857,24 +891,27 @@ class Simulator:
             acc.messages_received = nrecv
             acc.bytes_received = brecv
 
-    def _bulk_exchange(
+    def _bulk_alltoall(
         self,
         group: Tuple[int, ...],
         states: List[_RankState],
         ready: "CohortQueue",
         trace: Trace,
     ) -> None:
-        """Execute a closed, per-round-matched group Exchange in one pass.
+        """Execute a closed group's pairwise all-to-all in one pass.
 
-        This is the vectorized block executor the grouped collectives opt
-        into (``Exchange.group``): instead of ``G * R`` per-message visits
-        it validates the whole schedule with NumPy advanced indexing and
-        then advances all ``G`` member clocks round by round with
-        elementwise array arithmetic.  Bit-identity argument: the closed
-        matched schedule means round ``r``'s receive on every member
-        consumes exactly round ``r``'s send of its matched partner (one
-        channel visit per round, FIFO trivially preserved), so the
-        per-round recurrence
+        Every member is parked with its :class:`AllToAll`; instead of
+        ``G * R`` per-message visits (``R = G - 1`` rounds) the shift
+        schedule is known from the structure alone: in round ``r`` member
+        ``g`` sends its chunk for ``(g + r + 1) % G`` and receives from
+        ``sidx[g, r] = (g - r - 1) % G``.  The wire sizes are taken once,
+        as the ``(G, G)`` matrix ``W``, priced in one
+        :func:`batch_message_costs` call (elementwise, so bit-identical to
+        pricing message by message), and all ``G`` member clocks advance
+        round by round with elementwise array arithmetic.  Bit-identity
+        argument: round ``r``'s receive on every member consumes exactly
+        round ``r``'s send of its partner (one channel visit per round,
+        FIFO trivially preserved), so the per-round recurrence
 
         ``arrival = clocks + msg[:, r]``  (sender clock before its busy)
         ``clocks += busy[:, r]``          (sender injection)
@@ -882,59 +919,34 @@ class Simulator:
         ``clocks += wait + recv_busy``    (receive completion)
 
         performs the *same IEEE operations in the same order* as the
-        scalar interpreter on every member — clocks, accounting floats
-        (seeded from, and written back to, the trace accumulators) and
-        counts are all bit-identical.  Accumulator vectors fold one round
-        at a time rather than via ``np.sum`` precisely to keep the float
-        association identical to the sequential path.
+        scalar interpreter running :meth:`AllToAll.schedule` on every
+        member — clocks, accounting floats (seeded from, and written back
+        to, the trace accumulators) and counts are all bit-identical.
+        Accumulator vectors fold one round at a time rather than via
+        ``np.sum`` precisely to keep the float association identical to
+        the sequential path.  Member ``g`` receives column ``g`` of the
+        chunk lists, transposed in C by ``zip``.
 
         Members other than the caller were parked blocked; they are
-        unblocked with completed cursors and re-queued here.  The caller
+        unblocked with their results and re-queued here.  The caller
         (the last member to arrive) continues inline.
         """
         G = len(group)
+        R = G - 1
         machine = self.machine
-        exs = [states[g].exch for g in group]
-        ops = [ex.op for ex in exs]
-        R = len(ops[0].sends)
-        for op in ops:
-            if len(op.sends) != R:
-                raise ValueError(
-                    "grouped Exchange members disagree on round count: "
-                    f"{len(op.sends)} vs {R} (group={group})"
-                )
-        # Member lookup: global rank -> group index, -1 outside the group.
-        lut = np.full(self.nranks, -1, dtype=np.intp)
-        lut[np.asarray(group, dtype=np.intp)] = np.arange(G)
-        dest = np.array([[s[0] for s in op.sends] for op in ops],
-                        dtype=np.intp)
-        stag = np.array([[s[2] for s in op.sends] for op in ops])
-        src = np.array([[rv[0] for rv in op.recvs] for op in ops],
-                       dtype=np.intp)
-        rtag = np.array([[rv[1] for rv in op.recvs] for op in ops])
-        didx = lut[dest]
-        sidx = lut[src]
-        if (didx < 0).any() or (sidx < 0).any():
-            raise ValueError(
-                f"grouped Exchange names ranks outside its group {group}"
-            )
-        cols = np.arange(R)
+        members = [states[g] for g in group]
+        chunk_lists = []
+        for s in members:
+            chunk_lists.append(s.pending_alltoall.chunks)
+            s.pending_alltoall = None
+        W = np.array([list(map(_wire_size, c)) for c in chunk_lists],
+                     dtype=np.int64)
         rows = np.arange(G)[:, None]
-        # Round r's receive on member g must name a partner whose round r
-        # send targets g back with the same tag (the closed-matching
-        # contract documented on Exchange.group).
-        if not (didx[sidx, cols] == rows).all() or not (
-            stag[sidx, cols] == rtag
-        ).all():
-            raise ValueError(
-                "grouped Exchange schedule is not per-round matched; "
-                "leave group=None to run it through the general "
-                "interpreter"
-            )
-        wire = np.array([ex.pre_wire for ex in exs], dtype=np.int64)
-        busy = np.array([ex.pre_busy for ex in exs])
-        msg = np.array([ex.pre_msg for ex in exs])
-        in_wire = wire[sidx, cols]
+        shift = np.arange(1, G)  # round r + 1
+        wire = W[rows, (rows + shift) % G]
+        sidx = (rows - shift) % G
+        in_wire = W[sidx, rows]
+        busy, msg = batch_message_costs(machine, wire)
         # Receive pricing depends only on nbytes: price each distinct
         # wire size once through the machine model.
         recv_busy_time = machine.recv_busy_time
@@ -943,7 +955,7 @@ class Simulator:
             rbusy[in_wire == u] = recv_busy_time(int(u))
 
         acc_ranks = trace.ranks
-        clocks = np.array([states[g].clock for g in group])
+        clocks = np.array([s.clock for s in members])
         sbt = np.array([acc_ranks[g].send_busy_time for g in group])
         rwt = np.array([acc_ranks[g].recv_wait_time for g in group])
         rbt = np.array([acc_ranks[g].recv_busy_time for g in group])
@@ -961,21 +973,14 @@ class Simulator:
         bsent = wire.sum(axis=1).tolist()
         brecv = in_wire.sum(axis=1).tolist()
 
-        pays = [[s[1] for s in op.sends] for op in ops]
-        sidx_l = sidx.tolist()
+        transposed = list(zip(*chunk_lists))
         clocks_l = clocks.tolist()
         sbt_l = sbt.tolist()
         rwt_l = rwt.tolist()
         rbt_l = rbt.tolist()
         for gi, g in enumerate(group):
-            s = states[g]
-            ex = exs[gi]
-            res = ex.results
-            srow = sidx_l[gi]
-            for r in range(R):
-                res[r] = pays[srow[r]][r]
-            ex.i = R
-            ex.sent = False
+            s = members[gi]
+            s.send_value = list(transposed[gi])
             s.clock = clocks_l[gi]
             acc = acc_ranks[g]
             acc.send_busy_time = sbt_l[gi]
@@ -986,8 +991,8 @@ class Simulator:
             acc.bytes_sent += int(bsent[gi])
             acc.bytes_received += int(brecv[gi])
             if s.blocked:
-                # Parked member: wake it with its cursor complete; the
-                # main loop delivers the results on its next visit.
+                # Parked member: wake it; the main loop sends it its
+                # results on its next visit.
                 s.blocked = False
                 ready.push(s.clock, g)
 
@@ -1102,18 +1107,18 @@ class Simulator:
                     f"barrier(tag=0x{tag:08x}, group={list(group)}) "
                     f"since t={s.clock:.6g} s"
                 )
-            elif s.exch is not None and s.exch.op.group is not None:
-                group = s.exch.op.group
+            elif s.pending_alltoall is not None:
+                group, tag = s.pending_alltoall.group, s.pending_alltoall.tag
                 arrived = set(exch_waiting.get(group, ()))
                 missing = [m for m in group if m not in arrived]
                 wait_graph[r] = {
-                    "kind": "exchange", "on": missing, "tag": None,
+                    "kind": "exchange", "on": missing, "tag": tag,
                     "since": s.clock, "group": list(group),
                 }
                 details.append(
-                    f"rank {r} parked for bulk collective members "
-                    f"{missing} (group={list(group)}) since "
-                    f"t={s.clock:.6g} s"
+                    f"rank {r} parked for bulk all-to-all members "
+                    f"{missing} (tag=0x{tag:08x}, group={list(group)}) "
+                    f"since t={s.clock:.6g} s"
                 )
             else:
                 wait_graph[r] = {

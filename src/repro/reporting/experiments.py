@@ -901,7 +901,7 @@ def run_bigmesh(
     Exercises the hot-path engine well beyond the paper's 240-node
     production mesh: each mesh applies the ``fft-lb`` filter, whose
     transpose all-to-alls run through the scheduler's bulk
-    group-synchronous executor.  All reported numbers
+    all-to-all executor.  All reported numbers
     are deterministic virtual quantities (elapsed seconds, message and
     byte totals), so the experiment doubles as a regression canary for
     the 1280-rank acceptance criterion of the engine overhaul.

@@ -1012,7 +1012,7 @@ def engine_fast_vs_general_pair() -> ImplementationPair:
         candidate=_engine_runner(general=False),
         atol=tolerances.EXACT,
         rtol=0.0,
-        description="fast and bulk Exchange interpreters vs the general "
+        description="fast Exchange and bulk all-to-all paths vs the general "
         "per-message interpreter (the one fault plans and timelines run "
         "through): returns, clocks and accounting bit-for-bit",
     )

@@ -1,5 +1,6 @@
 """Tests for the analytic communication/computation cost formulas."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -98,3 +99,17 @@ class TestBatchMessageCosts:
         busy, msg = batch_message_costs(machine, wires)
         assert busy.tolist() == [machine.send_busy_time(w) for w in wires]
         assert msg.tolist() == [machine.message_time(w) for w in wires]
+
+    @pytest.mark.parametrize("name", available_machines())
+    def test_matrix_equals_row_by_row_pricing(self, name):
+        """The bulk all-to-all prices a (members, rounds) int matrix in
+        one call; that is each row priced on its own, with ``==``."""
+        machine = make_machine(name)
+        rows = [_EDGE_SIZES[i:] + _EDGE_SIZES[:i] for i in range(5)]
+        busy, msg = batch_message_costs(
+            machine, np.array(rows, dtype=np.int64)
+        )
+        for i, row in enumerate(rows):
+            row_busy, row_msg = batch_message_costs(machine, row)
+            assert busy[i].tolist() == row_busy.tolist()
+            assert msg[i].tolist() == row_msg.tolist()

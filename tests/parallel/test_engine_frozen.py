@@ -51,8 +51,8 @@ def _digest(res, returns=()) -> str:
 # collective mix of the engine differential pair: (p, n, seed)
 # ----------------------------------------------------------------------
 
-#: p = 2 prices every message through the scalar cost functions, p = 7
-#: and 12 take the per-exchange vectorized pricing, p >= 24 crosses
+#: p = 2 and 7 price every message through the scalar cost functions,
+#: p = 12 takes the per-exchange vectorized pricing, p >= 24 crosses
 #: ``_BULK_MIN_MSGS`` and runs the all-to-all through the bulk executor.
 COLLECTIVE_MIX = {
     (2, 5, 101):

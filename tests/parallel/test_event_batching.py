@@ -1,8 +1,9 @@
 """Tests for the array-based event engine: cohort-queue ordering
-(property-tested) and the bulk group-synchronous exchange executor,
-checked against the general per-message interpreter."""
+(property-tested) and the bulk all-to-all executor, checked against the
+general per-message interpreter."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel import collectives as coll
-from repro.parallel.events import Exchange
-from repro.parallel.machine import GENERIC
+from repro.parallel.events import AllToAll, Exchange
+from repro.parallel.machine import GENERIC, PARAGON
 from repro.parallel.scheduler import (
     _BULK_MIN_MSGS,
     CohortQueue,
@@ -148,7 +149,7 @@ class TestCohortQueueOrdering:
 
 
 # ----------------------------------------------------------------------
-# bulk group-synchronous exchange
+# bulk all-to-all
 # ----------------------------------------------------------------------
 
 def _alltoall_program(ctx, data):
@@ -195,7 +196,7 @@ class TestBulkExchange:
             assert a.bytes_received == b.bytes_received
 
     def test_below_threshold_alltoall_still_matches(self):
-        p = 6  # per-exchange vectorized path, not the bulk executor
+        p = 6  # lowered to its shift schedule, not the bulk executor
         rng = np.random.default_rng(11)
         data = rng.standard_normal((p, p, 2))
         res = _run_alltoall(p, data)
@@ -205,46 +206,183 @@ class TestBulkExchange:
             np.testing.assert_array_equal(res.returns[r], ref.returns[r])
 
     def test_mismatched_group_schedule_raises(self):
-        # 32 members x 16 rounds = 512 messages: bulk-eligible, but the
-        # receive tags do not match the partner's send tags.
-        p, rounds = 32, 16
-        group = tuple(range(p))
+        # 32 members x 31 rounds: bulk-eligible, but the members disagree
+        # on the tag, so no member's receives would match its partner's.
+        p = 32
 
         def bad_program(ctx):
-            right = (ctx.rank + 1) % p
-            left = (ctx.rank - 1) % p
-            sends = tuple(
-                (right, float(ctx.rank), r, None, True)
-                for r in range(rounds)
-            )
-            recvs = tuple((left, r + 1) for r in range(rounds))
-            yield Exchange(sends=sends, recvs=recvs, group=group)
-            return None
+            tag = 0x100 if ctx.rank % 2 else 0x200
+            yield from coll.alltoall_pairwise(ctx, [1.0] * p, tag=tag)
 
-        with pytest.raises(ValueError, match="per-round matched"):
+        with pytest.raises(ValueError) as info:
             Simulator(p, GENERIC).run(bad_program)
+        msg = str(info.value)
+        assert f"group {tuple(range(p))}" in msg
+        assert "0x100" in msg and "0x200" in msg
+
+    def test_wrong_position_raises(self):
+        def bad_program(ctx):
+            yield AllToAll(ctx.ranks, (ctx.rank + 1) % ctx.size,
+                           [1.0] * ctx.size, 7)
+
+        with pytest.raises(ValueError, match="at position 1, but its "
+                           "position there is 0"):
+            Simulator(4, GENERIC).run(bad_program)
 
     def test_partial_group_arrival_reports_parked_deadlock(self):
         # Rank 0 never joins the collective its group promises, so the
         # other members park forever; the wait-graph must say so.
-        p, rounds = 32, 16
-        group = tuple(range(p))
+        p = 32
 
         def program(ctx):
             if ctx.rank == 0:
                 return None
-            right = (ctx.rank + 1) % p
-            left = (ctx.rank - 1) % p
-            sends = tuple(
-                (right, float(ctx.rank), r, None, True)
-                for r in range(rounds)
-            )
-            recvs = tuple((left, r) for r in range(rounds))
-            yield Exchange(sends=sends, recvs=recvs, group=group)
-            return None
+            yield from coll.alltoall_pairwise(ctx, [1.0] * p)
 
-        with pytest.raises(DeadlockError, match="parked for bulk"):
+        with pytest.raises(DeadlockError, match="parked for bulk") as info:
             Simulator(p, GENERIC).run(program)
+        assert info.value.wait_graph[1] == {
+            "kind": "exchange", "on": [0], "tag": coll._TAG_ALLTOALL,
+            "since": 0.0, "group": list(range(p)),
+        }
+        assert sorted(info.value.wait_graph) == list(range(1, p))
+
+
+class TestAllToAllWorkCount:
+    """Host-independent: the bulk executor builds no per-round schedule.
+
+    Counts :meth:`AllToAll.schedule` calls and :class:`Exchange`
+    constructions; the O(G^2) tuples of a 240-rank shift schedule must
+    not come back on the bulk path, and the lowered path builds exactly
+    one schedule per member."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        counts = {"schedule": 0, "exchange": 0}
+        schedule = AllToAll.schedule
+        post_init = Exchange.__post_init__
+
+        def counted_schedule(self):
+            counts["schedule"] += 1
+            return schedule(self)
+
+        def counted_post_init(self):
+            counts["exchange"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(AllToAll, "schedule", counted_schedule)
+        monkeypatch.setattr(Exchange, "__post_init__", counted_post_init)
+        return counts
+
+    @staticmethod
+    def _program(ctx):
+        received = yield from ctx.alltoall([float(ctx.rank)] * ctx.size)
+        return received
+
+    def test_bulk_builds_no_schedule(self, monkeypatch):
+        counts = self._counted(monkeypatch)
+        res = Simulator(240, GENERIC).run(self._program)
+        assert counts == {"schedule": 0, "exchange": 0}
+        assert res.returns[5] == [float(r) for r in range(240)]
+
+    @pytest.mark.parametrize("p, record_events", [(240, True), (6, False)])
+    def test_lowered_builds_one_schedule_per_member(
+        self, monkeypatch, p, record_events
+    ):
+        counts = self._counted(monkeypatch)
+        res = Simulator(p, GENERIC, record_events=record_events).run(
+            self._program
+        )
+        assert counts == {"schedule": p, "exchange": p}
+        assert res.returns[p - 1] == [float(r) for r in range(p)]
+
+
+def _ragged_chunk(rank, d, size):
+    """Chunk ``d`` of ``rank``: ``(rank + 2d) % 5 + 1`` float64 values,
+    except every seventh chunk, which is a Python float, an
+    ``np.float64`` or a small tuple (``payload_nbytes``'s fallbacks)."""
+    k = rank * size + d
+    if k % 7 == 0:
+        return (float(k), np.float64(k), (float(rank), float(d)))[k // 7 % 3]
+    return np.arange((rank + 2 * d) % 5 + 1, dtype=np.float64) + k
+
+
+def _ragged_program(ctx):
+    chunks = [_ragged_chunk(ctx.rank, d, ctx.size) for d in range(ctx.size)]
+    received = yield from ctx.alltoall(chunks)
+    return chunks, received
+
+
+def _ragged_digest(res) -> str:
+    """Clocks, the three accounting floats, message/byte counts and every
+    received value (the recipe of ``test_engine_frozen._digest``)."""
+    acc = res.trace.ranks
+    h = hashlib.sha256()
+    h.update(np.array(res.clocks, dtype=np.float64).tobytes())
+    for name in ("send_busy_time", "recv_busy_time", "recv_wait_time"):
+        h.update(
+            np.array([getattr(a, name) for a in acc], dtype=np.float64).tobytes()
+        )
+    h.update(np.array(
+        [[a.messages_sent, a.messages_received, a.bytes_sent, a.bytes_received]
+         for a in acc],
+        dtype=np.int64,
+    ).tobytes())
+    for _chunks, received in res.returns:
+        for value in received:
+            h.update(np.asarray(value, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: Recorded at the parent of the change that made the pairwise
+#: all-to-all one ``AllToAll`` op, before the engine was touched.
+RAGGED_BULK = {
+    ("GENERIC", 24):
+        "0a6eb90e8970da6e182c8af9c1a206f8133215b6e51edeff9a730c0ab43d4caf",
+    ("GENERIC", 32):
+        "c45c8d0503446198457d087d9604121765cdc172255e371d343a06a64750c20b",
+    ("GENERIC", 40):
+        "b3aab18ed4163220ff20c027f366fcc92bf032188c3521c2b3bde1856fc3820a",
+    ("PARAGON", 24):
+        "d02df963bbbb43ca892df6e6861bcd7f9292d902e210c7650ad9b52d85b78e23",
+    ("PARAGON", 32):
+        "01543a118ff679a1f6cfdc74a5c7918021a792aeb1b03f928979608cb97eae4c",
+    ("PARAGON", 40):
+        "84607915ec6628f6ce129617221a2ee221ae512ccecb232e23b15d2b1fd19b5e",
+}
+
+
+class TestRaggedBulkAllToAll:
+    """Bulk all-to-all with chunks of unequal sizes — the case where the
+    executor's wire-size indexing can go wrong while equal chunks hide
+    it — against the general interpreter and a recorded digest."""
+
+    @pytest.mark.parametrize("machine, p", sorted(RAGGED_BULK))
+    def test_matches_general_interpreter_and_digest(self, machine, p):
+        model = {"GENERIC": GENERIC, "PARAGON": PARAGON}[machine]
+        res = Simulator(p, model).run(_ragged_program)
+        ref = Simulator(p, model, record_events=True).run(_ragged_program)
+        for run in (res, ref):
+            # Payloads travel by reference: rank r holds the very object
+            # rank s put in its chunk list for r.
+            for r, (_chunks, received) in enumerate(run.returns):
+                assert len(received) == p
+                for s in range(p):
+                    assert received[s] is run.returns[s][0][r]
+        for (_c, got), (_rc, want) in zip(res.returns, ref.returns):
+            for a, b in zip(got, want):
+                assert type(a) is type(b)
+                assert np.array_equal(a, b)
+        assert res.clocks == ref.clocks
+        for a, b in zip(res.trace.ranks, ref.trace.ranks):
+            assert a.send_busy_time == b.send_busy_time
+            assert a.recv_busy_time == b.recv_busy_time
+            assert a.recv_wait_time == b.recv_wait_time
+            assert (a.messages_sent, a.messages_received) == (
+                b.messages_sent, b.messages_received)
+            assert (a.bytes_sent, a.bytes_received) == (
+                b.bytes_sent, b.bytes_received)
+        assert _ragged_digest(res) == RAGGED_BULK[(machine, p)]
 
 
 class TestSimbenchProbe:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.events import Barrier, Compute, Recv, Send, payload_nbytes
+from repro.parallel.scheduler import _wire_size
 
 
 class TestPayloadNbytes:
@@ -30,6 +31,26 @@ class TestPayloadNbytes:
         small = payload_nbytes({"a": np.zeros(1)})
         big = payload_nbytes({"a": np.zeros(1000)})
         assert big - small > 7000  # array bytes dominate
+
+
+class TestSchedulerWireSize:
+    """The scheduler's one sizing function is ``payload_nbytes``."""
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros(5),
+        np.zeros((3, 4), dtype=np.float32),
+        np.arange(7, dtype=np.int16),
+        np.array(2.5),
+        np.float64(1.5),
+        True,
+        3,
+        2.5,
+        b"abcdef",
+        (1.0, 2.0, 3.0),
+        {"key": [1, 2, 3]},
+    ], ids=lambda p: type(p).__name__)
+    def test_equals_payload_nbytes(self, payload):
+        assert _wire_size(payload) == payload_nbytes(payload)
 
 
 class TestSendWireBytes:
