@@ -222,10 +222,11 @@ def run_campaign(
     :mod:`repro.results` cross-run index (idempotent on the unit key).
 
     Every name above is a :class:`repro.options.RunOptions` field, as
-    are ``fleet`` and ``max_attempts`` (socket-transport workers instead
-    of the local pool; see ``docs/fleet.md``).  They travel in
-    ``options=`` only; ``**keywords`` exists to answer a knob passed as
-    a keyword with that spelling.  A bad worker count dies here, at the
+    are ``fleet`` and ``max_attempts`` (socket-transport workers on
+    other hosts, and the re-queue cap for lost units; see
+    ``docs/fleet.md``).  They travel in ``options=`` only;
+    ``**keywords`` exists to answer a knob passed as a keyword with that
+    spelling.  A bad worker count or attempt cap dies here, at the
     facade, before the campaign machinery (and multiprocessing) loads.
 
     Lazy import: the campaign engine pulls in ``multiprocessing`` and

@@ -6,8 +6,10 @@ variant), executed as independent work units.  The pieces:
 
 * :mod:`repro.campaign.units` — selectors, sweeps and unit enumeration
   on top of :class:`repro.reporting.experiments.ParamPoint`;
-* :mod:`repro.campaign.scheduler` — the ``multiprocessing`` pool with
-  dynamic longest-first self-scheduling and crash-tolerant collection;
+* :mod:`repro.campaign.scheduler` — cache probe, then dynamic
+  longest-first self-scheduling over forked local workers (driven by
+  :class:`repro.fleet.FleetCoordinator`, which also recovers from
+  worker deaths) or in-process for ``workers=1``;
 * :mod:`repro.campaign.cache` — the content-addressed on-disk store
   (key = SHA-256 of ident + canonical params + repro version) that makes
   reruns replay only invalidated units;

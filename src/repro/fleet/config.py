@@ -65,11 +65,11 @@ class FleetConfig:
     #: unit re-queued.  Must comfortably exceed the interval.
     heartbeat_timeout: float = 3.0
     #: Seconds the coordinator waits for the first worker before
-    #: declaring the fleet unreachable (-> local fallback).
+    #: declaring the fleet unreachable and forking local workers.
     connect_grace: float = 5.0
     #: Seconds the coordinator keeps waiting for reconnects once every
-    #: connected worker has died mid-run, before degrading to local
-    #: execution of the remainder.
+    #: connected worker has died mid-run, before forking local workers
+    #: for the remainder.
     rescue_grace: float = 2.0
     #: Re-queue attempt cap per unit: a unit that has been dispatched
     #: this many times and never completed is quarantined as poison.
@@ -82,9 +82,6 @@ class FleetConfig:
     reconnect_attempts: int = 8
     #: Frame payload ceiling shared by both sides of the transport.
     max_frame_bytes: int = DEFAULT_MAX_BYTES
-    #: Degrade to local multiprocessing when no worker is reachable
-    #: (instead of raising).  The contract of the degradation ladder.
-    local_fallback: bool = True
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_attempts, "fleet max_attempts")

@@ -2,9 +2,12 @@
 
 A single-threaded ``selectors`` event loop owns every connection.  The
 coordinator can *listen* for workers that dial in (``--listen``), *dial*
-workers that are themselves listening (``--fleet HOST:PORT,...``), or
-both at once; after the HELLO/WELCOME handshake the two directions are
-indistinguishable.
+workers that are themselves listening (``--fleet HOST:PORT,...``), and
+*fork* local workers, each serving the :class:`~repro.fleet.worker.Worker`
+loop on one end of a ``socketpair`` (every ``workers > 1`` campaign, and
+the bottom rung of the degradation ladder).  After the HELLO/WELCOME
+handshake the three are indistinguishable: one LPT queue, one dispatch
+loop, one recovery path.
 
 Recovery model (the reason this module exists):
 
@@ -19,10 +22,14 @@ Recovery model (the reason this module exists):
 * **quarantine** — a unit whose every attempt kills its worker is
   poison; after ``max_attempts`` dispatches it is failed with an error
   naming each lost host rather than allowed to take down the fleet;
-* **degradation ladder** — if no worker ever appears within
-  ``connect_grace`` the caller falls back to local multiprocessing; if
-  every worker dies mid-run and none returns within ``rescue_grace``,
-  the coordinator finishes the remainder locally in-process.
+* **local workers** — a dead forked worker (SIGKILL shows up as EOF, a
+  hang as heartbeat silence) goes through the same three steps, and is
+  replaced by a new fork while units remain queued;
+* **degradation ladder** — if no worker appears within
+  ``connect_grace``, or every worker dies mid-run and none returns
+  within ``rescue_grace``, the coordinator warns, marks the run
+  ``degraded`` and forks local workers into the same run.  No unit ever
+  runs in the coordinator process.
 
 Termination is by accounting, not by idleness: the loop runs until
 every unit it was given is a result, a salvage or a quarantined
@@ -32,11 +39,14 @@ recompute, never the campaign.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import selectors
 import socket
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache
@@ -50,6 +60,7 @@ from repro.fleet.salvage import (
     remembered_worker_dirs,
     salvage_value,
 )
+from repro.fleet.worker import Worker
 
 __all__ = ["FleetCoordinator", "FleetRun"]
 
@@ -60,13 +71,45 @@ _DIAL_TIMEOUT = 0.5
 #: Coordinator-side send timeout; a worker not draining its socket for
 #: this long is treated like any other dead host.
 _SEND_TIMEOUT = 5.0
+#: Seconds a local worker gets to exit after its goodbye (or after its
+#: socket closes) before it is killed.
+_EXIT_GRACE = 1.0
+
+#: The knobs of a coordinator without endpoints (a local ``workers > 1``
+#: campaign): FleetConfig's defaults, which FleetConfig itself refuses
+#: to construct without a listen or dial address.
+_NO_ENDPOINTS = SimpleNamespace(
+    **{f.name: f.default for f in fields(FleetConfig)}
+)
+
+
+def _serve_forked(sock: socket.socket,
+                  inherited: Sequence[socket.socket],
+                  max_frame_bytes: int) -> None:
+    """Body of a forked local worker: serve the coordinator on ``sock``.
+
+    The fork copied every coordinator socket; closing them here keeps a
+    sibling's EOF (and the listen port) from depending on this child.
+    """
+    for other in inherited:
+        other.close()
+    Worker(max_frame_bytes=max_frame_bytes).run(sock)
+
+
+def _stop(proc, grace: float) -> None:
+    """Reap a local worker, killing it if it outlives ``grace``."""
+    proc.join(grace)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
 
 
 class _Conn:
     """Coordinator-side state for one worker connection."""
 
     __slots__ = ("sock", "decoder", "worker_id", "name", "host",
-                 "cache_dir", "last_seen", "ready", "inflight", "addr")
+                 "cache_dir", "last_seen", "ready", "inflight", "addr",
+                 "proc")
 
     def __init__(self, sock: socket.socket, max_bytes: int,
                  now: float, addr: Optional[str]) -> None:
@@ -81,6 +124,7 @@ class _Conn:
         #: ``(unit, attempt)`` currently executing on this worker.
         self.inflight: Optional[Tuple[CampaignUnit, int]] = None
         self.addr = addr             # dial target, for redial on death
+        self.proc = None             # the Process of a forked local worker
 
 
 @dataclass
@@ -118,14 +162,32 @@ class FleetRun:
 
 
 class FleetCoordinator:
-    """See module docstring; one instance drives one campaign."""
+    """See module docstring; one instance drives one campaign.
 
-    def __init__(self, config: FleetConfig,
+    ``config=None`` is a local campaign: ``local_workers`` are forked at
+    once and nothing listens or dials.  With a config, ``local_workers``
+    is how many forks the degradation ladder starts.  ``max_attempts``
+    overrides the attempt cap (default: the config's, 1 without one).
+    """
+
+    def __init__(self, config: Optional[FleetConfig] = None,
                  cache: Optional[ResultCache] = None,
-                 observe: bool = False) -> None:
-        self.config = config
+                 observe: bool = False, local_workers: int = 1,
+                 max_attempts: Optional[int] = None) -> None:
+        self.config = config if config is not None else _NO_ENDPOINTS
         self.cache = cache
         self.observe = observe
+        self.local_workers = max(1, local_workers)
+        if max_attempts is None:
+            max_attempts = config.max_attempts if config is not None else 1
+        self.max_attempts = max_attempts
+        #: Worker ids of the local slots, empty until local workers are
+        #: started; a slot without a live connection gets a new fork.
+        self.local_slots: range = range(0)
+        #: Local workers that died before their handshake; past one per
+        #: slot, forking again would only loop.
+        self.stillborn = 0
+        self.degraded = False
         self.sel = selectors.DefaultSelector()
         self.listener: Optional[socket.socket] = None
         self.conns: List[_Conn] = []
@@ -167,21 +229,16 @@ class FleetCoordinator:
         return self.address
 
     # -- the run --------------------------------------------------------
-    def run(self, units: Sequence[CampaignUnit]) -> Optional[FleetRun]:
-        """Execute ``units``; None means "no worker ever showed up".
-
-        A None return is the bottom rung of the degradation ladder: the
-        caller (the campaign scheduler) reruns the same units on the
-        local multiprocessing pool, so an unreachable fleet costs a
-        warning, never a hang.
-        """
+    def run(self, units: Sequence[CampaignUnit]) -> FleetRun:
+        """Execute ``units``: each ends as a result, a salvage or a
+        quarantined failure, whatever happens to the workers."""
         cfg = self.config
         self._t0 = time.monotonic()
         self.bind()
         dials = [
             _DialState(addr, cfg.backoff_delays()) for addr in cfg.workers
         ]
-        tracker = AttemptTracker(cfg.max_attempts)
+        tracker = AttemptTracker(self.max_attempts)
         queue: List[CampaignUnit] = list(units)  # caller pre-sorts LPT
         total = len(units)
 
@@ -196,8 +253,9 @@ class FleetCoordinator:
 
         ever_connected = False
         all_dead_since: Optional[float] = None
-        degraded = False
         try:
+            if cfg is _NO_ENDPOINTS:
+                self._start_local(queue)
             while len(self.done) < total:
                 now = time.monotonic()
                 self._dial(dials, now)
@@ -207,33 +265,34 @@ class FleetCoordinator:
                 dialing = any(not d.exhausted for d in dials
                               if not d.connected)
 
-                if not ever_connected:
+                if self.local_slots:
+                    pass  # local workers are running: nothing to degrade
+                elif not ever_connected:
                     if now - self._t0 > cfg.connect_grace and not dialing:
-                        self._event("fallback", detail=(
+                        self._go_local(queue, (
                             "no worker reachable within "
                             f"{cfg.connect_grace}s"))
-                        return None
                 elif not self.conns:
                     if all_dead_since is None:
                         all_dead_since = now
                     elif (now - all_dead_since > cfg.rescue_grace
                           and not dialing):
-                        self._degrade(queue, tracker)
-                        degraded = True
-                        break
+                        self._go_local(queue, (
+                            "every worker died and none returned within "
+                            f"{cfg.rescue_grace}s"))
 
                 self._pump()
                 self._reap(time.monotonic(), tracker, queue)
+                self._fork_missing(queue)
                 self._dispatch(queue, tracker)
             self._shutdown_workers()
         finally:
             self._close_all()
 
-        outcomes = [self.done[u.key] for u in units if u.key in self.done]
         return FleetRun(
-            outcomes=outcomes, events=self.events,
+            outcomes=[self.done[u.key] for u in units], events=self.events,
             workers=dict(self.workers_seen), salvaged=self.salvaged,
-            degraded=degraded,
+            degraded=self.degraded,
         )
 
     # -- connection plumbing --------------------------------------------
@@ -260,13 +319,15 @@ class FleetCoordinator:
             state.idx = 0  # a success re-arms the backoff schedule
             self._adopt(sock, addr=state.addr)
 
-    def _adopt(self, sock: socket.socket, addr: Optional[str]) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def _adopt(self, sock: socket.socket, addr: Optional[str]) -> _Conn:
+        if sock.family != socket.AF_UNIX:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = _Conn(sock, self.config.max_frame_bytes,
                      time.monotonic(), addr)
         self.conns.append(conn)
         self.sel.register(sock, selectors.EVENT_READ, ("conn", conn))
+        return conn
 
     def _pump(self) -> None:
         """One select round: accept and read whatever is ready."""
@@ -300,7 +361,8 @@ class FleetCoordinator:
     def _handle(self, conn: _Conn, kind: str, payload) -> None:
         if kind == "hello":
             conn.ready = True
-            conn.worker_id = len(self.workers_seen)
+            if conn.proc is None:  # a local worker's id is its slot
+                conn.worker_id = len(self.workers_seen)
             conn.name = str(payload.get("name", f"worker-{conn.worker_id}"))
             conn.host = str(payload.get("host", conn.name))
             conn.cache_dir = payload.get("cache_dir") or None
@@ -386,6 +448,10 @@ class FleetCoordinator:
             conn.sock.close()
         except OSError:
             pass
+        if conn.proc is not None:
+            _stop(conn.proc, _EXIT_GRACE if voluntary else 0.0)
+            if not conn.ready:
+                self.stillborn += 1
         self._event("goodbye" if voluntary else "death",
                     worker=conn.name, detail=reason)
         if conn.inflight is not None:
@@ -463,25 +529,61 @@ class FleetCoordinator:
                               {"unit": unit, "attempt": attempt}):
                 continue  # _mark_dead queued it for recovery
 
+    # -- local workers --------------------------------------------------
+    def _go_local(self, queue: List[CampaignUnit], why: str) -> None:
+        """The bottom rung of the degradation ladder: fork local workers
+        into this run (never a hang, never a unit in this process)."""
+        warnings.warn(f"fleet: {why}; degrading to local execution",
+                      RuntimeWarning, stacklevel=4)
+        self._event("degrade", detail=why)
+        self.degraded = True
+        self._start_local(queue)
+
+    def _start_local(self, queue: List[CampaignUnit]) -> None:
+        """Open one local slot per worker (at most one per queued unit)
+        and fork into them; ids follow any remote workers', so a local
+        campaign's are 0..n-1."""
+        base = len(self.workers_seen)
+        self.local_slots = range(
+            base, base + max(1, min(self.local_workers, len(queue)))
+        )
+        self._fork_missing(queue)
+
+    def _fork_missing(self, queue: List[CampaignUnit]) -> None:
+        """Fork a worker into every empty local slot while queued units
+        outnumber the workers free to take them."""
+        if not self.local_slots or not queue:
+            return
+        if self.stillborn > len(self.local_slots):
+            raise RuntimeError(
+                f"{self.stillborn} local workers died before their "
+                "handshake; not forking more"
+            )
+        live = {c.worker_id for c in self.conns if c.proc is not None}
+        free = sum(1 for c in self.conns if c.inflight is None)
+        for slot in self.local_slots:
+            if slot not in live and len(queue) > free:
+                self._fork(slot)
+                free += 1
+
+    def _fork(self, slot: int) -> None:
+        """Fork a worker onto a socketpair and adopt the other end."""
+        parent_end, child_end = socket.socketpair()
+        inherited = [c.sock for c in self.conns] + [parent_end]
+        if self.listener is not None:
+            inherited.append(self.listener)
+        proc = mp.get_context("fork").Process(
+            target=_serve_forked,
+            args=(child_end, inherited, self.config.max_frame_bytes),
+            daemon=True,
+        )
+        proc.start()
+        child_end.close()
+        conn = self._adopt(parent_end, addr=None)
+        conn.worker_id = slot
+        conn.proc = proc
+
     # -- endgame --------------------------------------------------------
-    def _degrade(self, queue: List[CampaignUnit],
-                 tracker: AttemptTracker) -> None:
-        """Every worker died and none came back: finish locally."""
-        from repro.campaign.scheduler import _run_one
-
-        self._event("degrade", detail=(
-            f"all workers dead > {self.config.rescue_grace}s; "
-            f"finishing {len(queue)} unit(s) locally"))
-        while queue:
-            unit = queue.pop(0)
-            if self._try_salvage(unit, tracker, "degraded teardown"):
-                continue
-            attempt = tracker.start(unit.key)
-            outcome = _run_one(unit, -1, self.cache, self.observe)
-            outcome.attempt = attempt
-            outcome.host = "coordinator-local"
-            self.done[unit.key] = outcome
-
     def _shutdown_workers(self) -> None:
         for conn in list(self.conns):
             self._send(conn, "shutdown", {})
@@ -499,6 +601,9 @@ class FleetCoordinator:
                 conn.sock.close()
             except OSError:
                 pass
+        for conn in self.conns:
+            if conn.proc is not None:  # EOF on its socket ends it
+                _stop(conn.proc, _EXIT_GRACE)
         self.conns.clear()
         if self.listener is not None:
             try:

@@ -18,8 +18,9 @@ field fails fast with an actionable error instead of ballooning memory.
 
 Security note: pickle payloads execute arbitrary code on decode.  The
 fleet transport is a trusted-cluster protocol — the same trust boundary
-as the campaign's ``multiprocessing`` pool — and must not be exposed to
-untrusted networks (see ``docs/fleet.md``).
+as a campaign's forked local workers, which speak it over a
+``socketpair`` — and must not be exposed to untrusted networks (see
+``docs/fleet.md``).
 """
 
 from __future__ import annotations

@@ -1,11 +1,8 @@
-"""Shared re-queue/quarantine accounting for dead-worker recovery.
+"""Re-queue/quarantine accounting for dead-worker recovery.
 
-Both execution paths hand lost units to one :class:`AttemptTracker`:
-
-* the **fleet coordinator**, when a socket worker dies with a unit in
-  flight (heartbeat silence, EOF, send failure);
-* the **local pool**, when a ``multiprocessing`` worker dies between
-  dequeue and cache-write (the classic OOM-kill window).
+The coordinator hands every unit lost with a dying worker — a socket
+worker on another host or a forked local one, whether it went silent,
+hit EOF or failed a send — to one :class:`AttemptTracker`.
 
 The tracker answers the only two questions recovery needs — *which
 attempt is this?* and *has this unit exhausted its budget?* — and

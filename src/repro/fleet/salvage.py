@@ -10,13 +10,11 @@ sidecar is cheap and carries ident/point/duration; the pickle is only
 loaded for keys actually owed), and re-report each recovered unit as a
 ``salvaged`` outcome.
 
-Salvage happens at three moments:
+Salvage happens at two moments:
 
 * **on re-queue** — before the coordinator re-dispatches a dead
   worker's in-flight unit, it probes the salvage dirs; a cached unit is
   recovered instead of recomputed (the "0 recomputes" guarantee);
-* **at teardown** — any unit still unaccounted when the fleet winds
-  down gets a final sweep over every worker-reported cache dir;
 * **on coordinator restart** — worker cache dirs are remembered in
   ``fleet-workers.json`` next to the campaign manifest, so a restarted
   (``--resume``) campaign sweeps them before scheduling anything.

@@ -3,8 +3,9 @@
 Started as ``python -m repro fleet worker --connect HOST:PORT`` (dial
 the coordinator, retrying with exponential backoff — the worker may
 well start before the coordinator binds) or ``--listen HOST:PORT``
-(wait to be dialed).  Either way the protocol is the same once a
-connection exists:
+(wait to be dialed), or forked by the coordinator itself onto one end
+of a ``socketpair`` (a local campaign's worker: ``Worker().run(sock)``).
+Every way the protocol is the same once a connection exists:
 
 1. worker sends ``hello`` (name, host, pid, its cache dir if any);
 2. coordinator replies ``welcome`` (worker id, cache dir to use,
@@ -13,7 +14,9 @@ connection exists:
    coordinator's dead-host detector watches for their silence;
 4. the main loop serves ``assign`` frames: execute the unit with the
    campaign's cache-before-report discipline (the result is durable on
-   disk before the coordinator hears anything), then send ``result``;
+   disk before the coordinator hears anything), then send ``result`` —
+   a ``failed`` one naming the sizes if the outcome exceeds the frame
+   limit, so an oversized result fails its unit, not the worker;
 5. ``shutdown`` ends the process cleanly.
 
 A scripted :class:`~repro.fleet.chaos.ChaosPlan` (``--chaos``) can
@@ -28,11 +31,12 @@ import os
 import socket
 import threading
 import time
+from dataclasses import replace
 from typing import Optional
 
 from repro.fleet.chaos import ChaosPlan
 from repro.fleet.config import parse_address
-from repro.fleet.frames import DEFAULT_MAX_BYTES, FrameStream
+from repro.fleet.frames import DEFAULT_MAX_BYTES, FrameError, FrameStream
 
 __all__ = ["Worker", "run_worker"]
 
@@ -45,6 +49,12 @@ CONNECT_ATTEMPTS = 25
 #: How long a chaos ``hang`` freezes the process before it finally
 #: exits (long enough that every detector timeout has fired first).
 HANG_SECONDS = 600.0
+
+
+_ENDPOINTS_ERROR = (
+    "a worker needs exactly one of --connect HOST:PORT (dial the "
+    "coordinator) or --listen HOST:PORT (wait to be dialed)"
+)
 
 
 class _Disconnect(Exception):
@@ -64,12 +74,8 @@ class Worker:
         max_frame_bytes: int = DEFAULT_MAX_BYTES,
         connect_attempts: int = CONNECT_ATTEMPTS,
     ) -> None:
-        if (connect is None) == (listen is None):
-            raise ValueError(
-                "a worker needs exactly one of --connect HOST:PORT "
-                "(dial the coordinator) or --listen HOST:PORT "
-                "(wait to be dialed)"
-            )
+        if connect is not None and listen is not None:
+            raise ValueError(_ENDPOINTS_ERROR)
         self.connect = connect
         self.listen = listen
         self.cache_dir = cache_dir
@@ -177,7 +183,13 @@ class Worker:
                     self._misbehave(action, stream)
                     # only "disconnect" returns; redial without reporting
                     raise _Disconnect(f"chaos {action}")
-                stream.send("result", outcome)
+                try:
+                    stream.send("result", outcome)
+                except FrameError as exc:  # nothing was sent: say why
+                    stream.send("result", replace(
+                        outcome, status="failed", error=str(exc),
+                        result=None, metrics=None,
+                    ))
         finally:
             stop.set()
 
@@ -198,8 +210,24 @@ class Worker:
         raise ValueError(f"unknown chaos action {action!r}")
 
     # -- entry point ----------------------------------------------------
-    def run(self) -> int:
-        """Serve until the coordinator shuts us down; 0 on clean exit."""
+    def run(self, sock: Optional[socket.socket] = None) -> int:
+        """Serve until the coordinator shuts us down; 0 on clean exit.
+
+        ``sock`` is an already-connected coordinator socket (a forked
+        local worker's end of a socketpair): it is served until shutdown
+        or EOF and never redialed.
+        """
+        if sock is not None:
+            stream = FrameStream(sock, self.max_frame_bytes)
+            try:
+                self._serve(stream)
+            except (_Disconnect, EOFError, OSError):
+                pass  # the coordinator is gone; so is this worker
+            finally:
+                stream.close()
+            return 0
+        if self.connect is None and self.listen is None:
+            raise ValueError(_ENDPOINTS_ERROR)
         if self.listen is not None:
             host, port = parse_address(self.listen)
             server = socket.create_server((host, port))

@@ -67,10 +67,11 @@ class RunOptions:
     #: Distributed campaign dispatch (:mod:`repro.fleet`): a
     #: :class:`~repro.fleet.FleetConfig`, an address spec string
     #: (``"host:port,..."`` or ``"listen[:host:port]"``), or ``True``
-    #: for the default listen address.  ``None`` keeps the local pool.
+    #: for the default listen address.  ``None`` keeps the campaign on
+    #: this machine.
     fleet: Any = None
     #: Re-queue attempt cap for units lost to dying workers; ``None``
-    #: means the path default (1 local, the FleetConfig cap for fleets).
+    #: means the default (1 local, the FleetConfig cap for fleets).
     max_attempts: Optional[int] = None
 
     def __new__(cls, *args, **knobs):
@@ -84,6 +85,10 @@ class RunOptions:
         object.__setattr__(
             self, "workers", check_positive_int(self.workers, "workers")
         )
+        if self.max_attempts is not None:
+            object.__setattr__(self, "max_attempts", check_positive_int(
+                self.max_attempts, "max_attempts"
+            ))
 
     def with_(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (unknown names error)."""

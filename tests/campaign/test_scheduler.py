@@ -1,7 +1,7 @@
 """Campaign scheduler: accounting, caching, resume, and parallel merge.
 
 The fast tests here drive the serial path with cheap synthetic units.
-Everything that forks a worker pool or runs real experiments carries the
+Everything that forks local workers or runs real experiments carries the
 ``campaign`` marker and stays out of the default (tier-1) selection:
 
     python -m pytest -m campaign tests/campaign
@@ -9,10 +9,12 @@ Everything that forks a worker pool or runs real experiments carries the
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -20,8 +22,8 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.cache import ResultCache
-from repro.campaign.scheduler import _run_one, _run_pool
-from repro.campaign.units import enumerate_units, sort_for_schedule
+from repro.campaign.scheduler import _run_one
+from repro.campaign.units import enumerate_units
 
 FAST = ["sleep:0.01#a", "sleep:0.01#b", "sleep:0.01#c"]
 
@@ -166,11 +168,10 @@ class TestParallelCampaign:
 
     def test_pool_reports_killed_worker_as_failure(self, tmp_path):
         # SIGKILL the worker mid-unit (the way an OOM killer would).
-        # _run_pool's liveness check must convert the missing outcome
-        # into a failure rather than hanging the parent.
-        units = sort_for_schedule(enumerate_units(["sleep:30#hang"]))
+        # The coordinator sees the EOF and must convert the missing
+        # outcome into a failure rather than hanging the parent.
         t0 = time.perf_counter()
-        outcomes = _run_pool_with_kill(units, tmp_path)
+        outcomes = _run_with_kill(["sleep:30#hang"], tmp_path).outcomes
         assert time.perf_counter() - t0 < 20
         assert len(outcomes) == 1
         assert outcomes[0].status == "failed"
@@ -187,29 +188,96 @@ class TestParallelCampaign:
         ]
         assert sim_metrics, data
 
+    def test_single_pending_unit_runs_in_a_forked_worker(self, tmp_path):
+        # workers > 1 means crash isolation even for one unit.
+        report = run_campaign(["sleep:0.01#alone"], workers=2,
+                              cache_dir=str(tmp_path))
+        (outcome,) = report.outcomes
+        assert outcome.status == "ran"
+        assert outcome.worker == 0
+        assert outcome.host.rpartition(":")[2] != str(os.getpid())
+        assert report.fleet is None
 
-def _run_pool_with_kill(units, tmp_path):
-    """Run _run_pool in-process while a thread SIGKILLs the workers."""
-    import multiprocessing as mp
-    import threading
+    def test_killed_local_worker_costs_only_its_unit(self, tmp_path):
+        """SIGKILL one of two workers mid-unit: its unit is recovered
+        (re-run or salvaged), nothing fails, nothing leaks, and the
+        results are bit-identical to the in-process baseline."""
+        sel = ["sleep:0.6#a", "sleep:0.6#b", "fig2_3", "table8@4x4"]
+        before = _child_pids()
+        report = _run_with_kill(sel, tmp_path, victims=1, max_attempts=2)
+        assert _child_pids() <= before
+        assert report.failures == 0
+        (lost,) = [o for o in report.outcomes if o.attempt > 1]
+        assert lost.status in ("ran", "salvaged")
+        assert lost.label.startswith("sleep@0.6#")
+        serial = run_campaign(sel, workers=1).results()
+        forked = report.results()
+        assert serial.keys() == forked.keys()
+        for label in serial:
+            assert _same_value(serial[label], forked[label]), label
+
+    def test_workers_dying_before_handshake_stop_the_forking(
+            self, monkeypatch):
+        import repro.fleet.coordinator as coordinator
+
+        monkeypatch.setattr(coordinator, "_serve_forked",
+                            lambda *args: os._exit(3))
+        before = _child_pids()
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="before their handshake"):
+            run_campaign(["sleep:0.01#x", "sleep:0.01#y"], workers=2)
+        assert time.perf_counter() - t0 < 20
+        assert _child_pids() <= before
+
+    def test_no_child_process_outlives_the_campaign(self, tmp_path):
+        before = _child_pids()
+        report = run_campaign([f"sleep:0.05#{i}" for i in range(6)],
+                              workers=3, cache_dir=str(tmp_path))
+        assert report.failures == 0
+        assert len({o.host for o in report.outcomes}) > 1
+        assert not mp.active_children()
+        assert _child_pids() <= before
+
+
+def _run_with_kill(selectors, tmp_path, victims=None, **knobs):
+    """Run a 2-worker campaign while a thread SIGKILLs its workers
+    (``victims`` of them; all by default) a moment into their units."""
 
     def _killer():
         deadline = time.time() + 10
         while time.time() < deadline:
-            children = mp.active_children()
-            if children:
-                for child in children:
-                    if child.pid:
-                        os.kill(child.pid, signal.SIGKILL)
+            if mp.active_children():
+                time.sleep(0.3)  # let the workers take their units
+                for child in mp.active_children()[:victims]:
+                    os.kill(child.pid, signal.SIGKILL)
                 return
-            time.sleep(0.1)
+            time.sleep(0.05)
 
     thread = threading.Thread(target=_killer, daemon=True)
     thread.start()
     try:
-        return _run_pool(units, 1, str(tmp_path), False)
+        return run_campaign(selectors, workers=2, cache_dir=str(tmp_path),
+                            **knobs)
     finally:
         thread.join(timeout=15)
+
+
+def _child_pids() -> set:
+    """Pids whose parent is this process, zombies included (Linux)."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs /proc to list child processes")
+    me, found = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == me:
+            found.add(int(entry))
+    return found
 
 
 @pytest.mark.campaign

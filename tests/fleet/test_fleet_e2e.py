@@ -15,8 +15,6 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.cache import ResultCache
-from repro.campaign.scheduler import _run_pool
-from repro.campaign.units import enumerate_units, sort_for_schedule
 from repro.fleet.harness import LocalFleet
 from repro.fleet.salvage import remember_worker_dir
 
@@ -171,21 +169,26 @@ class TestDegradationLadder:
             )
         assert report.failures == 0
         assert report.units_total == 2
+        assert report.fleet["degraded"] is True
+        assert _forked(report.outcomes)
 
     def test_all_workers_dead_finishes_locally(self, tmp_path):
         cache = str(tmp_path / "cache")
         with LocalFleet(nworkers=2, cache_dir=cache,
                         chaos={0: "kill@1", 1: "kill@1"}) as fleet:
-            report = run_campaign(
-                [f"sleep:0.2#{i}" for i in range(4)],
-                fleet=fleet.config, cache_dir=cache,
-            )
+            with pytest.warns(RuntimeWarning, match="degrading to local"):
+                report = run_campaign(
+                    [f"sleep:0.2#{i}" for i in range(4)],
+                    fleet=fleet.config, cache_dir=cache,
+                )
         assert report.failures == 0
         assert report.units_total == 4
         assert report.fleet["degraded"] is True
         # Each worker cached one unit before dying: salvaged, never
-        # recomputed.  The remainder ran on the coordinator.
+        # recomputed.  The remainder ran on forked rescue workers, never
+        # in the coordinator process.
         assert report.salvaged == 2
+        assert _forked([o for o in report.outcomes if o.status == "ran"])
 
 
 class TestCoordinatorRestartSalvage:
@@ -215,20 +218,18 @@ class TestCoordinatorRestartSalvage:
 class TestLocalPoolRequeue:
     def test_killed_worker_unit_retries_under_attempt_budget(
             self, tmp_path):
-        """SIGKILL the only pool worker mid-unit; with max_attempts=2
+        """SIGKILL the only forked worker mid-unit; with max_attempts=2
         the lost unit is re-dispatched (or salvaged from its cache
         write) instead of failing."""
         import multiprocessing as mp
         import threading
-
-        units = sort_for_schedule(enumerate_units(["sleep:1.5#requeue"]))
 
         def _killer():
             deadline = time.time() + 10
             while time.time() < deadline:
                 children = mp.active_children()
                 if children:
-                    time.sleep(0.2)  # let it dequeue, not finish
+                    time.sleep(0.2)  # let it take the unit, not finish
                     for child in mp.active_children():
                         if child.pid:
                             os.kill(child.pid, signal.SIGKILL)
@@ -238,8 +239,10 @@ class TestLocalPoolRequeue:
         thread = threading.Thread(target=_killer, daemon=True)
         thread.start()
         try:
-            outcomes = _run_pool(units, 1, str(tmp_path), False,
-                                 max_attempts=2)
+            outcomes = run_campaign(
+                ["sleep:1.5#requeue"], workers=2, max_attempts=2,
+                cache_dir=str(tmp_path),
+            ).outcomes
         finally:
             thread.join(timeout=15)
 
@@ -247,3 +250,11 @@ class TestLocalPoolRequeue:
         (outcome,) = outcomes
         assert outcome.status in ("ran", "salvaged")
         assert outcome.attempt == 2
+
+
+def _forked(outcomes) -> bool:
+    """Every outcome ran in another process than this one."""
+    return bool(outcomes) and all(
+        o.host and o.host.rpartition(":")[2] != str(os.getpid())
+        for o in outcomes
+    )

@@ -46,6 +46,15 @@ class TestCoercion:
         with pytest.raises(TypeError, match="positive integer"):
             RunOptions(workers=2.5)
 
+    @pytest.mark.parametrize("bad, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError), ("3", TypeError),
+    ])
+    def test_max_attempts_validated_on_construction(self, bad, error):
+        with pytest.raises(error, match="max_attempts"):
+            RunOptions(max_attempts=bad)
+        assert RunOptions(max_attempts=None).max_attempts is None
+        assert RunOptions(max_attempts=2).max_attempts == 2
+
 
 class TestWith:
     def test_with_replaces_and_keeps_rest(self):
