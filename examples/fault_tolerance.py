@@ -28,8 +28,8 @@ from repro.faults import (
     RankFailure,
     run_straggler_demo,
 )
-from repro.faults.checkpoint import run_agcm_with_recovery
 from repro.grid import Decomposition2D
+from repro.guard import GuardConfig, run_agcm_guarded
 from repro.model import AGCMConfig
 from repro.model.agcm import AGCM
 from repro.model.parallel_agcm import agcm_rank_program
@@ -78,15 +78,16 @@ def part2_checkpoint_recovery() -> None:
         failures=(RankFailure(rank=2, at=0.55 * probe.elapsed),),
     )
     with tempfile.TemporaryDirectory() as td:
-        out = run_agcm_with_recovery(
+        out = run_agcm_guarded(
             cfg, decomp, nsteps, T3D, faults=plan,
+            guard=GuardConfig(detect=False, buddy_every=0),
             checkpoint_every=3, checkpoint_path=Path(td) / "agcm.npz",
         )
     print(f"fault-free makespan        : {probe.elapsed:.3f} virtual s")
     print(f"with failure + recovery    : {out.total_elapsed:.3f} virtual s")
     print(f"failures (rank, time)      : {out.failures}")
     print(f"attempts started at steps  : {out.resumed_steps}")
-    print(f"checkpoints written        : {out.checkpoints_written}")
+    print(f"checkpoints written        : {out.disk_checkpoints}")
 
     serial = AGCM(cfg)
     serial.initialize()

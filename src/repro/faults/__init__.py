@@ -7,7 +7,8 @@ The resilience axis of the virtual machine (see ``docs/resilience.md``):
   failures; pass it to ``Simulator(..., faults=plan)``.
 * :mod:`repro.faults.checkpoint` — coordinated checkpoints of the
   parallel AGCM's prognostic state and restart-from-last-checkpoint
-  after an injected failure (:func:`run_agcm_with_recovery`).
+  after an injected failure (the restart loop is
+  :func:`repro.guard.supervisor.run_agcm_guarded`).
 * :mod:`repro.faults.mitigation` — measured-time-driven scheme-3
   rebalancing that absorbs injected stragglers.
 
@@ -38,9 +39,7 @@ _CHECKPOINT_SYMBOLS = (
     "CheckpointCorruptError",
     "CheckpointData",
     "Checkpointer",
-    "RecoveryOutcome",
     "load_checkpoint",
-    "run_agcm_with_recovery",
     "save_checkpoint",
 )
 

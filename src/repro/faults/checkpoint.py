@@ -10,9 +10,10 @@ the balancer's measurement state, a restarted integration replays the
 remaining steps bit-for-bit — the property the fault-recovery
 differential pair asserts against the fault-free serial model.
 
-:func:`run_agcm_with_recovery` is the driver: it runs the AGCM under a
-:class:`~repro.faults.plan.FaultPlan`, and when an injected rank
-failure aborts the simulation it restarts from the last checkpoint
+The restart loop is :func:`repro.guard.supervisor.run_agcm_guarded`:
+with ``GuardConfig(detect=False, buddy_every=0)`` it is plain
+checkpoint/restart — when an injected rank failure aborts the
+simulation it restarts from the last :class:`Checkpointer` snapshot
 (cold-start from step 0 if none exists) with that failure consumed, so
 a transient fault does not re-fire when virtual clocks reset.
 """
@@ -20,23 +21,18 @@ a transient fault does not re-fire when virtual clocks reset.
 from __future__ import annotations
 
 import json
-import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.dynamics.state import PROGNOSTIC_NAMES
 from repro.grid.decomposition import Decomposition2D
 from repro.model.config import AGCMConfig
-from repro.model.parallel_agcm import agcm_rank_program
 from repro.model.parallel_io import IO_BANDWIDTH, io_read_seconds, io_write_seconds
 from repro.parallel import collectives as coll
-from repro.parallel.machine import MachineModel
-from repro.parallel.scheduler import RankFailedError, Simulator
-from repro.parallel.trace import SimResult
 
 _TAG_CKPT_BARRIER = 0x00EE0002
 
@@ -47,7 +43,7 @@ class CheckpointCorruptError(RuntimeError):
     Raised by :func:`load_checkpoint` for anything from a truncated
     archive to a content-checksum mismatch — one clear exception instead
     of whatever numpy/zipfile error the corruption happened to trigger.
-    Recovery drivers treat it as "no checkpoint" (cold start) rather
+    The recovery loop treats it as "no checkpoint" (cold start) rather
     than dying mid-recovery.
     """
 
@@ -292,96 +288,3 @@ class Checkpointer:
             )
         yield from ctx.barrier(tag=_TAG_CKPT_BARRIER)
 
-
-@dataclass
-class RecoveryOutcome:
-    """What a fault-tolerant AGCM run went through end to end.
-
-    ``total_elapsed`` charges every attempt: virtual time lost up to
-    each detected failure, plus the successful attempt's makespan.
-    ``resumed_steps`` records each attempt's start step (0 = cold).
-    """
-
-    result: SimResult
-    total_elapsed: float
-    restarts: int
-    failures: List[Tuple[int, float]]
-    resumed_steps: List[int]
-    checkpoints_written: int
-
-
-def run_agcm_with_recovery(
-    cfg: AGCMConfig,
-    decomp: Decomposition2D,
-    nsteps: int,
-    machine: MachineModel,
-    *,
-    faults=None,
-    checkpoint_every: int = 0,
-    checkpoint_path=None,
-    record_events: bool = False,
-    return_fields: bool = True,
-    max_restarts: int = 8,
-    restart_overhead: float = 0.0,
-) -> RecoveryOutcome:
-    """Run the parallel AGCM to completion despite injected failures.
-
-    Each :class:`~repro.parallel.scheduler.RankFailedError` consumes
-    that rank's failure from the plan (drops and slowdowns stay active)
-    and restarts from the last checkpoint — or from step 0 if none was
-    written (``checkpoint_every=0`` disables checkpointing entirely) or
-    the file fails its integrity check (a
-    :class:`CheckpointCorruptError` is downgraded to a warning and a
-    cold start — a broken snapshot must not kill the recovery path).
-    ``restart_overhead`` adds a fixed virtual-time penalty per restart
-    (job-requeue cost).  Raises after ``max_restarts`` failures.
-    """
-    ckpt = None
-    if checkpoint_every:
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every > 0 requires checkpoint_path")
-        ckpt = Checkpointer(checkpoint_every, checkpoint_path)
-    plan = faults
-    resume = None
-    total = 0.0
-    failures: List[Tuple[int, float]] = []
-    resumed_steps = [0]
-    while True:
-        sim = Simulator(
-            decomp.mesh.size, machine,
-            record_events=record_events, faults=plan,
-        )
-        try:
-            res = sim.run(
-                agcm_rank_program, cfg, decomp, nsteps, return_fields,
-                checkpointer=ckpt, resume=resume,
-            )
-        except RankFailedError as exc:
-            failures.append((exc.rank, exc.at))
-            if len(failures) > max_restarts:
-                raise
-            total += exc.at + restart_overhead
-            if plan is not None:
-                plan = plan.without_failure(exc.rank)
-            resume = None
-            if ckpt is not None:
-                try:
-                    resume = ckpt.load()
-                except CheckpointCorruptError as corrupt:
-                    warnings.warn(
-                        f"ignoring corrupt checkpoint during recovery "
-                        f"(cold start instead): {corrupt}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            resumed_steps.append(resume.step if resume is not None else 0)
-            continue
-        total += res.elapsed
-        return RecoveryOutcome(
-            result=res,
-            total_elapsed=total,
-            restarts=len(failures),
-            failures=failures,
-            resumed_steps=resumed_steps,
-            checkpoints_written=ckpt.written if ckpt is not None else 0,
-        )

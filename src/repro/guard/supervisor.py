@@ -1,7 +1,7 @@
 """The run supervisor: detectors + buddy snapshots + recovery policies.
 
-:func:`run_agcm_guarded` is the closed loop the ISSUE's robustness story
-ends in: run the parallel AGCM under a :class:`~repro.guard.config.
+:func:`run_agcm_guarded` is the closed loop the robustness story ends
+in: run the parallel AGCM under a :class:`~repro.guard.config.
 GuardConfig`, catch both machine failures
 (:class:`~repro.parallel.scheduler.RankFailedError`) and numerical
 alarms (:class:`~repro.guard.detectors.NumericalHealthError`), and heal
@@ -21,6 +21,7 @@ steps) and therefore trades that exactness for liveness.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,6 +30,7 @@ from repro.grid.decomposition import Decomposition2D
 from repro.guard.buddy import BuddyCheckpointer, ChainCheckpointer
 from repro.guard.config import GuardConfig
 from repro.guard.detectors import (
+    NULL_GUARD,
     HealthVerdict,
     NumericalHealthError,
     StepGuard,
@@ -49,8 +51,8 @@ class GuardOutcome:
     """Everything a supervised AGCM run went through, end to end.
 
     ``total_elapsed`` charges every attempt (lost work up to each alarm
-    or failure, plus the successful attempt), mirroring
-    :class:`~repro.faults.checkpoint.RecoveryOutcome`.
+    or failure, plus the successful attempt).  ``recoveries`` counts the
+    restarts; ``disk_checkpoints`` the coordinated disk snapshots written.
     """
 
     result: SimResult
@@ -85,8 +87,9 @@ def _restore(buddy: Optional[BuddyCheckpointer], disk: Optional[Checkpointer],
     """Cheapest valid snapshot: buddy, then disk, then cold start.
 
     Returns ``(resume_or_None, source, note)``.  A corrupt disk
-    checkpoint (satellite: :class:`CheckpointCorruptError`) is treated
-    as "no checkpoint" and noted on the decision.
+    checkpoint (:class:`CheckpointCorruptError`) is treated as "no
+    checkpoint": a ``RuntimeWarning`` plus a note on the decision — a
+    broken snapshot must not kill the recovery path.
     """
     if buddy is not None:
         data = buddy.load(failed_rank)
@@ -97,6 +100,12 @@ def _restore(buddy: Optional[BuddyCheckpointer], disk: Optional[Checkpointer],
         try:
             data = disk.load()
         except CheckpointCorruptError as exc:
+            warnings.warn(
+                f"ignoring corrupt checkpoint during recovery "
+                f"(cold start instead): {exc}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             data, note = None, f"disk checkpoint unusable: {exc.reason}"
         if data is not None:
             return data, "disk", note
@@ -129,6 +138,12 @@ def run_agcm_guarded(
     lost, 1-rank mesh).  Machine fault plans (``faults=``) compose with
     guard injections; a consumed rank failure never re-fires.
 
+    ``GuardConfig(detect=False, buddy_every=0)`` with a disk checkpoint
+    is plain checkpoint/restart: a config that can neither detect nor
+    inject hands the rank program :data:`~repro.guard.detectors.
+    NULL_GUARD`, so the run's clocks, spans and trace phases are those
+    of an unguarded ``Simulator.run``.
+
     Raises the triggering exception unmodified under the ``halt``
     policy, or after ``max_recoveries`` is exhausted; a run that
     *completes* with non-finite state (detectors off) raises
@@ -136,7 +151,9 @@ def run_agcm_guarded(
     """
     gcfg = guard if guard is not None else GuardConfig()
     policy = make_policy(gcfg.policy)
-    step_guard = StepGuard(gcfg)
+    step_guard = (
+        StepGuard(gcfg) if gcfg.detect or gcfg.injections else NULL_GUARD
+    )
     mesh = decomp.mesh
     buddy = BuddyCheckpointer(gcfg.buddy_every, mesh) if gcfg.buddy_every else None
     disk = None
@@ -204,71 +221,47 @@ def run_agcm_guarded(
                 return_fields and target == nsteps,
                 checkpointer=ckpt, resume=resume, guard=step_guard,
             )
-        except NumericalHealthError as exc:
-            alarms.append(exc)
+        except (NumericalHealthError, RankFailedError) as exc:
+            failed = isinstance(exc, RankFailedError)
+            if failed:
+                failures.append((exc.rank, exc.at))
+                step, cause = -1, "rank_failure"
+            else:
+                alarms.append(exc)
+                step, cause = exc.step, exc.verdict.detector
             total += exc.at + restart_overhead
-            cause = exc.verdict.detector
-            if not policy.rollback:
+            if not policy.rollback or recoveries == gcfg.max_recoveries:
+                kind, note = "halt", ""
+                if policy.rollback:
+                    kind = "giveup"
+                    note = f"max_recoveries={gcfg.max_recoveries} exhausted"
                 decisions.append(PolicyDecision(
-                    exc.at, exc.step, "halt", cause, exc.rank, -1, "none",
+                    exc.at, step, kind, cause, exc.rank, -1, "none", note=note,
                 ))
-                _count_decision(mobs, "halt", "none")
+                _count_decision(mobs, kind, "none")
                 raise
             recoveries += 1
-            if recoveries > gcfg.max_recoveries:
-                decisions.append(PolicyDecision(
-                    exc.at, exc.step, "giveup", cause, exc.rank, -1, "none",
-                    note=f"max_recoveries={gcfg.max_recoveries} exhausted",
-                ))
-                _count_decision(mobs, "giveup", "none")
-                raise
-            resume, source, note = _restore(buddy, disk, None)
+            if failed:
+                if plan is not None:
+                    plan = plan.without_failure(exc.rank)
+                if buddy is not None:
+                    buddy.note_failure(exc.rank)
+                if seg_snap is not None and seg_snap is not buddy:
+                    seg_snap.note_failure(exc.rank)
+            resume, source, note = _restore(
+                buddy, disk, exc.rank if failed else None
+            )
             restore_step = resume.step if resume is not None else 0
-            kind = "adapt" if policy.adapt else "rollback"
+            kind = "adapt" if policy.adapt and not failed else "rollback"
             decisions.append(PolicyDecision(
-                exc.at, exc.step, kind, cause, exc.rank, restore_step,
-                source, note=note,
+                exc.at, step, kind, cause, exc.rank, restore_step, source,
+                note=note,
             ))
             _count_decision(mobs, kind, source)
             resumed_steps.append(restore_step)
-            if policy.adapt:
-                adapt_end = enter_adapt(restore_step)
-            else:
-                leave_adapt()
-            continue
-        except RankFailedError as exc:
-            failures.append((exc.rank, exc.at))
-            total += exc.at + restart_overhead
-            if not policy.rollback:
-                decisions.append(PolicyDecision(
-                    exc.at, -1, "halt", "rank_failure", exc.rank, -1, "none",
-                ))
-                _count_decision(mobs, "halt", "none")
-                raise
-            recoveries += 1
-            if recoveries > gcfg.max_recoveries:
-                decisions.append(PolicyDecision(
-                    exc.at, -1, "giveup", "rank_failure", exc.rank, -1, "none",
-                    note=f"max_recoveries={gcfg.max_recoveries} exhausted",
-                ))
-                _count_decision(mobs, "giveup", "none")
-                raise
-            if plan is not None:
-                plan = plan.without_failure(exc.rank)
-            if buddy is not None:
-                buddy.note_failure(exc.rank)
-            if seg_snap is not None and seg_snap is not buddy:
-                seg_snap.note_failure(exc.rank)
-            resume, source, note = _restore(buddy, disk, exc.rank)
-            restore_step = resume.step if resume is not None else 0
-            decisions.append(PolicyDecision(
-                exc.at, -1, "rollback", "rank_failure", exc.rank,
-                restore_step, source, note=note,
-            ))
-            _count_decision(mobs, "rollback", source)
-            resumed_steps.append(restore_step)
-            if in_adapt:
-                # Replay the interrupted adapted segment from the restore.
+            # An alarm under rollback_adapt starts an adapted segment; a
+            # rank failure inside one replays it from the restore.
+            if policy.adapt and (in_adapt or not failed):
                 adapt_end = enter_adapt(restore_step)
             continue
 

@@ -127,9 +127,9 @@ class RankFailedError(RuntimeError):
     """Raised when an injected ``mode="stop"`` rank failure fires.
 
     Carries the failed ``rank`` and the virtual time ``at`` the failure
-    was detected, so a recovery driver (see
-    :func:`repro.faults.checkpoint.run_agcm_with_recovery`) can account
-    the lost work and restart from the last checkpoint.
+    was detected, so the recovery loop (see
+    :func:`repro.guard.supervisor.run_agcm_guarded`) can account the
+    lost work and restart from the last checkpoint.
     """
 
     def __init__(self, rank: int, at: float):

@@ -797,8 +797,8 @@ def run_faults(
     from pathlib import Path
 
     from repro.faults import FaultPlan, LinkFault, RankFailure
-    from repro.faults.checkpoint import run_agcm_with_recovery
     from repro.faults.mitigation import run_straggler_demo
+    from repro.guard import GuardConfig, run_agcm_guarded
 
     machine = T3D
     cfg = make_config("tiny", physics_every=2)
@@ -827,11 +827,13 @@ def run_faults(
          "retransmits"],
     )
     overhead_rows = []
+    disk_only = GuardConfig(detect=False, buddy_every=0)
     for name, plan in scenarios:
         for every in (0, 2, 4):
             with tempfile.TemporaryDirectory() as td:
-                out = run_agcm_with_recovery(
+                out = run_agcm_guarded(
                     cfg, decomp, nsteps, machine,
+                    guard=disk_only,
                     faults=plan,
                     checkpoint_every=every,
                     checkpoint_path=(
@@ -848,14 +850,14 @@ def run_faults(
             )
             overhead_table.add_row(
                 name, every if every else "off", out.total_elapsed,
-                f"{overhead:.1f}", out.restarts, retrans,
+                f"{overhead:.1f}", out.recoveries, retrans,
             )
             overhead_rows.append({
                 "scenario": name,
                 "checkpoint_every": every,
                 "total_elapsed": out.total_elapsed,
                 "overhead_pct": overhead,
-                "restarts": out.restarts,
+                "restarts": out.recoveries,
                 "retransmits": retrans,
             })
     straggler_table = Table(

@@ -806,8 +806,8 @@ def _fault_recovery_candidate(config: Config, rng: np.random.Generator):
     import tempfile
     from pathlib import Path
 
-    from repro.faults.checkpoint import run_agcm_with_recovery
     from repro.faults.plan import FaultPlan, LinkFault, RankFailure
+    from repro.guard import GuardConfig, run_agcm_guarded
 
     seed = int(rng.integers(2**31))
     cfg = _fault_agcm_config(config, seed)
@@ -828,13 +828,14 @@ def _fault_recovery_candidate(config: Config, rng: np.random.Generator):
         ),
     )
     with tempfile.TemporaryDirectory() as td:
-        out = run_agcm_with_recovery(
+        out = run_agcm_guarded(
             cfg, decomp, config["nsteps"], GENERIC,
+            guard=GuardConfig(detect=False, buddy_every=0),
             faults=plan,
             checkpoint_every=config["ckpt"],
             checkpoint_path=Path(td) / "checkpoint.npz",
         )
-    if out.restarts < 1:
+    if out.recoveries < 1:
         raise AssertionError("injected rank failure never fired")
     return {
         name: decomp.gather(

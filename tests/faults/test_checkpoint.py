@@ -9,10 +9,10 @@ from repro.faults.checkpoint import (
     CheckpointData,
     Checkpointer,
     load_checkpoint,
-    run_agcm_with_recovery,
     save_checkpoint,
 )
 from repro.grid import Decomposition2D
+from repro.guard import GuardConfig, run_agcm_guarded
 from repro.model import make_config
 from repro.model.agcm import AGCM
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
@@ -20,6 +20,10 @@ from repro.parallel import GENERIC, ProcessorMesh, Simulator
 
 def _cfg():
     return make_config("tiny", physics_every=2)
+
+
+#: Disk checkpoint/restart only: no detectors, no buddy snapshots.
+DISK_ONLY = GuardConfig(detect=False, buddy_every=0)
 
 
 def _random_snapshot(rng, cfg):
@@ -177,14 +181,14 @@ class TestRecovery:
             link_faults=(LinkFault(drop_rate=0.01),),
             failures=(RankFailure(rank=2, at=0.55 * probe.elapsed),),
         )
-        out = run_agcm_with_recovery(
-            cfg, decomp, self.NSTEPS, GENERIC,
+        out = run_agcm_guarded(
+            cfg, decomp, self.NSTEPS, GENERIC, guard=DISK_ONLY,
             faults=plan, checkpoint_every=2,
             checkpoint_path=tmp_path / "ck.npz",
         )
-        assert out.restarts == 1
+        assert out.recoveries == 1
         assert out.resumed_steps[0] == 0 and out.resumed_steps[1] > 0
-        assert out.checkpoints_written >= 1
+        assert out.disk_checkpoints >= 1
         assert out.total_elapsed > out.result.elapsed  # lost work charged
         ref = _serial_fields(cfg, self.NSTEPS)
         for name, want in ref.items():
@@ -206,10 +210,10 @@ class TestRecovery:
         plan = FaultPlan(
             seed=11, failures=(RankFailure(rank=1, at=0.5 * probe.elapsed),)
         )
-        out = run_agcm_with_recovery(
-            cfg, decomp, self.NSTEPS, GENERIC, faults=plan,
+        out = run_agcm_guarded(
+            cfg, decomp, self.NSTEPS, GENERIC, guard=DISK_ONLY, faults=plan,
         )
-        assert out.restarts == 1 and out.resumed_steps == [0, 0]
+        assert out.recoveries == 1 and out.resumed_steps == [0, 0]
         ref = _serial_fields(cfg, self.NSTEPS)
         for name, want in ref.items():
             gathered = decomp.gather(
@@ -229,9 +233,9 @@ class TestRecovery:
         )
 
         def go(path):
-            return run_agcm_with_recovery(
-                cfg, decomp, self.NSTEPS, GENERIC, faults=plan,
-                checkpoint_every=3, checkpoint_path=path,
+            return run_agcm_guarded(
+                cfg, decomp, self.NSTEPS, GENERIC, guard=DISK_ONLY,
+                faults=plan, checkpoint_every=3, checkpoint_path=path,
             )
 
         a = go(tmp_path / "a.npz")
@@ -268,13 +272,17 @@ class TestRecovery:
             seed=11, failures=(RankFailure(rank=2, at=0.55 * probe.elapsed),)
         )
         with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-            out = run_agcm_with_recovery(
-                cfg, decomp, self.NSTEPS, GENERIC,
+            out = run_agcm_guarded(
+                cfg, decomp, self.NSTEPS, GENERIC, guard=DISK_ONLY,
                 faults=plan, checkpoint_every=2,
                 checkpoint_path=tmp_path / "torn.npz",
             )
-        assert out.restarts == 1
+        assert out.recoveries == 1
         assert out.resumed_steps == [0, 0]  # cold start, not a crash
+        (decision,) = out.decisions
+        assert decision.source == "cold"
+        assert "disk checkpoint unusable" in decision.note
+        assert "unreadable archive" in decision.note
         ref = _serial_fields(cfg, self.NSTEPS)
         for name, want in ref.items():
             gathered = decomp.gather(
@@ -283,17 +291,17 @@ class TestRecovery:
             )
             np.testing.assert_array_equal(gathered, want, err_msg=name)
 
-    def test_max_restarts_exhausted(self, tmp_path):
+    def test_max_recoveries_exhausted(self, tmp_path):
         from repro.parallel import RankFailedError
 
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
         decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
         # a failure at t=0 re-injected manually is consumed after one
-        # restart, so exhaustion needs max_restarts=0
+        # restart, so exhaustion needs max_recoveries=0
         plan = FaultPlan(seed=0, failures=(RankFailure(rank=0, at=0.0),))
         with pytest.raises(RankFailedError):
-            run_agcm_with_recovery(
+            run_agcm_guarded(
                 cfg, decomp, self.NSTEPS, GENERIC, faults=plan,
-                max_restarts=0,
+                guard=DISK_ONLY.with_(max_recoveries=0),
             )

@@ -192,7 +192,8 @@ class TestFallbackChain:
         cfg, mesh, decomp = _setup()
         disk = self._disk_with_snapshot(tmp_path, cfg, mesh, decomp)
         disk.path.write_bytes(disk.path.read_bytes()[:100])  # truncate
-        resume, source, note = _restore(None, disk, None)
+        with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
+            resume, source, note = _restore(None, disk, None)
         assert resume is None and source == "cold"
         assert "disk checkpoint unusable" in note
 

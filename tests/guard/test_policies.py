@@ -160,6 +160,24 @@ class TestOverheadContract:
         )
         assert off.result.elapsed == plain.elapsed  # not "close": equal
 
+    def test_config_that_cannot_detect_or_inject_runs_unguarded(self):
+        """Detectors off and nothing to inject: the rank program gets the
+        null guard, so the run records exactly what a plain one does."""
+        cfg, mesh, decomp = _setup()
+        plain_obs, off_obs = Observer(), Observer()
+        plain = Simulator(mesh.size, GENERIC, observer=plain_obs).run(
+            agcm_rank_program, cfg, decomp, NSTEPS, False
+        )
+        off = run_agcm_guarded(
+            cfg, decomp, NSTEPS, GENERIC, return_fields=False,
+            observer=off_obs, guard=GuardConfig(detect=False, buddy_every=0),
+        )
+        assert off_obs.spans_named("guard") == []
+        assert "guard" not in off.result.trace.phases()
+        assert off.result.clocks == plain.clocks
+        assert sorted(s.name for s in off_obs.spans) \
+            == sorted(s.name for s in plain_obs.spans)
+
     def test_detectors_within_five_percent(self):
         cfg, mesh, decomp = _setup()
         plain = _clean_run(cfg, mesh, decomp, return_fields=False)
