@@ -16,7 +16,7 @@ front door::
 
     api.profile("table8", trace_out="t.json")  # run + Perfetto export
 
-Execution knobs (observability, guard, faults, cache and results-db
+Execution knobs (observability, guard, cache and results-db
 locations, worker counts) travel together in a
 :class:`repro.options.RunOptions` and nowhere else: a knob passed as a
 keyword of its own (``obs=``, ``guard=``, ``workers=``, ...) raises
@@ -174,8 +174,8 @@ def run(experiment: str, *, options: Any = None,
     ``experiment`` is a registry identifier (see
     :data:`repro.reporting.EXPERIMENTS` or ``python -m repro list``).
     ``options`` is a :class:`repro.options.RunOptions` (or a dict of its
-    fields); a single run reads ``obs``, ``guard``, ``faults`` and
-    ``results_db`` from it — the class documents each.
+    fields); a single run reads ``obs``, ``guard`` and ``results_db``
+    from it — the class documents each.
 
     Every other keyword goes to the experiment runner verbatim, except
     that a ``RunOptions`` field name is refused (``TypeError``) instead
@@ -187,8 +187,6 @@ def run(experiment: str, *, options: Any = None,
     gcfg = _resolve_guard(opts.guard)
     if gcfg is not None:
         runner_options = dict(runner_options, guard=gcfg)
-    if opts.faults is not None:
-        runner_options = dict(runner_options, faults=opts.faults)
     t0 = time.perf_counter()
     value = run_experiment(experiment, obs=observer, **runner_options)
     if opts.results_db:

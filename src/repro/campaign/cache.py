@@ -13,8 +13,9 @@ Layout under the cache root::
       manifest.json          # last campaign plan (used by --resume)
       ab/
         ab3f...e2.pkl        # pickled unit result (atomic tmp+rename)
-        ab3f...e2.json       # sidecar: ident, point, duration, version,
-                             #          created_at, bytes, result_sha256
+        ab3f...e2.json       # sidecar: unit_meta (ident, point, params,
+                             #   duration, version, worker, host) plus
+                             #   key, created_at, bytes, result_sha256
 
 Values are stored with :mod:`pickle` (results are numpy-laden Python
 objects); sidecars are JSON so the store can be inspected — and the
@@ -74,12 +75,15 @@ def cache_key(ident: str, params: Any, version: str) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def unit_meta(unit, seconds: float, worker) -> Dict[str, Any]:
-    """The sidecar ``meta`` of a unit this process just executed.
+def unit_meta(unit, seconds: float, worker,
+              host: Optional[str] = None) -> Dict[str, Any]:
+    """The sidecar ``meta`` of an executed unit — the only recipe for one.
 
     One schema for every executor: ``worker`` is the campaign worker
     index, or ``"serve"`` for the gateway pool (how the result index
-    tells the two sources apart).
+    tells the two sources apart); ``host`` is the executing
+    ``hostname:pid``, this process's unless given (a fleet coordinator
+    storing what a worker reported).
     """
     return {
         "ident": unit.ident,
@@ -88,7 +92,7 @@ def unit_meta(unit, seconds: float, worker) -> Dict[str, Any]:
         "duration": seconds,
         "version": __version__,
         "worker": worker,
-        "host": f"{socket.gethostname()}:{os.getpid()}",
+        "host": host or f"{socket.gethostname()}:{os.getpid()}",
     }
 
 

@@ -237,7 +237,7 @@ def run_campaign(
         # idempotently from the sidecars.
         from repro.results.hooks import record_campaign_outcomes
 
-        record_campaign_outcomes(results_db, outcomes, cache)
+        record_campaign_outcomes(results_db, outcomes, cache, units=units)
     report = CampaignReport(
         sweep=sweep_name or "<custom>",
         workers=max(1, workers),

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, unit_meta
 from repro.campaign.report import UnitOutcome
 from repro.campaign.units import CampaignUnit
 from repro.fleet.config import FleetConfig, parse_address
@@ -400,27 +400,16 @@ class FleetCoordinator:
         Workers cache before reporting, but their cache dir may be on
         another machine or ephemeral; the coordinator's own cache is the
         campaign's durable record (what ``--resume`` replays), so every
-        reported value is written here too — unless the worker shares
-        the dir and the entry already landed.
+        reported value is written here too, with the sidecar the worker
+        wrote (its ``unit_meta``, host included) — unless the worker
+        shares the dir and the entry already landed.
         """
-        if (self.cache is None or outcome.status != "ran"
+        if (self.cache is None or unit is None or outcome.status != "ran"
                 or outcome.error is not None
                 or self.cache.contains(outcome.key)):
             return
-        from repro import __version__
-        from repro.campaign.cache import canonical_params
-
-        meta = {
-            "ident": outcome.ident,
-            "duration": outcome.compute_seconds,
-            "version": __version__,
-            "worker": outcome.worker,
-            "host": outcome.host,
-        }
-        if unit is not None:
-            meta["point"] = unit.point.label
-            meta["params"] = canonical_params(unit.point.as_dict())
-        self.cache.put(outcome.key, outcome.result, meta=meta)
+        self.cache.put(outcome.key, outcome.result, meta=unit_meta(
+            unit, outcome.compute_seconds, outcome.worker, outcome.host))
 
     def _send(self, conn: _Conn, kind: str, payload=None) -> bool:
         data = encode_frame(kind, payload,

@@ -87,12 +87,10 @@ def salvage_value(key: str, dirs: Sequence[str],
     if value is None:  # torn or unreadable payload: not salvageable
         return None
     if main_cache is not None and main_cache.root != donor.root:
-        # Re-put rather than byte-copy: put() restamps provenance and
-        # keeps the sidecar recipe (bytes, result_sha256) authoritative.
-        keep = {k: meta[k] for k in
-                ("ident", "point", "params", "duration", "version",
-                 "worker", "host") if k in meta}
-        main_cache.put(key, value, meta=keep)
+        # Re-put the donor's sidecar rather than byte-copy: put()
+        # restamps key, created_at, bytes and result_sha256, keeping
+        # that recipe authoritative; the unit_meta fields carry over.
+        main_cache.put(key, value, meta=meta)
     return value, meta
 
 

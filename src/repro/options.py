@@ -50,8 +50,6 @@ class RunOptions:
     #: for the default :class:`repro.guard.GuardConfig`, a policy name,
     #: or a full config.
     guard: Any = None
-    #: Optional :class:`repro.faults.FaultPlan` for fault-aware runners.
-    faults: Any = None
     #: Content-addressed result store (campaign/serve); ``None``
     #: disables persistent caching.
     cache_dir: Optional[str] = None

@@ -22,17 +22,20 @@ returns after the commit.  Hit counters are write-behind:
 ``kill -9`` loses at most the hits still queued — never a run row or a
 cache entry.  Recording stays bookkeeping on top of the cache's
 crash-safety story: whatever a dead process did not index,
-``results ingest --cache-dir`` recovers idempotently from the sidecars.
+``results ingest --cache-dir`` recovers idempotently from the sidecars
+— as the same rows, because both build them with
+:func:`repro.results.ingest.sidecar_row`.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from datetime import datetime, timezone
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.results.db import ResultsDB
+from repro.campaign.cache import unit_meta
+from repro.results.db import ResultsDB, _utcnow
+from repro.results.ingest import sidecar_row
 from repro.results.provenance import current_git_sha
 
 __all__ = ["ResultsRecorder", "record_campaign_outcomes"]
@@ -43,95 +46,66 @@ __all__ = ["ResultsRecorder", "record_campaign_outcomes"]
 _QUEUE_BOUND = 4096
 
 
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _record(db: ResultsDB, key: str, cache, seen: Optional[Dict[str, Any]],
+            git_sha: Optional[str]) -> None:
+    """Insert the row of unit ``key`` (idempotent on ``key``).
 
-
-def _sidecar(cache, key: str) -> Dict[str, Any]:
-    if cache is None:
-        return {}
-    return cache.meta(key)
-
-
-def _artifact_rows(cache, key: str, meta: Dict[str, Any]
-                   ) -> List[Tuple[str, Optional[str], Optional[int]]]:
-    if cache is None or not meta:
-        return []
-    pkl_path, _ = cache._paths(key)
-    nbytes = meta.get("bytes")
-    return [(pkl_path, meta.get("result_sha256"),
-             int(nbytes) if nbytes is not None else None)]
-
-
-def _split_label(ident: str, label: str) -> str:
-    """The point part of an ``ident@point`` unit label."""
-    prefix = ident + "@"
-    return label[len(prefix):] if label.startswith(prefix) else label
-
-
-def _record_ran(db: ResultsDB, cache, meta: Dict[str, Any], *, key: str,
-                source: str, ident: str, point: str,
-                seconds: Optional[float], git_sha: Optional[str],
-                host: Optional[str] = None) -> None:
-    """The row of a unit whose payload is in the cache, described by its
-    sidecar ``meta``; idempotent on ``key``."""
-    db.record_run(
-        run_key=key, source=source, ident=ident, point=point,
-        params=meta.get("params", {"point": point}), cache_key=key,
-        status="ran", git_sha=git_sha,
-        created_at=meta.get("created_at") or _utcnow(),
-        metrics={} if seconds is None
-        else {"duration_seconds": (seconds, "s")},
-        artifacts=_artifact_rows(cache, key, meta), host=host,
-    )
+    The row is its sidecar in ``cache`` with ``seen`` — the ``unit_meta``
+    of an execution this process witnessed, which is what its executor
+    stored — laid over it, or ``seen`` alone for a unit run without a
+    cache.  ``seen`` is None for an entry found in the cache.
+    """
+    payload = None
+    if cache is not None:
+        seen = {**cache.meta(key), **(seen or {})}
+        payload = cache._paths(key)[0]
+    db.record_run(git_sha=git_sha, **sidecar_row(key, seen, payload))
 
 
 def record_campaign_outcomes(db_path: str, outcomes: Iterable,
                              cache=None,
-                             git_sha: Optional[str] = None) -> None:
+                             git_sha: Optional[str] = None,
+                             units: Iterable = ()) -> None:
     """Record a campaign's per-unit outcomes into the index.
 
-    ``ran`` (and fleet ``salvaged``) inserts a row — with worker-host
-    attribution when the unit executed on a fleet worker — and upgrades
-    an earlier ``failed`` row for the same key; ``failed`` inserts a
-    failed row; ``hit`` bumps the hit counter — inserting the row first
-    from the cache sidecar when the cache predates the index.  All
-    inserts are idempotent on the unit's sha256 key, and the whole
-    campaign is one transaction: every outcome is indexed or none is.
+    ``ran`` (and fleet ``salvaged``) inserts the unit's sidecar row and
+    upgrades an earlier ``failed`` row for the same key; ``failed``
+    inserts a failed row; ``hit`` bumps the hit counter — inserting the
+    row first from the sidecar when the cache predates the index.
+    Without a ``cache``, a ``ran`` unit (looked up in ``units``) is
+    recorded from the ``unit_meta`` it would have stored.  All inserts
+    are idempotent on the unit's sha256 key, and the whole campaign is
+    one transaction: every outcome is indexed or none is.
     """
     sha = current_git_sha() if git_sha is None else (git_sha or None)
+    unit_of = {u.key: u for u in units}
     with ResultsDB(db_path) as db, db.transaction():
         for o in outcomes:
-            point = _split_label(o.ident, o.label)
             if o.status == "hit":
                 if not db.record_hit(o.key):
                     # The cache predates the index: the sidecar (read
                     # only now) describes the row to count the hit on.
-                    _record_ran(db, cache, _sidecar(cache, o.key),
-                                key=o.key, source="campaign",
-                                ident=o.ident, point=point,
-                                seconds=o.compute_seconds, git_sha=sha)
+                    _record(db, o.key, cache, None, sha)
                     db.record_hit(o.key)
-                continue
-            meta = _sidecar(cache, o.key)
-            host = getattr(o, "host", None) or meta.get("host")
-            if o.status == "failed":
+            elif o.status == "failed":
+                prefix = o.ident + "@"
+                point = (o.label[len(prefix):]
+                         if o.label.startswith(prefix) else o.label)
                 db.record_run(
                     run_key=o.key, source="campaign", ident=o.ident,
-                    point=point, params=meta.get("params", {"point": point}),
+                    point=point, params={"point": point},
                     cache_key=o.key, status="failed", git_sha=sha,
                     created_at=_utcnow(),
                     metrics={"duration_seconds": (o.seconds, "s")},
-                    host=host,
+                    host=o.host,
                 )
             else:
                 # "ran" on any worker, or "salvaged" from a dead one:
                 # either way the unit executed exactly once and its
-                # payload is in the cache.
-                _record_ran(db, cache, meta, key=o.key, source="campaign",
-                            ident=o.ident, point=point,
-                            seconds=o.compute_seconds, git_sha=sha,
-                            host=host)
+                # payload (and sidecar) is in the cache, if there is one.
+                seen = None if cache is not None else unit_meta(
+                    unit_of[o.key], o.compute_seconds, o.worker, o.host)
+                _record(db, o.key, cache, seen, sha)
                 db.mark_ran(o.key)
 
 
@@ -279,21 +253,13 @@ class ResultsRecorder:
 
     def _record_execution(self, db: ResultsDB, item: _Execution) -> None:
         unit = item.unit
-        _record_ran(db, self.cache, _sidecar(self.cache, unit.key),
-                    key=unit.key, source="serve", ident=unit.ident,
-                    point=unit.point.label, seconds=item.seconds,
-                    git_sha=self.git_sha)
+        _record(db, unit.key, self.cache,
+                unit_meta(unit, item.seconds, "serve"), self.git_sha)
         db.mark_ran(unit.key)
 
     def _record_hits(self, db: ResultsDB, unit, count: int) -> None:
         if db.record_hit(unit.key, count):
             return
         # The cache predates the index: insert the row from the sidecar.
-        meta = _sidecar(self.cache, unit.key)
-        _record_ran(
-            db, self.cache, meta, key=unit.key,
-            source="serve" if meta.get("worker") == "serve" else "campaign",
-            ident=unit.ident, point=unit.point.label,
-            seconds=float(meta["duration"]) if "duration" in meta else None,
-            git_sha=self.git_sha)
+        _record(db, unit.key, self.cache, None, self.git_sha)
         db.record_hit(unit.key, count)

@@ -6,13 +6,13 @@ sha256 of the entry document for bench/SLO records), so re-ingesting
 the same source is a no-op:
 
 * a campaign ``--cache-dir`` — pickle payloads with JSON sidecars; the
-  sidecar alone carries everything a provenance row needs (ident,
-  point, params, duration, payload bytes and sha256), so ingestion
-  never unpickles a payload;
+  sidecar alone carries everything a provenance row needs, so
+  ingestion never unpickles a payload, and :func:`sidecar_row` builds
+  the same row the live hooks record;
 * ``BENCH_agcm.json`` — each trajectory entry becomes one ``bench``
   run whose metrics are the entry's metric mapping, losslessly enough
   that :func:`repro.results.queries.trajectory_from_db` can rebuild
-  the trajectory for ``tools/bench_gate.py``;
+  the trajectory for ``results trajectory``;
 * a serve SLO dump (``python -m repro serve --bench --json-out``) —
   one ``serve`` run with the gated SLO metrics flattened.
 """
@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.results.db import ResultsDB
+from repro.results.db import ResultsDB, _utcnow
 from repro.results.provenance import current_git_sha
 
 __all__ = ["IngestStats", "Ingestor", "bench_entry_key"]
@@ -99,6 +99,38 @@ def _mtime_iso(path: str) -> Optional[str]:
     )
 
 
+def sidecar_row(key: str, meta: Dict[str, Any],
+                payload: Optional[str]) -> Dict[str, Any]:
+    """The :meth:`ResultsDB.record_run` keywords of one finished unit.
+
+    ``meta`` is the unit's sidecar (``unit_meta`` plus what
+    ``ResultCache.put`` stamps) and ``payload`` the path of its stored
+    result, or None for a unit run without a cache.  Every row of a
+    cached unit — recorded live by a campaign or a gateway, or ingested
+    later — is built here, so all three agree.  A sidecar older than
+    put-time stamping gets them from the payload file.
+    """
+    artifacts = []
+    if payload is not None:
+        if "result_sha256" not in meta:
+            meta = {"created_at": _mtime_iso(payload),
+                    "bytes": os.path.getsize(payload),
+                    "result_sha256": _file_sha256(payload), **meta}
+        artifacts.append((payload, meta["result_sha256"],
+                          int(meta["bytes"])))
+    point = str(meta.get("point", ""))
+    return dict(
+        run_key=key, cache_key=key, status="ran",
+        source="serve" if meta.get("worker") == "serve" else "campaign",
+        ident=str(meta.get("ident", "?")), point=point,
+        params=meta.get("params", {"point": point}),
+        created_at=meta.get("created_at") or _utcnow(),
+        metrics={"duration_seconds": (float(meta["duration"]), "s")}
+        if "duration" in meta else {},
+        artifacts=artifacts, host=meta.get("host"),
+    )
+
+
 class Ingestor:
     """Walks artifact sources into one :class:`ResultsDB`.
 
@@ -131,35 +163,13 @@ class Ingestor:
         for key in cache.keys():
             stats.scanned += 1
             meta = cache.meta(key)
-            pkl_path, _ = cache._paths(key)
             if not meta:
                 stats.errors.append(f"{key[:12]}: unreadable sidecar")
                 continue
             try:
-                nbytes = meta.get("bytes")
-                if nbytes is None:
-                    nbytes = os.path.getsize(pkl_path)
-                sha = meta.get("result_sha256") or _file_sha256(pkl_path)
-                worker = meta.get("worker")
                 added = self.db.record_run(
-                    run_key=key,
-                    source="serve" if worker == "serve" else "campaign",
-                    ident=str(meta.get("ident", "?")),
-                    point=str(meta.get("point", "")),
-                    params=meta.get("params",
-                                    {"point": meta.get("point", ""),
-                                     "version": meta.get("version")}),
-                    cache_key=key,
-                    status="ran",
                     git_sha=self.git_sha,
-                    created_at=(meta.get("created_at")
-                                or _mtime_iso(pkl_path)),
-                    metrics={
-                        "duration_seconds":
-                            (float(meta["duration"]), "s"),
-                    } if "duration" in meta else {},
-                    artifacts=[(pkl_path, sha, int(nbytes))],
-                )
+                    **sidecar_row(key, meta, cache._paths(key)[0]))
             except (OSError, TypeError, ValueError) as exc:
                 stats.errors.append(f"{key[:12]}: {exc}")
                 continue

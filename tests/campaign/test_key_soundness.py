@@ -46,6 +46,6 @@ def test_execution_knob_leaves_cached_results_unchanged(
 
 def test_option_fields_are_pinned():
     assert FIELD_NAMES == (
-        "obs", "guard", "faults", "cache_dir", "results_db", "workers",
+        "obs", "guard", "cache_dir", "results_db", "workers",
         "resume", "use_cache", "fleet", "max_attempts",
     )

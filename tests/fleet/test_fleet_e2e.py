@@ -89,6 +89,25 @@ class TestFaultFreeFleet:
             )
         assert len(rows) == 4
 
+    def test_worker_with_own_cache_leaves_its_sidecar(self, tmp_path):
+        """The coordinator stores a reported result with the worker's
+        own ``unit_meta``: the same sidecar, on the worker's host."""
+        main, own = str(tmp_path / "main"), str(tmp_path / "own")
+        selectors = [f"sleep:0.05#own{i}" for i in range(3)]
+        with LocalFleet(nworkers=1, worker_cache_dirs=[own]) as fleet:
+            report = run_campaign(selectors, fleet=fleet.config,
+                                  cache_dir=main)
+        assert report.failures == 0
+        assert report.cache_misses == len(selectors)
+        worker, coordinator = ResultCache(own), ResultCache(main)
+        assert sorted(worker.keys()) == sorted(coordinator.keys())
+        fields = ("ident", "point", "params", "duration", "version",
+                  "worker", "host")
+        for key in worker.keys():
+            theirs, ours = worker.meta(key), coordinator.meta(key)
+            assert {f: ours.get(f) for f in fields} \
+                == {f: theirs[f] for f in fields}
+
 
 class TestChaosMatrix:
     """Kill/hang/disconnect one of three workers mid-campaign: every

@@ -456,6 +456,14 @@ def test_bench_gate_rejects_a_flag_prefix():
     assert "'--dry'" in proc.stderr
 
 
+def test_bench_gate_has_one_baseline_and_no_results_db_flag():
+    # BENCH_agcm.json is the gate's only baseline; entries reach the
+    # index through `results ingest --bench`.
+    proc = _run_tool("bench_gate.py", "--results-db", "r.db")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "'--results-db'" in proc.stderr
+
+
 # ----------------------------------------------------------------------
 # (d) value errors still name what was expected
 # ----------------------------------------------------------------------

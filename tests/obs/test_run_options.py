@@ -64,20 +64,27 @@ class TestWith:
         assert opts.workers == 1  # frozen original untouched
 
     def test_with_unknown_field_errors(self):
-        with pytest.raises(TypeError, match=r"did you mean 'faults'"):
-            RunOptions().with_(fauts=True)
+        with pytest.raises(TypeError, match=r"did you mean 'resume'"):
+            RunOptions().with_(resum=True)
 
 
 class TestRemovedSurface:
-    """``fast`` is gone, and a knob has one spelling: ``options=``."""
+    """``fast`` and ``faults`` are gone, and a knob has one spelling:
+    ``options=``."""
 
     def test_fast_is_not_a_field(self):
-        with pytest.raises(TypeError, match=r"unknown option 'fast'; "
-                           r"did you mean .*known options"):
+        with pytest.raises(TypeError, match=r"unknown option 'fast'.*"
+                           r"known options"):
             RunOptions(fast=True)
-        with pytest.raises(TypeError, match=r"unknown option 'fast'; "
-                           r"did you mean .*known options"):
+        with pytest.raises(TypeError, match=r"unknown option 'fast'.*"
+                           r"known options"):
             api.run("fig4_6", options={"fast": True})
+
+    def test_faults_is_not_a_field(self):
+        """No runner took ``faults=``; plans go to ``Simulator`` or
+        ``run_agcm_guarded`` directly."""
+        with pytest.raises(TypeError, match=r"unknown option 'faults'"):
+            RunOptions(faults=object())
 
     @pytest.mark.parametrize("call, knob", [
         (lambda: api.run("fig4_6", obs=True), "obs"),
@@ -87,9 +94,11 @@ class TestRemovedSurface:
         (lambda: api.run_campaign(["fig4_6"], workers=2), "workers"),
     ])
     def test_knob_as_keyword_names_the_replacement(self, call, knob):
-        with pytest.raises(
-            TypeError, match=rf"options=RunOptions\({knob}=\.\.\.\)"
-        ):
+        # ``faults`` is no option any more: it reaches the runner, which
+        # refuses it itself.
+        match = (r"unexpected keyword argument 'faults'" if knob == "faults"
+                 else rf"options=RunOptions\({knob}=\.\.\.\)")
+        with pytest.raises(TypeError, match=match):
             call()
 
     def test_run_campaign_rejects_other_keywords_too(self):

@@ -7,10 +7,13 @@ CI smoke job makes: index counts must equal the CampaignReport's.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, canonical_params
 from repro.campaign.report import UnitOutcome
 from repro.campaign.units import enumerate_units
 from repro.results.db import ResultsDB
@@ -60,19 +63,32 @@ class TestCampaignRecording:
 
     def test_failed_then_ran_upgrades(self, tmp_path):
         db_path = str(tmp_path / "i.db")
-        failed = UnitOutcome(ident="x", label="x@p", key="k1",
-                             status="failed", worker=0, seconds=0.1,
-                             compute_seconds=0.1, error="boom")
+        unit = enumerate_units(FAST[:1])[0]
+        failed = UnitOutcome(ident=unit.ident, label=unit.label,
+                             key=unit.key, status="failed", worker=0,
+                             seconds=0.1, compute_seconds=0.1, error="boom")
         record_campaign_outcomes(db_path, [failed], git_sha="s")
         with ResultsDB(db_path) as db:
-            assert db.query("SELECT status FROM runs")[1] == [("failed",)]
-        ran = UnitOutcome(ident="x", label="x@p", key="k1",
+            assert db.query("SELECT status, point FROM runs")[1] \
+                == [("failed", "0.01#a")]
+        ran = UnitOutcome(ident=unit.ident, label=unit.label, key=unit.key,
                           status="ran", worker=0, seconds=0.2,
                           compute_seconds=0.2)
-        record_campaign_outcomes(db_path, [ran], git_sha="s")
+        # No cache: the row comes from the unit_meta it would have stored.
+        record_campaign_outcomes(db_path, [ran], git_sha="s", units=[unit])
         with ResultsDB(db_path) as db:
             assert db.query("SELECT status FROM runs")[1] == [("ran",)]
             assert len(db) == 1
+
+    def test_campaign_without_cache_records_its_unit_meta(self, tmp_path):
+        db_path = str(tmp_path / "i.db")
+        unit = enumerate_units(FAST[:1])[0]
+        run_campaign(FAST[:1], results_db=db_path)
+        with ResultsDB(db_path) as db:
+            (params, host), = db.query("SELECT params_json, host FROM runs")[1]
+            assert db.query("SELECT COUNT(*) FROM artifacts")[1] == [(0,)]
+        assert json.loads(params) == canonical_params(unit.point.as_dict())
+        assert host.endswith(f":{os.getpid()}")
 
     def test_recording_is_opt_in(self, tmp_path):
         report = run_campaign(FAST, cache_dir=str(tmp_path / "cache"))

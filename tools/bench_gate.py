@@ -13,15 +13,16 @@ Exit codes: 0 = pass (entry recorded), 2 = tracked ratio regressed
 (entry NOT recorded, so the bad run can't become the next baseline),
 1 = usage/internal error.
 
+``BENCH_agcm.json`` is the gate's only baseline.  To query the
+trajectory, ingest it into the result index (idempotent)::
+
+    python -m repro results ingest --bench BENCH_agcm.json
+
 Usage::
 
     python tools/bench_gate.py                 # gate + record
     python tools/bench_gate.py --dry-run       # gate only, write nothing
     python tools/bench_gate.py --label "PR 12" # annotate the entry
-    python tools/bench_gate.py --results-db [P]
-        # gate against the trajectory in the repro.results index
-        # (JSON file remains the fallback when the index is empty);
-        # a recorded entry is also ingested into the index
 """
 
 from __future__ import annotations
@@ -60,36 +61,10 @@ def main(argv=None) -> int:
         action="store_true",
         help="compare against the baseline but do not write the trajectory",
     )
-    parser.add_argument(
-        "--results-db",
-        nargs="?",
-        const=None,  # resolved to repro.results.DEFAULT_DB below
-        default=False,
-        help="read the trajectory from (and record into) a repro.results "
-        "index; the JSON file is the fallback when the index has no "
-        "bench entries yet (bare flag uses the default index path)",
-    )
     args = parser.parse_args(argv)
-    results_db = None
-    if args.results_db is not False:
-        from repro import results as repro_results
 
-        results_db = args.results_db or repro_results.DEFAULT_DB
-
-    # The JSON file stays the durable record either way; the index is a
-    # queryable mirror of it, preferred for the baseline when populated.
     traj = bench_record.load_trajectory(args.output)
-    gate_traj = traj
-    if results_db is not None:
-        db_traj = repro_results.trajectory_from_db(results_db)
-        if db_traj is not None:
-            gate_traj = db_traj
-            print(f"baseline read from result index {results_db} "
-                  f"({len(db_traj['entries'])} entries)")
-        else:
-            print(f"result index {results_db} has no bench entries; "
-                  f"falling back to {args.output}")
-    baseline = bench_record.baseline_entry(gate_traj)
+    baseline = bench_record.baseline_entry(traj)
 
     print("collecting deterministic benchmark metrics ...")
     metrics = bench_record.collect_metrics()
@@ -151,12 +126,6 @@ def main(argv=None) -> int:
     print(
         f"recorded entry #{len(traj['entries'])} in {args.output}"
     )
-    if results_db is not None:
-        with repro_results.ResultsDB(results_db) as db:
-            repro_results.Ingestor(db).ingest_bench_entry(
-                entry, path=args.output
-            )
-        print(f"entry ingested into result index {results_db}")
     return 0
 
 
