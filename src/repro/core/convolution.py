@@ -21,7 +21,9 @@ import numpy as np
 from repro.core.spectral import PolarFilter
 
 
-def circulant_rows(kernel: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def circulant_rows(
+    kernel: np.ndarray, lo: int, hi: int, doubled: np.ndarray | None = None,
+) -> np.ndarray:
     """Rows ``lo..hi-1`` of the circulant operator, as a fresh (hi-lo, N) block.
 
     ``C[i, j] = kernel[(i - j) mod N]``.  Row ``i`` read left to right is
@@ -30,12 +32,15 @@ def circulant_rows(kernel: np.ndarray, lo: int, hi: int) -> np.ndarray:
     *view* of ``d`` (row stride -1 element, column stride +1): an index
     transformation, not a gather.  Only the requested block is
     materialised, C-contiguous, so ``rows @ line`` is the same BLAS call
-    on the same values as with a full N x N build.
+    on the same values as with a full N x N build.  A caller holding
+    ``d`` (:meth:`PolarFilter.doubled_kernel` memoises it per row) passes
+    it as ``doubled``; otherwise it is built here.
     """
     n = kernel.shape[0]
     if not 0 <= lo < hi <= n:
         raise ValueError(f"row block [{lo}, {hi}) outside 0..{n}")
-    doubled = np.concatenate((kernel[::-1], kernel[::-1]))
+    if doubled is None:
+        doubled = np.concatenate((kernel[::-1], kernel[::-1]))
     step = doubled.strides[0]
     # The ndarray constructor checks the view against the buffer's bounds
     # (as_strided would not) and costs half as much to call.
@@ -43,7 +48,9 @@ def circulant_rows(kernel: np.ndarray, lo: int, hi: int) -> np.ndarray:
         (hi - lo, n), dtype=doubled.dtype, buffer=doubled,
         offset=(n - 1 - lo) * step, strides=(-step, step),
     )
-    return np.ascontiguousarray(toeplitz)
+    # Always a copy: a one-row view is contiguous already, and must not
+    # alias a memoised ``doubled``.
+    return toeplitz.copy()
 
 
 def circulant_matrix(kernel: np.ndarray) -> np.ndarray:

@@ -357,12 +357,13 @@ class _RankState:
 # -- convolution backends (the original code's algorithms) --
 
 def _prepare_convolution(st: _RankState, plan: FilterPlan):
-    """Kernels, and the flops per output point in the AGCM's wavenumber-sum
-    form of eq. (2): ``4 * M_s`` per layer of each unit, where ``M_s`` is
-    the number of damped wavenumbers at the unit's latitude (sine and
-    cosine contributions, one multiply + one add each)."""
+    """Kernels and their memoised doubled vectors, and the flops per output
+    point in the AGCM's wavenumber-sum form of eq. (2): ``4 * M_s`` per
+    layer of each unit, where ``M_s`` is the number of damped wavenumbers
+    at the unit's latitude (sine and cosine contributions, one multiply +
+    one add each)."""
     held = st.row.held
-    st.kernels = [f.kernel(lat) for f, lat in held.filters]
+    st.kernels = [(f.kernel(lat), f.doubled_kernel(lat)) for f, lat in held.filters]
     st.flops_per_point = sum(
         4.0 * f.damped_bin_count(lat) * (b - a)
         for (f, lat), (a, b) in zip(held.filters, held.bounds)
@@ -379,8 +380,8 @@ def _convolve(ctx: VirtualComm, st: _RankState, lines: np.ndarray, lo: int, hi: 
             inner_length=hi - lo,
         )
     filtered = np.empty((hi - lo, lines.shape[1]))
-    for (a, b), kernel in zip(st.row.held.bounds, st.kernels):
-        filtered[:, a:b] = circulant_rows(kernel, lo, hi) @ lines[:, a:b]
+    for (a, b), (kernel, doubled) in zip(st.row.held.bounds, st.kernels):
+        filtered[:, a:b] = circulant_rows(kernel, lo, hi, doubled) @ lines[:, a:b]
     return filtered
 
 

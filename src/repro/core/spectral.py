@@ -117,6 +117,13 @@ class PolarFilter:
         """
         return _kernel_cached(*self._cache_key(lat_index))
 
+    def doubled_kernel(self, lat_index: int) -> np.ndarray:
+        """The row's kernel reversed and written twice (length 2N), of
+        which every circulant row is a window (see
+        :func:`repro.core.convolution.circulant_rows`).  Memoised and
+        read-only."""
+        return _doubled_kernel_cached(*self._cache_key(lat_index))
+
     def damped_bin_count(self, lat_index: int) -> int:
         """Number of rfft bins actually damped at a row (T < 1).
 
@@ -161,6 +168,17 @@ def _kernel_cached(
     out = np.fft.irfft(
         _transfer_cached(nlon, lat_deg, critical_lat_deg), n=nlon
     )
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _doubled_kernel_cached(
+    nlon: int, lat_deg: float, critical_lat_deg: float
+) -> np.ndarray:
+    """Cached ``concat(kernel[::-1], kernel[::-1])`` of a row."""
+    reversed_kernel = _kernel_cached(nlon, lat_deg, critical_lat_deg)[::-1]
+    out = np.concatenate((reversed_kernel, reversed_kernel))
     out.flags.writeable = False
     return out
 

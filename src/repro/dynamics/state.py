@@ -178,14 +178,16 @@ def initial_fields_block(
 def scatter_initial_fields(
     decomp, grid: SphericalGrid, nlayers: int, seed: int = 7,
 ) -> List[Dict[str, np.ndarray]]:
-    """Every rank's block of the initial fields, for one simulator run.
+    """Every rank's block of the initial fields, once per decomposition.
 
     The fields are a pointwise function of the coordinates, so they are
     computed once on the whole grid and cut up by ``decomp.scatter`` (a
     2-D or 3-D decomposition), not once per rank; each global array is
-    dropped as soon as it is scattered, so a run holds one copy.  The
-    blocks are the ranks' own memory, bit-identical to what
-    :func:`initial_fields_block` gives on each rank's coordinates.
+    dropped as soon as it is scattered, so the caller holds one copy.
+    The blocks are the ranks' own memory, bit-identical to what
+    :func:`initial_fields_block` gives on each rank's coordinates.  Runs
+    whose cost does not depend on field values (the three backend runs
+    of a filtering table's mesh) share one set of blocks.
     """
     fields = initial_fields_block(
         grid.lat_rad, grid.lon_rad, nlayers, seed=seed)

@@ -46,6 +46,7 @@ from repro.perf import (
 from repro.physics.driver import ColumnSet
 from repro.physics.workload import column_flops
 from repro.util.tables import Table
+from repro.util.validation import check_positive_int
 
 #: Node meshes of the paper's AGCM timing tables (Tables 4-7).
 AGCM_MESHES: Tuple[Tuple[int, int], ...] = ((1, 1), (4, 4), (8, 8), (8, 30))
@@ -501,9 +502,12 @@ def run_table7(**kw) -> ExperimentResult:
 def _filter_once_program(ctx, backend, blocks, napps):
     """Rank program: barrier, then apply the filter ``napps`` times.
 
-    Field values are irrelevant to the cost; the barrier between
-    applications makes the phase timing a clean per-component measurement
-    (the way dedicated filter timers would behave in the real code).
+    Field values are irrelevant to the cost (every ``Compute`` is priced
+    from plan and layout counts, every message from array shapes), so the
+    rank filters ``blocks[rank]`` in place, whatever earlier runs left in
+    it.  The barrier between applications makes the phase timing a clean
+    per-component measurement (the way dedicated filter timers would
+    behave in the real code).
     """
     fields = blocks[ctx.rank]
     yield from ctx.barrier()
@@ -526,7 +530,10 @@ def run_filtering_table(
     Filtering is timed in isolation (barrier-separated applications, as a
     dedicated component timer would), then scaled by the number of
     filtering applications per simulated day (one per dynamics step).
+    Each mesh builds one initial state, and its three backend runs filter
+    those blocks in turn: no virtual cost depends on field values.
     """
+    napps = check_positive_int(napps, "napps")
     cfg = make_config("2x2.5x9").with_(nlayers=nlayers)
     grid = cfg.make_grid()
     plan = make_filter_plan(grid)
@@ -542,12 +549,12 @@ def run_filtering_table(
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
         decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        blocks = scatter_initial_fields(decomp, grid, nlayers)
         per_day = []
         for name in backends:
             backend = prepare_filter_backend(name, plan, decomp)
             res = Simulator(mesh.size, machine).run(
-                _filter_once_program, backend,
-                scatter_initial_fields(decomp, grid, nlayers), napps,
+                _filter_once_program, backend, blocks, napps,
             )
             per_app = res.trace.phase_max("filter") / napps
             per_day.append(per_app * steps_per_day)
@@ -908,6 +915,7 @@ def run_bigmesh(
     byte totals), so the experiment doubles as a regression canary for
     the 1280-rank acceptance criterion of the engine overhaul.
     """
+    napps = check_positive_int(napps, "napps")
     cfg = make_config("2x2.5x9").with_(nlayers=nlayers)
     grid = cfg.make_grid()
     plan = make_filter_plan(grid)

@@ -44,12 +44,17 @@ def legacy_index_construction(kernel: np.ndarray) -> np.ndarray:
 def test_circulant_rows_matches_legacy_for_every_block(n):
     kernel = np.random.default_rng(n).standard_normal(n)
     legacy = legacy_index_construction(kernel)
+    doubled = np.concatenate((kernel[::-1], kernel[::-1]))
+    doubled.flags.writeable = False  # as the memoised vectors are
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
             rows = circulant_rows(kernel, lo, hi)
             assert rows.shape == (hi - lo, n)
             assert rows.flags.c_contiguous
             assert rows.tobytes() == legacy[lo:hi].tobytes(), (n, lo, hi)
+            given = circulant_rows(kernel, lo, hi, doubled)
+            assert given.flags.c_contiguous and given.flags.writeable
+            assert given.tobytes() == rows.tobytes(), (n, lo, hi)
     full = circulant_matrix(kernel)
     assert full.flags.c_contiguous
     assert full.tobytes() == legacy.tobytes()
@@ -321,7 +326,10 @@ def test_filter_spans_unchanged_since_parent():
 def test_cached_filter_vectors_are_read_only(make, small_grid):
     f = make(small_grid)
     j = int(f.latitude_indices()[0])
-    for vector in (f.kernel(j), f.transfer(j)):
+    reversed_kernel = f.kernel(j)[::-1]
+    assert f.doubled_kernel(j).tobytes() == np.concatenate(
+        (reversed_kernel, reversed_kernel)).tobytes()
+    for vector in (f.kernel(j), f.transfer(j), f.doubled_kernel(j)):
         before = vector.copy()
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 0.0
@@ -329,6 +337,7 @@ def test_cached_filter_vectors_are_read_only(make, small_grid):
             vector *= 2.0
         np.testing.assert_array_equal(vector, before)
     assert f.kernel(j) is f.kernel(j)  # memoised, not rebuilt
+    assert f.doubled_kernel(j) is f.doubled_kernel(j)
     assert isinstance(f.damped_bin_count(j), int)
 
 

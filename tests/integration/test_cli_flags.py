@@ -492,3 +492,24 @@ def test_docs_checker_rejects_a_removed_flag(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "campaign: unknown option '--fast'" in proc.stdout
     assert "2 command line(s) checked, 1 rejected" in proc.stdout
+
+
+def test_sample_profile_unit_must_belong_to_the_workload():
+    proc = _run_tool("sample_profile.py", "--workload", "filter_tables",
+                     "--unit", "table8@4x4", "--unit", "bigmesh@32x40")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("sample_profile.py: ")
+    assert "bigmesh@32x40" in proc.stderr
+    assert "valid: table8@4x4, table8@4x8, table8@8x8, table10@4x4" in proc.stderr
+
+
+def test_docs_checker_parses_sample_profile_lines(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("`python tools/sample_profile.py --workload filter_tables\n"
+                   "--unit table8@4x4 --passes 2`, and\n```bash\n"
+                   "python tools/sample_profile.py --workload engine_scale "
+                   "--unit table8@4x4\n```\n")
+    proc = _run_tool("check_cli_docs.py", str(doc))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "not a unit of engine_scale: table8@4x4" in proc.stdout
+    assert "2 command line(s) checked, 1 rejected" in proc.stdout

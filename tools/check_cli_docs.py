@@ -4,7 +4,9 @@
 Extracts the command lines of README.md, docs/*.md and the CI workflow
 (or of the files given), parses each with the parser the CLI itself
 would build for it — nothing is executed — and reports rejected flags,
-unknown subcommands, experiments, campaign selectors and sweeps.
+unknown subcommands, experiments, campaign selectors and sweeps.  The
+``python tools/sample_profile.py ...`` lines are checked the same way,
+unit labels included.
 
 Exit codes: 0 = every command line parses, 1 = at least one is rejected.
 
@@ -25,7 +27,8 @@ import shlex
 import sys
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path[:0] = [os.path.join(_REPO_ROOT, "src"),
+                os.path.join(_REPO_ROOT, "tools")]
 
 from repro.__main__ import COMMANDS, EXPERIMENTS  # noqa: E402
 from repro.campaign.units import describe_sweep, enumerate_units  # noqa: E402
@@ -33,21 +36,30 @@ from repro.fleet.cli import COMMANDS as FLEET_COMMANDS  # noqa: E402
 from repro.results.cli import COMMANDS as RESULTS_COMMANDS  # noqa: E402
 from repro.util.cli import StrictParser, parse_command  # noqa: E402
 
+import sample_profile  # noqa: E402
+
 GROUPS = {"fleet": FLEET_COMMANDS, "results": RESULTS_COMMANDS}
 
-# What follows `python -m repro` (not `python -m repro.verify...`): an
-# inline `...` span, which may wrap, or the rest of a code-block line.
-_INLINE = re.compile(r"`python -m repro(?![.\w])([^`]*)`")
-_LINE = re.compile(r"^[^`\n]*\bpython -m repro(?![.\w])([^`\n]*)$", re.M)
+
+def _patterns(command: str):
+    """What follows *command* (not ``python -m repro.verify...``): an
+    inline `...` span, which may wrap, or the rest of a code-block line."""
+    return (re.compile(rf"`{command}(?![.\w])([^`]*)`"),
+            re.compile(rf"^[^`\n]*\b{command}(?![.\w])([^`\n]*)$", re.M))
+
+
+_REPRO = _patterns(r"python -m repro")
+_SAMPLE_PROFILE = _patterns(r"python\s+tools/sample_profile\.py")
 _SHELL_OPERATOR = re.compile(r"[|&;<]+|\d?>.*")
 
 
-def command_lines(text: str):
-    """argv (after ``python -m repro``) of every command line in *text*."""
+def command_lines(text: str, patterns):
+    """argv (after the command of *patterns*) of every command line in
+    *text*."""
     # Join backslash continuations and the `--flag` lines of a folded
     # YAML `run: >` step onto the line that starts the command.
     text = re.sub(r"\\\n|\n\s+(?=--\w)", " ", text)
-    for pattern in (_INLINE, _LINE):
+    for pattern in patterns:
         for match in pattern.finditer(text):
             argv = shlex.split(re.sub(r"\s#.*", "", match.group(1)))
             for i, token in enumerate(argv):
@@ -63,6 +75,23 @@ def _unknown_experiments(idents):
     return f"unknown experiment(s) {unknown}" if unknown else None
 
 
+def _parse_quietly(parse, *args):
+    """``(None, parse(*args))``, or what *parse* printed on stderr as it
+    exited (None for an exit 0: the line asks for --help) and None."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return None, parse(*args)
+        except SystemExit as exc:
+            return (stderr.getvalue().strip() if exc.code else None), None
+
+
+def sample_profile_rejection(argv):
+    """Why ``tools/sample_profile.py`` would refuse *argv*, or None."""
+    return _parse_quietly(sample_profile.parse_args, argv)[0]
+
+
 def rejection(argv):
     """Why the CLI would refuse *argv* before doing any work, or None."""
     if argv[0] in GROUPS:
@@ -71,13 +100,9 @@ def rejection(argv):
         commands, group = COMMANDS, ""
     else:  # the bare form: experiment names, or `all`
         return _unknown_experiments([] if argv == ["all"] else argv)
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), \
-            contextlib.redirect_stdout(io.StringIO()):
-        try:
-            args = parse_command(commands, argv, group)
-        except SystemExit as exc:  # 0: the line asks for --help
-            return stderr.getvalue().strip() if exc.code else None
+    why, args = _parse_quietly(parse_command, commands, argv, group)
+    if args is None:
+        return why
     # What the handlers check before any work starts.
     if commands is COMMANDS and argv[0] == "campaign":
         try:
@@ -103,15 +128,20 @@ def main(argv=None) -> int:
         *sorted(glob.glob(os.path.join(_REPO_ROOT, "docs", "*.md"))),
         os.path.join(_REPO_ROOT, ".github", "workflows", "ci.yml"),
     ]
+    checks = (("python -m repro", _REPRO, rejection),
+              ("python tools/sample_profile.py", _SAMPLE_PROFILE,
+               sample_profile_rejection))
     checked = rejected = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            for line in command_lines(fh.read()):
+            text = fh.read()
+        for command, patterns, reject in checks:
+            for line in command_lines(text, patterns):
                 checked += 1
-                why = rejection(line)
+                why = reject(line)
                 if why:
                     rejected += 1
-                    print(f"{os.path.relpath(path)}: python -m repro "
+                    print(f"{os.path.relpath(path)}: {command} "
                           f"{shlex.join(line)}\n    {why}")
     print(f"{checked} command line(s) checked, {rejected} rejected")
     return 1 if rejected else 0

@@ -11,6 +11,10 @@ during one long native call merge into one).  Prints the leaf share
 the inclusive share (anywhere on the stack) per function::
 
     python tools/sample_profile.py --workload agcm_model [--passes 3]
+    python tools/sample_profile.py --workload filter_tables --unit table8@4x4
+
+``--unit`` (repeatable) profiles only the named units of the workload; a
+label that is not one of its units exits 2 and lists the valid ones.
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ from repro.util.cli import StrictParser  # noqa: E402
 
 from catalogue import SIM_WORKLOADS  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
-from workloads import make_plan, run_sim_pass  # noqa: E402
+from workloads import make_plan, run_sim_pass, unit_labels  # noqa: E402
 
 INTERVAL_S = 0.0005
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None):
+    """The command line, units checked against the workload's (exit 2)."""
     parser = StrictParser("sample_profile.py",
                           prog="python tools/sample_profile.py",
                           description=__doc__.splitlines()[0])
@@ -46,9 +51,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=25, metavar="N",
                         help="rows per table (default: %(default)s)")
+    parser.add_argument("--unit", action="append", metavar="LABEL",
+                        help="profile only this unit of --workload "
+                        "(repeatable; default: every unit)")
     args = parser.parse_args(argv)
+    valid = unit_labels(args.workload)
+    unknown = [label for label in args.unit or () if label not in valid]
+    if unknown:
+        parser.error(f"not a unit of {args.workload}: {', '.join(unknown)} "
+                     f"(valid: {', '.join(valid)})")
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     plan = make_plan(args.workload, args.seed)
+    if args.unit:
+        plan.order = [label for label in plan.order if label in args.unit]
     rec = SpanRecorder(args.workload, enabled=False)
     run_sim_pass(plan, False, rec)  # imports, caches, first-touch pages
 
