@@ -280,8 +280,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _declare_serve(p: StrictParser) -> None:
-    from repro.serve.loadgen import DEFAULT_SEED
-
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default: %(default)s)")
     p.add_argument("--port", type=int, default=0,
@@ -297,39 +295,11 @@ def _declare_serve(p: StrictParser) -> None:
     p.add_argument("--no-obs", dest="spans", action="store_false",
                    help="per-request gateway spans off (the serve "
                    "analogue of an unobserved run)")
-    p.add_argument("--bench", action="store_true",
-                   help="replay the seeded bursty load plan (cold + warm) "
-                   "against a fresh gateway and print the SLO summary")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N",
-                   help="traffic plan seed of --bench "
-                   "(default: %(default)s)")
-    p.add_optional("--json-out", "serve-slo.json",
-                   "write the --bench SLO summary")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
-
-    if args.bench:
-        from repro.serve.bench import failed_requests, run_bench
-
-        report = run_bench(args.seed, cache_dir=args.cache_dir)
-        cold, warm = report["cold"], report["warm"]
-        print(f"cold pass: {cold['requests']} requests, "
-              f"coalesce rate {cold['coalesce_rate']:.0%}, "
-              f"{cold['failures']} failed")
-        print(f"warm pass: {warm['requests']} requests, "
-              f"hit rate {warm['hit_rate']:.0%}, "
-              f"hit p99 {warm['latency_us']['hit']['p99']} us, "
-              f"{warm['throughput_rps']:.1f} rps, "
-              f"{warm['failures']} failed")
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"SLO summary written to {args.json_out}")
-        return 1 if failed_requests(report) else 0
 
     from repro.serve import Gateway, ServeConfig
 
@@ -389,8 +359,7 @@ COMMANDS = {
                         "content-addressed result caching",
                         _declare_campaign, _cmd_campaign),
     "serve": Command("always-on service gateway (cache-first, coalescing, "
-                     "admission control), or its --bench load replay",
-                     _declare_serve, _cmd_serve),
+                     "admission control)", _declare_serve, _cmd_serve),
 }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.fleet.frames import DEFAULT_MAX_BYTES
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_port, check_positive_int
 
 __all__ = ["FleetConfig", "parse_address"]
 
@@ -42,11 +42,7 @@ def parse_address(spec: str) -> Tuple[str, int]:
         raise ValueError(
             f"bad fleet address {spec!r}: port {port!r} is not an integer"
         ) from None
-    if not 0 <= port_num <= 65535:
-        raise ValueError(
-            f"bad fleet address {spec!r}: port {port_num} out of range"
-        )
-    return host, port_num
+    return host, check_port(port_num, f"bad fleet address {spec!r}: port")
 
 
 @dataclass(frozen=True)

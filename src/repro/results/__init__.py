@@ -1,10 +1,10 @@
 """repro.results — the SQLite cross-run result index.
 
-Six PRs of scattered artifacts (campaign pickle caches, the
-hand-appended ``BENCH_agcm.json`` list, serve SLO dumps) become one
-queryable dataset: ``runs`` / ``metrics`` / ``artifacts`` rows keyed on
-content hashes, stamped with git provenance at ingest, and exposed
-through ``python -m repro results [ingest|query|runs|trajectory|prune]``
+Scattered artifacts (campaign and gateway pickle caches, the
+hand-appended ``BENCH_agcm.json`` list) become one queryable dataset:
+``runs`` / ``metrics`` / ``artifacts`` rows keyed on content hashes,
+stamped with git provenance at ingest, and exposed through
+``python -m repro results [ingest|query|runs|trajectory|prune]``
 plus opt-in ``results_db`` hooks on the campaign scheduler and the
 service gateway.  See ``docs/results.md``.
 """

@@ -1,7 +1,7 @@
 """``python -m repro results`` — the index's command-line front end.
 
-Subcommands: ``ingest`` (index campaign caches, bench trajectories and
-serve SLO dumps), ``query`` (read-only SQL), ``runs`` and
+Subcommands: ``ingest`` (index campaign caches and bench
+trajectories), ``query`` (read-only SQL), ``runs`` and
 ``trajectory`` (canned reports), ``prune`` (cache GC);
 ``python -m repro results <subcommand> --help`` lists the flags.
 
@@ -36,10 +36,6 @@ def _declare_ingest(p: StrictParser) -> None:
                    help="campaign/serve --cache-dir to walk (repeatable)")
     p.add_argument("--bench", action="append", default=[], metavar="FILE",
                    help="BENCH_agcm.json trajectory (repeatable)")
-    p.add_argument("--serve-slo", action="append", default=[],
-                   metavar="FILE",
-                   help="serve SLO summary from "
-                   "`serve --bench --json-out` (repeatable)")
     p.add_argument("--git-sha", default=None,
                    help="provenance stamp override (default: "
                    "$REPRO_GIT_SHA, then `git rev-parse HEAD`)")
@@ -100,9 +96,9 @@ def _require_db(path: str) -> Optional[str]:
 
 
 def _cmd_ingest(args) -> int:
-    if not (args.cache_dir or args.bench or args.serve_slo):
-        print("results ingest: nothing to ingest; pass --cache-dir, "
-              "--bench and/or --serve-slo", file=sys.stderr)
+    if not (args.cache_dir or args.bench):
+        print("results ingest: nothing to ingest; pass --cache-dir "
+              "and/or --bench", file=sys.stderr)
         return 2
     from repro.results.ingest import Ingestor
 
@@ -113,8 +109,6 @@ def _cmd_ingest(args) -> int:
             all_stats.append(ingestor.ingest_cache_dir(root))
         for path in args.bench:
             all_stats.append(ingestor.ingest_bench_file(path))
-        for path in args.serve_slo:
-            all_stats.append(ingestor.ingest_serve_slo(path))
         total = len(db)
     if args.json:
         print(json.dumps({
@@ -207,8 +201,8 @@ def _cmd_prune(args) -> int:
 
 
 COMMANDS = {
-    "ingest": Command("index campaign caches, bench trajectories, "
-                      "serve SLO dumps", _declare_ingest, _cmd_ingest),
+    "ingest": Command("index campaign caches and bench trajectories",
+                      _declare_ingest, _cmd_ingest),
     "query": Command("run read-only SQL against the index",
                      _declare_query, _cmd_query),
     "runs": Command("per-unit rows + per-experiment best/worst rollup",

@@ -1,9 +1,9 @@
 """Idempotent ingestion: artifacts on disk become queryable index rows.
 
-Three sources, one discipline — every ingested run is keyed on a
-content hash (the sha256 unit cache key for campaign/serve payloads, a
-sha256 of the entry document for bench/SLO records), so re-ingesting
-the same source is a no-op:
+Two sources, one discipline — every ingested run is keyed on a content
+hash (the sha256 unit cache key for campaign/serve payloads, a sha256
+of the entry document for bench records), so re-ingesting the same
+source is a no-op:
 
 * a campaign ``--cache-dir`` — pickle payloads with JSON sidecars; the
   sidecar alone carries everything a provenance row needs, so
@@ -12,9 +12,7 @@ the same source is a no-op:
 * ``BENCH_agcm.json`` — each trajectory entry becomes one ``bench``
   run whose metrics are the entry's metric mapping, losslessly enough
   that :func:`repro.results.queries.trajectory_from_db` can rebuild
-  the trajectory for ``results trajectory``;
-* a serve SLO dump (``python -m repro serve --bench --json-out``) —
-  one ``serve`` run with the gated SLO metrics flattened.
+  the trajectory for ``results trajectory``.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ __all__ = ["IngestStats", "Ingestor", "bench_entry_key"]
 
 #: Registry ident under which benchmark-trajectory entries are indexed.
 BENCH_IDENT = "bench:agcm"
-#: Ident of ingested serve SLO summaries.
-SLO_IDENT = "serve:slo"
 
 
 @dataclass
@@ -226,58 +222,3 @@ class Ingestor:
             metrics={name: float(value)
                      for name, value in entry.get("metrics", {}).items()},
         )
-
-    # -- serve SLO dumps -------------------------------------------------
-    def ingest_serve_slo(self, path: str) -> IngestStats:
-        """Index one serve SLO summary (cold + warm replay report)."""
-        from repro.serve.bench import failed_requests
-
-        stats = IngestStats(source="serve-slo", path=str(path))
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            stats.errors.append(str(exc))
-            return stats
-        if not isinstance(doc, dict) or "cold" not in doc or "warm" not in doc:
-            stats.errors.append(
-                f"{path}: not a serve SLO summary (expected a dict with "
-                f"'cold' and 'warm' passes from "
-                f"`python -m repro serve --bench --json-out`)"
-            )
-            return stats
-        stats.scanned = 1
-        cold, warm = doc["cold"], doc["warm"]
-        metrics: Dict[str, Any] = {}
-        try:
-            metrics["serve_coalesce_rate"] = float(cold["coalesce_rate"])
-            metrics["serve_cold_requests"] = float(cold["requests"])
-            metrics["serve_cold_seconds"] = (
-                float(cold["wall_seconds"]), "s")
-            metrics["serve_warm_hit_rate"] = float(warm["hit_rate"])
-            metrics["serve_warm_seconds"] = (
-                float(warm["wall_seconds"]), "s")
-            metrics["serve_throughput_rps"] = float(warm["throughput_rps"])
-            metrics["serve_failed_requests"] = float(failed_requests(doc))
-            p99 = warm.get("latency_us", {}).get("hit", {}).get("p99")
-            if p99 is not None:
-                metrics["serve_warm_hit_p99_us"] = (float(p99), "us")
-        except (KeyError, TypeError, ValueError) as exc:
-            stats.errors.append(f"{path}: malformed SLO pass: {exc!r}")
-            return stats
-        added = self.db.record_run(
-            run_key="slo:" + _doc_sha256(doc),
-            source="serve",
-            ident=SLO_IDENT,
-            point=os.path.basename(str(path)),
-            params={"file": str(path)},
-            status="recorded",
-            git_sha=self.git_sha,
-            created_at=_mtime_iso(str(path)),
-            metrics=metrics,
-        )
-        if added:
-            stats.added += 1
-        else:
-            stats.skipped += 1
-        return stats

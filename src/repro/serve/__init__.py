@@ -21,13 +21,12 @@ Quick start::
 
     asyncio.run(main())
 
-or from the command line: ``python -m repro serve`` (``--bench`` for
-the seeded load-replay benchmark).  See ``docs/serve.md``.
+or from the command line: ``python -m repro serve``.  See
+``docs/serve.md``.
 """
 
 from repro.serve.config import ServeConfig
 from repro.serve.gateway import Gateway, GatewayResponse, RejectedError
-from repro.serve.loadgen import LoadPlan, LoadReport, replay
 from repro.serve.pool import WorkerPool
 from repro.serve.slo import LatencyReservoir, ServeMetrics
 
@@ -35,11 +34,8 @@ __all__ = [
     "Gateway",
     "GatewayResponse",
     "LatencyReservoir",
-    "LoadPlan",
-    "LoadReport",
     "RejectedError",
     "ServeConfig",
     "ServeMetrics",
     "WorkerPool",
-    "replay",
 ]

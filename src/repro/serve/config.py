@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_port, check_positive_int
 
 __all__ = ["ServeConfig"]
 
@@ -76,8 +76,7 @@ class ServeConfig:
         check_positive_int(self.queue_limit, "queue_limit")
         check_positive_int(self.pool_workers, "pool_workers")
         check_positive_int(self.reservoir_size, "reservoir_size")
-        if self.port < 0:
-            raise ValueError(f"port must be >= 0, got {self.port}")
+        check_port(self.port)
         if self.retry_after_seconds <= 0:
             raise ValueError(
                 f"retry_after_seconds must be positive, got "

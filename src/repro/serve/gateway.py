@@ -79,8 +79,8 @@ class GatewayResponse:
 
     ``doc`` is what the HTTP layer serializes; ``values`` (parallel to
     ``doc["units"]``) carries the actual result objects for in-process
-    callers — the load generator and the tests use them to check
-    bit-identity without a deserialization round-trip.
+    callers — the tests use them to check bit-identity without a
+    deserialization round-trip.
     """
 
     doc: Dict[str, Any]

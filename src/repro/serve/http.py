@@ -48,11 +48,18 @@ class _BadRequest(Exception):
         self.status = status
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line outgrew the StreamReader's buffer limit
+        raise _BadRequest(400, f"{what} too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str], bytes]:
     """Parse one request: (method, path, headers, body)."""
-    request_line = await reader.readline()
+    request_line = await _read_line(reader, "request line")
     if not request_line:
         raise _BadRequest(400, "empty request")
     try:
@@ -63,16 +70,19 @@ async def _read_request(
         raise _BadRequest(400, "malformed request line") from None
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, sep, value = line.decode("latin-1").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0")
     try:
-        length = int(headers.get("content-length", "0"))
+        length = int(raw_length)
     except ValueError:
-        raise _BadRequest(400, "bad Content-Length") from None
+        length = -1
+    if length < 0:
+        raise _BadRequest(400, f"bad Content-Length {raw_length!r}")
     if length > MAX_BODY_BYTES:
         raise _BadRequest(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -98,7 +108,7 @@ def _parse_body(body: bytes) -> Dict[str, Any]:
         raise _BadRequest(400, "a JSON body is required")
     try:
         doc = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise _BadRequest(400, f"body is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _BadRequest(400, "body must be a JSON object")

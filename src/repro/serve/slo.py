@@ -6,8 +6,7 @@ in-flight requests collapse onto one computation, and overload is
 refused fast instead of queued forever.  This module measures all
 three: per-service-class latency reservoirs (``hit`` / ``coalesced`` /
 ``executed``), counters for every admission outcome, and a
-``snapshot()`` that the ``/status`` endpoint and the load generator
-report verbatim.
+``snapshot()`` that the ``/status`` endpoint reports verbatim.
 
 Everything is exported through the shared
 :class:`repro.obs.MetricsRegistry` so campaign- and serve-side metrics

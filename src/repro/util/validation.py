@@ -38,6 +38,11 @@ def check_in_range(value: float, name: str, lo: float, hi: float) -> float:
     return value
 
 
+def check_port(port: int, name: str = "port") -> int:
+    """Check a TCP port number (0 asks the OS for an ephemeral one)."""
+    return check_in_range(port, name, 0, 65535)
+
+
 def check_chunk_count(chunks: Any, size: int, collective: str) -> Any:
     """Check a collective got exactly one chunk per group member.
 

@@ -10,9 +10,9 @@ are properties of that type, checked once per subcommand:
   rejected silently runs the wrong experiment;
 * ``-h`` / ``--help`` exit 0 and list every flag;
 * what each handler passes on (``api.run``, ``api.profile``,
-  ``api.run_campaign``, ``ServeConfig``, ``run_bench``, ``run_worker``,
-  the report writers) for a given argv is ``PARSE_TABLE``, recorded
-  from the hand-written flag loops this parser type replaced.
+  ``api.run_campaign``, ``ServeConfig``, ``run_worker``, the report
+  writers) for a given argv is ``PARSE_TABLE``, recorded from the
+  hand-written flag loops this parser type replaced.
 """
 
 import dataclasses
@@ -120,7 +120,6 @@ def outcome(argv, monkeypatch, tmp_path):
     monkeypatch.setattr("repro.api.profile", fake("api.profile"))
     monkeypatch.setattr("repro.api.run_campaign", fake("api.run_campaign"))
     monkeypatch.setattr("repro.serve.ServeConfig", fake("ServeConfig"))
-    monkeypatch.setattr("repro.serve.bench.run_bench", fake("run_bench"))
     monkeypatch.setattr("repro.fleet.worker.run_worker", fake("run_worker"))
     monkeypatch.setattr("repro.reporting.report.generate_report",
                         fake("generate_report", "report text"))
@@ -317,11 +316,10 @@ PARSE_TABLE = [
         'results_db': '.repro-results.db',
         'spans': True}]],
      []),
-    ('serve --bench', None, [['run_bench', [20260808], {'cache_dir': None}]],
-     []),
-    ('serve --bench --seed 7 --cache-dir c --json-out', None,
-     [['run_bench', [7], {'cache_dir': 'c'}]], []),
     ('serve --port x', 2, [], []),
+    ('serve --bench', 2, [], []),
+    ('serve --seed 7', 2, [], []),
+    ('serve --json-out', 2, [], []),
     ('serve extra', 2, [], []),
     ("fleet worker --connect 127.0.0.1:1 --name w0 --cache-dir '' --chaos "
      'kill@2',
@@ -351,6 +349,7 @@ PARSE_TABLE = [
     ('report out.md --quick', 0,
      [['write_report', ['out.md'], {'quick': True}]], []),
     ('report a.md b.md', 2, [], []),
+    ('results ingest --serve-slo x', 2, [], []),
 ]
 
 
@@ -364,7 +363,8 @@ def test_parse_equivalence(line, status, calls, files, monkeypatch,
     assert outcome(argv, monkeypatch, tmp_path) == [status, calls, files]
     if status == 2:
         # Usage errors are one "<cmd>: ..." line on stderr.
-        cmd = " ".join(argv[:2]) if argv[0] == "fleet" else argv[0]
+        cmd = (" ".join(argv[:2]) if argv[0] in ("fleet", "results")
+               else argv[0])
         err = capsys.readouterr().err
         assert err.startswith(f"{cmd}: ") or "unknown experiment" in err
 
@@ -384,13 +384,12 @@ FLAGS = {
                  "--results", "--results-db", "--fleet", "--listen",
                  "--max-attempts"],
     "serve": ["--host", "--port", "--workers", "--queue-limit",
-              "--cache-dir", "--results-db", "--no-obs", "--bench",
-              "--seed", "--json-out"],
+              "--cache-dir", "--results-db", "--no-obs"],
     "fleet worker": ["--connect", "--listen", "--cache-dir", "--name",
                      "--chaos", "--retries"],
     "fleet echo": ["--listen", "--once"],
-    "results ingest": ["--db", "--cache-dir", "--bench", "--serve-slo",
-                       "--git-sha", "--json"],
+    "results ingest": ["--db", "--cache-dir", "--bench", "--git-sha",
+                       "--json"],
     "results query": ["--db", "--param", "--json"],
     "results runs": ["--db", "--ident", "--source", "--json"],
     "results trajectory": ["--db", "--metric", "--json"],
@@ -472,6 +471,12 @@ def test_guard_unknown_policy_names_the_valid_ones(capsys):
     assert _exit_code(["guard", "--policy", "nope"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("guard: ") and "rollback_retry" in err
+
+
+def test_serve_port_out_of_range_exits_2(capsys):
+    assert _exit_code(["serve", "--port", "70000"]) == 2
+    assert (capsys.readouterr().err
+            == "serve: port must be in [0, 65535], got 70000\n")
 
 
 # ----------------------------------------------------------------------

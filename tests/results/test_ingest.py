@@ -1,4 +1,4 @@
-"""Ingestor: cache walks, bench round-trips, SLO dumps — idempotently.
+"""Ingestor: cache walks and bench round-trips — idempotently.
 
 The fixtures build a real ResultCache and real trajectory files in
 tmp_path; nothing here unpickles payloads or shells out, so it all
@@ -14,7 +14,6 @@ from repro.campaign.cache import ResultCache, cache_key
 from repro.results.db import ResultsDB
 from repro.results.ingest import (
     BENCH_IDENT,
-    SLO_IDENT,
     Ingestor,
     bench_entry_key,
 )
@@ -176,52 +175,6 @@ class TestBenchIngest:
         with ResultsDB(str(tmp_path / "i.db")) as db:
             stats = Ingestor(db, git_sha="").ingest_bench_file(str(bad))
             assert stats.errors and stats.added == 0
-
-
-class TestServeSloIngest:
-    def _slo_doc(self):
-        return {
-            "cold": {"coalesce_rate": 0.8, "requests": 100,
-                     "wall_seconds": 2.5, "failures": 0,
-                     "sha_conflicts": ["k1"]},
-            "warm": {"hit_rate": 0.99, "wall_seconds": 0.5,
-                     "throughput_rps": 200.0, "failures": 1,
-                     "sha_conflicts": [],
-                     "latency_us": {"hit": {"p99": 850.0}}},
-        }
-
-    def test_slo_dump_lands_as_one_run(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text(json.dumps(self._slo_doc()))
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            stats = Ingestor(db, git_sha="").ingest_serve_slo(str(path))
-            assert (stats.added, stats.errors) == (1, [])
-            cols, rows = db.query("SELECT ident, source FROM runs")
-            assert rows == [(SLO_IDENT, "serve")]
-            key = next(iter(db.run_keys()))
-            metrics = db.metrics_for(key)
-            assert metrics["serve_coalesce_rate"] == 0.8
-            assert metrics["serve_warm_hit_rate"] == 0.99
-            # one non-200 answer + one key whose answers disagreed
-            assert metrics["serve_failed_requests"] == 2.0
-            assert metrics["serve_warm_hit_p99_us"] == 850.0
-
-    def test_reingest_slo_is_idempotent(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text(json.dumps(self._slo_doc()))
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            ing = Ingestor(db, git_sha="")
-            ing.ingest_serve_slo(str(path))
-            stats = ing.ingest_serve_slo(str(path))
-            assert (stats.added, stats.skipped) == (0, 1)
-
-    def test_non_slo_json_is_rejected_with_hint(self, tmp_path):
-        path = tmp_path / "notslo.json"
-        path.write_text(json.dumps({"hello": 1}))
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            stats = Ingestor(db, git_sha="").ingest_serve_slo(str(path))
-            assert stats.added == 0
-            assert "cold" in stats.errors[0]
 
 
 class TestProvenance:

@@ -1,8 +1,7 @@
 """Gateway semantics: coalescing, cache-first serving, admission control.
 
 These are tier-1 tests: in-process (no sockets), sub-second sleeps
-only.  The full TCP end-to-end replays live in ``test_e2e.py`` behind
-the ``serve`` marker.
+only.  The same semantics over TCP are in ``test_http.py``.
 """
 
 from __future__ import annotations
@@ -277,3 +276,16 @@ class TestStatus:
         gather_run(gateway, ["sleep:0.01#nospan"])
         assert gateway.observer is None
         assert gateway.status()["spans_recorded"] == 0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_port_outside_16_bits_is_rejected(self, port):
+        # The range of a fleet address: a port bind() would refuse is a
+        # config error, not a traceback when the server starts.
+        with pytest.raises(ValueError, match=r"port must be in \[0, 65535\]"):
+            ServeConfig(port=port)
+
+    def test_port_bounds_are_accepted(self):
+        assert ServeConfig(port=65535).port == 65535
+        assert ServeConfig(port=0).port == 0

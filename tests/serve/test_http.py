@@ -1,7 +1,8 @@
-"""The TCP/HTTP front end: routing, status codes, 429 semantics.
+"""The TCP/HTTP front end: routing, status codes, 429 semantics, and
+coalescing of an identical burst over real connections.
 
 Tier-1: real sockets on an ephemeral loopback port, but only
-millisecond-scale units.
+sub-second units.
 """
 
 from __future__ import annotations
@@ -9,21 +10,28 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.serve import Gateway, ServeConfig
 
 
 async def _request(host: str, port: int, method: str, path: str,
                    body: dict | None = None):
-    """One raw HTTP exchange; returns (status, headers, json_doc)."""
+    """One HTTP exchange; returns (status, headers, json_doc)."""
+    payload = json.dumps(body).encode() if body is not None else b""
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode()
+    return await _exchange(host, port, head + payload)
+
+
+async def _exchange(host: str, port: int, request: bytes):
+    """Send raw request bytes; returns (status, headers, json_doc)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        payload = json.dumps(body).encode() if body is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode()
-        writer.write(head + payload)
+        writer.write(request)
         await writer.drain()
         status = int((await reader.readline()).split()[1])
         headers = {}
@@ -123,6 +131,30 @@ class TestEndpoints:
         assert doc["retry_after"] == 3.0
         assert "admission queue full" in doc["error"]
 
+    def test_identical_burst_executes_once_then_hits(self, tmp_path):
+        selector = {"experiment": "sleep:0.2#tcp-burst"}
+
+        async def wave(host, port):
+            return await asyncio.gather(*(
+                _request(host, port, "POST", "/run", selector)
+                for _ in range(8)
+            ))
+
+        async def scenario(host, port, _gateway):
+            return await wave(host, port), await wave(host, port)
+
+        cold, warm = with_server(
+            ServeConfig(cache_dir=str(tmp_path)), scenario
+        )
+        for answers in (cold, warm):
+            assert [status for status, _, _ in answers] == [200] * 8
+        served = [doc["units"][0]["served"] for _, _, doc in cold]
+        assert sorted(served) == ["coalesced"] * 7 + ["executed"]
+        assert [doc["units"][0]["served"] for _, _, doc in warm] \
+            == ["hit"] * 8
+        assert len({doc["units"][0]["result_sha256"]
+                    for _, _, doc in cold + warm}) == 1
+
 
 class TestProtocolErrors:
     def test_error_codes(self):
@@ -152,6 +184,26 @@ class TestProtocolErrors:
         assert results["unknown_path"][0] == 404
         assert results["wrong_method"][0] == 405
         assert results["bad_selectors"][0] == 400
+
+    @pytest.mark.parametrize("request_bytes, error", [
+        pytest.param(b"POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                     "bad Content-Length '-5'", id="negative-length"),
+        pytest.param(b"POST /run HTTP/1.1\r\nContent-Length: 3\r\n\r\n"
+                     b"\xff\xfe\xfd",
+                     "body is not valid JSON", id="undecodable-body"),
+        pytest.param(b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                     "request line too long", id="long-request-line"),
+        pytest.param(b"GET /status HTTP/1.1\r\nX-Pad: " + b"x" * 70_000
+                     + b"\r\n\r\n",
+                     "header line too long", id="long-header-line"),
+    ])
+    def test_malformed_bytes_are_a_400(self, request_bytes, error):
+        async def scenario(host, port, _gateway):
+            return await _exchange(host, port, request_bytes)
+
+        status, _, doc = with_server(ServeConfig(), scenario)
+        assert status == 400
+        assert error in doc["error"]
 
     def test_unit_failure_maps_to_500(self):
         def boom(unit):

@@ -1,4 +1,5 @@
-"""SLO accounting and the deterministic load plan (tier-1, no sockets)."""
+"""SLO accounting: percentiles, the reservoir, the serve.* metrics
+(tier-1, no sockets)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import math
 
 import pytest
 
-from repro.serve.loadgen import LoadPlan
 from repro.serve.slo import LatencyReservoir, ServeMetrics, percentile
 
 
@@ -62,38 +62,3 @@ class TestServeMetrics:
         names = metrics.registry.as_dict()
         assert all(k.startswith("serve.")
                    for bucket in names.values() for k in bucket)
-
-
-class TestLoadPlan:
-    def test_same_seed_same_plan(self):
-        assert LoadPlan.generate(123) == LoadPlan.generate(123)
-
-    def test_different_seeds_differ(self):
-        assert LoadPlan.generate(1) != LoadPlan.generate(2)
-
-    def test_bursts_share_one_fresh_key(self):
-        plan = LoadPlan.generate(99, clients=6, bursts=3)
-        assert len(plan.requests) == 18
-        # 3 distinct keys, seed-namespaced so plans never collide
-        assert len(plan.selectors) == 3
-        assert all("lg99-" in s for s in plan.selectors)
-        # every burst is dominated by its focus key: at least
-        # clients-1 requests on one selector
-        by_selector = {}
-        for req in plan.requests:
-            by_selector[req.selector] = by_selector.get(req.selector, 0) + 1
-        assert max(by_selector.values()) >= 5
-
-    def test_offsets_are_bursty_and_sorted(self):
-        plan = LoadPlan.generate(7, clients=4, bursts=2,
-                                 burst_spacing=0.5, jitter=0.02)
-        offsets = [r.offset for r in plan.requests]
-        assert offsets == sorted(offsets)
-        assert max(o for o in offsets if o < 0.25) < 0.03
-        assert min(o for o in offsets if o > 0.25) >= 0.5
-
-    def test_guard_rails(self):
-        with pytest.raises(ValueError, match="at least 2 clients"):
-            LoadPlan.generate(1, clients=1)
-        with pytest.raises(ValueError, match="below unit_seconds"):
-            LoadPlan.generate(1, jitter=0.2, unit_seconds=0.1)
