@@ -1,14 +1,13 @@
 """Coordinated checkpoint/restart of the parallel AGCM under faults.
 
-A checkpoint is *step-consistent*: every rank contributes its block of
-the prognostic state at the same step boundary, the blocks funnel to
+A checkpoint is *step-consistent*: every rank's
+:class:`~repro.model.snapshot.RankSnapshot` of the same step funnels to
 rank 0 through a binomial gather (real messages, real cost), and rank 0
-writes one lossless ``.npz`` archive, charged at the
-:mod:`repro.model.parallel_io` host-I/O rate.  Because the snapshot
-holds *both* leapfrog levels plus the persistent physics forcing and
-the balancer's measurement state, a restarted integration replays the
-remaining steps bit-for-bit — the property the fault-recovery
-differential pair asserts against the fault-free serial model.
+writes them to one lossless ``.npz`` archive, charged at the
+:func:`~repro.model.snapshot.io_seconds` host-I/O rate.  A snapshot
+holds both leapfrog levels, the physics forcing and the balancer's
+state, so a restarted integration replays the remaining steps
+bit-for-bit — what the fault-recovery differential pair asserts.
 
 The restart loop is :func:`repro.guard.supervisor.run_agcm_guarded`:
 with ``GuardConfig(detect=False, buddy_every=0)`` it is plain
@@ -21,6 +20,7 @@ a transient fault does not re-fire when virtual clocks reset.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +28,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dynamics.state import PROGNOSTIC_NAMES
 from repro.grid.decomposition import Decomposition2D
-from repro.model.config import AGCMConfig
-from repro.model.parallel_io import IO_BANDWIDTH, io_read_seconds, io_write_seconds
+from repro.model.snapshot import RankSnapshot, io_seconds
 from repro.parallel import collectives as coll
 
 _TAG_CKPT_BARRIER = 0x00EE0002
@@ -70,98 +68,87 @@ def _content_checksum(arrays: Dict[str, np.ndarray]) -> int:
 
 @dataclass
 class CheckpointData:
-    """One step-consistent global snapshot of the parallel AGCM.
+    """A step-consistent disk checkpoint: every rank's snapshot, in order."""
 
-    ``now``/``prev`` are the two leapfrog levels (global arrays),
-    ``forcing_pt``/``forcing_q`` the persistent physics forcing, and
-    ``counters`` the per-rank restart bookkeeping (load measurement,
-    physics-call and column-movement counts).
-    """
+    snapshots: List[RankSnapshot]
 
-    step: int
-    time: float
-    now: Dict[str, np.ndarray]
-    prev: Dict[str, np.ndarray]
-    forcing_pt: np.ndarray
-    forcing_q: np.ndarray
-    counters: List[dict]
+    @property
+    def step(self) -> int:
+        return self.snapshots[0].step
 
-    def total_nbytes(self) -> int:
-        """Bytes of array state in the snapshot (the I/O charge basis)."""
-        n = self.forcing_pt.nbytes + self.forcing_q.nbytes
-        n += sum(a.nbytes for a in self.now.values())
-        n += sum(a.nbytes for a in self.prev.values())
-        return int(n)
+    @property
+    def nbytes(self) -> int:
+        """Array bytes of every rank's snapshot (the host-I/O charge)."""
+        return sum(s.nbytes for s in self.snapshots)
 
-    def scatter_state(self, ctx, decomp: Decomposition2D,
-                      io_bandwidth: float = IO_BANDWIDTH):
-        """Generator: rank 0 charges the host read and scatters blocks.
+    def restore(self, ctx, decomp: Decomposition2D):
+        """Generator: rank 0 charges the host read and scatters snapshots.
 
-        Returns each rank's restart bundle: local ``now``/``prev``
-        fields, forcing blocks, model time, start step and counters.
+        Returns this rank's :class:`RankSnapshot`.  Raises ``ValueError``
+        before any message if ``decomp`` is not the mesh the checkpoint
+        was written on.
         """
+        self._check_mesh(ctx.rank, decomp)
         if ctx.rank == 0:
-            yield from ctx.compute(
-                seconds=io_read_seconds(self.total_nbytes(), io_bandwidth)
-            )
-            blocks_now = {
-                n: decomp.scatter(self.now[n]) for n in PROGNOSTIC_NAMES
-            }
-            blocks_prev = {
-                n: decomp.scatter(self.prev[n]) for n in PROGNOSTIC_NAMES
-            }
-            blocks_fpt = decomp.scatter(self.forcing_pt)
-            blocks_fq = decomp.scatter(self.forcing_q)
-            payloads = [
-                {
-                    "now": {
-                        n: np.ascontiguousarray(blocks_now[n][r])
-                        for n in PROGNOSTIC_NAMES
-                    },
-                    "prev": {
-                        n: np.ascontiguousarray(blocks_prev[n][r])
-                        for n in PROGNOSTIC_NAMES
-                    },
-                    "forcing_pt": np.ascontiguousarray(blocks_fpt[r]),
-                    "forcing_q": np.ascontiguousarray(blocks_fq[r]),
-                    "time": self.time,
-                    "step": self.step,
-                    "counters": self.counters[r],
-                }
-                for r in range(ctx.size)
-            ]
+            yield from ctx.compute(seconds=io_seconds(self.nbytes))
+            payloads = [vars(s.copy()) for s in self.snapshots]
             mine = yield from ctx.scatter(payloads, root=0)
         else:
             mine = yield from ctx.scatter(None, root=0)
-        return mine
+        return RankSnapshot(**mine)
+
+    def _check_mesh(self, rank: int, decomp: Decomposition2D) -> None:
+        def blocks(shapes):
+            return ", ".join(sorted({f"{a}x{b}" for a, b in shapes}))
+
+        have = [s.forcing_pt.shape[:2] for s in self.snapshots]
+        size, sub = decomp.mesh.size, decomp.subdomain(rank)
+        if len(have) == size and have[rank] == (sub.nlat, sub.nlon):
+            return
+        want = [(s.nlat, s.nlon) for s in map(decomp.subdomain, range(size))]
+        raise ValueError(
+            f"cannot resume a checkpoint of {len(have)} ranks (blocks "
+            f"{blocks(have)}) on the {decomp.mesh.describe()} mesh "
+            f"({size} ranks, blocks {blocks(want)})"
+        )
 
 
 def save_checkpoint(path, data: CheckpointData) -> Path:
-    """Write a snapshot to ``path`` as a lossless ``.npz`` archive.
+    """Write every rank's snapshot to ``path`` as one lossless ``.npz``.
 
-    The metadata records a CRC-32 content checksum over every array so
-    :func:`load_checkpoint` can verify integrity before a restart
-    trusts the state.
+    Rank ``r``'s arrays are stored as ``"{r}/now_u"`` and so on, and the
+    metadata records a CRC-32 content checksum over every array.  The
+    archive is written to ``path + ".tmp"``, synced and renamed over
+    ``path``, so a save that dies part-way leaves the previous one intact.
     """
     path = Path(path)
-    arrays = {f"now_{n}": data.now[n] for n in PROGNOSTIC_NAMES}
-    arrays.update({f"prev_{n}": data.prev[n] for n in PROGNOSTIC_NAMES})
-    arrays["forcing_pt"] = data.forcing_pt
-    arrays["forcing_q"] = data.forcing_q
+    arrays = {
+        f"{r}/{key}": a
+        for r, snap in enumerate(data.snapshots)
+        for key, a in snap.arrays().items()
+    }
     meta = {
         "step": data.step,
-        "time": data.time,
-        "counters": data.counters,
+        "time": data.snapshots[0].time,
+        "counters": [s.counters for s in data.snapshots],
         "checksum": _content_checksum(arrays),
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read and verify a snapshot written by :func:`save_checkpoint`.
+    """Read and verify a checkpoint written by :func:`save_checkpoint`.
 
     Raises :class:`CheckpointCorruptError` on a truncated or otherwise
     unreadable archive, on missing keys, and on a content-checksum
@@ -191,22 +178,20 @@ def load_checkpoint(path) -> CheckpointData:
             f"content checksum mismatch (stored {stored}, computed {actual})",
         )
     try:
-        counters = []
+        blocks: List[Dict[str, np.ndarray]] = [{} for _ in meta["counters"]]
+        for key, a in arrays.items():
+            rank, name = key.split("/")
+            blocks[int(rank)][name] = a
         for c in meta["counters"]:
-            c = dict(c)
             if c.get("measure") is not None:
                 c["measure"] = tuple(c["measure"])
-            counters.append(c)
-        return CheckpointData(
-            step=int(meta["step"]),
-            time=float(meta["time"]),
-            now={n: arrays[f"now_{n}"] for n in PROGNOSTIC_NAMES},
-            prev={n: arrays[f"prev_{n}"] for n in PROGNOSTIC_NAMES},
-            forcing_pt=arrays["forcing_pt"],
-            forcing_q=arrays["forcing_q"],
-            counters=counters,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return CheckpointData([
+            RankSnapshot.from_arrays(b, time=float(meta["time"]),
+                                     step=int(meta["step"]), counters=c)
+            for b, c in zip(blocks, meta["counters"])
+        ])
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         raise CheckpointCorruptError(
             path, f"malformed contents ({type(exc).__name__}: {exc})"
         ) from exc
@@ -220,14 +205,13 @@ class Checkpointer:
     snapshot; :meth:`load` returns it for a restart.
     """
 
-    def __init__(self, every: int, path, io_bandwidth: float = IO_BANDWIDTH):
+    def __init__(self, every: int, path):
         if every <= 0:
             raise ValueError(f"checkpoint interval must be positive, got {every}")
         self.every = every
         self.path = Path(path)
         if self.path.suffix != ".npz":
             self.path = self.path.with_suffix(self.path.suffix + ".npz")
-        self.io_bandwidth = io_bandwidth
         self.written = 0
         self.last_step: Optional[int] = None
 
@@ -238,53 +222,28 @@ class Checkpointer:
         return done % self.every == 0 and done < nsteps
 
     def load(self) -> Optional[CheckpointData]:
-        """The most recent snapshot, or None if nothing was written."""
+        """The most recent checkpoint, or None if nothing was written."""
         if not self.written:
             return None
         return load_checkpoint(self.path)
 
-    def save(self, ctx, decomp: Decomposition2D, cfg: AGCMConfig, *,
-             step: int, time_now: float,
-             now: Dict[str, np.ndarray], prev: Dict[str, np.ndarray],
-             forcing_pt: np.ndarray, forcing_q: np.ndarray,
-             counters: dict):
-        """Generator: gather every rank's block to rank 0 and write.
+    def save(self, ctx, snap: RankSnapshot):
+        """Generator: gather every rank's snapshot to rank 0 and write.
 
         All ranks synchronise on a barrier afterwards — the coordinated
         checkpoint is a global pause whose cost (gather messages plus
         rank-0 host write) lands in the ``"checkpoint"`` trace phase.
         """
-        payload = {
-            f"now_{n}": np.ascontiguousarray(now[n]) for n in PROGNOSTIC_NAMES
-        }
-        payload.update({
-            f"prev_{n}": np.ascontiguousarray(prev[n])
-            for n in PROGNOSTIC_NAMES
-        })
-        payload["forcing_pt"] = np.ascontiguousarray(forcing_pt)
-        payload["forcing_q"] = np.ascontiguousarray(forcing_q)
-        payload["counters"] = counters
-        gathered = yield from coll.gather_binomial(ctx, payload, root=0)
+        gathered = yield from coll.gather_binomial(
+            ctx, {**snap.arrays(), "counters": snap.counters}, root=0)
         if ctx.rank == 0:
-            def assemble(key: str) -> np.ndarray:
-                return decomp.gather(
-                    [gathered[r][key] for r in range(ctx.size)]
-                )
-
-            data = CheckpointData(
-                step=step,
-                time=time_now,
-                now={n: assemble(f"now_{n}") for n in PROGNOSTIC_NAMES},
-                prev={n: assemble(f"prev_{n}") for n in PROGNOSTIC_NAMES},
-                forcing_pt=assemble("forcing_pt"),
-                forcing_q=assemble("forcing_q"),
-                counters=[gathered[r]["counters"] for r in range(ctx.size)],
-            )
+            data = CheckpointData([
+                RankSnapshot.from_arrays(
+                    p, time=snap.time, step=snap.step, counters=p["counters"])
+                for p in gathered
+            ])
             save_checkpoint(self.path, data)
             self.written += 1
-            self.last_step = step
-            yield from ctx.compute(
-                seconds=io_write_seconds(data.total_nbytes(), self.io_bandwidth)
-            )
+            self.last_step = snap.step
+            yield from ctx.compute(seconds=io_seconds(data.nbytes))
         yield from ctx.barrier(tag=_TAG_CKPT_BARRIER)
-

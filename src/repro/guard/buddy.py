@@ -1,10 +1,10 @@
 """Diskless buddy checkpointing: neighbour-replicated in-memory snapshots.
 
 The disk :class:`~repro.faults.checkpoint.Checkpointer` funnels every
-rank's block to rank 0 (gather cost grows with the mesh) and pays the
-:mod:`repro.model.parallel_io` host-I/O rate.  The buddy scheme instead
-keeps two copies of every subdomain in *RAM*: each rank memcpys its own
-snapshot and ships one replica to a partner rank one step around a
+rank's :class:`~repro.model.snapshot.RankSnapshot` to rank 0 (gather
+cost grows with the mesh) and pays the host-I/O rate.  The buddy scheme
+instead keeps two copies of every snapshot in *RAM*: each rank memcpys
+its own snapshot and ships one replica to a partner rank one step around a
 topology ring (:meth:`~repro.parallel.topology.ProcessorMesh.buddy_of`)
 — a pairwise ``sendrecv``, no collective, no host I/O.  Cost per
 checkpoint is one memcpy plus one neighbour message, independent of the
@@ -17,7 +17,7 @@ RAM; losing a rank *and* its guardian before the next replication round
 is not — :meth:`BuddyCheckpointer.load` then returns ``None`` and the
 supervisor falls back to the disk checkpoint (or a cold start).
 
-The host-side object stores the bundles (like the disk ``Checkpointer``
+The host-side object stores the snapshots (like the disk ``Checkpointer``
 it is shared by all rank programs of a run), but validity mirrors what
 real RAM would hold: a failed rank loses its own snapshot *and* the
 replica it kept for its ward until the next save refreshes both.
@@ -27,80 +27,54 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.model.snapshot import RankSnapshot
 from repro.parallel.topology import ProcessorMesh
 
 _TAG_BUDDY = 0x00DD0001
 _TAG_RESTORE = 0x00DD0002
 
-#: Keys of the array payload of one rank's snapshot bundle.
-_FIELD_KEYS = ("now", "prev")
-
-
-def _bundle_nbytes(bundle: dict) -> int:
-    """Array bytes of one rank's snapshot bundle."""
-    n = bundle["forcing_pt"].nbytes + bundle["forcing_q"].nbytes
-    for key in _FIELD_KEYS:
-        n += sum(a.nbytes for a in bundle[key].values())
-    return int(n)
-
-
-def _copy_bundle(bundle: dict) -> dict:
-    """Deep-copy a bundle so stored snapshots survive in-place updates."""
-    out = dict(bundle)
-    for key in _FIELD_KEYS:
-        out[key] = {n: a.copy() for n, a in bundle[key].items()}
-    out["forcing_pt"] = bundle["forcing_pt"].copy()
-    out["forcing_q"] = bundle["forcing_q"].copy()
-    out["counters"] = dict(bundle["counters"])
-    return out
-
 
 class BuddyRestartData:
-    """One recoverable buddy snapshot, ready to scatter back into a run.
+    """One recoverable buddy checkpoint, ready to restore into a run.
 
-    Mirrors the interface of
-    :class:`~repro.faults.checkpoint.CheckpointData` as far as the rank
-    program cares: a ``step`` attribute and a ``scatter_state`` generator
-    returning each rank's restart bundle.
+    Mirrors :class:`~repro.faults.checkpoint.CheckpointData` as far as
+    the rank program cares: a ``step`` attribute and a ``restore``
+    generator returning each rank's :class:`RankSnapshot`.
     """
 
-    def __init__(self, step: int, bundles: List[dict], mesh: ProcessorMesh,
-                 failed_rank: Optional[int] = None):
+    def __init__(self, step: int, snapshots: List[RankSnapshot],
+                 mesh: ProcessorMesh, failed_rank: Optional[int] = None):
         self.step = step
-        self.bundles = bundles
+        self.snapshots = snapshots
         self.mesh = mesh
         self.failed_rank = failed_rank
 
-    def scatter_state(self, ctx, decomp):
+    def restore(self, ctx, decomp):
         """Generator: restore this rank's state at memcpy + link cost.
 
         Survivors memcpy their own snapshot back; a failed rank receives
         its replica from its guardian (one neighbour message — the whole
         point of the scheme).  No rank-0 funnel, no host I/O.
         """
-        bundle = self.bundles[ctx.rank]
-        nbytes = _bundle_nbytes(bundle)
+        snap = self.snapshots[ctx.rank]
         if self.failed_rank is None or self.mesh.size == 1:
-            yield from ctx.memcpy(nbytes, label="guard.buddy_restore")
+            yield from ctx.memcpy(snap.nbytes, label="guard.buddy_restore")
         else:
             failed = self.failed_rank
             guardian = self.mesh.buddy_of(failed)
             if ctx.rank == guardian:
-                replica = self.bundles[failed]
+                replica = self.snapshots[failed]
                 yield from ctx.send(
                     failed, replica, tag=_TAG_RESTORE,
-                    nbytes=_bundle_nbytes(replica), droppable=False,
+                    nbytes=replica.nbytes, droppable=False,
                 )
-                yield from ctx.memcpy(nbytes, label="guard.buddy_restore")
+                yield from ctx.memcpy(snap.nbytes, label="guard.buddy_restore")
             elif ctx.rank == failed:
-                bundle = yield from ctx.recv(guardian, tag=_TAG_RESTORE)
+                snap = yield from ctx.recv(guardian, tag=_TAG_RESTORE)
             else:
-                yield from ctx.memcpy(nbytes, label="guard.buddy_restore")
+                yield from ctx.memcpy(snap.nbytes, label="guard.buddy_restore")
         ctx.instant("guard.restore", step=self.step, source="buddy")
-        out = _copy_bundle(bundle)
-        out["time"] = bundle["time"]
-        out["step"] = bundle["step"]
-        return out
+        return snap.copy()
 
 
 class BuddyCheckpointer:
@@ -126,15 +100,15 @@ class BuddyCheckpointer:
         self.capture_final = capture_final
         self.written = 0
         self.last_step: Optional[int] = None
-        # step -> rank -> bundle, promoted to _home/_replica only once
+        # step -> rank -> snapshot, promoted to _home/_replica only once
         # every rank has contributed (a save a failure interrupts must
         # never shadow the last complete snapshot).
-        self._pending: Dict[int, Dict[int, dict]] = {}
+        self._pending: Dict[int, Dict[int, RankSnapshot]] = {}
         self._step: Optional[int] = None
         #: rank -> snapshot held in the rank's own memory
-        self._home: Dict[int, dict] = {}
+        self._home: Dict[int, RankSnapshot] = {}
         #: rank -> replica of that rank's snapshot held at its guardian
-        self._replica: Dict[int, dict] = {}
+        self._replica: Dict[int, RankSnapshot] = {}
 
     # -- rank-program interface (mirrors Checkpointer) -------------------
     def due(self, step: int, nsteps: int) -> bool:
@@ -145,24 +119,18 @@ class BuddyCheckpointer:
             return True
         return self.capture_final and done == nsteps
 
-    def save(self, ctx, decomp, cfg, *, step: int, time_now: float,
-             now: dict, prev: dict, forcing_pt, forcing_q, counters: dict):
+    def save(self, ctx, snap: RankSnapshot):
         """Generator: memcpy the local snapshot, swap replicas pairwise.
 
-        Each rank sends its bundle to its guardian (``buddy_of``) and
+        Each rank sends its snapshot to its guardian (``buddy_of``) and
         receives its ward's — one ``sendrecv`` around the ring, with the
         message exempt from fault-injected drops (recovery traffic is
         the control plane).  No barrier: the pairwise exchange is the
         only synchronisation the scheme needs.
         """
-        bundle = {
-            "now": now, "prev": prev,
-            "forcing_pt": forcing_pt, "forcing_q": forcing_q,
-            "time": time_now, "step": step, "counters": counters,
-        }
-        stored = _copy_bundle(bundle)
-        nbytes = _bundle_nbytes(stored)
-        with ctx.span("guard.buddy_save", step=step):
+        stored = snap.copy()
+        nbytes = stored.nbytes
+        with ctx.span("guard.buddy_save", step=snap.step):
             yield from ctx.memcpy(nbytes, label="guard.buddy_memcpy")
             guardian = self.mesh.buddy_of(ctx.rank)
             if guardian is not None:
@@ -170,12 +138,12 @@ class BuddyCheckpointer:
                     dest=guardian, payload=None, source=self.mesh.ward_of(ctx.rank),
                     tag=_TAG_BUDDY, nbytes=nbytes, droppable=False,
                 )
-        self._note_save(ctx.rank, step, stored)
+        self._note_save(ctx.rank, snap.step, stored)
 
     # -- host-side snapshot store ---------------------------------------
-    def _note_save(self, rank: int, step: int, bundle: dict) -> None:
+    def _note_save(self, rank: int, step: int, snap: RankSnapshot) -> None:
         pending = self._pending.setdefault(step, {})
-        pending[rank] = bundle
+        pending[rank] = snap
         if len(pending) == self.mesh.size:
             self._step = step
             self._home = dict(pending)
@@ -213,9 +181,9 @@ class BuddyCheckpointer:
             self._home[failed_rank] = replica
         if len(self._home) != self.mesh.size:
             return None
-        bundles = [self._home[r] for r in range(self.mesh.size)]
+        snapshots = [self._home[r] for r in range(self.mesh.size)]
         return BuddyRestartData(
-            self._step, bundles, self.mesh, failed_rank=failed_rank,
+            self._step, snapshots, self.mesh, failed_rank=failed_rank,
         )
 
 
@@ -235,10 +203,10 @@ class ChainCheckpointer:
     def due(self, step: int, nsteps: int) -> bool:
         return any(m.due(step, nsteps) for m in self.members)
 
-    def save(self, ctx, decomp, cfg, *, step: int, **kwargs):
+    def save(self, ctx, snap: RankSnapshot):
         for m in self.members:
-            if m.due(step - 1, self.nsteps):
-                yield from m.save(ctx, decomp, cfg, step=step, **kwargs)
+            if m.due(snap.step - 1, self.nsteps):
+                yield from m.save(ctx, snap)
 
     @property
     def written(self) -> int:

@@ -202,14 +202,9 @@ def run_agcm_guarded(
         in_adapt = adapt_end is not None
         target = adapt_end if in_adapt else nsteps
         run_cfg = adapt_cfg if in_adapt else cfg
-        members = [seg_snap if in_adapt else buddy, disk]
-        members = [m for m in members if m is not None]
-        if not members:
-            ckpt = None
-        elif len(members) == 1:
-            ckpt = members[0]
-        else:
-            ckpt = ChainCheckpointer(members, target)
+        chain = ChainCheckpointer([seg_snap if in_adapt else buddy, disk],
+                                  target)
+        ckpt = chain if chain.members else None
 
         sim = Simulator(
             mesh.size, machine,

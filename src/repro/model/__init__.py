@@ -10,17 +10,13 @@ from repro.model.config import (
     make_config,
 )
 from repro.model.parallel_agcm import agcm_rank_program
-from repro.model.parallel_io import (
-    checkpoint_parallel,
-    gather_global_fields,
-    restart_scatter,
-)
 from repro.model.physics_balance import (
     ColumnFlowPlan,
     PassMove,
     Run,
     plan_column_flow,
 )
+from repro.model.snapshot import RankSnapshot
 from repro.model.timing_report import ComponentBreakdown, per_day
 
 __all__ = [
@@ -32,9 +28,7 @@ __all__ = [
     "PAPER_15LAYER",
     "TINY",
     "agcm_rank_program",
-    "gather_global_fields",
-    "checkpoint_parallel",
-    "restart_scatter",
+    "RankSnapshot",
     "ColumnFlowPlan",
     "PassMove",
     "Run",

@@ -68,6 +68,7 @@ from repro.grid.decomposition3d import Decomposition3D
 from repro.grid.halo import exchange_halos
 from repro.model.config import AGCMConfig
 from repro.model.physics_balance import ColumnFlowPlan, plan_column_flow
+from repro.model.snapshot import RankSnapshot
 from repro.parallel.collectives import exchange_vertical_halo
 from repro.physics.driver import ColumnSet, run_physics
 from repro.physics.workload import leap_schedule
@@ -187,14 +188,11 @@ def agcm_rank_program(
     gathered trajectory is bit-identical to the serial driver for the
     fft filter backends on every mesh.
 
-    ``checkpointer`` (a :class:`repro.faults.checkpoint.Checkpointer`
-    or :class:`repro.guard.buddy.BuddyCheckpointer` — same interface)
-    coordinates periodic whole-state checkpoints; ``resume`` (a
-    :class:`repro.faults.checkpoint.CheckpointData`) restarts the
-    integration from a saved step instead of initial conditions.  Both
-    charge their full gather/scatter + host-I/O cost to the machine.
-    The restarted trajectory is bit-identical to an uninterrupted run:
-    the checkpoint holds both leapfrog levels and the physics forcing.
+    ``checkpointer`` (disk, buddy or chain) is handed this rank's
+    :class:`~repro.model.snapshot.RankSnapshot` when due; ``resume``
+    (what a checkpointer's ``load()`` returns) restores one, and the
+    run continues from its step bit-identically to an uninterrupted
+    one.  Both charge their transport to the machine.
 
     ``guard`` (a :class:`repro.guard.detectors.StepGuard`) runs the
     numerical-health detectors after each step's dynamics, *before* the
@@ -281,14 +279,11 @@ def agcm_rank_program(
     start_step = 0
     if resume is not None:
         with ctx.region("restart"):
-            mine = yield from resume.scatter_state(ctx, decomp)
-        now = mine["now"]
-        prev = mine["prev"]
-        forcing_pt = mine["forcing_pt"]
-        forcing_q = mine["forcing_q"]
-        time_now = mine["time"]
-        start_step = mine["step"]
-        counters = mine["counters"]
+            snap = yield from resume.restore(ctx, decomp)
+        now, prev = snap.now, snap.prev
+        forcing_pt, forcing_q = snap.forcing_pt, snap.forcing_q
+        time_now, start_step = snap.time, snap.step
+        counters = snap.counters
         if counters["measure"] is not None:
             my_measure = LoadMeasurement.from_tuple(counters["measure"])
         physics_calls = counters["physics_calls"]
@@ -440,12 +435,10 @@ def agcm_rank_program(
         # ---------------- coordinated checkpoint ----------------------
         if checkpointer is not None and checkpointer.due(step, nsteps):
             with ctx.region("checkpoint"):
-                yield from checkpointer.save(
-                    ctx, decomp, cfg,
-                    step=step + 1,
-                    time_now=time_now,
+                snap = RankSnapshot(
                     now=now, prev=prev,
                     forcing_pt=forcing_pt, forcing_q=forcing_q,
+                    time=time_now, step=step + 1,
                     counters={
                         "measure": (
                             my_measure.as_tuple()
@@ -457,6 +450,7 @@ def agcm_rank_program(
                         "phys_compute_steady": phys_compute_steady,
                     },
                 )
+                yield from checkpointer.save(ctx, snap)
                 ctx.instant("checkpoint", step=step + 1)
         # Closed manually (not ``with``) to keep the step body flat; an
         # exception unwinds through the observer's dangling-span cleanup.

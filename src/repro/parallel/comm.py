@@ -196,7 +196,8 @@ class VirtualComm(GroupComm):
 
         Priced purely by the machine's memory bandwidth — the cost basis
         of diskless in-memory checkpointing (see :mod:`repro.guard`),
-        as opposed to the host-I/O rate of :mod:`repro.model.parallel_io`.
+        as opposed to the host-I/O rate of
+        :func:`repro.model.snapshot.io_seconds`.
         """
         yield Compute(mem_bytes=2.0 * float(nbytes), label=label)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dynamics.state import PROGNOSTIC_NAMES
 from repro.faults.checkpoint import Checkpointer
 from repro.grid import Decomposition2D
 from repro.guard import (
@@ -15,6 +16,7 @@ from repro.guard.buddy import ChainCheckpointer
 from repro.guard.supervisor import _restore
 from repro.model import make_config
 from repro.model.parallel_agcm import agcm_rank_program
+from repro.model.snapshot import RankSnapshot
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 
 pytestmark = pytest.mark.guard
@@ -29,13 +31,15 @@ def _setup(dims=(2, 2)):
     return cfg, mesh, decomp
 
 
-def _bundle(step=2):
-    arr = np.zeros((2, 2, 1))
-    return {
-        "now": {"ps": arr.copy()}, "prev": {"ps": arr.copy()},
-        "forcing_pt": arr.copy(), "forcing_q": arr.copy(),
-        "time": 1.0, "step": step, "counters": {},
-    }
+def _snapshot(step=2):
+    def fields():
+        return {n: np.zeros((2, 2, 1)) for n in PROGNOSTIC_NAMES}
+
+    return RankSnapshot(
+        now=fields(), prev=fields(),
+        forcing_pt=np.zeros((2, 2, 1)), forcing_q=np.zeros((2, 2, 1)),
+        time=1.0, step=step, counters={},
+    )
 
 
 class TestBuddyTopology:
@@ -64,19 +68,19 @@ class TestSnapshotStore:
         mesh = ProcessorMesh(2, 2)
         ck = BuddyCheckpointer(1, mesh)
         for rank in range(mesh.size - 1):
-            ck._note_save(rank, 2, _bundle())
+            ck._note_save(rank, 2, _snapshot())
         assert ck.load() is None  # incomplete round must not be visible
-        ck._note_save(mesh.size - 1, 2, _bundle())
+        ck._note_save(mesh.size - 1, 2, _snapshot())
         assert ck.written == 1 and ck.last_step == 2
         data = ck.load()
         assert data is not None and data.step == 2
-        assert len(data.bundles) == mesh.size
+        assert len(data.snapshots) == mesh.size
 
     def test_failure_drops_home_and_held_replica(self):
         mesh = ProcessorMesh(2, 2)
         ck = BuddyCheckpointer(1, mesh)
         for rank in range(mesh.size):
-            ck._note_save(rank, 2, _bundle())
+            ck._note_save(rank, 2, _snapshot())
         failed = 1
         guardian = mesh.buddy_of(failed)
         ck.note_failure(failed)
@@ -86,7 +90,7 @@ class TestSnapshotStore:
         assert ck.load(failed_rank=mesh.ward_of(failed)) is None
         # and if the guardian dies too, the replica is lost with it
         for rank in range(mesh.size):
-            ck._note_save(rank, 4, _bundle(step=4))
+            ck._note_save(rank, 4, _snapshot(step=4))
         ck.note_failure(failed)
         ck.note_failure(guardian)
         assert ck.load(failed_rank=failed) is None
@@ -112,8 +116,8 @@ class _Recorder:
     def due(self, step, nsteps):
         return (step + 1) % self.every == 0
 
-    def save(self, ctx, decomp, cfg, *, step, **kwargs):
-        self.saved.append(step)
+    def save(self, ctx, snap):
+        self.saved.append(snap.step)
         self.written += 1
         if False:
             yield
@@ -127,7 +131,7 @@ class TestChainCheckpointer:
         for step in range(NSTEPS):
             if chain.due(step, NSTEPS):
                 # the rank program calls save with the *post-step* count
-                list(chain.save(None, None, None, step=step + 1))
+                list(chain.save(None, _snapshot(step=step + 1)))
         assert fast.saved == [1, 2, 3, 4, 5, 6]
         assert slow.saved == [3, 6]
         assert chain.written == fast.written + slow.written
@@ -180,7 +184,7 @@ class TestFallbackChain:
         disk = self._disk_with_snapshot(tmp_path, cfg, mesh, decomp)
         buddy = BuddyCheckpointer(1, mesh)
         for rank in range(mesh.size):
-            buddy._note_save(rank, 2, _bundle())
+            buddy._note_save(rank, 2, _snapshot())
         failed = 0
         buddy.note_failure(failed)
         buddy.note_failure(mesh.buddy_of(failed))  # guardian gone too
