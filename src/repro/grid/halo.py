@@ -96,8 +96,7 @@ def exchange_halos(
     padded = np.empty(shape, dtype=local.dtype)
     padded[halo:-halo, halo:-halo] = local
 
-    east = mesh.east_of(rank)
-    west = mesh.west_of(rank)
+    east, west, north, south = mesh.neighbours(rank)
 
     # --- east-west (periodic) ------------------------------------------
     # Send my east edge to the east neighbour; receive my west ghost from
@@ -119,8 +118,6 @@ def exchange_halos(
         padded[halo:-halo, -halo:] = ghosts[1]
 
     # --- north-south (closed at poles) ----------------------------------
-    north = mesh.north_of(rank)
-    south = mesh.south_of(rank)
     north_edge = np.ascontiguousarray(padded[-2 * halo : -halo, :])
     south_edge = np.ascontiguousarray(padded[halo : 2 * halo, :])
 

@@ -346,6 +346,10 @@ def agcm_rank_program(
                         )
                 forcing_pt[...] = tend_pt_cols.reshape(forcing_pt.shape)
                 forcing_q[...] = tend_q_cols.reshape(forcing_q.shape)
+                # Every suspended rank holds what its frame holds: carry
+                # only model state across the next yield.
+                cols = result = tend_pt_cols = tend_q_cols = None
+                col_pt = col_q = None
                 phys_compute_seconds += my_measure.compute_seconds
                 if physics_calls > 0:
                     phys_compute_steady += my_measure.compute_seconds
@@ -376,6 +380,7 @@ def agcm_rank_program(
                         inner_length=sub.nlon,
                     )
                 tend = compute_tendencies(padded, geom, cfg.dynamics, work)
+                del padded
             if split:
                 # Pillar surface-pressure closure: the layer mean needs
                 # every layer of the column, assembled in global layer
@@ -385,6 +390,9 @@ def agcm_rank_program(
                 tend["ps"] = surface_pressure_tendency(
                     np.concatenate(dpt_blocks, axis=2)
                 )
+                del dpt_blocks
+            # Out of place: the pillar allgather above sent tend["pt"]
+            # by reference, and a payload must not change after its send.
             tend["pt"] = tend["pt"] + forcing_pt
             tend["q"] = tend["q"] + forcing_q
             with ctx.region("filtering"):

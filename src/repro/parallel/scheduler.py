@@ -390,6 +390,10 @@ class Simulator:
             states.append(state)
 
         # mailbox[(dest, src, tag)] -> deque of (arrival_time, payload, nbytes)
+        # A channel lives only while it holds a message: sends create it
+        # (``mailbox[key].append``), receives test with ``in``/``get``
+        # and the receive that drains it deletes it, so a run whose tags
+        # change every round holds its in-flight messages, not its past.
         mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]] = (
             defaultdict(deque)
         )
@@ -623,7 +627,7 @@ class Simulator:
                 if cls is Recv:
                     key = (rank, op.source, op.tag)
                     state.pending_recv = (op.source, op.tag, state.clock)
-                    if mailbox[key]:
+                    if key in mailbox:
                         self._complete_recv(state, mailbox, trace)
                         continue
                     state.blocked = True
@@ -763,7 +767,7 @@ class Simulator:
                 return False
             src, tag = r
             state.pending_recv = (src, tag, state.clock)
-            if mailbox[(rank, src, tag)]:
+            if (rank, src, tag) in mailbox:
                 # _complete_recv delivers into the cursor (state.exch is
                 # set), advancing ex.i past this round.
                 self._complete_recv(state, mailbox, trace)
@@ -857,9 +861,12 @@ class Simulator:
                     i += 1
                     continue
                 src, tag = r
-                queue = mailbox[(rank, src, tag)]
+                key = (rank, src, tag)
+                queue = mailbox.get(key)
                 if queue:
                     arrival, payload, nbytes = queue.popleft()
+                    if not queue:
+                        del mailbox[key]
                     wait = arrival - clock
                     if wait < 0.0:
                         wait = 0.0
@@ -1144,7 +1151,11 @@ class Simulator:
         interpretation when the rank's queue entry comes up.
         """
         src, tag, post_time = state.pending_recv  # type: ignore[misc]
-        arrival, payload, nbytes = mailbox[(state.rank, src, tag)].popleft()
+        key = (state.rank, src, tag)
+        queue = mailbox[key]
+        arrival, payload, nbytes = queue.popleft()
+        if not queue:
+            del mailbox[key]
         wait = max(0.0, arrival - state.clock)
         busy = self.machine.recv_busy_time(nbytes)
         if trace.events is not None:

@@ -518,3 +518,14 @@ def test_docs_checker_parses_sample_profile_lines(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "not a unit of engine_scale: table8@4x4" in proc.stdout
     assert "2 command line(s) checked, 1 rejected" in proc.stdout
+
+
+def test_docs_checker_accepts_the_sample_profile_memory_flag(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("`python tools/sample_profile.py --workload engine_scale "
+                   "--passes 1 --top 5 --memory`, not `python "
+                   "tools/sample_profile.py --workload engine_scale --mem`\n")
+    proc = _run_tool("check_cli_docs.py", str(doc))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "--mem" in proc.stdout and "--memory" not in proc.stdout
+    assert "2 command line(s) checked, 1 rejected" in proc.stdout

@@ -6,6 +6,8 @@ layouts: every observable of ``ProcessorMesh(m, n)`` must be unchanged
 by the third axis defaulting to 1.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +66,26 @@ class TestNeighbours:
             assert mesh.coords3_of(rank)[0] == mesh.nlat_procs - 1
         else:
             assert mesh.south_of(n) == rank
+
+    @given(mesh_and_rank())
+    def test_table_matches_the_four_lookups(self, mr):
+        mesh, rank = mr
+        assert mesh.neighbours(rank) == (
+            mesh.east_of(rank), mesh.west_of(rank),
+            mesh.north_of(rank), mesh.south_of(rank),
+        )
+
+    def test_table_rejects_a_rank_outside_the_mesh(self):
+        mesh = ProcessorMesh(2, 3, 2)
+        for rank in (-1, mesh.size):
+            with pytest.raises(IndexError):
+                mesh.neighbours(rank)
+
+    def test_table_leaves_the_mesh_pickle_alone(self):
+        mesh = ProcessorMesh(2, 3, 2)
+        before = pickle.dumps(mesh)
+        mesh.neighbours(0)
+        assert pickle.dumps(mesh) == before
 
     @given(mesh_and_rank())
     def test_up_down_symmetry_and_bounds(self, mr):

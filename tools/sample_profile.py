@@ -12,9 +12,15 @@ the inclusive share (anywhere on the stack) per function::
 
     python tools/sample_profile.py --workload agcm_model [--passes 3]
     python tools/sample_profile.py --workload filter_tables --unit table8@4x4
+    python tools/sample_profile.py --workload engine_scale --memory
 
 ``--unit`` (repeatable) profiles only the named units of the workload; a
 label that is not one of its units exits 2 and lists the valid ones.
+
+``--memory`` profiles memory instead: the passes run under
+:mod:`tracemalloc`, each tick snapshots the traces once the traced size
+has grown 5 % past the last snapshot, and the tool prints the traced
+peak and the top allocation sites (file:line) of the largest snapshot.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import os
 import signal
 import sys
 import time
+import tracemalloc
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_REPO_ROOT, "src"),
@@ -36,6 +43,9 @@ from spans import SpanRecorder  # noqa: E402
 from workloads import make_plan, run_sim_pass, unit_labels  # noqa: E402
 
 INTERVAL_S = 0.0005
+#: ``--memory`` snapshots once the traced size is this much past the
+#: last snapshot's.
+SNAPSHOT_GROWTH = 1.05
 
 
 def parse_args(argv=None):
@@ -54,6 +64,9 @@ def parse_args(argv=None):
     parser.add_argument("--unit", action="append", metavar="LABEL",
                         help="profile only this unit of --workload "
                         "(repeatable; default: every unit)")
+    parser.add_argument("--memory", action="store_true",
+                        help="trace allocations instead of sampling CPU: "
+                        "the traced peak and the top allocation sites")
     args = parser.parse_args(argv)
     valid = unit_labels(args.workload)
     unknown = [label for label in args.unit or () if label not in valid]
@@ -70,6 +83,8 @@ def main(argv=None) -> int:
         plan.order = [label for label in plan.order if label in args.unit]
     rec = SpanRecorder(args.workload, enabled=False)
     run_sim_pass(plan, False, rec)  # imports, caches, first-touch pages
+    if args.memory:
+        return memory_profile(args, plan, rec)
 
     leaf: collections.Counter = collections.Counter()
     inclusive: collections.Counter = collections.Counter()
@@ -89,16 +104,8 @@ def main(argv=None) -> int:
         for name in set(stack):  # once per sample, recursion or not
             inclusive[name] += weight
 
-    signal.signal(signal.SIGPROF, sample)
-    signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
-    try:
-        for _ in range(args.passes):
-            result = run_sim_pass(plan, False, rec)
-            if result.failed:
-                print("\n".join(result.errors), file=sys.stderr)
-                return 1
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
+    if not run_sampled(args, plan, rec, sample):
+        return 1
     total = sum(leaf.values())
     print(f"{args.workload}: {args.passes} passes of "
           f"{', '.join(plan.order)}; {state['samples']} samples, "
@@ -107,6 +114,68 @@ def main(argv=None) -> int:
         print(f"\n{title} share")
         for name, weight in table.most_common(args.top):
             print(f"  {100 * weight / total:5.1f} %  {name}")
+    return 0
+
+
+def run_sampled(args, plan, rec, handler) -> bool:
+    """Run ``--passes`` passes with *handler* on every ``SIGPROF`` tick;
+    False (errors on stderr) when a pass fails its checks."""
+    signal.signal(signal.SIGPROF, handler)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+    try:
+        for _ in range(args.passes):
+            result = run_sim_pass(plan, False, rec)
+            if result.failed:
+                print("\n".join(result.errors), file=sys.stderr)
+                return False
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+    return True
+
+
+def memory_profile(args, plan, rec) -> int:
+    """``--memory``: the traced peak and the largest snapshot's top sites.
+
+    Only the top sites of a snapshot are kept, and the traced peak is
+    read before and reset after each snapshot, so neither a snapshot
+    nor its bookkeeping counts as the workload's memory.
+    """
+    state = {"size": 0, "peak": 0, "sites": None, "snapshots": 0,
+             "busy": False}
+
+    def sample(_signum, _frame) -> None:
+        size, peak = tracemalloc.get_traced_memory()
+        if state["busy"] or size < SNAPSHOT_GROWTH * state["size"]:
+            return
+        state["busy"] = True
+        state["peak"] = max(state["peak"], peak)
+        stats = tracemalloc.take_snapshot().statistics("lineno")
+        state["sites"] = [(stat.size, stat.count, stat.traceback[0])
+                          for stat in stats[:args.top]]
+        del stats
+        state["size"] = size
+        state["snapshots"] += 1
+        tracemalloc.reset_peak()
+        state["busy"] = False
+
+    tracemalloc.start()
+    try:
+        if not run_sampled(args, plan, rec, sample):
+            return 1
+        peak = max(state["peak"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    print(f"{args.workload}: {args.passes} passes of "
+          f"{', '.join(plan.order)}; traced peak {peak / 1e6:.1f} MB, "
+          f"largest of {state['snapshots']} snapshots "
+          f"{state['size'] / 1e6:.1f} MB")
+    print("\nallocation sites (largest snapshot)")
+    for size, count, frame in state["sites"] or ():
+        where = os.path.relpath(frame.filename, _REPO_ROOT)
+        if where.startswith(".."):
+            where = os.path.basename(frame.filename)
+        print(f"  {size / 1e6:7.2f} MB  {count:8d} blocks  "
+              f"{where}:{frame.lineno}")
     return 0
 
 
