@@ -1,23 +1,19 @@
 """Ablation — machine-parameter sensitivity of the paper's conclusions.
 
-Sweeps latency, bandwidth and node speed around the Paragon preset with
-the analytic cost model and checks which conclusions are robust:
-
-* the FFT+LB filter wins across the realistic parameter ranges;
-* the relative value of load balancing grows as nodes get faster
-  (communication-bound regimes reward fewer idle ranks less, but the
-  paper-era compute-bound regime rewards them a lot).
+Sweeps latency, bandwidth and node speed around the Paragon preset and
+re-runs Table 8's filter program at 8 x 8 on every variant, so each cell
+is the simulator's exact price, not an estimate.  The robust conclusion:
+the FFT+LB filter wins across two orders of magnitude in every single
+machine parameter.
 """
 
 from conftest import run_once
 
-from repro.model import AGCMConfig
-from repro.model.analytic import estimate_costs
-from repro.parallel import PARAGON, ProcessorMesh
+from repro.parallel import PARAGON
+from repro.reporting.experiments import run_filtering_table, run_table8
 from repro.util.tables import Table
 
-MESH = ProcessorMesh(8, 8)
-CFG = AGCMConfig.paper_2x2_5()
+MESH = (8, 8)
 
 
 def sweep():
@@ -27,6 +23,7 @@ def sweep():
         ["parameter", "x0.1", "x1", "x10", "winner everywhere?"],
     )
     data = {}
+    unscaled = []
     for param in ("latency", "bandwidth", "flop_rate"):
         winners = []
         row = []
@@ -37,12 +34,9 @@ def sweep():
                     PARAGON.overhead * factor, overrides["latency"]
                 )
             machine = PARAGON.with_overrides(**overrides)
-            costs = {
-                b: estimate_costs(
-                    CFG.with_(filter_backend=b), MESH, machine
-                ).filtering
-                for b in ("convolution-ring", "fft", "fft-lb")
-            }
+            costs = run_filtering_table(machine, 9, meshes=(MESH,)).data[MESH]
+            if factor == 1.0:
+                unscaled.append(costs)
             row.append(costs["fft-lb"])
             winners.append(min(costs, key=costs.get))
         table.add_row(
@@ -50,15 +44,21 @@ def sweep():
             "fft-lb" if all(w == "fft-lb" for w in winners) else "varies",
         )
         data[param] = winners
-    return table, data
+    return table, data, unscaled
 
 
 def test_machine_sensitivity(benchmark, results_dir):
-    table, data = run_once(benchmark, sweep)
+    table, data, unscaled = run_once(benchmark, sweep)
     (results_dir / "ablation_machine_sweep.txt").write_text(
         table.render() + "\n"
     )
     print("\n" + table.render())
+
+    # The unscaled machine is the Paragon itself: its column is Table 8's
+    # 8 x 8 row, to the last bit.
+    table8 = run_table8(meshes=(MESH,)).data[MESH]
+    for costs in unscaled:
+        assert costs == table8
 
     # The optimised filter wins across two orders of magnitude in every
     # single machine parameter — the paper's conclusion is not an

@@ -22,7 +22,6 @@ from repro.core.masks import (
 from repro.core.convolution import (
     circulant_matrix,
     convolution_filter_rows,
-    convolution_flop_count,
     convolve_line,
 )
 from repro.core.fft import fft_filter_flop_count, fft_filter_line, fft_filter_rows
@@ -57,7 +56,6 @@ __all__ = [
     "circulant_matrix",
     "convolve_line",
     "convolution_filter_rows",
-    "convolution_flop_count",
     "fft_filter_line",
     "fft_filter_rows",
     "fft_filter_flop_count",

@@ -93,13 +93,3 @@ def convolution_filter_rows(
         kernel = pfilter.kernel(int(j))
         out[j] = convolve_line(field[j], kernel)
     return out
-
-
-def convolution_flop_count(
-    nlon: int, nrows: int, nlayers: int = 1
-) -> float:
-    """Flops charged for convolution-filtering ``nrows`` lines of K layers.
-
-    Direct form: 2 N^2 multiply-adds per line per layer.
-    """
-    return 2.0 * nlon * nlon * nrows * nlayers

@@ -10,12 +10,12 @@ the vendor library.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.spectral import PolarFilter
-from repro.parallel.costs import fft_filter_flops
 
 
 def fft_filter_line(line: np.ndarray, transfer: np.ndarray) -> np.ndarray:
@@ -65,5 +65,12 @@ def fft_filter_rows(
 
 
 def fft_filter_flop_count(nlon: int, nrows: int, nlayers: int = 1) -> float:
-    """Flops charged for FFT-filtering ``nrows`` lines of K layers."""
-    return fft_filter_flops(nlon) * nrows * nlayers
+    """Flops charged for FFT-filtering ``nrows`` lines of K layers (eq. 1).
+
+    A real-to-complex FFT costs ~``2.5 N log2 N`` flops; filtering a line
+    needs a forward and an inverse transform plus one complex scaling
+    pass.  A line of fewer than two points costs nothing.
+    """
+    if nlon < 2:
+        return 0.0
+    return (2 * 2.5 * nlon * math.log2(nlon) + 2.0 * nlon) * nrows * nlayers

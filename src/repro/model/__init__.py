@@ -1,7 +1,6 @@
 """The assembled AGCM: configuration, serial driver, parallel rank program."""
 
 from repro.model.agcm import AGCM, StepDiagnostics
-from repro.model.analytic import CostEstimate, estimate_costs, sweep_meshes
 from repro.model.config import (
     AGCMConfig,
     PAPER_9LAYER,
@@ -35,7 +34,4 @@ __all__ = [
     "plan_column_flow",
     "ComponentBreakdown",
     "per_day",
-    "CostEstimate",
-    "estimate_costs",
-    "sweep_meshes",
 ]

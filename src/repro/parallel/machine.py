@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MachineModel:
@@ -97,6 +99,17 @@ class MachineModel:
     def send_busy_time(self, nbytes: int) -> float:
         """CPU time [s] the *sender* is occupied injecting a message."""
         return self.overhead + nbytes / self.bandwidth
+
+    def batch_message_costs(self, nbytes) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`send_busy_time` and :meth:`message_time` of a block of
+        messages, as float64 arrays shaped like ``nbytes``.
+
+        Element for element these are the same IEEE operations — divide,
+        then add — so pricing a whole collective's rounds in one NumPy
+        pass is bit-identical to pricing message by message.
+        """
+        per_byte = np.asarray(nbytes, dtype=np.float64) / self.bandwidth
+        return self.overhead + per_byte, self.latency + per_byte
 
     def recv_busy_time(self, nbytes: int) -> float:
         """CPU time [s] the *receiver* is occupied draining a message."""

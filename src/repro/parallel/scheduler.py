@@ -67,7 +67,6 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.spans import NULL_OBSERVER, get_active
-from repro.parallel.costs import batch_message_costs
 from repro.parallel.events import (
     ACCUM,
     AllToAll,
@@ -242,7 +241,7 @@ class _ExchState:
                 append(int(nbytes) if nbytes is not None
                        else _wire_size(payload))
             self.pre_wire = wires
-            busy, msg = batch_message_costs(machine, wires)
+            busy, msg = machine.batch_message_costs(wires)
             # Python lists: indexing them in the interpreter loop is much
             # cheaper than extracting np.float64 scalars, and .tolist()
             # round-trips the float64 values bit-exactly.
@@ -913,8 +912,9 @@ class Simulator:
         ``g`` sends its chunk for ``(g + r + 1) % G`` and receives from
         ``sidx[g, r] = (g - r - 1) % G``.  The wire sizes are taken once,
         as the ``(G, G)`` matrix ``W``, priced in one
-        :func:`batch_message_costs` call (elementwise, so bit-identical to
-        pricing message by message), and all ``G`` member clocks advance
+        :meth:`MachineModel.batch_message_costs` call (elementwise, so
+        bit-identical to pricing message by message), and all ``G`` member
+        clocks advance
         round by round with elementwise array arithmetic.  Bit-identity
         argument: round ``r``'s receive on every member consumes exactly
         round ``r``'s send of its partner (one channel visit per round,
@@ -953,7 +953,7 @@ class Simulator:
         wire = W[rows, (rows + shift) % G]
         sidx = (rows - shift) % G
         in_wire = W[sidx, rows]
-        busy, msg = batch_message_costs(machine, wire)
+        busy, msg = machine.batch_message_costs(wire)
         # Receive pricing depends only on nbytes: price each distinct
         # wire size once through the machine model.
         recv_busy_time = machine.recv_busy_time

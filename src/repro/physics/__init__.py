@@ -16,7 +16,7 @@ from repro.physics.condensation import (
 from repro.physics.convection import convective_adjustment, instability_iterations
 from repro.physics.pbl import surface_fluxes
 from repro.physics.radiation import longwave_heating, shortwave_heating
-from repro.physics.workload import analytic_rank_load, column_flops, mean_column_flops
+from repro.physics.workload import column_flops
 
 __all__ = [
     "ColumnSet",
@@ -39,6 +39,4 @@ __all__ = [
     "longwave_heating",
     "shortwave_heating",
     "column_flops",
-    "mean_column_flops",
-    "analytic_rank_load",
 ]

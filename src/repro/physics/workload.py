@@ -1,17 +1,12 @@
 """Physics workload estimation — what the load balancer reasons about.
 
-Two estimators are provided:
-
-* :func:`column_flops` — the *exact* per-column cost of a physics call,
-  obtained from the same counters the driver uses (for analysis and
-  tests);
-* :func:`analytic_rank_load` — a closed-form expected per-rank load as a
-  function of the day/night boundary and the convective fraction, used by
-  the fast analytic model for parameter sweeps.
-
-Both express the structure the paper describes: a base cost everywhere,
+:func:`column_flops` is the *exact* per-column cost of a physics call,
+obtained from the same counters the driver uses (for analysis and tests).
+It expresses the structure the paper describes: a base cost everywhere,
 a shortwave surcharge on the daylight half, and a convection surcharge
 concentrated where the atmosphere is conditionally unstable.
+
+The module also holds the AGCM-3DLF column shares and leap schedules.
 """
 
 from __future__ import annotations
@@ -55,45 +50,6 @@ def column_flops(
     cv = conv.CONV_TRIGGER + conv.CONV_PER_ITER_LAYER * k * iters
     lsc = cond.COND_TRIGGER + cond.COND_PER_WET_LAYER * wet
     return lw + sw + cv + lsc + pbl.PBL_FLOPS
-
-
-def mean_column_flops(nlayers: int, day_fraction: float = 0.5,
-                      mean_cloudy_layers: float = 2.0,
-                      mean_conv_iterations: float = 0.8,
-                      mean_wet_layers: float = 0.3) -> float:
-    """Expected flops of an average column (analytic model input)."""
-    lw = rad.LW_BASE + rad.LW_PER_LAYER * nlayers
-    lw += rad.LW_CLOUD_PER_LAYER * mean_cloudy_layers
-    sw = day_fraction * (rad.SW_BASE + rad.SW_PER_LAYER * nlayers)
-    cv = conv.CONV_TRIGGER + (
-        conv.CONV_PER_ITER_LAYER * nlayers * mean_conv_iterations
-    )
-    lsc = cond.COND_TRIGGER + cond.COND_PER_WET_LAYER * mean_wet_layers
-    return lw + sw + cv + lsc + pbl.PBL_FLOPS
-
-
-def analytic_rank_load(
-    ncolumns: int,
-    nlayers: int,
-    day_fraction: float,
-    conv_fraction: float,
-    mean_cloudy_layers: float = 2.0,
-) -> float:
-    """Expected physics flops on a rank given its local conditions.
-
-    ``day_fraction``: fraction of the rank's columns in daylight;
-    ``conv_fraction``: fraction actively convecting (at the max iteration
-    count).  Used to build the analytic imbalance estimates cross-checked
-    against full simulations.
-    """
-    lw = rad.LW_BASE + rad.LW_PER_LAYER * nlayers
-    lw += rad.LW_CLOUD_PER_LAYER * mean_cloudy_layers
-    sw = day_fraction * (rad.SW_BASE + rad.SW_PER_LAYER * nlayers)
-    cv = conv.CONV_TRIGGER + conv_fraction * (
-        conv.CONV_PER_ITER_LAYER * nlayers * conv.MAX_ITERATIONS
-    )
-    lsc = cond.COND_TRIGGER + conv_fraction * cond.COND_PER_WET_LAYER * 2.0
-    return ncolumns * (lw + sw + cv + lsc + pbl.PBL_FLOPS)
 
 
 # ----------------------------------------------------------------------

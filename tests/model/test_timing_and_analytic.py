@@ -1,17 +1,11 @@
-"""Tests for timing reports and the analytic cost model."""
+"""Tests for timing reports: per-day scaling and component breakdowns."""
 
 import pytest
 
 from repro.grid import Decomposition2D
-from repro.model import (
-    ComponentBreakdown,
-    estimate_costs,
-    make_config,
-    per_day,
-    sweep_meshes,
-)
+from repro.model import ComponentBreakdown, make_config, per_day
 from repro.model.parallel_agcm import agcm_rank_program
-from repro.parallel import PARAGON, T3D, ProcessorMesh, Simulator
+from repro.parallel import PARAGON, ProcessorMesh, Simulator
 
 
 class TestPerDay:
@@ -50,52 +44,3 @@ class TestComponentBreakdown:
         assert 0 < breakdown.dynamics_fraction < 1
         assert 0 < breakdown.filtering_fraction_of_dynamics < 1
 
-
-class TestAnalyticModel:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 4)])
-    @pytest.mark.parametrize("backend", ["convolution-ring", "fft-lb"])
-    def test_within_factor_of_simulation(self, dims, backend):
-        """The closed-form estimate tracks the simulator to a modest
-        factor (it ignores wait-time propagation between phases)."""
-        cfg = make_config("tiny", filter_backend=backend)
-        mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
-        res = Simulator(mesh.size, PARAGON).run(
-            agcm_rank_program, cfg, decomp, 8
-        )
-        simulated = per_day(res.elapsed, 8, cfg)
-        estimate = estimate_costs(cfg, mesh, PARAGON).total
-        assert estimate == pytest.approx(simulated, rel=2.0)
-
-    def test_t3d_estimated_faster(self):
-        cfg = make_config("2x2.5x9")
-        mesh = ProcessorMesh(4, 4)
-        p = estimate_costs(cfg, mesh, PARAGON).total
-        t = estimate_costs(cfg, mesh, T3D).total
-        assert t < p
-
-    def test_more_ranks_less_time(self):
-        cfg = make_config("2x2.5x9")
-        small = estimate_costs(cfg, ProcessorMesh(2, 2), PARAGON).total
-        big = estimate_costs(cfg, ProcessorMesh(8, 8), PARAGON).total
-        assert big < small
-
-    def test_lb_estimated_cheaper_filtering(self):
-        cfg = make_config("2x2.5x9")
-        mesh = ProcessorMesh(8, 8)
-        no_lb = estimate_costs(cfg.with_(filter_backend="fft"), mesh, PARAGON)
-        lb = estimate_costs(cfg.with_(filter_backend="fft-lb"), mesh, PARAGON)
-        assert lb.filtering < no_lb.filtering
-
-    def test_sweep_returns_labelled(self):
-        cfg = make_config("2x2.5x9")
-        out = sweep_meshes(cfg, [(2, 2), (4, 4)], T3D)
-        assert set(out) == {"2 x 2", "4 x 4"}
-        assert all(v.total > 0 for v in out.values())
-
-    def test_balanced_physics_estimate_smaller(self):
-        cfg = make_config("2x2.5x9")
-        mesh = ProcessorMesh(8, 8)
-        unbal = estimate_costs(cfg, mesh, PARAGON, physics_imbalance=0.45)
-        bal = estimate_costs(cfg, mesh, PARAGON, physics_imbalance=0.06)
-        assert bal.physics < unbal.physics

@@ -128,13 +128,15 @@ class TestAllgatherAlltoall:
             assert res.returns[r] == [2 * i for i in range(size)]
 
     def test_ring_message_count(self):
-        """Ring allgather sends P(P-1) messages total."""
+        """Ring allgather sends P(P-1) messages total, each one rank's
+        32-byte block."""
 
         def program(ctx):
             yield from ctx.allgather(np.zeros(4))
 
         res = run(6, program)
         assert res.trace.total_messages() == 6 * 5
+        assert res.trace.total_bytes() == 6 * 5 * 32
 
     @pytest.mark.parametrize("size", [1, 2, 4, 7])
     def test_alltoall_pairwise(self, size):

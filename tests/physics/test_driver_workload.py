@@ -10,11 +10,7 @@ from repro.physics.driver import (
     block_physics,
     run_physics,
 )
-from repro.physics.workload import (
-    analytic_rank_load,
-    column_flops,
-    mean_column_flops,
-)
+from repro.physics.workload import column_flops
 
 
 @pytest.fixture
@@ -106,20 +102,3 @@ class TestDriver:
         result = run_physics(cols, 0.7, 30)
         assert np.isfinite(result.tend_pt).all()
         assert np.isfinite(result.tend_q).all()
-
-
-class TestAnalyticWorkload:
-    def test_mean_between_extremes(self):
-        k = 9
-        night_stable = analytic_rank_load(100, k, 0.0, 0.0)
-        day_convecting = analytic_rank_load(100, k, 1.0, 1.0)
-        mean = 100 * mean_column_flops(k)
-        assert night_stable < mean < day_convecting
-
-    def test_scales_with_columns(self):
-        assert analytic_rank_load(200, 9, 0.5, 0.2) == pytest.approx(
-            2 * analytic_rank_load(100, 9, 0.5, 0.2)
-        )
-
-    def test_more_layers_cost_more(self):
-        assert mean_column_flops(15) > mean_column_flops(9)
