@@ -370,7 +370,7 @@ def _usage() -> str:
     rows["fleet worker|echo"] = ("one distributed campaign worker / a "
                                  "frame echo server (docs/fleet.md)")
     rows["results ..."] = ("SQLite cross-run result index: ingest, query, "
-                           "runs, trajectory, prune")
+                           "runs, prune")
     return (f"usage:\n{usage_table(rows)}\n\n"
             f"`python -m repro <subcommand> --help` lists its flags.")
 

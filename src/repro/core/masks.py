@@ -70,10 +70,6 @@ class FilterPlan:
         """The PolarFilter instance that applies to a row unit."""
         return self.strong if unit.filter_name == "strong" else self.weak
 
-    def units_in_lat_range(self, lat0: int, lat1: int) -> List[RowUnit]:
-        """Row units whose latitude lies in the half-open range [lat0, lat1)."""
-        return [u for u in self.units if lat0 <= u.lat < lat1]
-
 
 #: Default variable assignment, mirroring the AGCM's convention that the
 #: wind tendencies need the strong filter and the thermodynamic variables

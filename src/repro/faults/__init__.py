@@ -22,7 +22,6 @@ from repro.faults.mitigation import (
     estimate_rank_loads,
     physics_imbalance,
     run_straggler_demo,
-    straggler_imbalance_metrics,
 )
 from repro.faults.plan import (
     ANY,
@@ -56,7 +55,6 @@ __all__ = [
     "estimate_rank_loads",
     "physics_imbalance",
     "run_straggler_demo",
-    "straggler_imbalance_metrics",
     *_CHECKPOINT_SYMBOLS,
 ]
 

@@ -138,14 +138,3 @@ def run_straggler_demo(
         "result": res,
     }
 
-
-def straggler_imbalance_metrics(**kwargs) -> dict:
-    """Static-vs-mitigated straggler imbalance, for the bench record."""
-    static = run_straggler_demo(mitigate=False, **kwargs)
-    mitigated = run_straggler_demo(mitigate=True, **kwargs)
-    return {
-        "agcm_straggler_imbalance_static": static["imbalance"],
-        "agcm_straggler_imbalance_mitigated": mitigated["imbalance"],
-        "agcm_straggler_elapsed_static": static["elapsed"],
-        "agcm_straggler_elapsed_mitigated": mitigated["elapsed"],
-    }

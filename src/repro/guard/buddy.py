@@ -9,7 +9,7 @@ topology ring (:meth:`~repro.parallel.topology.ProcessorMesh.buddy_of`)
 — a pairwise ``sendrecv``, no collective, no host I/O.  Cost per
 checkpoint is one memcpy plus one neighbour message, independent of the
 mesh size; that is why buddy checkpointing beats the disk path at scale
-(enforced at 240 ranks by the bench gate).
+(held at 240 ranks by ``tests/verify/test_paper_numbers.py``).
 
 Failure coverage is the classic diskless trade-off: a *single* rank
 failure (or a detected blow-up, which loses nothing) is recoverable from

@@ -1,8 +1,7 @@
 """``python -m repro results`` — the index's command-line front end.
 
-Subcommands: ``ingest`` (index campaign caches and bench
-trajectories), ``query`` (read-only SQL), ``runs`` and
-``trajectory`` (canned reports), ``prune`` (cache GC);
+Subcommands: ``ingest`` (index campaign and serve caches), ``query``
+(read-only SQL), ``runs`` (canned report), ``prune`` (cache GC);
 ``python -m repro results <subcommand> --help`` lists the flags.
 
 All reads are forced read-only (``query`` cannot mutate the index no
@@ -34,8 +33,6 @@ def _declare_ingest(p: StrictParser) -> None:
     p.add_argument("--cache-dir", action="append", default=[],
                    metavar="DIR",
                    help="campaign/serve --cache-dir to walk (repeatable)")
-    p.add_argument("--bench", action="append", default=[], metavar="FILE",
-                   help="BENCH_agcm.json trajectory (repeatable)")
     p.add_argument("--git-sha", default=None,
                    help="provenance stamp override (default: "
                    "$REPRO_GIT_SHA, then `git rev-parse HEAD`)")
@@ -59,14 +56,6 @@ def _declare_runs(p: StrictParser) -> None:
                    help="restrict to one experiment ident")
     p.add_argument("--source", default=None,
                    choices=("campaign", "serve", "bench", "api"))
-    p.add_argument("--json", action="store_true")
-
-
-def _declare_trajectory(p: StrictParser) -> None:
-    _db_flag(p)
-    p.add_argument("--metric", action="append", default=[], metavar="NAME",
-                   help="metric column (repeatable; default: the "
-                   "gated tracked ratios)")
     p.add_argument("--json", action="store_true")
 
 
@@ -96,9 +85,9 @@ def _require_db(path: str) -> Optional[str]:
 
 
 def _cmd_ingest(args) -> int:
-    if not (args.cache_dir or args.bench):
-        print("results ingest: nothing to ingest; pass --cache-dir "
-              "and/or --bench", file=sys.stderr)
+    if not args.cache_dir:
+        print("results ingest: nothing to ingest; pass --cache-dir",
+              file=sys.stderr)
         return 2
     from repro.results.ingest import Ingestor
 
@@ -107,8 +96,6 @@ def _cmd_ingest(args) -> int:
         ingestor = Ingestor(db, git_sha=args.git_sha)
         for root in args.cache_dir:
             all_stats.append(ingestor.ingest_cache_dir(root))
-        for path in args.bench:
-            all_stats.append(ingestor.ingest_bench_file(path))
         total = len(db)
     if args.json:
         print(json.dumps({
@@ -165,23 +152,6 @@ def _cmd_runs(args) -> int:
     return 0
 
 
-def _cmd_trajectory(args) -> int:
-    if _require_db(args.db) is None:
-        return 2
-    from repro.results.queries import trajectory_report
-
-    try:
-        table, doc = trajectory_report(args.db, args.metric)
-    except ValueError as exc:
-        print(f"results trajectory: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(table.render())
-    return 0
-
-
 def _cmd_prune(args) -> int:
     from repro.results.prune import prune_cache
 
@@ -201,14 +171,12 @@ def _cmd_prune(args) -> int:
 
 
 COMMANDS = {
-    "ingest": Command("index campaign caches and bench trajectories",
+    "ingest": Command("index campaign and serve caches",
                       _declare_ingest, _cmd_ingest),
     "query": Command("run read-only SQL against the index",
                      _declare_query, _cmd_query),
     "runs": Command("per-unit rows + per-experiment best/worst rollup",
                     _declare_runs, _cmd_runs),
-    "trajectory": Command("benchmark metrics across recorded entries",
-                          _declare_trajectory, _cmd_trajectory),
     "prune": Command("GC cache entries unreferenced by manifest/index",
                      _declare_prune, _cmd_prune),
 }

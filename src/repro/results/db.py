@@ -1,13 +1,13 @@
 """The cross-run result index: a stdlib-``sqlite3`` store of runs.
 
 Every completed unit of work — a campaign unit, a gateway execution, a
-benchmark-gate entry, an ad-hoc ``api.run`` — can become one row in
+host-time benchmark probe, an ad-hoc ``api.run`` — can become one row in
 ``runs``, with its scalar measurements in ``metrics`` and its on-disk
 payloads in ``artifacts``.  The paper's whole contribution is cross-run
 comparison (Tables 4-11 compare timings across meshes, machines and
 algorithm variants); this index is what makes our reproduction's runs
 comparable the same way: side by side, in SQL, instead of trapped in
-per-run pickles and hand-appended JSON lists.
+per-run pickles.
 
 Schema::
 
@@ -17,11 +17,11 @@ Schema::
     artifacts(run_id, path, sha256, bytes)    UNIQUE(run_id, path)
 
 ``run_key`` is the idempotency key: for campaign/serve units it is the
-sha256 content-addressed cache key, for bench entries a hash of the
-entry document — so ingesting the same source twice adds zero rows
-(:meth:`ResultsDB.record_run` is INSERT-OR-IGNORE on it).  ``hits``
-counts cache-hit observations of an already-indexed run (campaign and
-gateway hooks bump it), which is what the hit-rate rollups query.
+sha256 content-addressed cache key — so ingesting the same cache twice
+adds zero rows (:meth:`ResultsDB.record_run` is INSERT-OR-IGNORE on
+it).  ``hits`` counts cache-hit observations of an already-indexed run
+(campaign and gateway hooks bump it), which is what the hit-rate
+rollups query.
 
 Writes go through one connection per :class:`ResultsDB` (sqlite's
 single-writer model; cross-process writers serialize on the database
@@ -218,8 +218,8 @@ class ResultsDB:
         """Insert one run (plus metric/artifact rows); True if new.
 
         Idempotent on ``run_key``: an already-indexed run is left
-        untouched and False is returned — re-ingesting a cache dir or a
-        trajectory file therefore never duplicates rows.  ``metrics``
+        untouched and False is returned — re-ingesting a cache dir
+        therefore never duplicates rows.  ``metrics``
         values may be plain numbers or ``(value, unit)`` pairs;
         ``artifacts`` rows are ``(path, sha256, bytes)``.
         """

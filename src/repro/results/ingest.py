@@ -1,24 +1,15 @@
-"""Idempotent ingestion: artifacts on disk become queryable index rows.
+"""Idempotent ingestion: a campaign or serve cache dir becomes index rows.
 
-Two sources, one discipline — every ingested run is keyed on a content
-hash (the sha256 unit cache key for campaign/serve payloads, a sha256
-of the entry document for bench records), so re-ingesting the same
-source is a no-op:
-
-* a campaign ``--cache-dir`` — pickle payloads with JSON sidecars; the
-  sidecar alone carries everything a provenance row needs, so
-  ingestion never unpickles a payload, and :func:`sidecar_row` builds
-  the same row the live hooks record;
-* ``BENCH_agcm.json`` — each trajectory entry becomes one ``bench``
-  run whose metrics are the entry's metric mapping, losslessly enough
-  that :func:`repro.results.queries.trajectory_from_db` can rebuild
-  the trajectory for ``results trajectory``.
+Every ingested run is keyed on its sha256 unit cache key, so
+re-ingesting the same cache is a no-op.  The cache holds pickle
+payloads with JSON sidecars; the sidecar alone carries everything a
+provenance row needs, so ingestion never unpickles a payload, and
+:func:`sidecar_row` builds the same row the live hooks record.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -26,10 +17,7 @@ from typing import Any, Dict, List, Optional
 from repro.results.db import ResultsDB, _utcnow
 from repro.results.provenance import current_git_sha
 
-__all__ = ["IngestStats", "Ingestor", "bench_entry_key"]
-
-#: Registry ident under which benchmark-trajectory entries are indexed.
-BENCH_IDENT = "bench:agcm"
+__all__ = ["IngestStats", "Ingestor"]
 
 
 @dataclass
@@ -58,18 +46,6 @@ class IngestStats:
             "scanned": self.scanned, "added": self.added,
             "skipped": self.skipped, "errors": list(self.errors),
         }
-
-
-def _doc_sha256(doc: Any) -> str:
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                   default=str).encode("utf-8")
-    ).hexdigest()
-
-
-def bench_entry_key(entry: Dict[str, Any]) -> str:
-    """The idempotency key of one trajectory entry (``bench:<sha256>``)."""
-    return "bench:" + _doc_sha256(entry)
 
 
 def _file_sha256(path: str) -> Optional[str]:
@@ -174,51 +150,3 @@ class Ingestor:
             else:
                 stats.skipped += 1
         return stats
-
-    # -- benchmark trajectory -------------------------------------------
-    def ingest_bench_file(self, path: str) -> IngestStats:
-        """Index every entry of a ``BENCH_agcm.json`` trajectory."""
-        from repro.verify import bench_record
-
-        stats = IngestStats(source="bench", path=str(path))
-        try:
-            traj = bench_record.load_trajectory(str(path))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            stats.errors.append(str(exc))
-            return stats
-        for entry in traj.get("entries", []):
-            stats.scanned += 1
-            if self.ingest_bench_entry(entry, path=str(path)):
-                stats.added += 1
-            else:
-                stats.skipped += 1
-        return stats
-
-    def ingest_bench_entry(self, entry: Dict[str, Any], *,
-                           path: str = "") -> bool:
-        """Index one trajectory entry; True if it was new.
-
-        Everything :func:`~repro.results.queries.trajectory_from_db`
-        needs to rebuild the entry verbatim goes into ``params_json``
-        (label, machine, config, tracked ratio names, schema version);
-        the metric mapping lands as metric rows.
-        """
-        return self.db.record_run(
-            run_key=bench_entry_key(entry),
-            source="bench",
-            ident=BENCH_IDENT,
-            point=str(entry.get("label", "")),
-            params={
-                "schema_version": entry.get("schema_version"),
-                "label": entry.get("label", ""),
-                "machine": entry.get("machine", ""),
-                "config": entry.get("config", {}),
-                "tracked_ratios": entry.get("tracked_ratios", []),
-                "file": path,
-            },
-            status="recorded",
-            git_sha=self.git_sha,
-            created_at=entry.get("timestamp"),
-            metrics={name: float(value)
-                     for name, value in entry.get("metrics", {}).items()},
-        )

@@ -10,20 +10,15 @@ convention) with a parallel ``*_json`` document for machine consumers.
 
 from __future__ import annotations
 
-import json
-import sqlite3
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.results.db import open_readonly
-from repro.results.ingest import BENCH_IDENT
 from repro.util.tables import Table
 
 __all__ = [
     "run_query",
     "runs_report",
     "experiment_rollup",
-    "trajectory_from_db",
-    "trajectory_report",
 ]
 
 
@@ -122,95 +117,3 @@ def experiment_rollup(path: str) -> Dict[str, Dict[str, Any]]:
     """The rollup alone, keyed by experiment ident (for assertions)."""
     cols, rows = run_query(path, _ROLLUP_SQL, (None, None))
     return {row[0]: dict(zip(cols, row)) for row in rows}
-
-
-# ----------------------------------------------------------------------
-# canned report: benchmark trajectory
-# ----------------------------------------------------------------------
-
-def trajectory_from_db(path: str) -> Optional[Dict[str, Any]]:
-    """Rebuild the ``BENCH_agcm.json`` trajectory from indexed entries.
-
-    Returns a document shaped exactly like
-    :func:`repro.verify.bench_record.load_trajectory` — entries ordered
-    by timestamp (insertion order breaking ties), each with its metric
-    mapping, label, config and tracked ratios restored from the row's
-    ``params_json`` — or None when the index holds no bench entries
-    (callers fall back to the JSON file).
-    """
-    try:
-        cols, rows = run_query(
-            path,
-            "SELECT id, run_key, params_json, created_at FROM runs "
-            "WHERE ident = ? ORDER BY created_at, id",
-            (BENCH_IDENT,),
-        )
-    except sqlite3.Error:
-        return None
-    if not rows:
-        return None
-    entries = []
-    for run_id, run_key, params_json, created_at in rows:
-        params = json.loads(params_json)
-        _, metric_rows = run_query(
-            path,
-            "SELECT name, value FROM metrics WHERE run_id = ? ORDER BY name",
-            (run_id,),
-        )
-        entries.append({
-            "schema_version": params.get("schema_version"),
-            "timestamp": created_at,
-            "label": params.get("label", ""),
-            "machine": params.get("machine", ""),
-            "config": params.get("config", {}),
-            "metrics": {name: value for name, value in metric_rows},
-            "tracked_ratios": params.get("tracked_ratios", []),
-        })
-    from repro.verify.bench_record import BENCHMARK_NAME, SCHEMA_VERSION
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "benchmark": BENCHMARK_NAME,
-        "entries": entries,
-    }
-
-
-def trajectory_report(path: str, metrics: Sequence[str] = ()
-                      ) -> Tuple[Table, Dict[str, Any]]:
-    """Metric-over-entries table: how each gated ratio moved across PRs.
-
-    With no explicit ``metrics``, the tracked ratios of the newest
-    entry are shown — the same set ``tools/bench_gate.py`` gates.
-    """
-    traj = trajectory_from_db(path)
-    if traj is None:
-        raise ValueError(
-            f"no bench entries in index {path!r}; run "
-            f"`python -m repro results ingest --bench BENCH_agcm.json` first"
-        )
-    entries = traj["entries"]
-    names = list(metrics) or list(entries[-1].get("tracked_ratios", []))
-    t = Table("Benchmark trajectory (one row per recorded entry)",
-              ["timestamp", "label"] + names)
-    for entry in entries:
-        t.add_row(
-            entry.get("timestamp") or "-",
-            entry.get("label") or "-",
-            *(
-                "-" if entry["metrics"].get(name) is None
-                else f"{entry['metrics'][name]:.4f}"
-                for name in names
-            ),
-        )
-    doc = {
-        "metrics": names,
-        "entries": [
-            {
-                "timestamp": e.get("timestamp"),
-                "label": e.get("label"),
-                "values": {n: e["metrics"].get(n) for n in names},
-            }
-            for e in entries
-        ],
-    }
-    return t, doc

@@ -1,6 +1,6 @@
-"""Verification subsystem: differential testing, invariants, bench gate.
+"""Verification subsystem: differential testing and invariants.
 
-Three legs, mirroring how the paper validates its own optimizations:
+Two legs, mirroring how the paper validates its own optimizations:
 
 * :mod:`repro.verify.differential` / :mod:`repro.verify.pairs` — a
   QuickCheck-style engine that drives every equivalent-implementation
@@ -10,9 +10,9 @@ Three legs, mirroring how the paper validates its own optimizations:
 * :mod:`repro.verify.invariants` — conservation laws every simulator
   trace must satisfy (bytes sent == received, per-rank clock identity,
   comm-matrix symmetry for pairwise exchanges).
-* :mod:`repro.verify.bench_record` — the schema'd ``BENCH_agcm.json``
-  trajectory and the ratio-regression gate behind
-  ``tools/bench_gate.py``.
+
+The paper's headline ratios and the guard and 3-D bounds are held by
+``tests/verify/test_paper_numbers.py``.
 
 :mod:`repro.verify.tolerances` centralises the floating-point
 comparison budgets used across all of the above and the test suite.

@@ -45,12 +45,3 @@ class TestPlanConstruction:
         for unit in plan.units[:5]:
             assert plan.filter_for(unit).name == unit.filter_name
 
-
-class TestPlanQueries:
-    def test_units_in_lat_range(self, paper_grid):
-        plan = make_filter_plan(paper_grid)
-        south = plan.units_in_lat_range(0, 10)
-        assert south
-        assert all(0 <= u.lat < 10 for u in south)
-        equatorial = plan.units_in_lat_range(40, 50)
-        assert equatorial == []

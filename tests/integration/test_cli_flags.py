@@ -350,6 +350,8 @@ PARSE_TABLE = [
      [['write_report', ['out.md'], {'quick': True}]], []),
     ('report a.md b.md', 2, [], []),
     ('results ingest --serve-slo x', 2, [], []),
+    ('results ingest --bench x', 2, [], []),
+    ('results trajectory', 2, [], []),
 ]
 
 
@@ -362,11 +364,14 @@ def test_parse_equivalence(line, status, calls, files, monkeypatch,
     argv = shlex.split(line)
     assert outcome(argv, monkeypatch, tmp_path) == [status, calls, files]
     if status == 2:
-        # Usage errors are one "<cmd>: ..." line on stderr.
+        # Usage errors are one "<cmd>: ..." line on stderr; a removed
+        # subcommand is diagnosed by its group.
         cmd = (" ".join(argv[:2]) if argv[0] in ("fleet", "results")
                else argv[0])
         err = capsys.readouterr().err
-        assert err.startswith(f"{cmd}: ") or "unknown experiment" in err
+        assert (err.startswith(f"{cmd}: ") or "unknown experiment" in err
+                or err.startswith(
+                    f"{argv[0]}: unknown subcommand {argv[1]!r}"))
 
 
 # ----------------------------------------------------------------------
@@ -388,11 +393,9 @@ FLAGS = {
     "fleet worker": ["--connect", "--listen", "--cache-dir", "--name",
                      "--chaos", "--retries"],
     "fleet echo": ["--listen", "--once"],
-    "results ingest": ["--db", "--cache-dir", "--bench", "--git-sha",
-                       "--json"],
+    "results ingest": ["--db", "--cache-dir", "--git-sha", "--json"],
     "results query": ["--db", "--param", "--json"],
     "results runs": ["--db", "--ident", "--source", "--json"],
-    "results trajectory": ["--db", "--metric", "--json"],
     "results prune": ["--cache-dir", "--db", "--older-than", "--dry-run",
                       "--json"],
 }
@@ -448,19 +451,11 @@ def _run_tool(name, *args):
                           capture_output=True, text=True)
 
 
-def test_bench_gate_rejects_a_flag_prefix():
-    # At the parent `--dry` was read as --dry-run and ran the gate.
-    proc = _run_tool("bench_gate.py", "--dry")
+def test_sample_profile_rejects_a_flag_prefix():
+    # `--mem` must not be read as --memory and profile a workload.
+    proc = _run_tool("sample_profile.py", "--mem")
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "'--dry'" in proc.stderr
-
-
-def test_bench_gate_has_one_baseline_and_no_results_db_flag():
-    # BENCH_agcm.json is the gate's only baseline; entries reach the
-    # index through `results ingest --bench`.
-    proc = _run_tool("bench_gate.py", "--results-db", "r.db")
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "'--results-db'" in proc.stderr
+    assert "'--mem'" in proc.stderr
 
 
 # ----------------------------------------------------------------------

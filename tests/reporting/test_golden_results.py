@@ -6,8 +6,8 @@ recompute must reproduce them byte for byte; silent drift in
 ``reporting/`` or ``util/tables.py`` fails here loudly.
 
 Only the cheap, fully deterministic experiments are recomputed — the
-expensive sweeps stay in ``benchmarks/`` (and the bench gate covers
-their tracked ratios).
+expensive sweeps stay in ``benchmarks/``, whose renderings CI
+regenerates and compares byte for byte.
 """
 
 from __future__ import annotations

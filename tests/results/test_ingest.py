@@ -1,8 +1,7 @@
-"""Ingestor: cache walks and bench round-trips — idempotently.
+"""Ingestor: cache walks, idempotently.
 
-The fixtures build a real ResultCache and real trajectory files in
-tmp_path; nothing here unpickles payloads or shells out, so it all
-stays tier 1.
+The fixtures build a real ResultCache in tmp_path; nothing here
+unpickles payloads or shells out, so it all stays tier 1.
 """
 
 from __future__ import annotations
@@ -12,17 +11,7 @@ import os
 
 from repro.campaign.cache import ResultCache, cache_key
 from repro.results.db import ResultsDB
-from repro.results.ingest import (
-    BENCH_IDENT,
-    Ingestor,
-    bench_entry_key,
-)
-from repro.results.queries import trajectory_from_db
-from repro.verify import bench_record
-
-_REPO_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
+from repro.results.ingest import Ingestor
 
 
 def _seed_cache(tmp_path, n=3):
@@ -37,20 +26,6 @@ def _seed_cache(tmp_path, n=3):
         })
         keys.append(key)
     return cache, keys
-
-
-def _bench_entry(ts="2026-08-08T00:00:00+00:00", label="t"):
-    return {
-        "schema_version": bench_record.SCHEMA_VERSION,
-        "timestamp": ts,
-        "label": label,
-        "machine": "test",
-        "config": {"grid": "tiny"},
-        "metrics": {"filter_speedup_fft_vs_direct": 3.0,
-                    "total_speedup": 1.4},
-        "tracked_ratios": ["filter_speedup_fft_vs_direct",
-                           "total_speedup"],
-    }
 
 
 class TestCacheIngest:
@@ -115,65 +90,6 @@ class TestCacheIngest:
         with ResultsDB(str(tmp_path / "i.db")) as db:
             stats = Ingestor(db, git_sha="").ingest_cache_dir(
                 str(tmp_path / "nope"))
-            assert stats.errors and stats.added == 0
-
-
-class TestBenchIngest:
-    def test_entry_key_is_content_addressed(self):
-        e1, e2 = _bench_entry(), _bench_entry()
-        assert bench_entry_key(e1) == bench_entry_key(e2)
-        e2["metrics"]["total_speedup"] = 9.9
-        assert bench_entry_key(e1) != bench_entry_key(e2)
-        assert bench_entry_key(e1).startswith("bench:")
-
-    def test_repo_trajectory_round_trips_losslessly(self, tmp_path):
-        """Acceptance: every gated metric of every BENCH_agcm.json entry
-        survives ingest → trajectory_from_db verbatim."""
-        path = os.path.join(_REPO_ROOT, "BENCH_agcm.json")
-        traj = bench_record.load_trajectory(path)
-        assert traj["entries"], "repo trajectory unexpectedly empty"
-        db_path = str(tmp_path / "i.db")
-        with ResultsDB(db_path) as db:
-            stats = Ingestor(db, git_sha="").ingest_bench_file(path)
-            assert stats.added == len(traj["entries"])
-            assert stats.errors == []
-        rebuilt = trajectory_from_db(db_path)
-        assert rebuilt["schema_version"] == traj["schema_version"]
-        assert rebuilt["benchmark"] == traj["benchmark"]
-        assert len(rebuilt["entries"]) == len(traj["entries"])
-        for got, want in zip(rebuilt["entries"], traj["entries"]):
-            assert got["timestamp"] == want["timestamp"]
-            assert got["metrics"] == want["metrics"]
-            assert got["tracked_ratios"] == want.get("tracked_ratios", [])
-            assert got["config"] == want.get("config", {})
-            assert got["label"] == want.get("label", "")
-
-    def test_reingest_bench_is_idempotent(self, tmp_path):
-        path = os.path.join(_REPO_ROOT, "BENCH_agcm.json")
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            ing = Ingestor(db, git_sha="")
-            first = ing.ingest_bench_file(path)
-            second = ing.ingest_bench_file(path)
-            assert second.added == 0
-            assert second.skipped == first.added
-            assert len(db) == first.added
-
-    def test_bench_rows_never_pin_cache_entries(self, tmp_path):
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            Ingestor(db, git_sha="").ingest_bench_entry(_bench_entry())
-            assert db.cache_keys() == set()
-            cols, rows = db.query("SELECT ident, status FROM runs")
-            assert rows == [(BENCH_IDENT, "recorded")]
-
-    def test_invalid_trajectory_reports_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "schema_version": bench_record.SCHEMA_VERSION,
-            "benchmark": "x",
-            "entries": [{"timestamp": "t"}],  # missing metrics
-        }))
-        with ResultsDB(str(tmp_path / "i.db")) as db:
-            stats = Ingestor(db, git_sha="").ingest_bench_file(str(bad))
             assert stats.errors and stats.added == 0
 
 

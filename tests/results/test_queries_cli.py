@@ -7,24 +7,17 @@ explicit argv — no subprocesses, so these stay tier 1.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+from repro.campaign import run_campaign
 from repro.results.cli import main as results_main
 from repro.results.db import ResultsDB
-from repro.results.ingest import Ingestor
 from repro.results.queries import (
     experiment_rollup,
     run_query,
     runs_report,
-    trajectory_from_db,
 )
-
-_REPO_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
-_BENCH = os.path.join(_REPO_ROOT, "BENCH_agcm.json")
 
 
 @pytest.fixture
@@ -73,12 +66,6 @@ class TestCannedReports:
         )
         assert rows == [("0.01#a",), ("0.01#b",)]
 
-    def test_trajectory_from_empty_db_is_none(self, seeded_db):
-        assert trajectory_from_db(seeded_db) is None
-
-    def test_trajectory_from_missing_db_is_none(self, tmp_path):
-        assert trajectory_from_db(str(tmp_path / "absent.db")) is None
-
 
 class TestCli:
     def test_missing_db_exits_2_with_hint(self, tmp_path, capsys):
@@ -92,21 +79,24 @@ class TestCli:
         assert "nothing to ingest" in capsys.readouterr().err
 
     def test_ingest_then_runs_and_query(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        run_campaign(["sleep:0.001#a", "sleep:0.001#b"], cache_dir=cache)
         db = str(tmp_path / "i.db")
-        rc = results_main(["ingest", "--db", db, "--bench", _BENCH,
+        rc = results_main(["ingest", "--db", db, "--cache-dir", cache,
                            "--git-sha", "t1", "--json"])
         assert rc == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["runs_indexed"] > 0
+        assert stats["runs_indexed"] == 2
         assert stats["sources"][0]["added"] == stats["runs_indexed"]
 
-        rc = results_main(["runs", "--db", db, "--source", "bench"])
+        rc = results_main(["runs", "--db", db, "--source", "campaign"])
         assert rc == 0
-        assert "bench:agcm" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0.001#a" in out and "0.001#b" in out
 
         rc = results_main([
-            "query", "SELECT COUNT(*) AS n FROM runs WHERE source = ?",
-            "--db", db, "--param", "bench", "--json",
+            "query", "SELECT COUNT(*) AS n FROM runs WHERE git_sha = ?",
+            "--db", db, "--param", "t1", "--json",
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)[0]["n"] \
@@ -121,31 +111,6 @@ class TestCli:
         assert "readonly" in capsys.readouterr().err
         with ResultsDB(db) as handle:
             assert len(handle) == 1
-
-    def test_trajectory_renders_tracked_ratios(self, tmp_path, capsys):
-        db = str(tmp_path / "i.db")
-        with ResultsDB(db) as handle:
-            Ingestor(handle, git_sha="").ingest_bench_file(_BENCH)
-        rc = results_main(["trajectory", "--db", db, "--json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        from repro.verify import bench_record
-
-        traj = bench_record.load_trajectory(_BENCH)
-        assert len(doc["entries"]) == len(traj["entries"])
-        # Every gated metric of the newest JSON entry is reproduced.
-        newest = traj["entries"][-1]
-        for name in newest["tracked_ratios"]:
-            assert doc["entries"][-1]["values"][name] \
-                == newest["metrics"][name]
-
-    def test_trajectory_without_bench_rows_exits_2(self, tmp_path, capsys):
-        db = str(tmp_path / "i.db")
-        with ResultsDB(db) as handle:
-            handle.record_run(run_key="k", source="campaign", ident="x")
-        rc = results_main(["trajectory", "--db", db])
-        assert rc == 2
-        assert "no bench entries" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert results_main(["frobnicate"]) == 2
