@@ -464,9 +464,8 @@ def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
         lines = np.fft.irfft(spec, n=st.nlon, axis=0)
         del spec
 
-    back_chunks = [
-        np.ascontiguousarray(lines[lo:hi]) for lo, hi in st.row.col_bounds
-    ]
+    # Row slices of the C-ordered lines are contiguous already.
+    back_chunks = [lines[lo:hi] for lo, hi in st.row.col_bounds]
     with ctx.span("filter.transpose"):
         back = yield from row_group.alltoall(back_chunks)
     return np.concatenate(back, axis=1)

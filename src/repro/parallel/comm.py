@@ -75,8 +75,8 @@ class GroupComm:
         generator resume, priced as one send followed by one receive.
         """
         received = yield Exchange(
-            sends=((self.ranks[dest], payload, tag, nbytes, droppable),),
-            recvs=((self.ranks[source], tag),),
+            ((self.ranks[dest], payload, tag, nbytes, droppable),),
+            ((self.ranks[source], tag),),
         )
         return received[0]
 
@@ -161,8 +161,7 @@ class VirtualComm(GroupComm):
     def __init__(self, rank: int, world: Tuple[int, ...],
                  machine: MachineModel, trace: Trace, observer=None,
                  run_store: Optional[dict] = None):
-        #: Read by GroupComm.__init__ below; in the world communicator the
-        #: local position it then assigns is the same number.
+        #: In the world communicator the local position is the rank.
         self.rank = rank
         self.machine = machine
         self.trace = trace
@@ -175,9 +174,11 @@ class VirtualComm(GroupComm):
         self._run_store = run_store if run_store is not None else {}
         # ``world`` is the simulator's ``(0, ..., size - 1)``, one tuple
         # shared by every rank of the run: valid by construction, so no
-        # per-element checks and no copy, either of which would be
-        # O(size) on each of ``size`` ranks.
-        super().__init__(self, world)
+        # per-element checks, no copy and no position search, any of
+        # which would be O(size) on each of ``size`` ranks.
+        self.ctx = self
+        self.ranks = world
+        self.size = len(world)
 
     # -- compute -------------------------------------------------------------
     def compute(self, flops: float = 0.0, mem_bytes: float = 0.0,
@@ -274,15 +275,24 @@ class VirtualComm(GroupComm):
 
     # -- groups ----------------------------------------------------------------
     def group(self, ranks: Sequence[int]) -> GroupComm:
-        """Create a sub-communicator over ``ranks`` (must include self)."""
-        ranks = tuple(int(r) for r in ranks)
-        outside = [r for r in ranks if not 0 <= r < self.size]
-        if outside:
-            raise ValueError(
-                f"ranks {outside} outside 0..{self.size - 1} in group {ranks}"
-            )
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"duplicate ranks in group: {ranks}")
+        """Create a sub-communicator over ``ranks`` (must include self);
+        a rank tuple is validated once per run, then only membership."""
+        key = ranks if type(ranks) is tuple else tuple(ranks)
+        ranks = self.once(("group", key),
+                          lambda: _validated_group(key, self.size))
         if self.rank not in ranks:
             raise ValueError(f"rank {self.rank} not a member of group {ranks}")
         return GroupComm(self, ranks)
+
+
+def _validated_group(ranks: Sequence[int], size: int) -> Tuple[int, ...]:
+    """``ranks`` as a tuple of ints, each in ``0..size - 1`` and distinct."""
+    ranks = tuple(int(r) for r in ranks)
+    outside = [r for r in ranks if not 0 <= r < size]
+    if outside:
+        raise ValueError(
+            f"ranks {outside} outside 0..{size - 1} in group {ranks}"
+        )
+    if len(set(ranks)) != len(ranks):
+        raise ValueError(f"duplicate ranks in group: {ranks}")
+    return ranks

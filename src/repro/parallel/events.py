@@ -140,14 +140,14 @@ class _AccumSentinel:
 ACCUM = _AccumSentinel()
 
 
-@dataclass
+@dataclass(slots=True)
 class Exchange:
     """A schedule of send/recv rounds executed by the scheduler.
 
     Collectives yield **one** ``Exchange`` describing all their rounds
     instead of ``2 (P - 1)`` individual ``Send``/``Recv`` ops, so the
-    scheduler interprets the whole schedule in a tight loop (with
-    vectorized cost pricing) and the rank program resumes once.
+    scheduler interprets the whole schedule in a tight loop and the rank
+    program resumes once.
 
     Per round ``i`` the scheduler executes, in program order, the send
     ``sends[i]`` (if not None) and then the receive ``recvs[i]`` (if not

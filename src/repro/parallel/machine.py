@@ -235,7 +235,7 @@ def make_machine(name: str) -> MachineModel:
     key = name.lower()
     if key not in _PRESETS:
         raise KeyError(
-            f"unknown machine {name!r}; available: {sorted(_PRESETS)}"
+            f"unknown machine {name!r}; available: {available_machines()}"
         )
     return _PRESETS[key]
 

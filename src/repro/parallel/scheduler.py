@@ -36,8 +36,10 @@ the code the ``Send`` and ``Recv`` ops run; it is what a fault plan or a
 ``record_events=True`` timeline runs through, and it is the reference
 (the ``engine-fast-vs-general`` differential pair, and the digests
 frozen in ``tests/parallel/test_engine_frozen.py``).  On a perfect
-machine with the timeline off, :meth:`Simulator._advance_exchange_fast`
-does the same arithmetic with the rank's clock and accounting in locals.
+machine with the timeline off, :meth:`Simulator._interpret_fast` does
+the same arithmetic straight from the op, with the rank's clock and
+accounting in locals, every wire size priced once per run, and a
+cursor (:class:`_ExchState`) only for a round whose receive has to wait.
 An ``AllToAll`` is lowered to its explicit ``Exchange``
 (:meth:`AllToAll.schedule`) and interpreted, except on a perfect
 machine with the timeline off and a group moving at least
@@ -62,6 +64,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict, deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -81,10 +84,6 @@ from repro.parallel.events import (
 from repro.parallel.machine import MachineModel
 from repro.parallel.timeline import Event as _Event
 from repro.parallel.trace import RankAccounting, SimResult, Trace
-
-#: Exchanges with at least this many statically-sized rounds get their
-#: send costs priced in one vectorized NumPy pass.
-_VECTORIZE_ROUNDS = 8
 
 #: All-to-alls moving at least this many messages in total (members x
 #: rounds) run through the vectorized bulk executor; smaller ones are
@@ -199,66 +198,54 @@ class CohortQueue:
 _BarrierKey = Tuple[Optional[Tuple[int, ...]], int]
 
 
-class _ExchState:
-    """Interpreter cursor of one in-progress :class:`Exchange`.
+class _Prices(dict):
+    """``{wire size: (send busy, message time, receive busy)}`` of one
+    run, each priced once by the scalar :class:`MachineModel` methods the
+    general interpreter calls per message: the very same floats."""
 
-    Tracks the next round ``i``, whether round ``i``'s send already
-    executed (``sent`` — so a rank blocked on the round's recv does not
-    re-send on resume), and either the per-round results list or the
-    running accumulator of a combining exchange.  ``pre_busy``/``pre_msg``
-    hold vectorized send costs when every payload is statically sized.
-    ``arrange``, if given, maps the per-round results to what the
-    ``yield`` returns (a lowered :class:`AllToAll` orders them by source).
+    __slots__ = ("machine",)
+
+    def __init__(self, machine: MachineModel):
+        super().__init__()
+        self.machine = machine
+
+    def __missing__(self, wire: int) -> Tuple[float, float, float]:
+        machine = self.machine
+        cost = self[wire] = (machine.send_busy_time(wire),
+                             machine.message_time(wire),
+                             machine.recv_busy_time(wire))
+        return cost
+
+
+class _ExchState:
+    """Cursor of an :class:`Exchange` whose round ``i`` waits on its receive.
+
+    Holds what a resume needs: the op, the round, the per-round results
+    (``None`` for a combining exchange) or the accumulator ``acc``, and
+    ``arrange``, which maps the results to what the ``yield`` returns (a
+    lowered :class:`AllToAll` orders them by source).
     """
 
-    __slots__ = ("op", "i", "sent", "results", "acc", "combine", "arrange",
-                 "pre_wire", "pre_busy", "pre_msg")
+    __slots__ = ("op", "i", "results", "acc", "arrange")
 
-    def __init__(self, op: Exchange, machine: MachineModel,
-                 arrange: Optional[Callable[[List[Any]], Any]] = None):
+    def __init__(self, op: Exchange, i: int, results: Optional[List[Any]],
+                 acc: Any, arrange: Optional[Callable[[List[Any]], Any]]):
         self.op = op
-        self.i = 0
-        self.sent = False
-        self.combine = op.combine
+        self.i = i
+        self.results = results
+        self.acc = acc
         self.arrange = arrange
-        self.acc = op.initial
-        self.results: Optional[List[Any]] = (
-            None if op.combine is not None else [None] * len(op.recvs)
-        )
-        self.pre_wire = self.pre_busy = self.pre_msg = None
-        sends = op.sends
-        if len(sends) >= _VECTORIZE_ROUNDS:
-            wires: List[int] = []
-            append = wires.append
-            for s in sends:
-                if s is None:
-                    append(0)
-                    continue
-                payload = s[1]
-                if type(payload) is FromRound or payload is ACCUM:
-                    return  # chained payload: sizes only known per round
-                nbytes = s[3]
-                append(int(nbytes) if nbytes is not None
-                       else _wire_size(payload))
-            self.pre_wire = wires
-            busy, msg = machine.batch_message_costs(wires)
-            # Python lists: indexing them in the interpreter loop is much
-            # cheaper than extracting np.float64 scalars, and .tolist()
-            # round-trips the float64 values bit-exactly.
-            self.pre_busy = busy.tolist()
-            self.pre_msg = msg.tolist()
 
     def deliver(self, payload: Any) -> None:
         """Consume the payload of round ``i``'s recv and advance the cursor."""
-        if self.combine is not None:
-            self.acc = self.combine(self.acc, payload, self.i)
+        if self.results is None:
+            self.acc = self.op.combine(self.acc, payload, self.i)
         else:
             self.results[self.i] = payload
         self.i += 1
-        self.sent = False
 
     def result(self) -> Any:
-        if self.combine is not None:
+        if self.results is None:
             return self.acc
         if self.arrange is not None:
             return self.arrange(self.results)
@@ -295,7 +282,7 @@ class _RankState:
         self.failed = False  # an injected failure fired on this rank
         self.retval: Any = None
         self.send_value: Any = None  # value to send into the generator next
-        self.exch: Optional[_ExchState] = None  # in-progress Exchange
+        self.exch: Optional[_ExchState] = None  # Exchange blocked on a recv
 
 
 class Simulator:
@@ -485,26 +472,24 @@ class Simulator:
         has_faults = faults is not None
         nranks = self.nranks
         finished = 0
+        # Fault-free, timeline-free runs interpret Exchanges through the
+        # fast interpreter (same arithmetic, hoisted locals) and send big
+        # all-to-alls to the bulk executor; a fault plan or a timeline
+        # takes the general interpreter, the reference the other two are
+        # checked against.  Either is called as
+        # ``interpret(state, op, cursor or None, arrange)``.
+        fast = not has_faults and events is None
+        if fast:
+            interpret = partial(self._interpret_fast, states, mailbox, ready,
+                                acc_ranks, _Prices(machine))
+        else:
+            interpret = partial(self._advance_exchange, states, mailbox,
+                                faults, link_seq, fail_pending, ready, trace,
+                                obs)
         # Bulk all-to-all members rendezvous here (like a barrier) until
         # every member has arrived, then execute in one vectorized pass.
-        # Bulk execution needs a perfect machine and no per-op timeline.
-        bulk_ok = not has_faults and events is None
         exch_waiting: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
-        # Fault-free, timeline-free runs interpret Exchanges through the
-        # specialized fast interpreter (same arithmetic, hoisted locals);
-        # a fault plan or a timeline takes the general one, the reference
-        # the other two are checked against.
-        if has_faults or events is not None:
-            def advance_exchange(st):
-                return self._advance_exchange(
-                    st, states, mailbox, faults, link_seq,
-                    fail_pending, ready, trace, obs,
-                )
-        else:
-            def advance_exchange(st):
-                return self._advance_exchange_fast(
-                    st, states, mailbox, ready, trace,
-                )
+
         while finished < nranks:
             entry = ready.pop()
             if entry is None:
@@ -517,13 +502,16 @@ class Simulator:
             if state.done or state.blocked:
                 continue  # stale queue entry
 
-            if state.exch is not None:
+            ex = state.exch
+            if ex is not None:
                 # Resume the Exchange this rank blocked inside; the recv
                 # that woke it was already delivered into the cursor.
-                if not advance_exchange(state):
+                if ex.i == len(ex.op.recvs):
+                    # That was its last round: nothing left to interpret.
+                    state.send_value = ex.result()
+                    state.exch = None
+                elif not interpret(state, ex.op, ex, None):
                     continue
-                state.send_value = state.exch.result()
-                state.exch = None
 
             gen_send = state.gen.send
             # Advance this rank until it blocks or finishes.
@@ -568,11 +556,8 @@ class Simulator:
                     continue
 
                 if cls is Exchange:
-                    state.exch = _ExchState(op, machine)
-                    if not advance_exchange(state):
+                    if not interpret(state, op, None, None):
                         break
-                    state.send_value = state.exch.result()
-                    state.exch = None
                     continue
 
                 if cls is AllToAll:
@@ -587,7 +572,7 @@ class Simulator:
                             f"{group} at position {op.pos}, but its "
                             f"position there is {where}"
                         )
-                    if bulk_ok and size * (size - 1) >= _BULK_MIN_MSGS:
+                    if fast and size * (size - 1) >= _BULK_MIN_MSGS:
                         waiting = exch_waiting[group]
                         if waiting:
                             tag = states[waiting[0]].pending_alltoall.tag
@@ -607,12 +592,9 @@ class Simulator:
                         # This rank closed the group; keep running it.
                         self._bulk_alltoall(group, states, ready, trace)
                         continue
-                    state.exch = _ExchState(op.schedule(), machine,
-                                            op.by_source)
-                    if not advance_exchange(state):
+                    if not interpret(state, op.schedule(), None,
+                                     op.by_source):
                         break
-                    state.send_value = state.exch.result()
-                    state.exch = None
                     continue
 
                 if cls is Send:
@@ -694,7 +676,6 @@ class Simulator:
 
     def _advance_exchange(
         self,
-        state: _RankState,
         states: List[_RankState],
         mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]],
         faults,
@@ -703,114 +684,101 @@ class Simulator:
         ready: CohortQueue,
         trace: Trace,
         obs,
+        state: _RankState,
+        op: Exchange,
+        ex: Optional[_ExchState],
+        arrange: Optional[Callable[[List[Any]], Any]],
     ) -> bool:
-        """Interpret an Exchange until it completes (True) or blocks (False).
+        """Run ``op`` from round 0 (``ex`` None) or from its cursor until
+        it completes (True, its result in ``state.send_value``) or blocks.
 
-        The general interpreter: each round executes its send then its
-        recv through :meth:`_do_send` and :meth:`_complete_recv`, the
-        code the ``Send`` and ``Recv`` ops run, so pricing, accounting,
-        fault handling and FIFO matching are those of the per-message
-        ops — the whole schedule just runs without resuming the rank's
-        generator.  Fault plans and ``record_events=True`` timelines run
-        through here, and it is the reference that
-        :meth:`_advance_exchange_fast` and :meth:`_bulk_alltoall` must
-        reproduce bit for bit.  A rank blocked on a round's recv
-        is woken by the sender's :meth:`_do_send`, which delivers the
-        payload straight into the cursor (never recursing into this
-        method) and re-queues the rank; the main loop then resumes the
-        interpretation here.
+        The general interpreter, and the reference the fast one and the
+        bulk executor reproduce bit for bit: each round's send and recv
+        run through :meth:`_do_send` and :meth:`_complete_recv`, the code
+        of the ``Send`` and ``Recv`` ops, so fault plans and timelines
+        see every message.  A rank blocked on a round's recv is woken by
+        its sender, which delivers into the cursor and re-queues it.
         """
-        ex = state.exch
-        op = ex.op
+        if ex is None:
+            results = None if op.combine is not None else [None] * len(op.recvs)
+            ex = state.exch = _ExchState(op, 0, results, op.initial, arrange)
         sends = op.sends
         recvs = op.recvs
         nrounds = len(sends)
         rank = state.rank
-        results = ex.results
-        pre_busy = ex.pre_busy
         while ex.i < nrounds:
             i = ex.i
-            if not ex.sent:
-                if fail_pending and self._maybe_fail(state, fail_pending, obs):
-                    return False
-                s = sends[i]
-                if s is not None:
-                    dest, payload, tag, nbytes, droppable = s
-                    if payload is ACCUM:
-                        payload = ex.acc
-                    elif type(payload) is FromRound:
-                        payload = results[payload.round]
-                    if pre_busy is not None:
-                        self._do_send(
-                            rank, state, dest, payload, tag,
-                            ex.pre_wire[i], droppable, states, mailbox,
-                            faults, link_seq, ready, trace, obs,
-                            busy=float(pre_busy[i]),
-                            msg_time=float(ex.pre_msg[i]),
-                        )
-                    else:
-                        wire = (int(nbytes) if nbytes is not None
-                                else payload_nbytes(payload))
-                        self._do_send(
-                            rank, state, dest, payload, tag, wire,
-                            droppable, states, mailbox, faults, link_seq,
-                            ready, trace, obs,
-                        )
-                ex.sent = True
+            if fail_pending and self._maybe_fail(state, fail_pending, obs):
+                return False
+            s = sends[i]
+            if s is not None:
+                dest, payload, tag, nbytes, droppable = s
+                if payload is ACCUM:
+                    payload = ex.acc
+                elif type(payload) is FromRound:
+                    payload = ex.results[payload.round]
+                wire = (int(nbytes) if nbytes is not None
+                        else payload_nbytes(payload))
+                self._do_send(
+                    rank, state, dest, payload, tag, wire, droppable,
+                    states, mailbox, faults, link_seq, ready, trace, obs,
+                )
             r = recvs[i]
             if r is None:
                 ex.i += 1
-                ex.sent = False
                 continue
             if fail_pending and self._maybe_fail(state, fail_pending, obs):
                 return False
             src, tag = r
             state.pending_recv = (src, tag, state.clock)
-            if (rank, src, tag) in mailbox:
-                # _complete_recv delivers into the cursor (state.exch is
-                # set), advancing ex.i past this round.
-                self._complete_recv(state, mailbox, trace)
-                continue
-            state.blocked = True
-            return False
+            if (rank, src, tag) not in mailbox:
+                state.blocked = True
+                return False
+            # _complete_recv delivers into the cursor (state.exch is
+            # set), advancing ex.i past this round.
+            self._complete_recv(state, mailbox, trace)
+        state.send_value = ex.result()
+        state.exch = None
         return True
 
-    def _advance_exchange_fast(
+    def _interpret_fast(
         self,
-        state: _RankState,
         states: List[_RankState],
         mailbox: Dict[Tuple[int, int, int], Deque[Tuple[float, Any, int]]],
         ready: CohortQueue,
-        trace: Trace,
+        acc_ranks: List[RankAccounting],
+        prices: _Prices,
+        state: _RankState,
+        op: Exchange,
+        ex: Optional[_ExchState],
+        arrange: Optional[Callable[[List[Any]], Any]],
     ) -> bool:
-        """Fault-free, timeline-free Exchange interpreter (the hot path).
+        """:meth:`_advance_exchange` on a perfect machine with the
+        timeline off: the *same arithmetic in the same order*, so clocks
+        and accounting are bit-identical, with less host work.
 
-        Performs the *same arithmetic in the same order* as
-        :meth:`_advance_exchange` + :meth:`_do_send` +
-        :meth:`_complete_recv`, so clocks and accounting are bit-identical
-        — the savings are purely constant-factor: the rank's clock and
-        accounting fields live in locals (written back on every exit via
-        the ``finally``), method-call overhead per message disappears,
-        and vectorized costs are plain-list lookups.  Selected by
-        :meth:`_event_loop` only when no fault plan is installed and the
-        timeline is off; any observer-visible run keeps the general path.
+        A fresh exchange (``ex`` None) runs straight from the op and gets
+        a cursor only when a receive has to wait.  The rank's clock and
+        accounting live in locals (written back by the ``finally``), each
+        wire size is priced once per run (``prices``), and a send that a
+        parked receiver waits for completes that receive in place and
+        queues the receiver with its cursor past the round.
         """
-        ex = state.exch
-        op = ex.op
         sends = op.sends
         recvs = op.recvs
         nrounds = len(sends)
+        combine = op.combine
+        if ex is None:
+            i = 0
+            results = None if combine is not None else [None] * nrounds
+            value = op.initial
+        else:
+            i = ex.i
+            results = ex.results
+            value = ex.acc
+            arrange = ex.arrange
         rank = state.rank
-        results = ex.results
-        combine = ex.combine
-        pre_wire = ex.pre_wire
-        pre_busy = ex.pre_busy
-        pre_msg = ex.pre_msg
-        machine = self.machine
-        send_busy_time = machine.send_busy_time
-        message_time = machine.message_time
-        recv_busy_time = machine.recv_busy_time
-        acc = trace.ranks[rank]
+        acc = acc_ranks[rank]
         clock = state.clock
         sbt = acc.send_busy_time
         nsent = acc.messages_sent
@@ -819,75 +787,90 @@ class Simulator:
         rbt = acc.recv_busy_time
         nrecv = acc.messages_received
         brecv = acc.bytes_received
-        i = ex.i
         try:
             while i < nrounds:
-                if not ex.sent:
-                    s = sends[i]
-                    if s is not None:
-                        dest, payload, tag, nbytes, _droppable = s
-                        if payload is ACCUM:
-                            payload = ex.acc
-                        elif type(payload) is FromRound:
-                            payload = results[payload.round]
-                        if pre_busy is not None:
-                            wire = pre_wire[i]
-                            busy = pre_busy[i]
-                            arrival = clock + pre_msg[i]
+                s = sends[i]
+                if s is not None:
+                    dest, payload, tag, nbytes, _droppable = s
+                    if payload is ACCUM:
+                        payload = value
+                    elif type(payload) is FromRound:
+                        payload = results[payload.round]
+                    if nbytes is not None:
+                        wire = int(nbytes)
+                    elif type(payload) is np.ndarray:
+                        wire = payload.nbytes
+                    else:
+                        wire = _wire_size(payload)
+                    busy, msg_time, recv_busy = prices[wire]
+                    arrival = clock + msg_time
+                    clock += busy
+                    sbt += busy
+                    nsent += 1
+                    bsent += wire
+                    dest_state = states[dest]
+                    # Without faults a pending receive means a blocked
+                    # rank, and its channel is empty: this message is the
+                    # one it waits for.
+                    pending = dest_state.pending_recv
+                    if (pending is not None and pending[0] == rank
+                            and pending[1] == tag):
+                        # _complete_recv's arithmetic, in place.
+                        dclock = dest_state.clock
+                        wait = arrival - dclock
+                        if wait < 0.0:
+                            wait = 0.0
+                        dest_state.clock = dclock + (wait + recv_busy)
+                        dacc = acc_ranks[dest]
+                        dacc.recv_wait_time += wait
+                        dacc.recv_busy_time += recv_busy
+                        dacc.messages_received += 1
+                        dacc.bytes_received += wire
+                        dest_state.pending_recv = None
+                        dest_state.blocked = False
+                        if dest_state.exch is None:
+                            dest_state.send_value = payload
                         else:
-                            wire = (int(nbytes) if nbytes is not None
-                                    else _wire_size(payload))
-                            busy = send_busy_time(wire)
-                            arrival = clock + message_time(wire)
+                            dest_state.exch.deliver(payload)
+                        ready.push(dest_state.clock, dest)
+                    else:
                         mailbox[(dest, rank, tag)].append(
                             (arrival, payload, wire)
                         )
-                        clock += busy
-                        sbt += busy
-                        nsent += 1
-                        bsent += wire
-                        dest_state = states[dest]
-                        if (dest_state.blocked
-                                and dest_state.pending_recv is not None):
-                            src, rtag, _post = dest_state.pending_recv
-                            if src == rank and rtag == tag:
-                                self._complete_recv(dest_state, mailbox, trace)
-                                ready.push(dest_state.clock, dest)
-                    ex.sent = True
                 r = recvs[i]
-                if r is None:
-                    ex.sent = False
-                    i += 1
-                    continue
-                src, tag = r
-                key = (rank, src, tag)
-                queue = mailbox.get(key)
-                if queue:
+                if r is not None:
+                    src, tag = r
+                    key = (rank, src, tag)
+                    queue = mailbox.get(key)
+                    if not queue:
+                        if ex is None:
+                            ex = state.exch = _ExchState(
+                                op, i, results, value, arrange
+                            )
+                        else:
+                            ex.i = i
+                            ex.acc = value
+                        state.pending_recv = (src, tag, clock)
+                        state.blocked = True
+                        return False
                     arrival, payload, nbytes = queue.popleft()
                     if not queue:
                         del mailbox[key]
                     wait = arrival - clock
                     if wait < 0.0:
                         wait = 0.0
-                    busy = recv_busy_time(nbytes)
+                    busy = prices[nbytes][2]
                     clock += wait + busy
                     rwt += wait
                     rbt += busy
                     nrecv += 1
                     brecv += nbytes
-                    if combine is not None:
-                        ex.acc = combine(ex.acc, payload, i)
+                    if results is None:
+                        value = combine(value, payload, i)
                     else:
                         results[i] = payload
-                    ex.sent = False
-                    i += 1
-                    continue
-                state.pending_recv = (src, tag, clock)
-                state.blocked = True
-                return False
-            return True
+                i += 1
         finally:
-            ex.i = i
             state.clock = clock
             acc.send_busy_time = sbt
             acc.messages_sent = nsent
@@ -896,6 +879,14 @@ class Simulator:
             acc.recv_busy_time = rbt
             acc.messages_received = nrecv
             acc.bytes_received = brecv
+        if results is None:
+            state.send_value = value
+        elif arrange is not None:
+            state.send_value = arrange(results)
+        else:
+            state.send_value = results
+        state.exch = None
+        return True
 
     def _bulk_alltoall(
         self,
@@ -913,12 +904,9 @@ class Simulator:
         ``sidx[g, r] = (g - r - 1) % G``.  The wire sizes are taken once,
         as the ``(G, G)`` matrix ``W``, priced in one
         :meth:`MachineModel.batch_message_costs` call (elementwise, so
-        bit-identical to pricing message by message), and all ``G`` member
-        clocks advance
-        round by round with elementwise array arithmetic.  Bit-identity
-        argument: round ``r``'s receive on every member consumes exactly
-        round ``r``'s send of its partner (one channel visit per round,
-        FIFO trivially preserved), so the per-round recurrence
+        bit-identical to pricing message by message).  Round ``r``'s
+        receive on every member consumes exactly round ``r``'s send of
+        its partner, so the per-round recurrence
 
         ``arrival = clocks + msg[:, r]``  (sender clock before its busy)
         ``clocks += busy[:, r]``          (sender injection)
@@ -927,27 +915,28 @@ class Simulator:
 
         performs the *same IEEE operations in the same order* as the
         scalar interpreter running :meth:`AllToAll.schedule` on every
-        member — clocks, accounting floats (seeded from, and written back
-        to, the trace accumulators) and counts are all bit-identical.
-        Accumulator vectors fold one round at a time rather than via
-        ``np.sum`` precisely to keep the float association identical to
-        the sequential path.  Member ``g`` receives column ``g`` of the
-        chunk lists, transposed in C by ``zip``.
-
-        Members other than the caller were parked blocked; they are
-        unblocked with their results and re-queued here.  The caller
-        (the last member to arrive) continues inline.
+        member; accumulator vectors fold one round at a time (not
+        ``np.sum``) to keep the float association.  Member ``g`` receives
+        column ``g`` of the chunk lists, transposed in C by ``zip``.
+        Parked members are woken and re-queued here; the caller (the
+        last member to arrive) continues inline.
         """
         G = len(group)
         R = G - 1
         machine = self.machine
         members = [states[g] for g in group]
-        chunk_lists = []
-        for s in members:
-            chunk_lists.append(s.pending_alltoall.chunks)
-            s.pending_alltoall = None
-        W = np.array([list(map(_wire_size, c)) for c in chunk_lists],
-                     dtype=np.int64)
+        chunk_lists = [s.pending_alltoall.chunks for s in members]
+        W = np.empty((G, G), dtype=np.int64)
+        for g, chunks in enumerate(chunk_lists):
+            # One type test per row: the hot collectives send rows of
+            # Python scalars or of arrays.
+            kinds = set(map(type, chunks))
+            if kinds <= {float, int}:
+                W[g] = 8
+            elif kinds == {np.ndarray}:
+                W[g] = [c.nbytes for c in chunks]
+            else:
+                W[g] = list(map(_wire_size, chunks))
         rows = np.arange(G)[:, None]
         shift = np.arange(1, G)  # round r + 1
         wire = W[rows, (rows + shift) % G]
@@ -957,9 +946,9 @@ class Simulator:
         # Receive pricing depends only on nbytes: price each distinct
         # wire size once through the machine model.
         recv_busy_time = machine.recv_busy_time
-        rbusy = np.empty((G, R))
-        for u in np.unique(in_wire):
-            rbusy[in_wire == u] = recv_busy_time(int(u))
+        sizes, inverse = np.unique(in_wire, return_inverse=True)
+        rbusy = np.array([recv_busy_time(int(u)) for u in sizes],
+                         dtype=np.float64)[inverse.reshape(in_wire.shape)]
 
         acc_ranks = trace.ranks
         clocks = np.array([s.clock for s in members])
@@ -987,6 +976,7 @@ class Simulator:
         rbt_l = rbt.tolist()
         for gi, g in enumerate(group):
             s = members[gi]
+            s.pending_alltoall = None
             s.send_value = list(transposed[gi])
             s.clock = clocks_l[gi]
             acc = acc_ranks[g]
@@ -1019,19 +1009,12 @@ class Simulator:
         ready: CohortQueue,
         trace: Trace,
         obs,
-        busy: Optional[float] = None,
-        msg_time: Optional[float] = None,
     ) -> None:
-        """Execute one eager send (shared by the Send op and Exchange rounds).
-
-        ``busy``/``msg_time`` may be supplied pre-priced (the vectorized
-        Exchange path); they equal ``machine.send_busy_time(wire)`` /
-        ``machine.message_time(wire)`` bit-for-bit.
-        """
+        """Execute one eager send (shared by the Send op and the general
+        interpreter's Exchange rounds)."""
         machine = self.machine
-        if busy is None:
-            busy = machine.send_busy_time(wire)
-            msg_time = machine.message_time(wire)
+        busy = machine.send_busy_time(wire)
+        msg_time = machine.message_time(wire)
         arrival = state.clock + msg_time
         if faults is not None and droppable:
             key = (rank, dest)

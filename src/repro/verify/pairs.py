@@ -1005,9 +1005,9 @@ def engine_fast_vs_general_pair() -> ImplementationPair:
         name="engine-fast-vs-general",
         # p reaches past 23 so some sampled configs push the pairwise
         # all-to-all over the bulk group-synchronous threshold
-        # (p*(p-1) >= 512) while smaller ones take the per-exchange
-        # vectorized and scalar paths — all three must agree with the
-        # general interpreter exactly.
+        # (p*(p-1) >= 512) while smaller ones lower it to an Exchange
+        # for the fast interpreter — both must agree with the general
+        # interpreter exactly.
         space=ParamSpace({"p": (2, 26), "n": (1, 24)}),
         reference=_engine_runner(general=True),
         candidate=_engine_runner(general=False),

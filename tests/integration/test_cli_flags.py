@@ -515,6 +515,31 @@ def test_docs_checker_parses_sample_profile_lines(tmp_path):
     assert "2 command line(s) checked, 1 rejected" in proc.stdout
 
 
+def test_sample_profile_calls_mode_flags():
+    # `--call` is no spelling of --calls; --calls and --memory exclude
+    # each other; --calls checks --unit like the other modes.
+    for argv, expected in (
+        (("--call",), "'--call'"),
+        (("--calls", "--memory"), "not allowed with argument"),
+        (("--calls", "--workload", "engine_scale", "--unit", "table8@4x4"),
+         "not a unit of engine_scale: table8@4x4"),
+    ):
+        proc = _run_tool("sample_profile.py", *argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("sample_profile.py: "), proc.stderr
+        assert expected in proc.stderr, proc.stderr
+
+
+def test_sample_profile_calls_are_the_same_in_two_interpreters():
+    argv = ("--workload", "engine_scale", "--unit", "probe240x4",
+            "--seed", "3", "--calls")
+    first, second = (_run_tool("sample_profile.py", *argv) for _ in "ab")
+    assert first.returncode == 0, first.stderr
+    assert "calls per unit" in first.stdout
+    assert "probe240x4" in first.stdout and "repro.parallel" in first.stdout
+    assert first.stdout == second.stdout
+
+
 def test_docs_checker_accepts_the_sample_profile_memory_flag(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("`python tools/sample_profile.py --workload engine_scale "

@@ -58,8 +58,8 @@ def mailboxes(monkeypatch):
     return seen
 
 
-#: p = 2 and 12 price every message per message (scalar, then
-#: vectorized); p = 26 runs its all-to-all through the bulk executor.
+#: p = 2 and 12 interpret every exchange message by message; p = 26 runs
+#: its all-to-all through the bulk executor.
 #: A timeline sends the exchanges through the general interpreter.
 @pytest.mark.parametrize("record_events", [False, True])
 @pytest.mark.parametrize("p", [2, 12, 26])

@@ -51,9 +51,9 @@ def _digest(res, returns=()) -> str:
 # collective mix of the engine differential pair: (p, n, seed)
 # ----------------------------------------------------------------------
 
-#: p = 2 and 7 price every message through the scalar cost functions,
-#: p = 12 takes the per-exchange vectorized pricing, p >= 24 crosses
-#: ``_BULK_MIN_MSGS`` and runs the all-to-all through the bulk executor.
+#: p = 2, 7 and 12 interpret every exchange (the all-to-all lowered to its
+#: shift schedule), p >= 24 crosses ``_BULK_MIN_MSGS`` and runs the
+#: all-to-all through the bulk executor.
 COLLECTIVE_MIX = {
     (2, 5, 101):
         "2945ad17ec68ea4a8765592a513805f6e0c4834fb572129e0fb64f9ed6f256f1",

@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.parallel import collectives as coll
 from repro.parallel.events import AllToAll, Exchange
-from repro.parallel.machine import GENERIC, PARAGON
+from repro.parallel.machine import GENERIC, PARAGON, MachineModel
 from repro.parallel.scheduler import (
     _BULK_MIN_MSGS,
     CohortQueue,
     DeadlockError,
     Simulator,
+    _ExchState,
 )
 
 # Small clock alphabet so timestamp ties (the interesting case for
@@ -295,6 +296,62 @@ class TestAllToAllWorkCount:
         )
         assert counts == {"schedule": p, "exchange": p}
         assert res.returns[p - 1] == [float(r) for r in range(p)]
+
+
+class TestExchangeWorkCount:
+    """Host-independent: what the fast interpreter builds and prices.
+
+    A point-to-point ring of ``P`` ranks x ``R`` ``sendrecv`` rounds gets
+    a cursor only for the receives that had to wait, and a run prices
+    each distinct wire size once, not once per message."""
+
+    P, R = 24, 10
+
+    @staticmethod
+    def _ring(ctx, rounds, sizes):
+        """``rounds`` ``sendrecv``s to the right, of ``sizes[i % n]``
+        float64 values, after compute that skews the ranks' clocks."""
+        right = (ctx.rank + 1) % ctx.size
+        left = (ctx.rank - 1) % ctx.size
+        for i in range(rounds):
+            yield from ctx.compute(seconds=1e-6 * (ctx.rank % 3))
+            yield from ctx.sendrecv(
+                dest=right, payload=np.zeros(sizes[i % len(sizes)]),
+                source=left, tag=i,
+            )
+
+    def test_cursor_only_for_receives_that_wait(self, monkeypatch):
+        built = [0]
+        init = _ExchState.__init__
+
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_ExchState, "__init__", counted)
+        res = Simulator(self.P, GENERIC).run(self._ring, self.R, (4,))
+        waited = built[0]
+        assert 0 < waited < self.P * self.R
+        # The general interpreter keeps one cursor per exchange.
+        built[0] = 0
+        ref = Simulator(self.P, GENERIC, record_events=True).run(
+            self._ring, self.R, (4,)
+        )
+        assert built[0] == self.P * self.R
+        assert res.clocks == ref.clocks
+
+    def test_each_wire_size_priced_once_per_run(self, monkeypatch):
+        calls = []
+        send_busy_time = MachineModel.send_busy_time
+
+        def counted(self, nbytes):
+            calls.append(nbytes)
+            return send_busy_time(self, nbytes)
+
+        monkeypatch.setattr(MachineModel, "send_busy_time", counted)
+        sizes = (1, 3, 8)
+        Simulator(self.P, GENERIC).run(self._ring, self.R, sizes)
+        assert sorted(calls) == [8 * n for n in sizes]
 
 
 def _ragged_chunk(rank, d, size):

@@ -122,3 +122,40 @@ def test_concurrent_runs_do_not_see_each_others_plan():
     assert {who for who, _ in plans["a"]} == {"a"}
     assert {who for who, _ in plans["b"]} == {"b"}
     assert len(plans["a"]) == len(plans["b"]) == 1
+
+
+def test_a_group_is_validated_once_per_run(monkeypatch):
+    """Every member of a row asks ``ctx.group`` for the same rank tuple;
+    it is checked once per run, then only for membership."""
+    import repro.parallel.comm as comm
+
+    checked = []
+    validated = comm._validated_group
+
+    def counted(ranks, size):
+        checked.append(ranks)
+        return validated(ranks, size)
+
+    monkeypatch.setattr(comm, "_validated_group", counted)
+
+    def program(ctx):
+        row = tuple(range(ctx.rank - ctx.rank % 4, ctx.rank - ctx.rank % 4 + 4))
+        for _ in range(3):
+            group = ctx.group(row)
+        total = yield from group.allreduce(ctx.rank)
+        return group.rank, total
+
+    res = Simulator(12, GENERIC).run(program)
+    assert sorted(checked) == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+    assert res.returns[5] == (1, 4 + 5 + 6 + 7)
+    Simulator(12, GENERIC).run(program)  # a new run checks again
+    assert len(checked) == 6
+
+
+def test_group_rejects_a_non_member_after_validation():
+    def program(ctx):
+        ctx.group((0, 1))
+        yield from ctx.compute(seconds=0.0)
+
+    with pytest.raises(ValueError, match="rank 2 not a member of group"):
+        Simulator(3, GENERIC).run(program)

@@ -13,6 +13,7 @@ the inclusive share (anywhere on the stack) per function::
     python tools/sample_profile.py --workload agcm_model [--passes 3]
     python tools/sample_profile.py --workload filter_tables --unit table8@4x4
     python tools/sample_profile.py --workload engine_scale --memory
+    python tools/sample_profile.py --workload engine_scale --calls
 
 ``--unit`` (repeatable) profiles only the named units of the workload; a
 label that is not one of its units exits 2 and lists the valid ones.
@@ -21,18 +22,28 @@ label that is not one of its units exits 2 and lists the valid ones.
 :mod:`tracemalloc`, each tick snapshots the traces once the traced size
 has grown 5 % past the last snapshot, and the tool prints the traced
 peak and the top allocation sites (file:line) of the largest snapshot.
+
+``--calls`` counts work instead of timing it: after the warm-up pass,
+each unit runs once more under :mod:`cProfile`, and the tool prints the
+Python function calls of that pass, in total and per top-level
+``repro`` package.  Host noise does not move the counts, so two runs of
+the same tree print the same table.
 """
 
 from __future__ import annotations
 
+import cProfile
 import collections
+import dataclasses
 import os
+import pstats
 import signal
 import sys
 import time
 import tracemalloc
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_REPRO_SRC = os.path.join(_REPO_ROOT, "src", "repro")
 sys.path[:0] = [os.path.join(_REPO_ROOT, "src"),
                 os.path.join(_REPO_ROOT, "bench")]
 
@@ -64,9 +75,14 @@ def parse_args(argv=None):
     parser.add_argument("--unit", action="append", metavar="LABEL",
                         help="profile only this unit of --workload "
                         "(repeatable; default: every unit)")
-    parser.add_argument("--memory", action="store_true",
-                        help="trace allocations instead of sampling CPU: "
-                        "the traced peak and the top allocation sites")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--memory", action="store_true",
+                      help="trace allocations instead of sampling CPU: "
+                      "the traced peak and the top allocation sites")
+    mode.add_argument("--calls", action="store_true",
+                      help="count Python function calls instead of "
+                      "sampling CPU: one cProfile pass per unit, split "
+                      "by repro package (--passes is not used)")
     args = parser.parse_args(argv)
     valid = unit_labels(args.workload)
     unknown = [label for label in args.unit or () if label not in valid]
@@ -85,6 +101,8 @@ def main(argv=None) -> int:
     run_sim_pass(plan, False, rec)  # imports, caches, first-touch pages
     if args.memory:
         return memory_profile(args, plan, rec)
+    if args.calls:
+        return calls_profile(args, plan, rec)
 
     leaf: collections.Counter = collections.Counter()
     inclusive: collections.Counter = collections.Counter()
@@ -177,6 +195,52 @@ def memory_profile(args, plan, rec) -> int:
         print(f"  {size / 1e6:7.2f} MB  {count:8d} blocks  "
               f"{where}:{frame.lineno}")
     return 0
+
+
+def calls_profile(args, plan, rec) -> int:
+    """``--calls``: each unit's Python function calls in one cProfile
+    pass, in total and per top-level ``repro`` package ("other" is
+    everything outside ``src/repro``: the benchmark, numpy, the standard
+    library)."""
+    counts = {}
+    for label in plan.order:
+        profile = cProfile.Profile()
+        result = profile.runcall(
+            run_sim_pass, dataclasses.replace(plan, order=[label]), False, rec
+        )
+        if result.failed:
+            print("\n".join(result.errors), file=sys.stderr)
+            return 1
+        per_package: collections.Counter = collections.Counter()
+        for (filename, _line, _name), (_cc, ncalls, *_rest) in (
+                pstats.Stats(profile).stats.items()):
+            if filename != "~":  # "~" files the built-in functions
+                per_package[_package(filename)] += ncalls
+        counts[label] = per_package
+    packages = sorted({p for c in counts.values() for p in c} - {"other"})
+    columns = ["calls", *packages, "other"]
+    width = max(len(label) for label in counts)
+    print(f"{args.workload}: one cProfile pass per unit after the warm-up, "
+          f"seed {args.seed}")
+    print("\ncalls per unit (Python function calls)")
+    widths = [max(len(c), 8) for c in columns]
+    print(f"  {'unit':<{width}}"
+          + "".join(f"  {c:>{w}}" for c, w in zip(columns, widths)))
+    for label, per_package in counts.items():
+        row = [sum(per_package.values())] + [per_package[p]
+                                             for p in columns[1:]]
+        print(f"  {label:<{width}}"
+              + "".join(f"  {n:>{w}}" for n, w in zip(row, widths)))
+    return 0
+
+
+def _package(filename: str) -> str:
+    """``repro.<top-level package or module>`` of a source file, or
+    ``"other"``."""
+    rel = os.path.relpath(os.path.abspath(filename), _REPRO_SRC)
+    if rel.startswith(".."):
+        return "other"
+    return "repro." + rel.split(os.sep)[0].removesuffix(".py")
 
 
 if __name__ == "__main__":
