@@ -35,6 +35,14 @@ def circulant_rows(
     on the same values as with a full N x N build.  A caller holding
     ``d`` (:meth:`PolarFilter.doubled_kernel` memoises it per row) passes
     it as ``doubled``; otherwise it is built here.
+
+    The convolution backends build one block per distinct ``(filter,
+    latitude)`` of a processor row per application and multiply it into
+    each unit's lines that share the kernel.  Each block is its own
+    allocation: blocks cut from one shared array changed the last bits of
+    one-layer products (the BLAS result depends on operand alignment),
+    and blocks kept across applications would cost N x N floats per
+    ``(filter, latitude)`` for the life of the backend.
     """
     n = kernel.shape[0]
     if not 0 <= lo < hi <= n:

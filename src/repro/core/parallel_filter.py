@@ -20,17 +20,19 @@ serial case):
 Every backend runs one pipeline, :meth:`FilterBackend.apply` (a generator
 to be run inside a rank program), and is one row of :data:`_BACKENDS`: an
 assignment, its coefficient set-up and a ``filter_held`` generator.
-*Pack* the segments of the units the rank's processor row owns and keeps;
-*stage A* (the Section 3.3 balancer, Figure 2 — nothing to do under a
-natural assignment) ships the segments assigned to another row, takes in
-the row's arrivals and puts kept and arrived segments in plan order with
-one precomputed index, so the rank *holds* its longitude segment of every
-unit assigned to its row.  ``filter_held`` exchanges within the row,
-filters, and returns an array of the same shape; visitors go home;
+*Pack* the segments of the units the rank's processor row owns and keeps
+straight into their columns of the plan-order *held* array; *stage A*
+(the Section 3.3 balancer, Figure 2 — nothing to do under a natural
+assignment) ships the segments assigned to another row and writes each
+arrival into its own columns, so the rank *holds* its longitude segment
+of every unit assigned to its row.  ``filter_held`` exchanges within the
+row, filters, and returns an array of the same shape; visitors go home;
 *store*.  The balancer only decides where row units live, whatever
 filters them: in plan order the lines of each processor column are a
 contiguous column slice of the held array and each stage-A move is one
-index array, so nothing between pack and store works unit by unit.
+column slice or index array, so nothing between pack and store works
+unit by unit — and pack and store themselves copy one *run* at a time
+(consecutive latitude rows of one variable), not one unit.
 
 The drivers move *real* array data (results are asserted identical to the
 serial filters in the test suite) and charge the machine model for every
@@ -48,6 +50,7 @@ filtered fields must be 3-D ``(nlat, nlon, nlayers)`` arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -117,9 +120,9 @@ class FilterBackend:
       :mod:`repro.core.spectral`, never N x N operators.  Of this, the
       layout is the same on every rank of a processor row — which units
       the row keeps, ships and takes in, and where the lines of each of
-      its columns sit in the held array: the first rank of a row to apply
-      builds that once (:class:`_RowState`) and the others of the row
-      read it.
+      its columns sit in the held array — and so are the convolution
+      kernels: the first rank of a row to apply builds them once
+      (:class:`_RowState`) and the others of the row read them.
 
     Every later ``apply`` is data movement and arithmetic.  The state is
     rebuilt only if a rank's layer counts change.  It lives and dies with
@@ -147,6 +150,7 @@ class FilterBackend:
         row, j, nlon_loc = st.row, st.j_col, st.sub.nlon
 
         # ---------- pack, stage A: latitudinal redistribution -------------
+        # Kept segments land in their held columns, each arrival in its own.
         held = row.own.pack(local_fields, nlon_loc)
         if row.outgoing or row.incoming:
             arrived = yield from _stage_a(
@@ -154,11 +158,8 @@ class FilterBackend:
                 [(to[j], p.pack(local_fields, nlon_loc)) for to, p in row.outgoing],
                 [source[j] for source, _ in row.incoming],
             )
-            if arrived:
-                # take, not held[:, index]: the result must be C-ordered
-                # or every later row slice of the lines is a real copy.
-                held = np.concatenate([held, *arrived], axis=1)
-                held = held.take(row.arrive, axis=1)
+            for (_, cols), payload in zip(row.incoming, arrived):
+                held[:, cols] = payload
             del arrived
 
         # ---------- the backend filters what the row holds ----------------
@@ -171,16 +172,20 @@ class FilterBackend:
             held = yield from filtering
 
         # ---------- stage A home, store -----------------------------------
+        # Visitors leave as views of ``held`` where their columns are one
+        # slice; nothing writes ``held`` once they are sent.
         if row.outgoing or row.incoming:
             returned = yield from _stage_a(
                 ctx, _TAG_STAGE_A_BACK,
-                [(to[j], held.take(cols, axis=1)) for to, cols in row.incoming],
+                [
+                    (to[j], held[:, cols] if isinstance(cols, slice)
+                     else held.take(cols, axis=1))
+                    for to, cols in row.incoming
+                ],
                 [source[j] for source, _ in row.outgoing],
             )
             for (_, p), payload in zip(row.outgoing, returned):
                 p.store(local_fields, payload)
-            if row.incoming:
-                held = held.take(row.own_cols, axis=1)
         row.own.store(local_fields, held)
 
 
@@ -235,62 +240,95 @@ class _Packing:
 
     A packing of units whose latitudes this rank holds is built with the
     rank's ``lat0`` and can also address the local field rows
-    (:meth:`pack`, :meth:`store`).  One of units held elsewhere (a row
-    that took in stage-A arrivals, the lines of a column) has
-    ``rows = None``, so those two raise instead of indexing somebody
-    else's latitude.
+    (:meth:`pack`, :meth:`store`), one *run* at a time.  One of units
+    held elsewhere (a row that took in stage-A arrivals) has ``runs =
+    None``, so those two raise instead of indexing somebody else's
+    latitude.  A packing built ``within`` another (the units a row keeps,
+    among all it holds) puts each unit at its columns there and packs an
+    array of that one's width.
     """
 
     def __init__(
         self, plan: FilterPlan, units: Sequence[int],
         layers: Dict[str, int], lat0: Optional[int] = None,
+        within: Optional["_Packing"] = None,
     ):
         self.units = tuple(units)
         row_units = [plan.units[u] for u in self.units]
-        #: (variable, local latitude row) of each unit; owned units only.
-        self.rows = None if lat0 is None else [
-            (ru.var, ru.lat - lat0) for ru in row_units
-        ]
         #: (filter, latitude) of each unit: :mod:`repro.core.spectral`'s memo key.
         self.filters = [(plan.filter_for(ru), ru.lat) for ru in row_units]
-        offsets = np.cumsum([0] + [layers[ru.var] for ru in row_units]).tolist()
-        #: Layer-column range of each unit inside the packed array.
-        self.bounds = list(zip(offsets, offsets[1:]))
-        self.width = offsets[-1]
+        if within is None:
+            offsets = np.cumsum([0] + [layers[ru.var] for ru in row_units]).tolist()
+            #: Layer-column range of each unit inside the packed array.
+            self.bounds = list(zip(offsets, offsets[1:]))
+            self.width = offsets[-1]
+        else:
+            where = dict(zip(within.units, within.bounds))
+            self.bounds = [where[u] for u in self.units]
+            self.width = within.width
+        #: Owned units only: maximal ``(var, row0, row1, col0, col1)``
+        #: groups of consecutive local rows of one variable whose packed
+        #: columns are contiguous — the unit of :meth:`pack` and
+        #: :meth:`store`.  Plan order puts a variable's rows side by side,
+        #: so a natural assignment has one run per variable and hemisphere.
+        self.runs = None
+        if lat0 is not None:
+            runs = []
+            for ru, (a, b) in zip(row_units, self.bounds):
+                row = ru.lat - lat0
+                # Same variable, next row, next column: extend the last run.
+                if runs and runs[-1][::2] == (ru.var, row, a):
+                    runs[-1] = (ru.var, runs[-1][1], row + 1, runs[-1][3], b)
+                else:
+                    runs.append((ru.var, row, row + 1, a, b))
+            self.runs = runs
 
     def pack(self, local_fields: Dict[str, np.ndarray], nlon_loc: int):
-        """This rank's segments side by side: ``(nlon_loc, width)``."""
-        if not self.units:
-            return np.empty((nlon_loc, 0))
-        return np.concatenate(
-            [local_fields[var][row] for var, row in self.rows], axis=1
-        )
+        """This rank's segments in their columns, one strided copy per
+        run: ``(nlon_loc, width)``.  Columns of no run (a held array's
+        arrivals) are left unset."""
+        out = np.empty((nlon_loc, self.width))
+        for var, r0, r1, a, b in self.runs:
+            n = r1 - r0
+            out[:, a:b].reshape(nlon_loc, n, (b - a) // n)[...] = (
+                local_fields[var][r0:r1].transpose(1, 0, 2)
+            )
+        return out
 
     def store(self, local_fields: Dict[str, np.ndarray], packed: np.ndarray):
-        """Write filtered segments back into the local field rows."""
-        for (var, row), (a, b) in zip(self.rows, self.bounds):
-            local_fields[var][row] = packed[:, a:b]
+        """Write filtered segments back into the local field rows, one
+        strided copy per run."""
+        nlon_loc = packed.shape[0]
+        for var, r0, r1, a, b in self.runs:
+            n = r1 - r0
+            local_fields[var][r0:r1] = packed[:, a:b].reshape(
+                nlon_loc, n, (b - a) // n
+            ).transpose(1, 0, 2)
 
-    def cols(self, units: Sequence[int]) -> np.ndarray:
-        """The layer columns, in the packed array, of some of its units."""
+    def cols(self, units: Sequence[int]):
+        """The layer columns, in the packed array, of some of its units:
+        one slice where they are contiguous, else an index array."""
         where = dict(zip(self.units, self.bounds))
-        return np.array(
-            [c for u in units for c in range(*where[u])], dtype=np.intp
-        )
+        spans = [where[u] for u in units]
+        if all(b == a for (_, b), (a, _) in zip(spans, spans[1:])):
+            return slice(spans[0][0], spans[-1][1])
+        return np.array([c for a, b in spans for c in range(a, b)], dtype=np.intp)
 
-    def stack(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
-        """One coefficient vector per unit, repeated over the unit's
-        layer columns: ``(len(vector), width)``."""
-        out = np.empty((len(vectors[0]) if vectors else 0, self.width))
-        for vec, (a, b) in zip(vectors, self.bounds):
-            out[:, a:b] = vec[:, None]
-        return out
+
+def _coefficient_columns(vectors, bounds, c0: int, width: int) -> np.ndarray:
+    """One coefficient vector per unit, repeated over the unit's layer
+    columns ``a - c0 : b - c0``: ``(len(vector), width)``."""
+    out = np.empty((len(vectors[0]) if vectors else 0, width))
+    for vec, (a, b) in zip(vectors, bounds):
+        out[:, a - c0:b - c0] = vec[:, None]
+    return out
 
 
 class _RowState:
     """The layout the ranks of one processor row share: everything that
     depends only on ``(plan, decomp, assignment, row)`` and the variables'
-    layer counts.  Read-only once built."""
+    layer counts, and the convolution coefficients of the units it holds
+    (built on first use).  Read-only once built."""
 
     def __init__(self, backend: FilterBackend, i_row: int, layers: Dict[str, int]):
         plan, decomp, a = backend.plan, backend.decomp, backend.assignment
@@ -305,11 +343,13 @@ class _RowState:
         assigned = a.units_assigned_to_row(i_row)
         kept = [u for u in assigned if a.owner_row[u] == i_row]
         moves = a.stage_a_moves()
-        #: Units this row both owns and keeps through stage A.
-        self.own = _Packing(plan, kept, layers, lat0)
-        #: Every unit the row holds after stage A, in plan order.
         natural = len(kept) == len(assigned)
-        self.held = held = self.own if natural else _Packing(plan, assigned, layers)
+        held = None if natural else _Packing(plan, assigned, layers)
+        #: Units this row both owns and keeps through stage A, at their
+        #: columns of the held array.
+        self.own = _Packing(plan, kept, layers, lat0, within=held)
+        #: Every unit the row holds after stage A, in plan order.
+        self.held = held = self.own if natural else held
         #: Stage A out, (the target row's ranks, units): packed to ship,
         #: stored when they come home.
         self.outgoing = [
@@ -321,20 +361,33 @@ class _RowState:
             (mesh.row_ranks(src), held.cols(units))
             for src, dst, units in moves if dst == i_row
         ]
-        self.own_cols = held.cols(kept)
-        #: Kept segments, then each arrival, side by side -> plan order.
-        self.arrive = np.argsort(
-            np.concatenate([self.own_cols] + [c for _, c in self.incoming])
-        )
-        #: Stage B: the units whose complete lines each column holds, and
-        #: the slice of the held array they are.
-        self.lines = [a.lines_on_rank(r) for r in self.ranks]
-        if [u for units in self.lines for u in units] != list(assigned):
+        #: Stage B: per processor column, the held units ``(u0, u1)``
+        #: whose complete lines it holds and the held columns ``(c0, c1)``
+        #: they fill.
+        lines = [a.lines_on_rank(r) for r in self.ranks]
+        if [u for units in lines for u in units] != list(assigned):
             raise ValueError(
                 "line columns must block-partition a row's units in plan order"
             )
-        edges = np.cumsum([0] + [len(held.cols(units)) for units in self.lines])
-        self.col_slices = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        edges = np.cumsum([0] + [len(units) for units in lines]).tolist()
+        self.unit_slices = list(zip(edges, edges[1:]))
+        offsets = [a for a, _ in held.bounds] + [held.width]
+        self.col_slices = [(offsets[u0], offsets[u1]) for u0, u1 in self.unit_slices]
+
+    @cached_property
+    def convolution(self):
+        """The convolution backends' coefficients (see
+        :func:`_prepare_convolution`), built by the first rank of the row
+        that needs them and shared by the others."""
+        kernels, flops, terms = {}, {}, []
+        for key, (a, b) in zip(self.held.filters, self.held.bounds):
+            if key not in kernels:
+                f, lat = key
+                kernels[key] = (f.kernel(lat), f.doubled_kernel(lat), [])
+                flops[key] = 4.0 * f.damped_bin_count(lat)
+            kernels[key][2].append((a, b))
+            terms.append(flops[key] * (b - a))
+        return list(kernels.values()), sum(terms)
 
 
 class _RankState:
@@ -357,31 +410,32 @@ class _RankState:
 # -- convolution backends (the original code's algorithms) --
 
 def _prepare_convolution(st: _RankState, plan: FilterPlan):
-    """Kernels and their memoised doubled vectors, and the flops per output
-    point in the AGCM's wavenumber-sum form of eq. (2): ``4 * M_s`` per
-    layer of each unit, where ``M_s`` is the number of damped wavenumbers
-    at the unit's latitude (sine and cosine contributions, one multiply +
-    one add each)."""
-    held = st.row.held
-    st.kernels = [(f.kernel(lat), f.doubled_kernel(lat)) for f, lat in held.filters]
-    st.flops_per_point = sum(
-        4.0 * f.damped_bin_count(lat) * (b - a)
-        for (f, lat), (a, b) in zip(held.filters, held.bounds)
-    )
+    """Kernels and their memoised doubled vectors, one per distinct
+    ``(filter, latitude)`` of the row's units with the layer columns of
+    its units, and the flops per output point in the AGCM's
+    wavenumber-sum form of eq. (2): ``4 * M_s`` per layer of each unit,
+    where ``M_s`` is the number of damped wavenumbers at the unit's
+    latitude (sine and cosine contributions, one multiply + one add
+    each).  They depend on the row alone: :attr:`_RowState.convolution`."""
+    st.kernels, st.flops_per_point = st.row.convolution
 
 
 def _convolve(ctx: VirtualComm, st: _RankState, lines: np.ndarray, lo: int, hi: int):
     """Charge and compute longitudes ``lo:hi`` of every filtered line:
-    that block of each unit's circulant rows times the unit's lines."""
-    with ctx.span("filter.convolve", units=len(st.kernels)):
+    that block of each unit's circulant rows times the unit's lines.
+    Units of one ``(filter, latitude)`` share the block, built after the
+    charge's ``yield`` so that no suspended rank holds one."""
+    with ctx.span("filter.convolve", units=len(st.row.held.units)):
         yield from ctx.compute(
             flops=st.flops_per_point * (hi - lo),
             mem_bytes=2.0 * lines.nbytes,
             inner_length=hi - lo,
         )
     filtered = np.empty((hi - lo, lines.shape[1]))
-    for (a, b), (kernel, doubled) in zip(st.row.held.bounds, st.kernels):
-        filtered[:, a:b] = circulant_rows(kernel, lo, hi, doubled) @ lines[:, a:b]
+    for kernel, doubled, bounds in st.kernels:
+        block = circulant_rows(kernel, lo, hi, doubled)
+        for a, b in bounds:
+            filtered[:, a:b] = block @ lines[:, a:b]
     return filtered
 
 
@@ -394,7 +448,7 @@ def _convolve_ring(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     direction" with no partial summation), then each rank convolves the
     full lines to produce *its own* longitude segment of the output.
     """
-    with ctx.span("filter.gather", units=len(st.kernels)):
+    with ctx.span("filter.gather", units=len(st.row.held.units)):
         gathered = yield from ctx.group(st.row.ranks).allgather(held)
     lines = np.concatenate(gathered, axis=0)  # (nlon, sum K)
     # The ring computes only its own (short) longitude segment of each
@@ -411,7 +465,7 @@ def _convolve_tree(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     whole lines, and filtered segments are scattered straight back.
     """
     row_group = ctx.group(st.row.ranks)
-    with ctx.span("filter.gather", units=len(st.kernels)):
+    with ctx.span("filter.gather", units=len(st.row.held.units)):
         gathered = yield from coll.gather_binomial(row_group, held, root=0)
     del held
     pieces = None
@@ -426,11 +480,16 @@ def _convolve_tree(ctx: VirtualComm, st: _RankState, held: np.ndarray):
 # -- transpose-based FFT backends (the paper's optimisation) --
 
 def _prepare_transpose(st: _RankState, plan: FilterPlan):
-    # The units whose complete lines this rank holds after stage B.
-    lines = _Packing(plan, st.row.lines[st.j_col], st.layers)
-    st.n_lines = len(lines.units)
-    st.transfer = lines.stack([f.transfer(lat) for f, lat in lines.filters])
-    st.fft_flops = fft_filter_flop_count(st.nlon, 1, lines.width)
+    # The units whose complete lines this rank holds after stage B: a
+    # slice of the row's held units, filling a column slice of the array.
+    held = st.row.held
+    (u0, u1), (c0, c1) = st.row.unit_slices[st.j_col], st.row.col_slices[st.j_col]
+    st.n_lines = u1 - u0
+    st.transfer = _coefficient_columns(
+        [f.transfer(lat) for f, lat in held.filters[u0:u1]],
+        held.bounds[u0:u1], c0, c1 - c0,
+    )
+    st.fft_flops = fft_filter_flop_count(st.nlon, 1, c1 - c0)
 
 
 def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
@@ -481,10 +540,11 @@ def _pow2_assignment(plan: FilterPlan, decomp: Decomposition2D) -> FilterAssignm
 def _prepare_distributed(st: _RankState, plan: FilterPlan):
     # Per-layer bit-reversed transfer factors for this rank's block.
     block = slice(st.sub.lon0, st.sub.lon1)
-    st.transfer = st.row.held.stack([
-        bitrev_transfer(f.transfer(lat), st.nlon)[block]
-        for f, lat in st.row.held.filters
-    ])
+    held = st.row.held
+    st.transfer = _coefficient_columns(
+        [bitrev_transfer(f.transfer(lat), st.nlon)[block] for f, lat in held.filters],
+        held.bounds, 0, held.width,
+    )
 
 
 def _fft_distributed(ctx: VirtualComm, st: _RankState, held: np.ndarray):

@@ -163,10 +163,19 @@ def initial_fields_block(
 
     bump = np.exp(-((np.abs(lat) - np.pi / 4) ** 2) / 0.08)
     pt = PT_REFERENCE + 2.0 * amplitude * bump * np.cos(4 * lon) * k
-    # Deterministic pointwise "noise" (position hash) instead of an RNG.
-    phase = 127.1 * lat + 311.7 * lon + 97.3 * k + 0.618 * (seed + 1)
-    pt = pt + 0.05 * amplitude * np.sin(43758.5453 * np.sin(phase))
-    pt = np.broadcast_to(pt, (nlat, nlon, nlayers)).copy()
+    # Deterministic pointwise "noise" (position hash) instead of an RNG,
+    # formed in place: each step is the elementwise operation of
+    # ``0.05 * amplitude * np.sin(43758.5453 * np.sin(phase))`` on the
+    # same operands, so the bits are those of the expression.  ``pt`` has
+    # its full shape already (``k`` spans the layers).
+    noise = 127.1 * lat + 311.7 * lon + 97.3 * k
+    noise += 0.618 * (seed + 1)
+    np.sin(noise, out=noise)
+    noise *= 43758.5453
+    np.sin(noise, out=noise)
+    noise *= 0.05 * amplitude
+    pt += noise
+    del noise
 
     q = np.broadcast_to(
         1e-2 * np.cos(lat) ** 2 * (1.0 - 0.8 * k), (nlat, nlon, nlayers)

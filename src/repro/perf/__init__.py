@@ -22,7 +22,6 @@ from repro.perf.kernels import (
     blas_axpy,
     blas_copy,
     blas_scal,
-    pointwise_multiply_2d,
     pointwise_multiply_naive,
     pointwise_multiply_reshaped,
     pointwise_multiply_tiled,
@@ -56,7 +55,6 @@ __all__ = [
     "pointwise_multiply_naive",
     "pointwise_multiply_reshaped",
     "pointwise_multiply_tiled",
-    "pointwise_multiply_2d",
     "blas_copy",
     "blas_scal",
     "blas_axpy",

@@ -76,23 +76,6 @@ def pointwise_multiply_tiled(a: np.ndarray, b: np.ndarray,
     return out
 
 
-def pointwise_multiply_2d(a: np.ndarray, b: np.ndarray, s) -> np.ndarray:
-    """The 2-D nested-loop form of the paper: ``C[i,j] = A[i,j,s] * B[i]``.
-
-    ``s`` may be an integer (constant third index) or the string ``"j"``
-    (third index equal to j), the two cases the paper describes.
-    """
-    m_dim, n_dim = a.shape[0], a.shape[1]
-    if b.shape[0] != m_dim:
-        raise ValueError("B must match A's first dimension")
-    if isinstance(s, int):
-        return a[:, :, s] * b[:, None]
-    if s == "j":
-        j = np.arange(n_dim)
-        return a[:, j, j] * b[:, None]
-    raise ValueError(f"s must be an int or 'j', got {s!r}")
-
-
 # ----------------------------------------------------------------------
 # BLAS-style level-1 wrappers (the paper's loop replacements)
 # ----------------------------------------------------------------------

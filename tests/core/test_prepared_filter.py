@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EXTENDED_BACKENDS,
@@ -393,8 +395,9 @@ def test_second_application_does_no_setup_work(backend_name, monkeypatch):
 def test_packings_are_built_once_per_processor_row(monkeypatch):
     """A host-independent work count, for every backend: what the filter
     knows about a processor row (the units it keeps, each stage-A move it
-    ships) is packed once per row, not once per rank of the row; the
-    transposes add one packing per rank, for the lines it holds."""
+    ships, all it holds when arrivals come in) is packed once per row,
+    not once per rank of the row; the transposes read a rank's lines as
+    a slice of the row's and add no packing of their own."""
     from repro.core.parallel_filter import _Packing
 
     grid = SphericalGrid(nlat=32, nlon=64)
@@ -402,15 +405,15 @@ def test_packings_are_built_once_per_processor_row(monkeypatch):
     decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
     fields = _random_fields(grid, nlayers=2, seed=7)
-    rows, cols = mesh.nlat_procs, mesh.nlon_procs
+    rows = mesh.nlat_procs
 
     built = {}
     init = _Packing.__init__
 
-    def counted(self, plan, units, layers, lat0=None):
+    def counted(self, plan, units, layers, lat0=None, **kwargs):
         kind = "foreign" if lat0 is None else "owned"
         built[kind] = built.get(kind, 0) + 1
-        init(self, plan, units, layers, lat0)
+        init(self, plan, units, layers, lat0, **kwargs)
 
     monkeypatch.setattr(_Packing, "__init__", counted)
 
@@ -430,11 +433,128 @@ def test_packings_are_built_once_per_processor_row(monkeypatch):
         assert bool(moves) == (backend_name == "fft-lb")
         # Owned: the row's kept units, and each move at its source row.
         assert 0 < built["owned"] <= rows + len(moves), backend_name
-        # In all: also the row a move arrives in, and a rank's lines.
-        assert (
-            sum(built.values()) <= rows * (1 + cols) + 2 * len(moves)
-            < mesh.size * cols
-        ), backend_name
+        # In all: also what a row that takes in a move holds.
+        assert sum(built.values()) <= rows + 2 * len(moves), backend_name
+
+
+@pytest.mark.parametrize("backend_name", ["convolution-ring", "convolution-tree"])
+def test_one_circulant_block_per_filter_and_latitude(backend_name, monkeypatch):
+    """Units of one (filter, latitude) share a kernel: an application
+    builds one block per distinct pair of the row on each rank that
+    convolves (every rank of the ring, the row leader of the tree), not
+    one per unit."""
+    from repro.core import parallel_filter
+
+    grid = SphericalGrid(nlat=32, nlon=64)
+    mesh = ProcessorMesh(4, 8)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
+    fields = _random_fields(grid, nlayers=2, seed=3)
+
+    calls = []
+    real = parallel_filter.circulant_rows
+
+    def counted(kernel, lo, hi, doubled=None):
+        calls.append((lo, hi))
+        return real(kernel, lo, hi, doubled)
+
+    monkeypatch.setattr(parallel_filter, "circulant_rows", counted)
+
+    def program(ctx):
+        local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
+        yield from backend.apply(ctx, local)
+        yield from ctx.barrier()
+        yield from backend.apply(ctx, local)
+
+    Simulator(mesh.size, GENERIC).run(program)
+    ranks_convolving = 1 if backend_name == "convolution-tree" else mesh.nlon_procs
+    keys = units = 0
+    for row in backend._rows.values():
+        keys += ranks_convolving * len(set(row.held.filters))
+        units += ranks_convolving * len(row.held.units)
+    assert 0 < keys < units
+    assert len(calls) == 2 * keys
+
+
+@pytest.mark.parametrize(
+    "mesh_dims", [(2, 4), (4, 4), (4, 8), (8, 8), (6, 4)],
+    ids=lambda d: "x".join(map(str, d)),
+)
+def test_a_natural_assignment_packs_one_run_per_variable(mesh_dims):
+    """Plan order puts each variable's latitude rows side by side, so the
+    units a processor row owns are at most one strided copy per
+    filtered variable (no processor row here straddles the equator)."""
+    from repro.core.parallel_filter import _RowState
+
+    grid = SphericalGrid(nlat=90, nlon=144)
+    mesh = ProcessorMesh(*mesh_dims)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    plan = make_filter_plan(grid)
+    backend = prepare_filter_backend("fft", plan, decomp)
+    layers = {"u": 9, "v": 9, "pt": 9, "q": 9, "ps": 1}
+    n_vars = len(plan.strong_vars) + len(plan.weak_vars)
+    for i_row in range(mesh.nlat_procs):
+        row = _RowState(backend, i_row, layers)
+        assert row.held is row.own
+        assert len(row.own.runs) <= n_vars, (i_row, row.own.runs)
+        assert sum(r1 - r0 for _, r0, r1, _, _ in row.own.runs) == len(
+            row.own.units)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nlat_procs=st.integers(1, 4),
+    nlon_procs=st.integers(1, 4),
+    nlat=st.integers(12, 40),
+    nlon=st.integers(8, 24),
+    nlayers=st.integers(1, 4),
+    ps_layers=st.integers(1, 2),
+    balanced=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_store_of_pack_restores_the_fields_byte_for_byte(
+    nlat_procs, nlon_procs, nlat, nlon, nlayers, ps_layers, balanced, seed
+):
+    """Every rank packs what its row keeps and ships through stage A, and
+    storing those arrays back into fields of NaN restores exactly the
+    filtered rows it owns, and writes nothing else."""
+    from repro.core.parallel_filter import _RowState
+
+    grid = SphericalGrid(nlat=nlat, nlon=nlon)
+    mesh = ProcessorMesh(nlat_procs, nlon_procs)
+    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    plan = make_filter_plan(grid)
+    backend = prepare_filter_backend(
+        "fft-lb" if balanced else "fft", plan, decomp)
+    rng = np.random.default_rng(seed)
+    layers = {n: nlayers for n in ("u", "v", "pt", "q")}
+    layers["ps"] = ps_layers
+    fields = {
+        n: rng.standard_normal((grid.nlat, grid.nlon, k))
+        for n, k in layers.items()
+    }
+    owner = backend.assignment.owner_row
+    for i_row in range(mesh.nlat_procs):
+        row = _RowState(backend, i_row, layers)
+        lat0, _ = decomp.lat_bounds_of_proc_row(i_row)
+        owned = {
+            (u.var, u.lat - lat0)
+            for k, u in enumerate(plan.units) if owner[k] == i_row
+        }
+        for rank in row.ranks:
+            local = {n: decomp.scatter(fields[n])[rank] for n in fields}
+            nlon_loc = decomp.subdomain(rank).nlon
+            packings = [row.own] + [p for _, p in row.outgoing]
+            packed = [p.pack(local, nlon_loc) for p in packings]
+            restored = {n: np.full_like(a, np.nan) for n, a in local.items()}
+            for p, arr in zip(packings, packed):
+                p.store(restored, arr)
+            for n, arr in local.items():
+                for r in range(arr.shape[0]):
+                    if (n, r) in owned:
+                        assert restored[n][r].tobytes() == arr[r].tobytes()
+                    else:
+                        assert np.isnan(restored[n][r]).all()
 
 
 def test_backend_reused_across_runs_filters_like_fresh_ones():
@@ -474,7 +594,7 @@ def test_foreign_packing_cannot_address_local_rows():
     plan = make_filter_plan(SphericalGrid(nlat=16, nlon=32))
     layers = {n: 3 for n in ("u", "v", "pt", "q", "ps")}
     foreign = _Packing(plan, [0, 1], layers)
-    assert foreign.rows is None and foreign.width == 6
+    assert foreign.runs is None and foreign.width == 6
     with pytest.raises(TypeError):
         foreign.pack({}, 8)
     with pytest.raises(TypeError):

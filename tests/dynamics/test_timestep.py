@@ -125,3 +125,50 @@ class TestInitialFields:
         cp = state.copy()
         cp.u[...] += 1
         assert not np.allclose(cp.u, state.u)
+
+
+def _old_initial_fields_block(lat_rad, lon_rad, nlayers, seed=7, amplitude=1.0):
+    """The expression form ``initial_fields_block`` had before its
+    temperature noise was formed in place: the oracle for its bits."""
+    from repro import constants as c
+    from repro.dynamics.state import PT_REFERENCE
+
+    lat = np.asarray(lat_rad)[:, None, None]
+    lon = np.asarray(lon_rad)[None, :, None]
+    k = (np.arange(nlayers) + 1)[None, None, :] / nlayers
+    nlat, nlon = lat.shape[0], lon.shape[1]
+    u = 15.0 * amplitude * np.sin(2 * lat) ** 2 * np.cos(lat) * k
+    u = np.broadcast_to(u, (nlat, nlon, nlayers)).copy()
+    v = np.zeros((nlat, nlon, nlayers))
+    bump = np.exp(-((np.abs(lat) - np.pi / 4) ** 2) / 0.08)
+    pt = PT_REFERENCE + 2.0 * amplitude * bump * np.cos(4 * lon) * k
+    phase = 127.1 * lat + 311.7 * lon + 97.3 * k + 0.618 * (seed + 1)
+    pt = pt + 0.05 * amplitude * np.sin(43758.5453 * np.sin(phase))
+    pt = np.broadcast_to(pt, (nlat, nlon, nlayers)).copy()
+    q = np.broadcast_to(
+        1e-2 * np.cos(lat) ** 2 * (1.0 - 0.8 * k), (nlat, nlon, nlayers)
+    ).copy()
+    ps = np.full((nlat, nlon, 1), c.P_REFERENCE)
+    return {"u": u, "v": v, "pt": pt, "ps": ps, "q": q}
+
+
+@pytest.mark.parametrize(
+    "nlat, nlon, nlayers, seed, amplitude",
+    [(90, 144, 9, 7, 1.0), (16, 32, 1, 3, 0.5), (45, 72, 15, 11, 2.0)],
+)
+def test_initial_fields_match_the_expression_form_byte_for_byte(
+    nlat, nlon, nlayers, seed, amplitude
+):
+    from repro.dynamics.state import initial_fields_block
+
+    grid = SphericalGrid(nlat, nlon)
+    new = initial_fields_block(
+        grid.lat_rad, grid.lon_rad, nlayers, seed=seed, amplitude=amplitude)
+    old = _old_initial_fields_block(
+        grid.lat_rad, grid.lon_rad, nlayers, seed=seed, amplitude=amplitude)
+    assert list(new) == list(old)
+    for name in old:
+        assert new[name].shape == old[name].shape == (
+            nlat, nlon, 1 if name == "ps" else nlayers)
+        assert new[name].flags.c_contiguous and new[name].flags.writeable
+        assert new[name].tobytes() == old[name].tobytes(), name

@@ -15,7 +15,6 @@ from repro.perf.kernels import (
     blas_copy,
     blas_scal,
     pointwise_flops,
-    pointwise_multiply_2d,
     pointwise_multiply_naive,
     pointwise_multiply_reshaped,
     pointwise_multiply_tiled,
@@ -50,26 +49,6 @@ class TestPointwiseMultiply:
             pointwise_multiply_naive(np.zeros(10), np.zeros(3))
         with pytest.raises(ValueError):
             pointwise_multiply_reshaped(np.zeros(10), np.zeros(3))
-
-    def test_2d_constant_s(self, rng):
-        a = rng.standard_normal((5, 6, 3))
-        b = rng.standard_normal(5)
-        out = pointwise_multiply_2d(a, b, 1)
-        np.testing.assert_allclose(out, a[:, :, 1] * b[:, None])
-
-    def test_2d_s_equals_j(self, rng):
-        a = rng.standard_normal((5, 4, 4))
-        b = rng.standard_normal(5)
-        out = pointwise_multiply_2d(a, b, "j")
-        for j in range(4):
-            np.testing.assert_allclose(out[:, j], a[:, j, j] * b)
-
-    def test_2d_validation(self, rng):
-        a = rng.standard_normal((5, 4, 4))
-        with pytest.raises(ValueError):
-            pointwise_multiply_2d(a, np.zeros(3), 0)
-        with pytest.raises(ValueError):
-            pointwise_multiply_2d(a, np.zeros(5), "k")
 
     @given(m=st.integers(1, 16), reps=st.integers(1, 20))
     @settings(max_examples=20, deadline=None)

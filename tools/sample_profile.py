@@ -8,7 +8,11 @@ docs/performance.md come from this instead.  ``SIGPROF`` fires every
 is weighted by the CPU time since the previous one (signals that arrive
 during one long native call merge into one).  Prints the leaf share
 (the Python function that was running, or was inside native code) and
-the inclusive share (anywhere on the stack) per function::
+the inclusive share (anywhere on the stack) per function.  CPython runs
+the handler at its next call or loop back-edge, so time in a long
+straight-line frame or in native code is charged to the function
+entered next: leaf shares below ~10 % lean toward function entries, and
+a line under the leaf table says so; cross-check them with ``--calls``::
 
     python tools/sample_profile.py --workload agcm_model [--passes 3]
     python tools/sample_profile.py --workload filter_tables --unit table8@4x4
@@ -132,6 +136,9 @@ def main(argv=None) -> int:
         print(f"\n{title} share")
         for name, weight in table.most_common(args.top):
             print(f"  {100 * weight / total:5.1f} %  {name}")
+        if title == "leaf":
+            print("  (leaf shares below ~10 % lean toward function entries; "
+                  "cross-check with --calls)")
     return 0
 
 
