@@ -71,7 +71,7 @@ from repro.core.masks import FilterPlan
 from repro.grid.decomposition import Decomposition2D
 from repro.parallel import collectives as coll
 from repro.parallel.comm import VirtualComm
-from repro.parallel.events import Exchange
+from repro.parallel.events import Blocks, Exchange
 
 #: Recognised backend names, in the order the paper's tables list them.
 FILTER_BACKENDS = ("convolution-ring", "convolution-tree", "fft", "fft-lb")
@@ -501,13 +501,13 @@ def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
     assignment's business.
     """
     row_group = ctx.group(st.row.ranks)
-    chunks = [held[:, a:b] for a, b in st.row.col_slices]
+    # Each direction ships one array cut at the row's bounds and gets its
+    # lines back joined, read-only: complete lines (column segments
+    # stacked along lon) on the way out, the held layout on the way home.
+    transpose = row_group.alltoall(Blocks(held, 1, st.row.col_slices), join=0)
     del held
     with ctx.span("filter.transpose"):
-        received = yield from row_group.alltoall(chunks)
-    # Assemble complete lines: concatenate column segments along lon.
-    lines = np.concatenate(received, axis=0)
-    del chunks, received
+        lines = yield from transpose
     if st.n_lines:
         # Whole-line FFTs: full vector length — the reason the paper
         # chose the transpose over a distributed 1-D FFT.
@@ -523,11 +523,9 @@ def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
         lines = np.fft.irfft(spec, n=st.nlon, axis=0)
         del spec
 
-    # Row slices of the C-ordered lines are contiguous already.
-    back_chunks = [lines[lo:hi] for lo, hi in st.row.col_bounds]
     with ctx.span("filter.transpose"):
-        back = yield from row_group.alltoall(back_chunks)
-    return np.concatenate(back, axis=1)
+        return (yield from row_group.alltoall(
+            Blocks(lines, 0, st.row.col_bounds), join=1))
 
 
 # -- the distributed 1-D FFT backend (the paper's rejected alternative) --

@@ -339,10 +339,10 @@ def agcm_rank_program(
                 if split:
                     with ctx.region("transpose"):
                         tend_pt_cols = yield from _columns_to_pillar(
-                            pillar, tend_pt_cols, col_bounds, lev_bounds
+                            pillar, tend_pt_cols, lev_bounds
                         )
                         tend_q_cols = yield from _columns_to_pillar(
-                            pillar, tend_q_cols, col_bounds, lev_bounds
+                            pillar, tend_q_cols, lev_bounds
                         )
                 forcing_pt[...] = tend_pt_cols.reshape(forcing_pt.shape)
                 forcing_q[...] = tend_q_cols.reshape(forcing_q.shape)
@@ -428,9 +428,11 @@ def agcm_rank_program(
                         ).reshape(my_ncols, nlayers)
                         with ctx.region("transpose"):
                             back = yield from _columns_to_pillar(
-                                pillar, solved, col_bounds, lev_bounds
+                                pillar, solved, lev_bounds
                             )
-                        now[name] = back.reshape(forcing_pt.shape)
+                        # The joined transpose is read-only, and the next
+                        # leapfrog corrects ``now`` in place.
+                        now[name] = back.reshape(forcing_pt.shape).copy()
         time_now += dt
 
         # ---------------- numerical-health guard ----------------------
@@ -638,35 +640,29 @@ def _pillar_to_columns(comm, block: np.ndarray, col_bounds) -> "np.ndarray":
     ``block`` is this rank's ``(nlat_loc, nlon_loc, nlev_loc)`` slab;
     ``col_bounds[d]`` the share of the tile's lat-major flattened
     columns that pillar member ``d`` takes.  Returns this member's
-    ``(my_ncols, nlayers)`` full columns, layer blocks concatenated in
-    global layer order — bit-identical rows of the serial field.
+    ``(my_ncols, nlayers)`` full columns, layer blocks joined in global
+    layer order — bit-identical rows of the serial field, read-only.
     """
     flat = block.reshape(col_bounds[-1][1], -1)
     chunks = [
         np.ascontiguousarray(flat[c0:c1]) for c0, c1 in col_bounds
     ]
-    received = yield from comm.transpose_to_levels(chunks)
-    return np.concatenate(received, axis=1)
+    return (yield from comm.transpose_to_levels(chunks, join=1))
 
 
-def _columns_to_pillar(comm, cols: np.ndarray, col_bounds,
-                       lev_bounds) -> "np.ndarray":
+def _columns_to_pillar(comm, cols: np.ndarray, lev_bounds) -> "np.ndarray":
     """Column-space -> slab transpose (inverse of
     :func:`_pillar_to_columns`).
 
     ``cols`` is ``(my_ncols, nlayers)``; returns the reassembled
-    ``(npts, nlev_loc)`` local-layer block of the whole tile.
+    ``(npts, nlev_loc)`` local-layer block of the whole tile, read-only:
+    the members' column shares joined in member order, which is the
+    order of the contiguous ``col_bounds`` shares.
     """
     chunks = [
         np.ascontiguousarray(cols[:, l0:l1]) for l0, l1 in lev_bounds
     ]
-    received = yield from comm.transpose_from_levels(chunks)
-    npts = col_bounds[-1][1]
-    out = np.empty((npts, received[comm.rank].shape[1]),
-                   dtype=cols.dtype)
-    for (c0, c1), block in zip(col_bounds, received):
-        out[c0:c1] = block
-    return out
+    return (yield from comm.transpose_from_levels(chunks, join=0))
 
 
 #: Alias: ``bench/probes.py`` imports the program under this name.

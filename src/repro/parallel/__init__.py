@@ -9,6 +9,7 @@ message and flop priced by a :class:`~repro.parallel.machine.MachineModel`.
 from repro.parallel.events import (
     ACCUM,
     Barrier,
+    Blocks,
     Compute,
     Exchange,
     FromRound,
@@ -45,6 +46,7 @@ from repro.parallel.trace import RankAccounting, SimResult, Trace
 __all__ = [
     "ACCUM",
     "Barrier",
+    "Blocks",
     "Compute",
     "Exchange",
     "FromRound",

@@ -39,7 +39,13 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.parallel.events import ACCUM, AllToAll, Exchange, FromRound
+from repro.parallel.events import (
+    ACCUM,
+    AllToAll,
+    Exchange,
+    FromRound,
+    join_received,
+)
 from repro.util.validation import check_chunk_count
 
 _TAG_BCAST = 0x7FFF0001
@@ -210,11 +216,17 @@ def allgather_ring(comm, value: Any):
     return result
 
 
-def alltoall_pairwise(comm, chunks: Sequence[Any], tag: int = _TAG_ALLTOALL):
+def alltoall_pairwise(comm, chunks: Sequence[Any], tag: int = _TAG_ALLTOALL,
+                      join: Optional[int] = None):
     """Pairwise-exchange all-to-all: ``P - 1`` rounds of shifted sendrecv.
 
     ``chunks[d]`` is destined for group rank ``d``; returns the received
-    chunks indexed by source rank.  This is the pattern of the data
+    chunks indexed by source rank or, with ``join`` set, those chunks
+    concatenated along axis ``join`` as one read-only array (it may be a
+    view of an array the whole group shares, so it is never written).
+    ``chunks`` may be a :class:`~repro.parallel.events.Blocks`: one array
+    cut at shared bounds, whose blocks are cut only where a message
+    needs one.  This is the pattern of the data
     transpose in the FFT filter, of the cyclic shuffle of physics
     load-balancing scheme 1 and — under their own ``tag`` — of the
     pillar transposes of a 3-D mesh.  It is one :class:`AllToAll` op:
@@ -225,8 +237,9 @@ def alltoall_pairwise(comm, chunks: Sequence[Any], tag: int = _TAG_ALLTOALL):
     size = comm.size
     check_chunk_count(chunks, size, "alltoall")
     if size == 1:
-        return [chunks[0]]
-    received = yield AllToAll(comm.ranks, comm.rank, chunks, tag)
+        mine = [chunks[0]]
+        return mine if join is None else join_received(mine, join)
+    received = yield AllToAll(comm.ranks, comm.rank, chunks, tag, join)
     return received
 
 
@@ -331,26 +344,28 @@ _TAG_TRANS_FWD = 0x7FFF000B
 _TAG_TRANS_BACK = 0x7FFF000C
 
 
-def transpose_to_levels(comm, chunks: Sequence[Any]):
+def transpose_to_levels(comm, chunks: Sequence[Any], join: Optional[int] = None):
     """Slab -> column-space transpose over one pillar of a 3-D mesh.
 
     ``chunks[d]`` holds the horizontal column subset destined for pillar
     rank ``d`` (carrying this rank's local layers); the return value is
     indexed by source pillar rank, i.e. by **vertical block in global
-    layer order** — concatenating along the layer axis reassembles full
-    columns deterministically.
+    layer order** — concatenating along the layer axis (``join``)
+    reassembles full columns deterministically.
     """
     check_chunk_count(chunks, comm.size, "transpose")
-    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_FWD)
+    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_FWD,
+                                          join=join)
     return result
 
 
-def transpose_from_levels(comm, chunks: Sequence[Any]):
+def transpose_from_levels(comm, chunks: Sequence[Any], join: Optional[int] = None):
     """Column-space -> slab transpose (inverse of
     :func:`transpose_to_levels`); distinct tag so the two directions of
     a leap-format round can never cross-match."""
     check_chunk_count(chunks, comm.size, "transpose")
-    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_BACK)
+    result = yield from alltoall_pairwise(comm, chunks, tag=_TAG_TRANS_BACK,
+                                          join=join)
     return result
 
 

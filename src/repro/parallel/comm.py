@@ -124,30 +124,36 @@ class GroupComm:
             result = yield from coll.scatter_direct(self, values, root)
         return result
 
-    def alltoall(self, chunks: Sequence[Any]):
+    def alltoall(self, chunks: Sequence[Any], join: Optional[int] = None):
         """Pairwise-exchange all-to-all; ``chunks[d]`` goes to local rank d.
 
-        Returns the list of chunks received, indexed by source local rank.
+        ``chunks`` is a list or a :class:`~repro.parallel.events.Blocks`
+        (one array cut at bounds shared by the group).  Returns the list
+        of chunks received, indexed by source local rank, or with
+        ``join`` set those chunks concatenated along axis ``join``: one
+        read-only array, possibly a view of an array the whole group
+        shares.
         """
         with self.ctx.span("coll.alltoall"):
-            result = yield from coll.alltoall_pairwise(self, chunks)
+            result = yield from coll.alltoall_pairwise(self, chunks, join=join)
         return result
 
-    def transpose_to_levels(self, chunks: Sequence[Any]):
+    def transpose_to_levels(self, chunks: Sequence[Any], join: Optional[int] = None):
         """Slab -> column-space pillar transpose (leap-format rounds).
 
         ``chunks[d]`` is the column share destined for pillar member
         ``d``; the return value is indexed by source member, i.e. by
-        vertical block in global layer order.
+        vertical block in global layer order, or joined along ``join``
+        as for :meth:`alltoall`.
         """
         with self.ctx.span("coll.transpose_fwd"):
-            result = yield from coll.transpose_to_levels(self, chunks)
+            result = yield from coll.transpose_to_levels(self, chunks, join)
         return result
 
-    def transpose_from_levels(self, chunks: Sequence[Any]):
+    def transpose_from_levels(self, chunks: Sequence[Any], join: Optional[int] = None):
         """Column-space -> slab pillar transpose (inverse direction)."""
         with self.ctx.span("coll.transpose_back"):
-            result = yield from coll.transpose_from_levels(self, chunks)
+            result = yield from coll.transpose_from_levels(self, chunks, join)
         return result
 
 

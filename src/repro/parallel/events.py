@@ -179,29 +179,89 @@ class Exchange:
             )
 
 
+class Blocks:
+    """One array cut into per-member blocks along ``axis``: the chunk
+    "list" of an all-to-all that moves one array.
+
+    ``blocks[d]`` is the view ``array[..., a:b, ...]`` (``a, b =
+    bounds[d]`` on ``axis``), so a ``Blocks`` is a :class:`Sequence` of
+    views and anything that indexes a chunk list reads it unchanged.
+    The views are not cut until someone asks: the bulk executor prices a
+    block from the array's shape and, when a whole group sends ``Blocks``
+    with the same bounds, never cuts them at all.  ``bounds`` are
+    ``(start, stop)`` pairs with ``0 <= start <= stop <= array.shape[axis]``
+    (an all-to-all raises ``ValueError`` otherwise); a processor row
+    shares one bounds tuple, which lets the executor take the widths
+    once per row.  The array is a payload like any other: it must not be
+    written once sent.
+    """
+
+    __slots__ = ("array", "axis", "bounds", "lead")
+
+    def __init__(self, array: np.ndarray, axis: int, bounds: Sequence[Tuple[int, int]]):
+        ndim = array.ndim
+        if not -ndim <= axis < ndim:
+            raise ValueError(f"Blocks axis {axis} out of range for a "
+                             f"{ndim}-d array")
+        if axis < 0:
+            axis += ndim
+        self.array = array
+        self.axis = axis
+        self.bounds = bounds
+        #: The full slices before ``axis``: ``array[(*lead, slice(a, b))]``
+        #: is block ``(a, b)``.
+        self.lead = (slice(None),) * axis
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        return self.array[(*self.lead, slice(*self.bounds[d]))]
+
+    def views(self) -> List[np.ndarray]:
+        """Every block, cut in one pass."""
+        array, lead = self.array, self.lead
+        return [array[(*lead, slice(a, b))] for a, b in self.bounds]
+
+
+def join_received(pieces: Sequence[np.ndarray], axis: int) -> np.ndarray:
+    """The received blocks of a joined all-to-all as one read-only array."""
+    joined = np.concatenate(pieces, axis=axis)
+    joined.flags.writeable = False
+    return joined
+
+
 @dataclass
 class AllToAll:
     """The pairwise all-to-all of one member of ``group``, as one op.
 
     ``group`` holds the members' global ranks, ``pos`` is this member's
     position in it, ``chunks[d]`` is the payload for position ``d`` and
-    ``tag`` labels every message.  The ``yield`` returns the chunks
-    received, indexed by source position, with the member's own chunk at
-    ``pos``.  Every member of the group must yield one with the same
-    ``tag``.
+    ``tag`` labels every message.  ``chunks`` is a list, or a
+    :class:`Blocks` when one array is cut into the member's chunks.  The
+    ``yield`` returns the chunks received, indexed by source position,
+    with the member's own chunk at ``pos``; with ``join`` set it returns
+    them concatenated along that axis instead, as one **read-only**
+    array that may be a view of an array the whole group shares (a group
+    that sends :class:`Blocks` of equal shape and bounds is joined once,
+    and each member gets its slice).  Every member of the group must
+    yield one with the same ``tag``.
 
     Its cost is that of the shift schedule :meth:`schedule` spells out:
     in round ``s`` every member sends to position ``pos + s + 1`` and
     receives from ``pos - s - 1`` (mod the group size).  The scheduler
     interprets that schedule (a fault plan, a timeline, a small group)
     or, being told the structure instead of the messages, advances the
-    whole group at once with the same arithmetic.
+    whole group at once with the same arithmetic.  Either way a block is
+    priced by its ``nbytes``, so a :class:`Blocks` and the list of its
+    views cost the same.
     """
 
     group: Tuple[int, ...]
     pos: int
     chunks: Sequence[Any]
     tag: int
+    join: Optional[int] = None
 
     def schedule(self) -> Exchange:
         """The shift schedule as an explicit :class:`Exchange`."""
@@ -209,17 +269,39 @@ class AllToAll:
         size = len(group)
         dests = [*range(pos + 1, size), *range(pos)]
         srcs = [*range(pos - 1, -1, -1), *range(size - 1, pos, -1)]
+        if type(chunks) is Blocks:
+            # Each view is cut once, straight into its send; a bound the
+            # bulk executor would refuse is refused here too.
+            array, lead, bounds = chunks.array, chunks.lead, chunks.bounds
+            extent = array.shape[chunks.axis]
+            for a, b in bounds:
+                if not 0 <= a <= b <= extent:
+                    raise ValueError(
+                        f"Blocks bound {(a, b)} is not 0 <= start <= stop "
+                        f"<= {extent} (axis {chunks.axis})"
+                    )
+            sends = [(group[d], array[(*lead, slice(*bounds[d]))], tag,
+                      None, True) for d in dests]
+        else:
+            sends = [(group[d], chunks[d], tag, None, True) for d in dests]
         return Exchange(
-            sends=tuple((group[d], chunks[d], tag, None, True) for d in dests),
-            recvs=tuple((group[s], tag) for s in srcs),
+            sends=tuple(sends),
+            recvs=tuple([(group[s], tag) for s in srcs]),
         )
 
-    def by_source(self, received: List[Any]) -> List[Any]:
-        """Reorder :meth:`schedule`'s per-round results by source position:
-        round ``s`` received from ``pos - s - 1``."""
-        pos = self.pos
-        return [*reversed(received[:pos]), self.chunks[pos],
-                *reversed(received[pos:])]
+    def by_source(self, received: List[Any]) -> Any:
+        """Reorder :meth:`schedule`'s per-round results by source position
+        (round ``s`` received from ``pos - s - 1``), joined along
+        ``join`` when it is set."""
+        pos, chunks = self.pos, self.chunks
+        if type(chunks) is Blocks:  # inline: no Python call per member
+            own = chunks.array[(*chunks.lead, slice(*chunks.bounds[pos]))]
+        else:
+            own = chunks[pos]
+        out = [*reversed(received[:pos]), own, *reversed(received[pos:])]
+        if self.join is None:
+            return out
+        return join_received(out, self.join)
 
 
 @dataclass

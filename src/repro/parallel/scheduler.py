@@ -47,6 +47,14 @@ machine with the timeline off and a group moving at least
 closes and :meth:`Simulator._bulk_alltoall` advances all of them with
 one array operation per round, from the chunk lists alone.
 
+An all-to-all may move one array cut at bounds (a :class:`Blocks`)
+instead of a chunk list, and may ask for its received blocks ``join``-ed
+along an axis.  A joined result is one **read-only** array: when a whole
+bulk group sends ``Blocks`` of one shape and bounds, the executor
+concatenates the group's arrays once and each member's result is a view
+of that shared array, so no member may write it.  The interpreters cut
+the views once, in :meth:`AllToAll.schedule`, and join once per member.
+
 A situation where no rank can progress is a genuine communication
 deadlock and raises :class:`DeadlockError`.
 
@@ -74,11 +82,13 @@ from repro.parallel.events import (
     ACCUM,
     AllToAll,
     Barrier,
+    Blocks,
     Compute,
     Exchange,
     FromRound,
     Recv,
     Send,
+    join_received,
     payload_nbytes,
 )
 from repro.parallel.machine import MachineModel
@@ -100,6 +110,45 @@ def _wire_size(payload: Any) -> int:
     if tp is float or tp is int:
         return 8
     return payload_nbytes(payload)
+
+
+def _block_widths(bounds) -> Tuple[np.ndarray, int]:
+    """The widths of a :class:`Blocks` bounds tuple and its largest stop;
+    a bound that is not ``0 <= start <= stop`` raises."""
+    widths = []
+    stop = 0
+    for a, b in bounds:
+        if not 0 <= a <= b:
+            raise ValueError(f"Blocks bound {(a, b)} is not 0 <= start <= stop")
+        widths.append(b - a)
+        if b > stop:
+            stop = b
+    return np.array(widths, dtype=np.int64), stop
+
+
+def _shared_blocks(ops: List[AllToAll]) -> bool:
+    """Whether every member of a group sent :class:`Blocks` of one axis
+    and bounds, asked to join them along one other axis, and sent arrays
+    that agree in shape off that axis: then concatenating the arrays
+    once and slicing the result gives every member its joined blocks."""
+    first = ops[0]
+    chunks = first.chunks
+    join = first.join
+    if type(chunks) is not Blocks or join is None:
+        return False
+    axis, bounds, shape = chunks.axis, chunks.bounds, chunks.array.shape
+    if not 0 <= join < len(shape) or join == axis:
+        return False
+    head, tail = shape[:join], shape[join + 1:]
+    for op in ops:
+        c = op.chunks
+        if (type(c) is not Blocks or op.join != join or c.axis != axis
+                or (c.bounds is not bounds and c.bounds != bounds)):
+            return False
+        s = c.array.shape
+        if s[:join] != head or s[join + 1:] != tail:
+            return False
+    return True
 
 
 class DeadlockError(RuntimeError):
@@ -916,18 +965,43 @@ class Simulator:
         performs the *same IEEE operations in the same order* as the
         scalar interpreter running :meth:`AllToAll.schedule` on every
         member; accumulator vectors fold one round at a time (not
-        ``np.sum``) to keep the float association.  Member ``g`` receives
-        column ``g`` of the chunk lists, transposed in C by ``zip``.
-        Parked members are woken and re-queued here; the caller (the
-        last member to arrive) continues inline.
+        ``np.sum``) to keep the float association.  A :class:`Blocks`
+        row is priced from its array's shape (other extent x widths x
+        itemsize, what the views' ``nbytes`` would be) without cutting a
+        view.  When every member sent ``Blocks`` of one axis and bounds
+        and asked to join along another, the arrays are concatenated once
+        and member ``g`` gets slice ``g`` of that one read-only array,
+        which the group shares.  Otherwise member ``g`` receives column
+        ``g`` of the chunk lists, transposed in C by ``zip`` (and joined
+        on its own if it asked).  Parked members are woken and re-queued
+        here; the caller (the last member to arrive) continues inline.
         """
         G = len(group)
         R = G - 1
         machine = self.machine
         members = [states[g] for g in group]
-        chunk_lists = [s.pending_alltoall.chunks for s in members]
+        ops = [s.pending_alltoall for s in members]
         W = np.empty((G, G), dtype=np.int64)
-        for g, chunks in enumerate(chunk_lists):
+        seen = widths = None
+        for g, op in enumerate(ops):
+            chunks = op.chunks
+            if type(chunks) is Blocks:
+                # A block's nbytes from the array's shape: the members of
+                # a row share one bounds tuple, so its widths are taken
+                # once per row.
+                if chunks.bounds is not seen:
+                    seen = chunks.bounds
+                    widths, stop = _block_widths(seen)
+                array = chunks.array
+                extent = array.shape[chunks.axis]
+                if stop > extent:
+                    raise ValueError(
+                        f"rank {group[g]} sent Blocks with bounds up to "
+                        f"{stop} along axis {chunks.axis} of extent {extent}"
+                    )
+                W[g] = widths * (array.size // extent * array.itemsize
+                                 if extent else 0)
+                continue
             # One type test per row: the hot collectives send rows of
             # Python scalars or of arrays.
             kinds = set(map(type, chunks))
@@ -969,15 +1043,32 @@ class Simulator:
         bsent = wire.sum(axis=1).tolist()
         brecv = in_wire.sum(axis=1).tolist()
 
-        transposed = list(zip(*chunk_lists))
+        shared = seen is not None and _shared_blocks(ops)
+        if shared:
+            # Member d's joined blocks are slice d of the joined arrays.
+            first = ops[0].chunks
+            full = join_received([op.chunks.array for op in ops], ops[0].join)
+            lead = first.lead
+            results = [full[(*lead, slice(a, b))] for a, b in first.bounds]
+        else:
+            # Member g receives column g of the chunk lists.
+            results = list(zip(*[
+                op.chunks.views() if type(op.chunks) is Blocks else op.chunks
+                for op in ops
+            ]))
         clocks_l = clocks.tolist()
         sbt_l = sbt.tolist()
         rwt_l = rwt.tolist()
         rbt_l = rbt.tolist()
         for gi, g in enumerate(group):
             s = members[gi]
+            if shared:
+                s.send_value = results[gi]
+            elif ops[gi].join is None:
+                s.send_value = list(results[gi])
+            else:
+                s.send_value = join_received(results[gi], ops[gi].join)
             s.pending_alltoall = None
-            s.send_value = list(transposed[gi])
             s.clock = clocks_l[gi]
             acc = acc_ranks[g]
             acc.send_busy_time = sbt_l[gi]

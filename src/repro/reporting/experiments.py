@@ -13,9 +13,11 @@ seconds-per-simulated-day (see :mod:`repro.model.timing_report`).
 
 from __future__ import annotations
 
+import math
 import timeit
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -675,6 +677,17 @@ def run_blockarray(n: int = 32, m: int = 8,
     )
 
 
+def _interleaved_min(calls: Dict[str, Callable[[], Any]], number: int,
+                     repeat: int) -> Dict[str, float]:
+    """Seconds per call of each callable: the best of ``repeat`` rounds of
+    ``number`` calls, every round timing each callable in turn."""
+    best = dict.fromkeys(calls, math.inf)
+    for _ in range(repeat):
+        for name, fn in calls.items():
+            best[name] = min(best[name], timeit.timeit(fn, number=number))
+    return {name: t / number for name, t in best.items()}
+
+
 def run_advection_opt(
     shape: Tuple[int, int, int] = (45, 72, 9),
     scalar_repeats: int = 3,
@@ -695,27 +708,19 @@ def run_advection_opt(
     dx = 1.0e5 * (1.0 + rng.random(shape[0]))
     dy = 1.1e5
 
-    times = {}
-    for name in ("naive", "hoisted"):
-        fn = ALL_VARIANTS[name]
-        times[name] = min(
-            timeit.repeat(
-                lambda: fn(f, u, v, dx, dy), number=scalar_repeats, repeat=2
-            )
-        ) / scalar_repeats
-    times["vectorized"] = min(
-        timeit.repeat(
-            lambda: ALL_VARIANTS["vectorized"](f, u, v, dx, dy),
-            number=vector_repeats, repeat=3,
-        )
-    ) / vector_repeats
+    # Each compared pair is timed in alternation, so a busy stretch of
+    # the host slows both sides of a ratio instead of one.
+    times = _interleaved_min(
+        {name: partial(ALL_VARIANTS[name], f, u, v, dx, dy)
+         for name in ("naive", "hoisted")},
+        number=scalar_repeats, repeat=2,
+    )
     ws = AdvectionWorkspace(shape)
-    times["optimized"] = min(
-        timeit.repeat(
-            lambda: advection_optimized(f, u, v, dx, dy, ws),
-            number=vector_repeats, repeat=3,
-        )
-    ) / vector_repeats
+    times.update(_interleaved_min(
+        {"vectorized": partial(ALL_VARIANTS["vectorized"], f, u, v, dx, dy),
+         "optimized": partial(advection_optimized, f, u, v, dx, dy, ws)},
+        number=vector_repeats, repeat=3,
+    ))
 
     table = Table(
         "Section 3.4 — advection routine restructuring (measured wall time)",
