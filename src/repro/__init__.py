@@ -51,9 +51,7 @@ from repro.core.physics_lb import (
     imbalance,
 )
 from repro.grid import (
-    ArakawaCGrid,
     Decomposition2D,
-    FieldSet,
     SphericalGrid,
     exchange_halos,
     pad_with_halo,
@@ -76,13 +74,7 @@ from repro.parallel import (
     make_machine,
 )
 from repro.reporting import EXPERIMENTS, ExperimentSpec, run_experiment
-from repro.solvers import (
-    HelmholtzOperator,
-    cg_parallel,
-    cg_serial,
-    solve_cyclic_tridiagonal,
-    solve_tridiagonal,
-)
+from repro.solvers import solve_tridiagonal
 
 # The facade imports from repro.reporting, so it must come after the
 # subpackage imports above to keep the import graph acyclic.
@@ -102,9 +94,7 @@ __all__ = [
     "plan_column_flow",
     # grid
     "SphericalGrid",
-    "ArakawaCGrid",
     "Decomposition2D",
-    "FieldSet",
     "pad_with_halo",
     "exchange_halos",
     # core (filters + balancing)
@@ -140,8 +130,4 @@ __all__ = [
     "RunResult",
     # solvers
     "solve_tridiagonal",
-    "solve_cyclic_tridiagonal",
-    "cg_serial",
-    "cg_parallel",
-    "HelmholtzOperator",
 ]

@@ -212,18 +212,6 @@ def describe_sweep(name: str) -> Tuple[str, ...]:
         ) from None
 
 
-def invalidated_units(units: Sequence[CampaignUnit],
-                      manifest: Dict) -> List[CampaignUnit]:
-    """Units whose keys are absent from a previous campaign manifest.
-
-    A changed repro version or parameter point shows up here: the unit
-    list is re-enumerated at current code, so stale keys simply no
-    longer match.
-    """
-    previous = {u["key"] for u in manifest.get("units", ())}
-    return [u for u in units if u.key not in previous]
-
-
 def unit_manifest_entry(unit: CampaignUnit) -> Dict[str, object]:
     return {"ident": unit.ident, "point": unit.point.label,
             "key": unit.key, "selector": unit.label,

@@ -26,7 +26,6 @@ from repro.dynamics.cfl import (
 )
 from repro.dynamics.timestep import (
     DEFAULT_RA_COEFF,
-    IntegrationLog,
     euler_step,
     leapfrog_step,
     pin_polar_v,
@@ -55,5 +54,4 @@ __all__ = [
     "leapfrog_step",
     "pin_polar_v",
     "DEFAULT_RA_COEFF",
-    "IntegrationLog",
 ]

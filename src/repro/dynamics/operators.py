@@ -9,55 +9,15 @@ model bit-matches the serial one.
 Array convention: axis 0 = latitude (south to north), axis 1 = longitude,
 optional axis 2 = layer.  ``P`` denotes a padded array, interior =
 ``P[1:-1, 1:-1]``.
+
+The streaming kernel in :mod:`repro.dynamics.tendencies` inlines these
+operators; they are kept in expression form as the oracle its tests
+compare it with byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def interior(padded: np.ndarray) -> np.ndarray:
-    """The unpadded interior view of a halo-1 padded array."""
-    return padded[1:-1, 1:-1]
-
-
-def ddx_centered(padded: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Centered zonal derivative at interior points.
-
-    ``dx`` has shape (nlat,) or broadcastable (nlat, 1[, 1]).
-    """
-    num = padded[1:-1, 2:] - padded[1:-1, :-2]
-    return num / (2.0 * _col(dx, num.ndim))
-
-
-def ddy_centered(padded: np.ndarray, dy: float) -> np.ndarray:
-    """Centered meridional derivative at interior points."""
-    return (padded[2:, 1:-1] - padded[:-2, 1:-1]) / (2.0 * dy)
-
-
-def ddx_face(padded: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Forward zonal difference (cell centre -> east face) at interior points.
-
-    Value lives at the u point of each interior cell:
-    ``(P[j, i+1] - P[j, i]) / dx[j]``.
-    """
-    num = padded[1:-1, 2:] - padded[1:-1, 1:-1]
-    return num / _col(dx, num.ndim)
-
-
-def ddy_face(padded: np.ndarray, dy: float) -> np.ndarray:
-    """Forward meridional difference (centre -> north face) at interior points."""
-    return (padded[2:, 1:-1] - padded[1:-1, 1:-1]) / dy
-
-
-def avg_to_u(padded: np.ndarray) -> np.ndarray:
-    """Average centre values to u points (east faces) of interior cells."""
-    return 0.5 * (padded[1:-1, 1:-1] + padded[1:-1, 2:])
-
-
-def avg_to_v(padded: np.ndarray) -> np.ndarray:
-    """Average centre values to v points (north faces) of interior cells."""
-    return 0.5 * (padded[1:-1, 1:-1] + padded[2:, 1:-1])
 
 
 def v_at_u_points(v_padded: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ called" (Section 3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from repro.dynamics.state import ModelState, PROGNOSTIC_NAMES
 
 #: Robert-Asselin filter coefficient.
 DEFAULT_RA_COEFF = 0.06
-
-TendencyFn = Callable[[ModelState], Dict[str, np.ndarray]]
 
 
 def euler_step(state: ModelState, tendencies: Dict[str, np.ndarray],
@@ -73,24 +70,3 @@ def pin_polar_v(v: np.ndarray, is_north_edge_block: bool) -> None:
     """
     if is_north_edge_block:
         v[-1, ...] = 0.0
-
-
-@dataclass
-class IntegrationLog:
-    """Per-step stability diagnostics collected by drivers."""
-
-    times: list = None
-    max_winds: list = None
-
-    def __post_init__(self):
-        self.times = []
-        self.max_winds = []
-
-    def record(self, state: ModelState) -> None:
-        self.times.append(state.time)
-        self.max_winds.append(state.max_wind())
-
-    @property
-    def stable(self) -> bool:
-        """Heuristic: winds bounded and finite throughout the run."""
-        return all(np.isfinite(w) and w < 500.0 for w in self.max_winds)

@@ -1,32 +1,13 @@
-"""Spherical Arakawa C-grid, 2-D decomposition, halo exchange, field layouts."""
+"""Spherical lat-lon grid, 2-D decomposition, halo exchange."""
 
 from repro.grid.sphere import SphericalGrid
-from repro.grid.arakawa_c import (
-    ArakawaCGrid,
-    enforce_polar_v,
-    to_u_points,
-    to_v_points,
-    u_to_centers,
-    v_to_centers,
-)
 from repro.grid.decomposition import Decomposition2D, Subdomain
-from repro.grid.fields import BLOCK, SEPARATE, FieldSet
-from repro.grid.halo import exchange_halos, interior, pad_with_halo
+from repro.grid.halo import exchange_halos, pad_with_halo
 
 __all__ = [
     "SphericalGrid",
-    "ArakawaCGrid",
-    "to_u_points",
-    "to_v_points",
-    "u_to_centers",
-    "v_to_centers",
-    "enforce_polar_v",
     "Decomposition2D",
     "Subdomain",
-    "FieldSet",
-    "SEPARATE",
-    "BLOCK",
     "exchange_halos",
-    "interior",
     "pad_with_halo",
 ]

@@ -17,8 +17,6 @@ Two implementations are provided and cross-checked in tests:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.grid.decomposition import Decomposition2D
@@ -55,11 +53,6 @@ def pad_with_halo(field: np.ndarray, halo: int = 1) -> np.ndarray:
         out[g] = out[halo]
         out[-(g + 1)] = out[-(halo + 1)]
     return out
-
-
-def interior(padded: np.ndarray, halo: int = 1) -> np.ndarray:
-    """View of the interior of a halo-padded array."""
-    return padded[halo:-halo, halo:-halo]
 
 
 def exchange_halos(

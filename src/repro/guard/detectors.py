@@ -190,8 +190,9 @@ class RankGuardState:
         return None
 
     def _local_integrals(self, now: Dict[str, np.ndarray]) -> np.ndarray:
-        # Local block's share of the diagnostics.energy_budget integrals
-        # plus the mass integral — summed globally by an allreduce.
+        # Local block's share of the kinetic and available-potential
+        # energy integrals plus the mass integral — summed globally by an
+        # allreduce.
         ke = float(
             (0.5 * now["pt"] * (now["u"] ** 2 + now["v"] ** 2) * self._w3).sum()
         )

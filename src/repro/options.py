@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["RunOptions", "coerce_options", "reject_option_keywords"]
+__all__ = ["RunOptions", "reject_option_keywords"]
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,6 @@ def _check_field_names(mapping: Dict[str, Any], caller: str) -> None:
                 f"{caller}: unknown option {name!r}{hint} "
                 f"(known options: {', '.join(FIELD_NAMES)})"
             )
-
-
-def coerce_options(options: Any) -> RunOptions:
-    """Public alias of :meth:`RunOptions.coerce` for facade modules."""
-    return RunOptions.coerce(options)
 
 
 def reject_option_keywords(caller: str, keywords: Dict[str, Any]) -> None:

@@ -38,7 +38,6 @@ from repro.parallel.timeline import (
     busy_fraction,
     communication_matrix,
     render_gantt,
-    wait_hotspots,
 )
 from repro.parallel.topology import ProcessorMesh
 from repro.parallel.trace import RankAccounting, SimResult, Trace
@@ -71,7 +70,6 @@ __all__ = [
     "communication_matrix",
     "render_gantt",
     "busy_fraction",
-    "wait_hotspots",
     "Trace",
     "RankAccounting",
     "SimResult",

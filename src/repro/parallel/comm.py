@@ -22,16 +22,13 @@ which is the property the paper's complexity comparisons rely on.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.spans import NULL_OBSERVER, NULL_SPAN, _LiveSpan
 from repro.parallel import collectives as coll
 from repro.parallel.events import Barrier, Compute, Exchange, Recv, Send
 from repro.parallel.machine import MachineModel
 from repro.parallel.trace import Trace
-
-#: Base tag reserved for collective traffic so user tags never collide.
-COLLECTIVE_TAG = 0x7FFF0000
 
 
 class GroupComm:

@@ -227,7 +227,7 @@ class Blocks:
 def join_received(pieces: Sequence[np.ndarray], axis: int) -> np.ndarray:
     """The received blocks of a joined all-to-all as one read-only array."""
     joined = np.concatenate(pieces, axis=axis)
-    joined.flags.writeable = False
+    joined.setflags(write=False)
     return joined
 
 

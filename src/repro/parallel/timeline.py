@@ -14,7 +14,7 @@ analysts actually use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,13 +122,3 @@ def render_gantt(
     for r in ranks:
         lines.append(f"rank {r:4d} |{''.join(rows[r])}|")
     return "\n".join(lines)
-
-
-def wait_hotspots(trace: Trace, top: int = 5) -> List[tuple]:
-    """The (rank, total wait seconds) pairs with the most blocking time."""
-    waits = [
-        (r, acc.recv_wait_time + acc.barrier_wait_time)
-        for r, acc in enumerate(trace.ranks)
-    ]
-    waits.sort(key=lambda t: -t[1])
-    return waits[:top]

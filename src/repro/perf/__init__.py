@@ -1,13 +1,4 @@
-"""Single-node performance laboratory (paper Section 3.4).
-
-Kernel aliasing contract: the BLAS-style wrappers in
-:mod:`repro.perf.kernels` keep a small, bounded pool of internal scratch
-buffers.  Passing an array that overlaps one of those buffers (notably as
-the ``y`` accumulator of :func:`blas_axpy`) is detected via
-``numpy.shares_memory`` and served through a safe temporary-allocating
-path, so callers never observe clobbered inputs; they only lose the
-zero-allocation fast path.
-"""
+"""Single-node performance laboratory (paper Section 3.4)."""
 
 from repro.perf.cache_sim import CacheSim, CacheStats, loop_time, miss_time
 from repro.perf.access_patterns import (
@@ -19,9 +10,6 @@ from repro.perf.access_patterns import (
     mixed_loops_separate,
 )
 from repro.perf.kernels import (
-    blas_axpy,
-    blas_copy,
-    blas_scal,
     pointwise_multiply_naive,
     pointwise_multiply_reshaped,
     pointwise_multiply_tiled,
@@ -55,9 +43,6 @@ __all__ = [
     "pointwise_multiply_naive",
     "pointwise_multiply_reshaped",
     "pointwise_multiply_tiled",
-    "blas_copy",
-    "blas_scal",
-    "blas_axpy",
     "advection_naive",
     "advection_hoisted",
     "advection_vectorized",

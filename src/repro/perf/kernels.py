@@ -1,4 +1,4 @@
-"""Single-node kernels: pointwise vector-multiply (paper eq. 4) and friends.
+"""Single-node kernels: the pointwise vector-multiply of paper eq. 4.
 
 The paper observes that finite-difference code rarely maps onto BLAS
 matrix-vector operations, but a large share of it reduces to what it
@@ -16,16 +16,11 @@ naive scalar loop (the "before" of the paper's optimisation study) to
 fully vectorised forms (numpy standing in for the proposed hand-optimised
 assembly routine); real timing comparisons live in
 ``benchmarks/bench_pointwise_multiply.py``.
-
-Also here: thin wrappers for the BLAS-style copy/scale/saxpy operations
-the paper substituted into hand-coded loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.util.arraypool import ArrayPool
 
 
 # ----------------------------------------------------------------------
@@ -74,49 +69,3 @@ def pointwise_multiply_tiled(a: np.ndarray, b: np.ndarray,
         out = np.empty(n, dtype=np.result_type(a.dtype, b.dtype))
     np.multiply(a.reshape(n // m, m), b, out=out.reshape(n // m, m))
     return out
-
-
-# ----------------------------------------------------------------------
-# BLAS-style level-1 wrappers (the paper's loop replacements)
-# ----------------------------------------------------------------------
-
-def blas_copy(x: np.ndarray, y: np.ndarray) -> None:
-    """dcopy: ``y[:] = x`` without allocating."""
-    np.copyto(y, x)
-
-
-def blas_scal(alpha: float, x: np.ndarray) -> None:
-    """dscal: ``x *= alpha`` in place."""
-    x *= alpha
-
-
-def blas_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> None:
-    """daxpy: ``y += alpha * x`` without temporaries.
-
-    Aliasing contract: ``y`` (or ``x``) may overlap the cached scratch
-    buffer — e.g. an array obtained from a previous call's workspace.
-    Writing ``alpha * x`` into the scratch would then clobber ``y``
-    before the accumulate (the result silently came out as
-    ``2 * alpha * x``); such calls are detected with
-    :func:`numpy.shares_memory` and served by a safe temporary instead.
-    """
-    buf = _AXPY_POOL.scratch(x.shape, x.dtype)
-    if np.shares_memory(y, buf) or (x is not buf and np.shares_memory(x, buf)):
-        y += alpha * x
-        return
-    # Single fused pass; numpy's out= avoids the intermediate alpha*x.
-    np.multiply(x, alpha, out=buf)
-    y += buf
-
-
-#: Scratch buffers keyed by (shape, dtype), LRU-bounded at
-#: :data:`_AXPY_BUF_MAX` entries — this started life as a private dict
-#: here and is now an :class:`repro.util.ArrayPool` (PR 8 generalized it
-#: for subdomain scratch across the codebase).
-_AXPY_BUF_MAX = 8
-_AXPY_POOL = ArrayPool(max_entries=_AXPY_BUF_MAX)
-
-
-def pointwise_flops(n: int) -> float:
-    """Arithmetic of one pointwise vector-multiply over n elements."""
-    return float(n)

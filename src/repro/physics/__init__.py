@@ -7,7 +7,7 @@ from repro.physics.driver import (
     block_physics,
     run_physics,
 )
-from repro.physics.solar import cos_zenith, daylight_fraction, daylight_mask, declination
+from repro.physics.solar import cos_zenith, declination
 from repro.physics.clouds import cloud_fraction, cloudy_layer_count, saturation_q
 from repro.physics.condensation import (
     large_scale_condensation,
@@ -25,8 +25,6 @@ __all__ = [
     "run_physics",
     "block_physics",
     "cos_zenith",
-    "daylight_mask",
-    "daylight_fraction",
     "declination",
     "cloud_fraction",
     "cloudy_layer_count",

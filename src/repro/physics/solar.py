@@ -44,20 +44,3 @@ def cos_zenith(
     h = hour_angle(lon_rad, time_frac)
     mu = np.sin(lat) * math.sin(decl) + np.cos(lat) * math.cos(decl) * np.cos(h)
     return np.maximum(mu, 0.0)
-
-
-def daylight_mask(
-    lat_rad: np.ndarray, lon_rad: np.ndarray, time_frac: float,
-    decl: float = 0.0,
-) -> np.ndarray:
-    """Boolean mask of columns currently in daylight."""
-    return cos_zenith(lat_rad, lon_rad, time_frac, decl) > 0.0
-
-
-def daylight_fraction(
-    lat_rad: np.ndarray, lon_rad: np.ndarray, time_frac: float,
-    decl: float = 0.0,
-) -> float:
-    """Fraction of the given columns in daylight (load diagnostic)."""
-    mask = daylight_mask(lat_rad, lon_rad, time_frac, decl)
-    return float(mask.mean()) if mask.size else 0.0

@@ -6,7 +6,7 @@ It expresses the structure the paper describes: a base cost everywhere,
 a shortwave surcharge on the daylight half, and a convection surcharge
 concentrated where the atmosphere is conditionally unstable.
 
-The module also holds the AGCM-3DLF column shares and leap schedules.
+The module also holds the AGCM-3DLF leap schedules.
 """
 
 from __future__ import annotations
@@ -53,24 +53,8 @@ def column_flops(
 
 
 # ----------------------------------------------------------------------
-# 3-D decomposition (AGCM-3DLF): column shares and leap schedules
+# 3-D decomposition (AGCM-3DLF): leap schedules
 # ----------------------------------------------------------------------
-
-def pillar_column_share(ncolumns: int, nlev_procs: int, klev: int) -> int:
-    """Columns pillar rank ``klev`` holds after the slab -> column
-    transpose.
-
-    Column physics cannot run on a vertical slab (every parameterisation
-    couples the whole column), so the pillar transposes its horizontal
-    tile into ``nlev_procs`` column shares, front-loaded exactly like the
-    horizontal block partition.  With ``nlev_procs == 1`` this is the
-    whole tile — the 2-D behaviour.
-    """
-    from repro.util.partition import block_bounds
-
-    lo, hi = block_bounds(ncolumns, nlev_procs)[klev]
-    return hi - lo
-
 
 def leap_schedule(nchunks: int, klev: int) -> list:
     """The leap-format processing order of ``nchunks`` work chunks for

@@ -1,22 +1,11 @@
 """Linear solvers for implicit time differencing (paper Section 5's
 component wish-list: "fast (parallel) linear system solvers for implicit
-time-differencing schemes")."""
+time-differencing schemes"): the batched Thomas solve behind the model's
+implicit vertical diffusion."""
 
-from repro.solvers.cg import CGResult, cg_parallel, cg_serial
-from repro.solvers.helmholtz import HelmholtzOperator, helmholtz_flops_per_point
-from repro.solvers.tridiagonal import (
-    diffusion_system,
-    solve_cyclic_tridiagonal,
-    solve_tridiagonal,
-)
+from repro.solvers.tridiagonal import diffusion_system, solve_tridiagonal
 
 __all__ = [
     "solve_tridiagonal",
-    "solve_cyclic_tridiagonal",
     "diffusion_system",
-    "CGResult",
-    "cg_serial",
-    "cg_parallel",
-    "HelmholtzOperator",
-    "helmholtz_flops_per_point",
 ]

@@ -2,21 +2,16 @@
 
 Paper Section 5 lists "fast (parallel) linear system solvers for implicit
 time-differencing schemes" among the reusable GCM components worth
-building.  Column-implicit schemes (vertical diffusion, semi-implicit
-gravity-wave treatment) reduce to many independent tridiagonal systems —
-one per grid column — so the natural "parallelisation" under the AGCM's
+building.  Column-implicit schemes such as
+vertical diffusion reduce to many independent tridiagonal systems — one
+per grid column — so the natural "parallelisation" under the AGCM's
 horizontal decomposition is simply batching: every rank solves its own
 columns with no communication at all.
 
-Provided here:
-
-* :func:`solve_tridiagonal` — the Thomas algorithm, vectorised over a
-  batch of systems (the hot path);
-* :func:`solve_cyclic_tridiagonal` — the periodic variant via the
-  Sherman-Morrison correction (zonal implicit operators on a periodic
-  longitude circle).
-
-Both are validated against dense solves in the test suite.
+:func:`solve_tridiagonal` is the Thomas algorithm, vectorised over a
+batch of systems and validated against dense solves in the test suite;
+:func:`diffusion_system` builds the bands of backward-Euler vertical
+diffusion.
 """
 
 from __future__ import annotations
@@ -73,43 +68,6 @@ def solve_tridiagonal(
     for k in range(n - 2, -1, -1):
         out[..., k] = dp[..., k] - cp[..., k] * out[..., k + 1]
     return out
-
-
-def solve_cyclic_tridiagonal(
-    lower: np.ndarray,
-    diag: np.ndarray,
-    upper: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Solve batched *periodic* tridiagonal systems (Sherman-Morrison).
-
-    The matrix additionally couples the first and last unknowns:
-    ``lower[..., 0]`` is the corner entry ``A[0, n-1]`` and
-    ``upper[..., -1]`` is ``A[n-1, 0]``.
-    """
-    lower, diag, upper, rhs = _check_bands(lower, diag, upper, rhs)
-    n = diag.shape[-1]
-    if n < 3:
-        raise ValueError("cyclic systems need at least 3 unknowns")
-    a0 = lower[..., 0]       # A[0, n-1]
-    cn = upper[..., -1]      # A[n-1, 0]
-    gamma = -diag[..., 0]
-
-    d_mod = diag.copy()
-    d_mod[..., 0] = diag[..., 0] - gamma
-    d_mod[..., -1] = diag[..., -1] - a0 * cn / gamma
-
-    y = solve_tridiagonal(lower, d_mod, upper, rhs)
-    u = np.zeros_like(rhs)
-    u[..., 0] = gamma
-    u[..., -1] = cn
-    z = solve_tridiagonal(lower, d_mod, upper, u)
-
-    # x = y - z * (y_0 + (a0/gamma) y_{n-1}) / (1 + z_0 + (a0/gamma) z_{n-1})
-    factor = (y[..., 0] + a0 / gamma * y[..., -1]) / (
-        1.0 + z[..., 0] + a0 / gamma * z[..., -1]
-    )
-    return y - z * factor[..., None]
 
 
 def diffusion_system(

@@ -1,22 +1,18 @@
-"""Shared utilities: validation, block partitioning, tables, array pool."""
+"""Shared utilities: validation, block partitioning, tables."""
 
-from repro.util.arraypool import ArrayPool
 from repro.util.validation import (
     check_chunk_count,
     check_positive_int,
     check_in_range,
-    check_shape,
     require,
 )
 from repro.util.partition import block_partition, block_bounds, owner_of
 from repro.util.tables import Table, format_seconds
 
 __all__ = [
-    "ArrayPool",
     "check_chunk_count",
     "check_positive_int",
     "check_in_range",
-    "check_shape",
     "require",
     "block_partition",
     "block_bounds",

@@ -7,7 +7,7 @@ output can be compared side-by-side with the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def format_seconds(value: float) -> str:
@@ -61,8 +61,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def render_tables(tables: Iterable[Table]) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(t.render() for t in tables)

@@ -7,7 +7,7 @@ actionable error messages.  Hot inner kernels skip validation entirely
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 
 def require(condition: bool, message: str) -> None:
@@ -64,16 +64,3 @@ def check_chunk_count(chunks: Any, size: int, collective: str) -> Any:
         f"(chunks[d] is the payload destined for group rank d)",
     )
     return chunks
-
-
-def check_shape(array: Any, shape: Sequence[int], name: str) -> Any:
-    """Check an array-like has exactly the given shape (use -1 as wildcard)."""
-    actual = tuple(getattr(array, "shape", ()))
-    if len(actual) != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got shape {actual}"
-        )
-    for want, got in zip(shape, actual):
-        if want != -1 and want != got:
-            raise ValueError(f"{name} must have shape {tuple(shape)}, got {actual}")
-    return array

@@ -27,7 +27,6 @@ from repro.verify.differential import (
     ParamSpace,
     assert_pair,
     check_pair,
-    check_pairs,
 )
 
 __all__ = [
@@ -38,6 +37,5 @@ __all__ = [
     "Counterexample",
     "DifferentialFailure",
     "check_pair",
-    "check_pairs",
     "assert_pair",
 ]

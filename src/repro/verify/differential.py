@@ -381,15 +381,6 @@ def assert_pair(
     return report
 
 
-def check_pairs(
-    pairs: Sequence[ImplementationPair],
-    nconfigs: int = DEFAULT_NCONFIGS,
-    seed: int = DEFAULT_SEED,
-) -> List[PairReport]:
-    """Check every pair; returns all reports (does not stop on failure)."""
-    return [check_pair(p, nconfigs=nconfigs, seed=seed) for p in pairs]
-
-
 # ----------------------------------------------------------------------
 # command line
 # ----------------------------------------------------------------------

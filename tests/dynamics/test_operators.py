@@ -3,53 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dynamics.operators import (
-    avg_to_u,
-    avg_to_v,
-    ddx_centered,
-    ddx_face,
-    ddy_centered,
-    ddy_face,
-    interior,
-    laplacian5,
-    u_at_v_points,
-    v_at_u_points,
-)
-from repro.grid.halo import pad_with_halo
+from repro.dynamics.operators import laplacian5, u_at_v_points, v_at_u_points
 
 
 class TestDerivatives:
-    def test_ddx_linear_exact(self):
-        """Centered difference is exact for linear-in-i fields."""
-        nlat, nlon = 4, 8
-        f = np.arange(nlon, dtype=float)[None, :] * np.ones((nlat, 1))
-        # Use a manually padded array (not periodic) to keep linearity.
-        p = np.pad(f, 1, mode="reflect", reflect_type="odd")
-        dx = np.full(nlat, 2.0)
-        out = ddx_centered(p, dx)
-        np.testing.assert_allclose(out, 0.5)
-
-    def test_ddy_linear_exact(self):
-        nlat, nlon = 6, 4
-        f = np.arange(nlat, dtype=float)[:, None] * np.ones((1, nlon))
-        p = np.pad(f, 1, mode="reflect", reflect_type="odd")
-        np.testing.assert_allclose(ddy_centered(p, 3.0), 1.0 / 3.0)
-
-    def test_face_differences(self):
-        f = np.arange(6, dtype=float)[None, :] * np.ones((3, 1))
-        p = np.pad(f, 1, mode="edge")
-        p[:, 0] = p[:, 1] - 1
-        p[:, -1] = p[:, -2] + 1
-        out = ddx_face(p, np.ones(3))
-        np.testing.assert_allclose(out, 1.0)
-
-    def test_ddy_face(self):
-        f = 2.0 * np.arange(5, dtype=float)[:, None] * np.ones((1, 3))
-        p = np.pad(f, 1, mode="edge")
-        p[0] = p[1] - 2
-        p[-1] = p[-2] + 2
-        np.testing.assert_allclose(ddy_face(p, 1.0), 2.0)
-
     def test_laplacian_of_constant_zero(self):
         p = np.full((6, 7), 4.2)
         np.testing.assert_allclose(laplacian5(p, np.ones(4), 1.0), 0.0)
@@ -66,15 +23,8 @@ class TestDerivatives:
 class TestAverages:
     def test_avg_operators_on_constant(self):
         p = np.full((5, 6), 3.0)
-        np.testing.assert_allclose(avg_to_u(p), 3.0)
-        np.testing.assert_allclose(avg_to_v(p), 3.0)
         np.testing.assert_allclose(u_at_v_points(p), 3.0)
         np.testing.assert_allclose(v_at_u_points(p), 3.0)
-
-    def test_interior_view(self, rng):
-        f = rng.standard_normal((4, 5))
-        p = pad_with_halo(f)
-        np.testing.assert_array_equal(interior(p), f)
 
     def test_v_at_u_stagger_geometry(self, rng):
         """v_at_u averages the four v points around each u point."""

@@ -1,38 +1,19 @@
-"""Tests for the linear solvers and implicit diffusion extension."""
+"""Tests for the tridiagonal solver and implicit vertical diffusion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dynamics.geometry import LocalGeometry
-from repro.dynamics.implicit import (
-    explicit_diffusion_unstable_dt,
-    implicit_horizontal_diffusion,
-    implicit_horizontal_diffusion_parallel,
-    implicit_vertical_diffusion,
-)
-from repro.grid.decomposition import Decomposition2D
-from repro.grid.halo import pad_with_halo
-from repro.grid.sphere import SphericalGrid
-from repro.parallel import GENERIC, ProcessorMesh, Simulator
-from repro.solvers import (
-    HelmholtzOperator,
-    cg_serial,
-    diffusion_system,
-    solve_cyclic_tridiagonal,
-    solve_tridiagonal,
-)
+from repro.dynamics.implicit import implicit_vertical_diffusion
+from repro.solvers import diffusion_system, solve_tridiagonal
 
 
-def _dense_tridiagonal(lower, diag, upper, cyclic=False):
+def _dense_tridiagonal(lower, diag, upper):
     n = diag.size
     a = np.diag(diag)
     for k in range(1, n):
         a[k, k - 1] = lower[k]
         a[k - 1, k] = upper[k - 1]
-    if cyclic:
-        a[0, n - 1] = lower[0]
-        a[n - 1, 0] = upper[n - 1]
     return a
 
 
@@ -60,25 +41,9 @@ class TestTridiagonal:
             xb = solve_tridiagonal(lower[b], diag[b], upper[b], rhs[b])
             np.testing.assert_allclose(x[b], xb)
 
-    @given(n=st.integers(3, 12), seed=st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_cyclic_matches_dense(self, n, seed):
-        rng = np.random.default_rng(seed)
-        lower = rng.uniform(-0.3, 0.3, n)
-        upper = rng.uniform(-0.3, 0.3, n)
-        diag = 2.0 + rng.random(n)
-        rhs = rng.standard_normal(n)
-        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-        a = _dense_tridiagonal(lower, diag, upper, cyclic=True)
-        np.testing.assert_allclose(a @ x, rhs, atol=1e-9)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            solve_cyclic_tridiagonal(
-                np.zeros(2), np.ones(2), np.zeros(2), np.ones(2)
-            )
 
     def test_diffusion_system_validation(self):
         with pytest.raises(ValueError):
@@ -117,74 +82,3 @@ class TestVerticalDiffusion:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             implicit_vertical_diffusion(np.zeros((3, 4)), 1.0, 1.0)
-
-
-class TestHelmholtzCG:
-    @pytest.fixture
-    def grid(self):
-        return SphericalGrid(12, 16)
-
-    def test_alpha_zero_is_identity(self, grid, rng):
-        geom = LocalGeometry.from_grid(grid)
-        op = HelmholtzOperator(geom, alpha=0.0)
-        f = rng.standard_normal((12, 16, 2))
-        np.testing.assert_allclose(op(pad_with_halo(f)), f)
-
-    def test_cg_solves_helmholtz(self, grid, rng):
-        geom = LocalGeometry.from_grid(grid)
-        alpha = 0.3 * float(geom.dx_c[1:-1].min()) ** 2
-        op = HelmholtzOperator(geom, alpha=alpha)
-        truth = rng.standard_normal((12, 16, 2))
-        rhs = op(pad_with_halo(truth))
-        result = cg_serial(op, rhs, tol=1e-12)
-        assert result.converged
-        np.testing.assert_allclose(result.x, truth, atol=1e-6)
-
-    def test_implicit_diffusion_smooths(self, grid):
-        geom = LocalGeometry.from_grid(grid)
-        field = np.zeros((12, 16, 1))
-        field[6, 8, 0] = 1.0
-        res = implicit_horizontal_diffusion(field, geom, dt=1e4, kappa=1e5)
-        assert res.converged
-        assert res.x[6, 8, 0] < 1.0
-        assert res.x.sum() > 0
-
-    def test_dt_beyond_explicit_limit(self, grid):
-        """The implicit solve is fine at time steps that would blow up the
-        (unscaled) explicit operator."""
-        geom = LocalGeometry.from_grid(grid)
-        kappa = 1e5
-        dt = 100.0 * explicit_diffusion_unstable_dt(geom, kappa)
-        field = np.random.default_rng(1).standard_normal((12, 16, 1))
-        res = implicit_horizontal_diffusion(field, geom, dt=dt, kappa=kappa)
-        assert res.converged
-        assert np.isfinite(res.x).all()
-
-    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 4)])
-    def test_parallel_matches_serial(self, grid, rng, dims):
-        geom_full = LocalGeometry.from_grid(grid)
-        field = rng.standard_normal((12, 16, 2))
-        dt, kappa = 2e3, 1e5
-        serial = implicit_horizontal_diffusion(field, geom_full, dt, kappa)
-
-        mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
-
-        def program(ctx):
-            sub = decomp.subdomain(ctx.rank)
-            geom = LocalGeometry.from_grid(grid, sub.lat0, sub.lat1)
-            local = decomp.scatter(field)[ctx.rank]
-            result = yield from implicit_horizontal_diffusion_parallel(
-                ctx, decomp, geom, local, dt, kappa
-            )
-            return result
-
-        res = Simulator(mesh.size, GENERIC).run(program)
-        gathered = decomp.gather([res.returns[r].x for r in range(mesh.size)])
-        np.testing.assert_allclose(gathered, serial.x, atol=1e-8)
-        # Identical iteration counts: the parallel solve is the serial
-        # algorithm, just distributed.
-        assert all(
-            res.returns[r].iterations == serial.iterations
-            for r in range(mesh.size)
-        )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.dynamics.state import ModelState, PROGNOSTIC_NAMES
 from repro.dynamics.timestep import (
-    IntegrationLog,
     euler_step,
     leapfrog_step,
     pin_polar_v,
@@ -76,17 +75,6 @@ class TestPolarPinning:
         pin_polar_v(v, is_north_edge_block=True)
         np.testing.assert_allclose(v[-1], 0.0)
         np.testing.assert_array_equal(v[:-1], keep[:-1])
-
-
-class TestIntegrationLog:
-    def test_records_and_stability(self):
-        log = IntegrationLog()
-        state = ModelState.zeros(4, 6, 1)
-        log.record(state)
-        assert log.stable
-        state.u[0, 0, 0] = 1e6
-        log.record(state)
-        assert not log.stable
 
 
 class TestInitialFields:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grid.decomposition import Decomposition2D
-from repro.grid.halo import exchange_halos, interior, pad_with_halo
+from repro.grid.halo import exchange_halos, pad_with_halo
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 
 
@@ -12,7 +12,7 @@ class TestPadWithHalo:
     def test_interior_preserved(self, rng):
         f = rng.standard_normal((5, 7))
         p = pad_with_halo(f)
-        np.testing.assert_array_equal(interior(p), f)
+        np.testing.assert_array_equal(p[1:-1, 1:-1], f)
 
     def test_longitude_periodic(self, rng):
         f = rng.standard_normal((5, 7))
@@ -30,7 +30,7 @@ class TestPadWithHalo:
         f = rng.standard_normal((5, 7, 3))
         p = pad_with_halo(f)
         assert p.shape == (7, 9, 3)
-        np.testing.assert_array_equal(interior(p), f)
+        np.testing.assert_array_equal(p[1:-1, 1:-1], f)
 
     def test_wide_halo(self, rng):
         f = rng.standard_normal((6, 8))

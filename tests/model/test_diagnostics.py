@@ -1,70 +1,44 @@
-"""Tests for physical diagnostics and the implicit-diffusion model option."""
+"""Physical sanity of a running model, and the implicit-diffusion option."""
 
 import numpy as np
-import pytest
 
-from repro.dynamics.state import ModelState
-from repro.grid.sphere import SphericalGrid
+from repro.dynamics.state import PHI_SCALE, PT_REFERENCE
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
-from repro.model.diagnostics import (
-    EnergyBudget,
-    energy_budget,
-    high_wavenumber_fraction,
-    mass_drift,
-    moisture_stats,
-    zonal_mean,
-    zonal_spectrum,
-)
 
 
-@pytest.fixture
-def grid():
-    return SphericalGrid(12, 16)
+def total_energy(state, grid):
+    """Area-integrated kinetic + available-potential energy: ``pt (u^2 +
+    v^2) / 2`` and ``PHI_SCALE (pt - ref)^2 / (2 ref)``, the shallow-water
+    analogues with the mass-field proxy as the layer weight."""
+    w = grid.cell_area[:, None, None]
+    ke = (0.5 * state.pt * (state.u**2 + state.v**2) * w).sum()
+    anomaly = state.pt - PT_REFERENCE
+    pe = (0.5 * PHI_SCALE / PT_REFERENCE * anomaly**2 * w).sum()
+    return float(ke + pe)
+
+
+def high_wavenumber_fraction(row):
+    """Fraction of the (non-mean) zonal variance of one latitude row in
+    the upper half of its wavenumbers."""
+    spec = np.abs(np.fft.rfft(row)) ** 2
+    cut = max(1, (spec.size - 1) // 2)
+    return float(spec[cut:].sum() / spec[1:].sum())
 
 
 class TestEnergyBudget:
-    def test_rest_state_zero_energy(self, grid):
-        state = ModelState.zeros(12, 16, 2)
-        budget = energy_budget(state, grid)
-        assert budget.kinetic == 0.0
-        assert budget.potential == 0.0
-        assert budget.total == 0.0
-
-    def test_components_positive(self, grid):
-        state = ModelState.baroclinic_test(grid, 2)
-        budget = energy_budget(state, grid)
-        assert budget.kinetic > 0
-        assert budget.potential > 0
-
     def test_energy_bounded_during_run(self):
         """No spurious energy source: total energy stays within a small
         factor of its initial value over a short run."""
         model = AGCM(make_config("tiny"))
         model.initialize()
-        e0 = energy_budget(model.state, model.grid).total
+        e0 = total_energy(model.state, model.grid)
         model.run(20)
-        e1 = energy_budget(model.state, model.grid).total
+        e1 = total_energy(model.state, model.grid)
         assert e1 < 5 * e0 + 1e-12
 
 
 class TestZonalDiagnostics:
-    def test_zonal_mean_shape(self, rng):
-        f = rng.standard_normal((5, 8, 3))
-        assert zonal_mean(f).shape == (5, 3)
-
-    def test_spectrum_of_pure_wave(self):
-        nlon = 16
-        field = np.zeros((4, nlon))
-        field[2] = np.cos(3 * 2 * np.pi * np.arange(nlon) / nlon)
-        spec = zonal_spectrum(field, 2)
-        assert spec.argmax() == 3
-
-    def test_high_wavenumber_fraction_bounds(self, rng):
-        f = rng.standard_normal((6, 16))
-        frac = high_wavenumber_fraction(f, 0)
-        assert 0.0 <= frac <= 1.0
-
     def test_filter_suppresses_polar_short_waves(self):
         """The polar filter strips short-wave variance from the polar
         rows of the *tendencies* (the quantity it is applied to) while
@@ -77,24 +51,12 @@ class TestZonalDiagnostics:
         model._filter_tendencies(tend)
         polar = model.grid.nlat - 1
         mid = model.grid.nlat // 2
-        before = high_wavenumber_fraction(raw["u"][..., 0], polar)
-        after = high_wavenumber_fraction(tend["u"][..., 0], polar)
+        before = high_wavenumber_fraction(raw["u"][polar, :, 0])
+        after = high_wavenumber_fraction(tend["u"][polar, :, 0])
         assert after < before
         np.testing.assert_allclose(
             tend["u"][mid], raw["u"][mid], atol=1e-14
         )
-
-
-class TestStatsHelpers:
-    def test_moisture_stats(self):
-        state = ModelState.zeros(4, 6, 2)
-        stats = moisture_stats(state)
-        assert stats["negative_fraction"] == 0.0
-        assert stats["min"] > 0
-
-    def test_mass_drift(self):
-        assert mass_drift([100.0, 100.1]) == pytest.approx(1e-3)
-        assert mass_drift([5.0]) == 0.0
 
 
 class TestImplicitDiffusionOption:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import api
-from repro.options import RunOptions, coerce_options
+from repro.options import RunOptions
 from repro.serve.config import ServeConfig
 
 pytestmark = pytest.mark.obs
@@ -36,9 +36,6 @@ class TestCoercion:
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="must be a RunOptions"):
             RunOptions.coerce(["obs"])
-
-    def test_coerce_options_alias(self):
-        assert coerce_options({"resume": True}).resume is True
 
     def test_workers_validated_on_construction(self):
         with pytest.raises(ValueError, match="workers must be positive"):

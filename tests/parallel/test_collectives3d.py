@@ -6,7 +6,7 @@ import pytest
 
 from repro.grid.decomposition3d import Decomposition3D
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
-from repro.physics.workload import leap_schedule, pillar_column_share
+from repro.physics.workload import leap_schedule
 
 
 def run(nranks, program, *args, general=False):
@@ -122,13 +122,3 @@ class TestLeapSchedule:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             leap_schedule(0, 0)
-
-
-class TestPillarColumnShare:
-    def test_shares_cover_all_columns(self):
-        shares = [pillar_column_share(10, 3, k) for k in range(3)]
-        assert sum(shares) == 10
-        assert max(shares) - min(shares) <= 1
-
-    def test_whole_tile_without_vertical_split(self):
-        assert pillar_column_share(42, 1, 0) == 42

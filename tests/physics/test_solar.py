@@ -7,8 +7,6 @@ import pytest
 
 from repro.physics.solar import (
     cos_zenith,
-    daylight_fraction,
-    daylight_mask,
     declination,
     hour_angle,
 )
@@ -30,7 +28,7 @@ class TestZenith:
         lat = np.linspace(-math.pi / 2, math.pi / 2, 50)
         lon = np.linspace(0, 2 * math.pi, 72, endpoint=False)
         lat2, lon2 = [a.ravel() for a in np.meshgrid(lat, lon)]
-        frac = daylight_fraction(lat2, lon2, time_frac=0.3)
+        frac = (cos_zenith(lat2, lon2, time_frac=0.3) > 0).mean()
         assert frac == pytest.approx(0.5, abs=0.03)
 
     def test_noon_at_antisolar_longitude(self):
@@ -46,16 +44,16 @@ class TestZenith:
         """The daylight pattern shifts with time — the moving physics load."""
         lon = np.linspace(0, 2 * math.pi, 36, endpoint=False)
         lat = np.zeros(36)
-        m1 = daylight_mask(lat, lon, 0.25)
-        m2 = daylight_mask(lat, lon, 0.35)
+        m1 = cos_zenith(lat, lon, 0.25) > 0
+        m2 = cos_zenith(lat, lon, 0.35) > 0
         assert not np.array_equal(m1, m2)
 
     def test_polar_day_with_declination(self):
         """High-latitude summer: daylight all around the circle."""
         lon = np.linspace(0, 2 * math.pi, 24, endpoint=False)
         lat = np.full(24, math.radians(85.0))
-        mask = daylight_mask(lat, lon, 0.0, decl=math.radians(23.0))
-        assert mask.all()
+        mu = cos_zenith(lat, lon, 0.0, decl=math.radians(23.0))
+        assert (mu > 0).all()
 
     def test_never_negative(self):
         lat = np.linspace(-1.5, 1.5, 20)
@@ -65,6 +63,3 @@ class TestZenith:
     def test_hour_angle_shape(self):
         h = hour_angle(np.zeros(5), 0.25)
         assert h.shape == (5,)
-
-    def test_empty_daylight_fraction(self):
-        assert daylight_fraction(np.array([]), np.array([]), 0.3) == 0.0

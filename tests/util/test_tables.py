@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import Table, format_seconds, render_tables
+from repro.util.tables import Table, format_seconds
 
 
 class TestFormatSeconds:
@@ -46,9 +46,3 @@ class TestTable:
         lines = t.render().splitlines()
         data_lines = lines[2:]
         assert len({len(line) for line in data_lines}) == 1
-
-    def test_render_tables_joins(self):
-        t1 = Table("A", ["x"])
-        t2 = Table("B", ["y"])
-        out = render_tables([t1, t2])
-        assert "A" in out and "B" in out

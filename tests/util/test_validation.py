@@ -1,12 +1,10 @@
 """Tests for validation helpers."""
 
-import numpy as np
 import pytest
 
 from repro.util.validation import (
     check_in_range,
     check_positive_int,
-    check_shape,
     require,
 )
 
@@ -55,20 +53,3 @@ class TestCheckInRange:
     def test_outside(self):
         with pytest.raises(ValueError):
             check_in_range(1.5, "x", 0, 1)
-
-
-class TestCheckShape:
-    def test_exact(self):
-        a = np.zeros((3, 4))
-        assert check_shape(a, (3, 4), "a") is a
-
-    def test_wildcard(self):
-        check_shape(np.zeros((3, 7)), (3, -1), "a")
-
-    def test_wrong_rank(self):
-        with pytest.raises(ValueError):
-            check_shape(np.zeros(3), (3, 1), "a")
-
-    def test_wrong_extent(self):
-        with pytest.raises(ValueError):
-            check_shape(np.zeros((3, 4)), (3, 5), "a")

@@ -20,7 +20,6 @@ from repro.verify.differential import (
     assert_pair,
     case_seed_for,
     check_pair,
-    check_pairs,
     compare_outputs,
     main,
     run_case,
@@ -210,11 +209,6 @@ def test_assert_pair_raises_differential_failure():
         assert_pair(_sum_pair(break_at=2), nconfigs=5)
     assert isinstance(err.value.counterexample, Counterexample)
     assert "MINIMAL COUNTEREXAMPLE" in str(err.value)
-
-
-def test_check_pairs_does_not_stop_on_failure():
-    reports = check_pairs([_sum_pair(break_at=1), _sum_pair()], nconfigs=3)
-    assert [r.ok for r in reports] == [False, True]
 
 
 def test_failures_reproduce_from_the_printed_seed():

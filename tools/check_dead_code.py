@@ -1,0 +1,162 @@
+#!/usr/bin/env python
+"""Census: top-level definitions in ``src/repro`` that no program runs.
+
+A definition (a top-level ``def`` or ``class``) is *dead* when its name
+is referenced only from ``tests/``, from ``__init__`` re-exports, or from
+the bodies of other dead definitions.  Programs are the rest of
+``src/repro`` (module-level statements included) plus ``bench/``,
+``benchmarks/``, ``examples/``, ``tools/`` and every word of the CI
+workflows, whose steps run inline scripts.  References are matched by
+name, so a definition that shares its name with a live one counts as
+live: the census can miss dead code, never report live code.
+
+Every dead definition must be in ``KEEP`` with a one-line reason.
+
+Exit codes: 0 = every dead definition is kept for a stated reason,
+1 = at least one is not (or a ``KEEP`` entry names nothing dead).
+
+Usage::
+
+    python tools/check_dead_code.py
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+import re
+import sys
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+
+from repro.util.cli import StrictParser  # noqa: E402
+
+PROGRAM_DIRS = ("bench", "benchmarks", "examples", "tools")
+
+# "module.name": why a definition that only tests reach stays.  A kept
+# definition counts as live, so what it calls needs no entry of its own.
+KEEP = {
+    "dynamics.operators.laplacian5":
+        "expression-form oracle of tests/dynamics/test_tendencies.py",
+    "dynamics.operators.u_at_v_points":
+        "expression-form oracle of tests/dynamics/test_tendencies.py",
+    "dynamics.operators.v_at_u_points":
+        "expression-form oracle of tests/dynamics/test_tendencies.py",
+    "core.physics_lb.estimator.PreviousPassEstimator":
+        "lagged-load estimator of ROADMAP item 12 (scheme-3 plan staleness)",
+    "io.byteorder.native_order":
+        "byte-order codec of the one result encoding, ROADMAP item 6",
+    "io.byteorder.swap_bytes":
+        "byte-order codec of the one result encoding, ROADMAP item 6",
+    "io.byteorder.reinterpret_swapped":
+        "byte-order codec of the one result encoding, ROADMAP item 6",
+    "io.byteorder.convert_record":
+        "byte-order codec of the one result encoding, ROADMAP item 6",
+    "io.byteorder.encode_record":
+        "byte-order codec of the one result encoding, ROADMAP item 6",
+    "verify.differential.assert_pair":
+        "pytest entry of the differential suite (pytest -m differential)",
+    "verify.differential.DifferentialFailure":
+        "what assert_pair raises: the differential suite's failure report",
+    "verify.pairs.pair_by_name":
+        "the reproduce line a failing differential pair prints calls it",
+}
+
+
+def _sources(directory):
+    return sorted(glob.glob(os.path.join(_REPO_ROOT, directory, "**", "*.py"),
+                            recursive=True))
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _names(node):
+    """Every identifier *node* mentions: names, attributes and the names
+    an import binds."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            for alias in sub.names:
+                yield alias.name
+
+
+def census(roots=()):
+    """``{"module.name": line count}`` of the dead definitions, counting
+    the definitions named in *roots* as live."""
+    src = os.path.join(_REPO_ROOT, "src", "repro")
+    definitions = {}  # "module.name" -> (name, node)
+    chunks = []  # (owner "module.name" or None, names the chunk mentions)
+    for path in _sources(os.path.join("src", "repro")):
+        module = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
+        if os.path.basename(path) == "__init__.py":
+            # Re-exports make nothing live; code in an __init__ does.
+            tree = _parse(path)
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ImportFrom) or (
+                        isinstance(stmt, ast.Assign) and any(
+                            getattr(t, "id", "") == "__all__"
+                            for t in stmt.targets)):
+                    continue
+                chunks.append((None, set(_names(stmt))))
+            continue
+        for stmt in _parse(path).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                key = f"{module}.{stmt.name}"
+                definitions[key] = (stmt.name, stmt)
+                chunks.append((key, set(_names(stmt)) - {stmt.name}))
+            else:
+                chunks.append((None, set(_names(stmt))))
+    for directory in PROGRAM_DIRS:
+        for path in _sources(directory):
+            chunks.append((None, set(_names(_parse(path)))))
+    for path in glob.glob(os.path.join(_REPO_ROOT, ".github", "workflows",
+                                       "*.yml")):
+        with open(path, encoding="utf-8") as fh:
+            chunks.append((None, set(re.findall(r"\w+", fh.read()))))
+
+    dead = set(definitions) - set(roots)
+    while True:  # a definition is live once a live chunk names it
+        live = set()
+        for owner, names in chunks:
+            if owner not in dead:
+                live |= names
+        still = {key for key in dead if definitions[key][0] not in live}
+        if still == dead:
+            break
+        dead = still
+    return {key: definitions[key][1].end_lineno
+            - definitions[key][1].lineno + 1 for key in sorted(dead)}
+
+
+def main(argv=None) -> int:
+    parser = StrictParser("check_dead_code.py",
+                          prog="python tools/check_dead_code.py",
+                          description=__doc__.splitlines()[0])
+    parser.parse_args(argv)
+    dead = census()
+    unkept = census(roots=KEEP)
+    stale = [key for key in KEEP if key not in dead]
+    for key, lines in dead.items():
+        if key in KEEP:
+            print(f"{key} ({lines} lines): kept, {KEEP[key]}")
+    for key, lines in unkept.items():
+        print(f"{key} ({lines} lines): NOT KEPT, delete it or give it a "
+              f"caller")
+    for key in stale:
+        print(f"{key}: in KEEP but not dead (or gone); drop the entry")
+    print(f"{len(dead)} test-only definition(s), {sum(dead.values())} lines; "
+          f"{len(unkept)} not kept, {len(stale)} stale keep entries")
+    return 1 if unkept or stale else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
