@@ -2,9 +2,9 @@
 
 The paper proposes an optimised library routine for ``a o b`` (tiling a
 short vector across a long one) as a portable route to single-node
-performance.  numpy's broadcasting is that routine here; the benchmark
-measures the real speedup over the scalar-loop form and the gain from the
-in-place variant.
+performance.  The study prices the scalar loop and the two 2-D forms on
+the Paragon and T3D node models; the pytest-benchmark timings of the
+numpy forms are host microbenchmarks and write no rendering.
 """
 
 import numpy as np
@@ -21,11 +21,12 @@ from repro.reporting.experiments import run_pointwise
 def test_pointwise_study(benchmark, archive):
     result = run_once(benchmark, run_pointwise)
     print("\n" + archive(result))
-    times = result.data
-    # The optimised kernel is orders of magnitude faster than the scalar
-    # loop (the paper hoped for exactly this kind of library win).
-    assert times["reshaped"] < 0.05 * times["naive"]
-    assert times["tiled"] <= times["reshaped"] * 1.5
+    for machine, times in result.data.items():
+        # The 2-D forms drop the scalar loop's k % m (the library win the
+        # paper hoped for; past the caches the stream's misses dominate).
+        assert times["reshaped"] < times["naive"], machine
+        # Writing the preallocated out costs no more than a fresh array.
+        assert times["tiled"] <= times["reshaped"], machine
 
 
 @pytest.fixture(scope="module")

@@ -51,10 +51,10 @@ SLEEP_IDENT = "sleep"
 #: the tail of the campaign).
 _TIER_WEIGHT = {"fast": 0.1, "medium": 3.0, "slow": 30.0}
 
-#: Named selector lists.  ``smoke`` sticks to deterministic virtual-time
-#: experiments (no wall-clock timing runs), so its merged results are
-#: bit-identical across worker counts and reruns — the property the
-#: differential tests assert.
+#: Named selector lists.  Every registered experiment is deterministic
+#: (virtual time, or the Section-3.4 node model), so a sweep's merged
+#: results are bit-identical across worker counts and reruns — the
+#: property the differential tests assert.
 SWEEPS: Dict[str, Tuple[str, ...]] = {
     "mini": (
         "fig2_3", "fig4_6", "table8@4x4", "table9@4x4", "blockarray",

@@ -17,20 +17,8 @@ EARTH_OMEGA = 7.292e-5
 #: Gravitational acceleration [m/s^2].
 GRAVITY = 9.80665
 
-#: Specific gas constant of dry air [J/(kg K)].
-R_DRY = 287.04
-
-#: Specific heat of dry air at constant pressure [J/(kg K)].
-CP_DRY = 1004.6
-
-#: kappa = R/cp, the Poisson exponent for potential temperature.
-KAPPA = R_DRY / CP_DRY
-
 #: Reference surface pressure [Pa].
 P_REFERENCE = 1.0e5
-
-#: Latent heat of vaporisation [J/kg].
-L_VAPOR = 2.5e6
 
 #: Stefan-Boltzmann constant [W/(m^2 K^4)].
 STEFAN_BOLTZMANN = 5.670e-8
@@ -41,11 +29,5 @@ SOLAR_CONSTANT = 1361.0
 #: Seconds in a simulated day.
 SECONDS_PER_DAY = 86400.0
 
-#: Typical external gravity-wave phase speed [m/s] used in CFL analysis;
-#: the fast inertia-gravity modes the polar filter must damp travel at
-#: roughly sqrt(g * H_equiv) with an equivalent depth of ~10 km.
-GRAVITY_WAVE_SPEED = math.sqrt(GRAVITY * 1.0e4)
-
-#: Degrees <-> radians helpers kept as constants for hot loops.
+#: Degrees -> radians, kept as a constant for hot loops.
 DEG2RAD = math.pi / 180.0
-RAD2DEG = 180.0 / math.pi

@@ -10,7 +10,6 @@ from repro.dynamics.state import (
     scatter_initial_fields,
 )
 from repro.dynamics.tendencies import (
-    FLOPS_PER_POINT_LAYER,
     DynamicsParams,
     compute_tendencies,
     dynamics_flops,
@@ -43,7 +42,6 @@ __all__ = [
     "compute_tendencies",
     "dynamics_flops",
     "dynamics_mem_bytes",
-    "FLOPS_PER_POINT_LAYER",
     "CflReport",
     "max_stable_dt",
     "stable_dt_by_latitude",

@@ -17,9 +17,9 @@ into a reusable :class:`TendencyWorkspace` — the "production" kernel.
 The deliberately *unoptimised* variants the paper's single-node study
 starts from live in :mod:`repro.perf.advection_opt`.
 
-``FLOPS_PER_POINT_LAYER`` is the hand-counted arithmetic cost of this
-kernel per grid point per layer; the virtual machine charges it when the
-kernel runs inside a simulation.
+The virtual machine does not charge this kernel's own arithmetic: it
+charges ``AGCM_FLOPS_PER_POINT_LAYER`` (1550), the calibrated workload of
+the full UCLA AGCM Dynamics, per grid point and layer.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from repro import constants as c
 from repro.dynamics.geometry import LocalGeometry
 from repro.dynamics.state import PHI_SCALE, PT_REFERENCE
 
-#: Hand-counted flops per grid point per layer of one tendency evaluation
-#: of the *reduced* kernel implemented here (continuity 14, u-momentum 29,
-#: v-momentum 29, tracer 22, diffusion on pt 8, ps amortised ~3).
-FLOPS_PER_POINT_LAYER = 105.0
 
 #: Calibrated per-point-layer workload of the full UCLA AGCM Dynamics,
 #: charged to the virtual machine.  The full model evaluates far more than

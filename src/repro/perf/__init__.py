@@ -1,14 +1,7 @@
 """Single-node performance laboratory (paper Section 3.4)."""
 
 from repro.perf.cache_sim import CacheSim, CacheStats, loop_time, miss_time
-from repro.perf.access_patterns import (
-    ADVECTION_LOOP_MIX,
-    laplace_flops,
-    laplace_stream_block,
-    laplace_stream_separate,
-    mixed_loops_block,
-    mixed_loops_separate,
-)
+from repro.perf.access_patterns import ADVECTION_LOOP_MIX, Layout, Loop, stream
 from repro.perf.kernels import (
     pointwise_multiply_naive,
     pointwise_multiply_reshaped,
@@ -17,7 +10,6 @@ from repro.perf.kernels import (
 from repro.perf.advection_opt import (
     ALL_VARIANTS,
     AdvectionWorkspace,
-    advection_hoisted,
     advection_naive,
     advection_optimized,
     advection_vectorized,
@@ -27,6 +19,7 @@ from repro.perf.node_model import (
     LayoutComparison,
     compare_advection_layouts,
     compare_laplace_layouts,
+    price,
 )
 
 __all__ = [
@@ -34,17 +27,15 @@ __all__ = [
     "CacheStats",
     "loop_time",
     "miss_time",
-    "laplace_stream_separate",
-    "laplace_stream_block",
-    "mixed_loops_separate",
-    "mixed_loops_block",
+    "Loop",
+    "Layout",
+    "stream",
+    "price",
     "ADVECTION_LOOP_MIX",
-    "laplace_flops",
     "pointwise_multiply_naive",
     "pointwise_multiply_reshaped",
     "pointwise_multiply_tiled",
     "advection_naive",
-    "advection_hoisted",
     "advection_vectorized",
     "advection_optimized",
     "AdvectionWorkspace",

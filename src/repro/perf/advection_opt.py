@@ -6,7 +6,7 @@ restructuring: eliminating redundant calculations in nested loops,
 replacing hand-coded loops with BLAS-style primitives, loop unrolling and
 splitting very large loops.
 
-Four implementations of the same flux-form advection tendency are
+Three implementations of the same flux-form advection tendency are
 provided, each semantically identical (asserted by tests) and
 progressively restructured:
 
@@ -14,10 +14,6 @@ progressively restructured:
     Straight transliteration of the original Fortran: triple scalar loop,
     metric terms and averages recomputed inside the innermost loop — the
     redundant work the paper eliminates first.
-``advection_hoisted``
-    Same scalar loops with loop-invariant metric factors hoisted and
-    common subexpressions reused (the paper's "eliminating or minimising
-    redundant calculations in nested loops").
 ``advection_vectorized``
     Whole-array numpy expressions (the analogue of letting the compiler /
     library vectorise), but allocating temporaries freely.
@@ -26,9 +22,11 @@ progressively restructured:
     flux arrays shared between the x- and y-passes — the analogue of the
     BLAS + unrolling + loop-splitting end state.
 
-``benchmarks/bench_advection_opt.py`` times them; the paper-shape claim
-is naive -> hoisted >= ~25-35% and vectorized -> optimized a measurable
-further cut.
+The restructuring study prices these kernels, plus a "hoisted" stage
+between naive and vectorized (loop invariants and the east-face flux
+computed once per cell, the paper's "eliminating or minimising redundant
+calculations in nested loops"), as loop descriptions on the node model:
+:data:`repro.perf.access_patterns.ADVECTION_STAGES`.
 """
 
 from __future__ import annotations
@@ -64,39 +62,6 @@ def advection_naive(
                 fs = 0.5 * (f[jm, i, kk] + f[j, i, kk])
                 fx = (u[j, i, kk] * fe - u[j, im, kk] * fw) / dx[j]
                 fy = (v[j, i, kk] * fn - v[jm, i, kk] * fs) / dy
-                out[j, i, kk] = -(fx + fy)
-    return out
-
-
-def advection_hoisted(
-    f: np.ndarray, u: np.ndarray, v: np.ndarray,
-    dx: np.ndarray, dy: float,
-) -> np.ndarray:
-    """Scalar loops with invariants hoisted and subexpressions reused.
-
-    The 1/dx and 1/dy divisions move out of the inner loops and each face
-    average is computed once per cell instead of twice (the east face of
-    cell i is the west face of cell i+1).
-    """
-    nlat, nlon, k = f.shape
-    out = np.zeros_like(f)
-    inv_dy = 1.0 / dy
-    for j in range(nlat):
-        inv_dx = 1.0 / dx[j]
-        jp = min(j + 1, nlat - 1)
-        jm = max(j - 1, 0)
-        for kk in range(k):
-            # Precompute the east-face fluxes of the whole row once.
-            flux_e = [0.0] * nlon
-            for i in range(nlon):
-                ip = (i + 1) % nlon
-                flux_e[i] = u[j, i, kk] * 0.5 * (f[j, i, kk] + f[j, ip, kk])
-            for i in range(nlon):
-                im = (i - 1) % nlon
-                fn = 0.5 * (f[j, i, kk] + f[jp, i, kk])
-                fs = 0.5 * (f[jm, i, kk] + f[j, i, kk])
-                fx = (flux_e[i] - flux_e[im]) * inv_dx
-                fy = (v[j, i, kk] * fn - v[jm, i, kk] * fs) * inv_dy
                 out[j, i, kk] = -(fx + fy)
     return out
 
@@ -180,7 +145,6 @@ def reference_advection(
 
 ALL_VARIANTS: Dict[str, callable] = {
     "naive": advection_naive,
-    "hoisted": advection_hoisted,
     "vectorized": advection_vectorized,
     "optimized": advection_optimized,
 }

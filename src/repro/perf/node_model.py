@@ -1,7 +1,11 @@
-"""Single-node time predictions combining arithmetic and cache behaviour.
+"""Single-node time predictions: loop descriptions priced on a machine.
 
-Glues the cache simulator to the machine models to reproduce the paper's
-layout findings:
+Every Section-3.4 study is priced one way: the loops' address stream
+(:func:`repro.perf.access_patterns.stream`) runs through the machine's
+data cache (:class:`~repro.perf.cache_sim.CacheSim`), and
+:func:`~repro.perf.cache_sim.loop_time` adds the loops' operations at
+the machine's one op rate to the misses at its miss penalty.  The
+paper's layout findings:
 
 * block array ~5x faster than separate arrays for the isolated 7-point
   Laplace on 32^3 fields on the Paragon, ~2.6x on the T3D;
@@ -11,18 +15,32 @@ layout findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.parallel.machine import MachineModel
 from repro.perf.access_patterns import (
     ADVECTION_LOOP_MIX,
-    laplace_flops,
-    laplace_stream_block,
-    laplace_stream_separate,
-    mixed_loops_block,
-    mixed_loops_separate,
+    Layout,
+    Nest,
+    cells,
+    laplace_loops,
+    loops_of,
+    mixed_loops,
+    stream,
 )
 from repro.perf.cache_sim import CacheSim, CacheStats, loop_time
+
+
+def price(nests: Sequence[Nest], layout: Layout, machine: MachineModel,
+          halo: int = 1) -> Tuple[float, CacheStats]:
+    """Predicted seconds of ``nests`` over the cells ``halo`` inside
+    ``layout``'s grid on ``machine``, with the cache statistics behind
+    them.  Past both caches a unit-stride stream misses once per line,
+    so its price grows linearly with the cell count."""
+    stats = CacheSim.for_machine(machine).simulate(stream(nests, layout, halo))
+    ncell = cells(layout.shape, halo)[0].size
+    ops = sum(loop.ops for loop in loops_of(nests)) * ncell
+    return loop_time(stats, ops, machine), stats
 
 
 @dataclass(frozen=True)
@@ -41,26 +59,26 @@ class LayoutComparison:
         return self.separate_time / self.block_time if self.block_time else 0.0
 
 
-def compare_laplace_layouts(
-    machine: MachineModel, n: int = 32, m: int = 8
-) -> LayoutComparison:
-    """The paper's isolated experiment: 7-point Laplace over ``m`` fields.
-
-    Runs the actual address streams of both layouts through the machine's
-    cache and converts misses to time with the machine's miss penalty.
-    """
-    flops = laplace_flops(n, m)
-    sim = CacheSim.for_machine(machine)
-    sep = sim.simulate(laplace_stream_separate(n, m))
-    sim.reset()
-    blk = sim.simulate(laplace_stream_block(n, m))
+def _compare(loops, machine, n, m, stagger_lines) -> LayoutComparison:
+    shape = (n, n, n)
+    sep_time, sep = price(loops, Layout(shape, stagger_lines=stagger_lines),
+                          machine)
+    blk_time, blk = price(loops, Layout(shape, block=m), machine)
     return LayoutComparison(
         machine=machine.name,
-        separate_time=loop_time(sep, flops, machine),
-        block_time=loop_time(blk, flops, machine),
+        separate_time=sep_time,
+        block_time=blk_time,
         separate_misses=sep.misses,
         block_misses=blk.misses,
     )
+
+
+def compare_laplace_layouts(
+    machine: MachineModel, n: int = 32, m: int = 8
+) -> LayoutComparison:
+    """The paper's isolated experiment: 7-point Laplace over ``m`` fields,
+    with the separate arrays fully aligned (the paper's test code)."""
+    return _compare(laplace_loops(m), machine, n, m, stagger_lines=0)
 
 
 def compare_advection_layouts(
@@ -75,18 +93,4 @@ def compare_advection_layouts(
     interleaving wastes cache lines and its advantage disappears (or
     reverses) — the negative result Section 3.4 reports.
     """
-    flops_per_access = 1.5
-    sim = CacheSim.for_machine(machine)
-    sep_stream = mixed_loops_separate(n, m, loops)
-    sep = sim.simulate(sep_stream)
-    sim.reset()
-    blk_stream = mixed_loops_block(n, m, loops)
-    blk = sim.simulate(blk_stream)
-    flops = flops_per_access * sep_stream.size
-    return LayoutComparison(
-        machine=machine.name,
-        separate_time=loop_time(sep, flops, machine),
-        block_time=loop_time(blk, flops, machine),
-        separate_misses=sep.misses,
-        block_misses=blk.misses,
-    )
+    return _compare(mixed_loops(m, loops), machine, n, m, stagger_lines=3)

@@ -13,11 +13,8 @@ seconds-per-simulated-day (see :mod:`repro.model.timing_report`).
 
 from __future__ import annotations
 
-import math
-import timeit
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +32,14 @@ from repro.grid.decomposition3d import Decomposition3D
 from repro.model import AGCM, ComponentBreakdown, make_config, plan_column_flow
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, T3D, MachineModel, ProcessorMesh, Simulator
-from repro.perf import (
-    ALL_VARIANTS,
-    AdvectionWorkspace,
-    advection_optimized,
-    compare_advection_layouts,
-    compare_laplace_layouts,
-    pointwise_multiply_naive,
-    pointwise_multiply_reshaped,
-    pointwise_multiply_tiled,
+from repro.perf import compare_advection_layouts, compare_laplace_layouts
+from repro.perf.access_patterns import (
+    ADVECTION_STAGES,
+    FLUX_E,
+    POINTWISE_VARIANTS,
+    Layout,
 )
+from repro.perf.node_model import price
 from repro.physics.driver import ColumnSet
 from repro.physics.workload import column_flops
 from repro.util.tables import Table
@@ -677,118 +672,73 @@ def run_blockarray(n: int = 32, m: int = 8,
     )
 
 
-def _interleaved_min(calls: Dict[str, Callable[[], Any]], number: int,
-                     repeat: int) -> Dict[str, float]:
-    """Seconds per call of each callable: the best of ``repeat`` rounds of
-    ``number`` calls, every round timing each callable in turn."""
-    best = dict.fromkeys(calls, math.inf)
-    for _ in range(repeat):
-        for name, fn in calls.items():
-            best[name] = min(best[name], timeit.timeit(fn, number=number))
-    return {name: t / number for name, t in best.items()}
-
-
-def run_advection_opt(
-    shape: Tuple[int, int, int] = (45, 72, 9),
-    scalar_repeats: int = 3,
-    vector_repeats: int = 200,
-    seed: int = 3,
-) -> ExperimentResult:
-    """The advection single-node optimisation study (real wall-clock).
-
-    Times the four restructuring stages of the advection routine; the
-    paper's claim is a ~35% reduction from loop restructuring (here:
-    naive -> hoisted) plus further gains from the BLAS-style in-place
-    forms (vectorized -> optimized).
-    """
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(shape)
-    u = rng.standard_normal(shape)
-    v = rng.standard_normal(shape)
-    dx = 1.0e5 * (1.0 + rng.random(shape[0]))
-    dy = 1.1e5
-
-    # Each compared pair is timed in alternation, so a busy stretch of
-    # the host slows both sides of a ratio instead of one.
-    times = _interleaved_min(
-        {name: partial(ALL_VARIANTS[name], f, u, v, dx, dy)
-         for name in ("naive", "hoisted")},
-        number=scalar_repeats, repeat=2,
-    )
-    ws = AdvectionWorkspace(shape)
-    times.update(_interleaved_min(
-        {"vectorized": partial(ALL_VARIANTS["vectorized"], f, u, v, dx, dy),
-         "optimized": partial(advection_optimized, f, u, v, dx, dy, ws)},
-        number=vector_repeats, repeat=3,
-    ))
-
-    table = Table(
-        "Section 3.4 — advection routine restructuring (measured wall time)",
-        ["variant", "time per call", "vs naive", "vs previous"],
-    )
+def _stage_table(title: str, times: Dict[str, float]) -> Table:
+    """One row per stage: its priced time, and its change from the first
+    row and from the previous row."""
+    table = Table(title, ["variant", "time", "vs naive", "vs previous"])
+    first = next(iter(times.values()))
     prev = None
-    for name in ("naive", "hoisted", "vectorized", "optimized"):
-        t = times[name]
-        rel = f"-{100 * (1 - t / times['naive']):.0f}%"
-        step = "" if prev is None else f"-{100 * (1 - t / prev):.0f}%"
-        unit = f"{t * 1e3:.2f} ms" if t > 1e-3 else f"{t * 1e6:.0f} us"
-        table.add_row(name, unit, rel, step)
+    for name, t in times.items():
+        table.add_row(
+            name, f"{t * 1e3:.2f} ms",
+            "" if prev is None else f"{100 * (t / first - 1):+.0f}%",
+            "" if prev is None else f"{100 * (t / prev - 1):+.0f}%",
+        )
         prev = t
+    return table
+
+
+def run_advection_opt(n: int = 32) -> ExperimentResult:
+    """The advection routine's four restructuring stages, priced on the
+    node model of each machine (Section 3.4).
+
+    Paper: loop restructuring cut the routine's time on one T3D node by
+    about 35 %.  The stages are the loops of
+    :data:`~repro.perf.access_patterns.ADVECTION_STAGES` on an ``n^3``
+    grid of separate arrays whose bases are staggered, as in a real
+    program.
+    """
+    layout = Layout((n, n, n), stagger_lines=3, rows=(FLUX_E,))
+    tables, data = [], {}
+    for machine in (PARAGON, T3D):
+        times = {name: price(nests, layout, machine)[0]
+                 for name, nests in ADVECTION_STAGES.items()}
+        tables.append(_stage_table(
+            f"Section 3.4 — advection routine restructuring, "
+            f"{machine.name} node model ({n - 2}^3 cells)", times))
+        data[machine.name] = times
     return ExperimentResult(
         ident="advection_opt",
         title="Advection single-node optimisation",
-        tables=[table],
-        data=times,
+        tables=tables,
+        data=data,
     )
 
 
-def run_pointwise(
-    n: int = 1_800_000, m: int = 9, repeats: int = 20, seed: int = 5
-) -> ExperimentResult:
-    """The pointwise vector-multiply kernel (eq. 4), measured wall time."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(m)
-    out = np.empty(n)
+def run_pointwise(n: int = 36_864, m: int = 9) -> ExperimentResult:
+    """The pointwise vector-multiply kernel (eq. 4), priced on the node
+    model of each machine.
 
-    naive_n = max(1, repeats // 10)
-    a_small = a[: n // 100]
-    # min-of-repeats: robust to background noise (the guide's "no
-    # optimisation without measuring" includes measuring carefully).
-    t_naive = min(
-        timeit.repeat(
-            lambda: pointwise_multiply_naive(a_small, b),
-            number=naive_n, repeat=3,
-        )
-    ) / naive_n * 100  # scale the 1%-sized run up to the full length
-    t_reshaped = min(
-        timeit.repeat(
-            lambda: pointwise_multiply_reshaped(a, b),
-            number=repeats, repeat=3,
-        )
-    ) / repeats
-    t_tiled = min(
-        timeit.repeat(
-            lambda: pointwise_multiply_tiled(a, b, out),
-            number=repeats, repeat=3,
-        )
-    ) / repeats
-    table = Table(
-        f"Section 3.4 — pointwise vector-multiply (eq. 4), n={n}, m={m}",
-        ["variant", "time per call", "speedup vs naive"],
-    )
-    for name, t in (
-        ("scalar loop (naive)", t_naive),
-        ("reshaped broadcast", t_reshaped),
-        ("tiled, in-place", t_tiled),
-    ):
-        unit = f"{t * 1e3:.2f} ms"
-        table.add_row(name, unit, f"{t_naive / t:.0f}x")
+    ``n`` = 36 864 puts ``a`` and ``out`` (288 KB each) well past both
+    caches, where the unit-stride stream misses once per line and the
+    price grows linearly with ``n``.
+    """
+    if n % m:
+        raise ValueError(f"n={n} must be divisible by m={m}")
+    layout = Layout((m, n // m, 1), stagger_lines=3)
+    tables, data = [], {}
+    for machine in (PARAGON, T3D):
+        times = {name: price(nests, layout, machine, halo=0)[0]
+                 for name, nests in POINTWISE_VARIANTS.items()}
+        tables.append(_stage_table(
+            f"Section 3.4 — pointwise vector-multiply (eq. 4), "
+            f"{machine.name} node model, n={n}, m={m}", times))
+        data[machine.name] = times
     return ExperimentResult(
         ident="pointwise",
         title="Pointwise vector-multiply kernel",
-        tables=[table],
-        data={"naive": t_naive, "reshaped": t_reshaped, "tiled": t_tiled},
+        tables=tables,
+        data=data,
     )
 
 

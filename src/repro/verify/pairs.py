@@ -58,10 +58,10 @@ from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 from repro.perf.access_patterns import (
     ADVECTION_LOOP_MIX,
-    laplace_stream_block,
-    laplace_stream_separate,
-    mixed_loops_block,
-    mixed_loops_separate,
+    Layout,
+    laplace_loops,
+    mixed_loops,
+    stream,
 )
 from repro.perf.advection_opt import ALL_VARIANTS, reference_advection
 from repro.perf.kernels import (
@@ -689,18 +689,23 @@ def _layout_loops(m: int):
     return tuple(tuple(f % m for f in loop) for loop in ADVECTION_LOOP_MIX)
 
 
+def _layout_accesses(config: Config, layout: Layout):
+    m = config["m"]
+    return {
+        "laplace_accesses": stream(laplace_loops(m), layout).shape[0],
+        "mixed_accesses":
+            stream(mixed_loops(m, _layout_loops(m)), layout).shape[0],
+    }
+
+
 def _layout_reference(config: Config, rng: np.random.Generator):
-    n, m = config["n"], config["m"]
-    sep_lap = laplace_stream_separate(n, m)
-    sep_mix = mixed_loops_separate(n, m, _layout_loops(m))
-    return {"laplace_accesses": sep_lap.shape[0], "mixed_accesses": sep_mix.shape[0]}
+    n = config["n"]
+    return _layout_accesses(config, Layout((n, n, n)))
 
 
 def _layout_candidate(config: Config, rng: np.random.Generator):
-    n, m = config["n"], config["m"]
-    blk_lap = laplace_stream_block(n, m)
-    blk_mix = mixed_loops_block(n, m, _layout_loops(m))
-    return {"laplace_accesses": blk_lap.shape[0], "mixed_accesses": blk_mix.shape[0]}
+    n = config["n"]
+    return _layout_accesses(config, Layout((n, n, n), block=config["m"]))
 
 
 def block_vs_separate_layout_pair() -> ImplementationPair:

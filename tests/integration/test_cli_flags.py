@@ -494,6 +494,25 @@ def test_docs_checker_rejects_a_removed_flag(tmp_path):
     assert "2 command line(s) checked, 1 rejected" in proc.stdout
 
 
+def test_docs_checker_rejects_dangling_paths(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Dangling: `src/repro/perf/nowhere.py`, `tools/check_cli_docs.py:99999`"
+        " and `tests/integration/test_cli_flags.py::test_no_such_test`.\n"
+        "Resolving: `perf/cache_sim.py:1`, `.github/workflows/ci.yml:2-3`,"
+        " `tests/integration/`, `s/day`, `tests/integration/"
+        "test_cli_flags.py::test_docs_checker_rejects_dangling_paths`,"
+        " `tests/perf/test_node_model.py::TestLaplaceLayouts::"
+        "test_paragon_gains_more`.\n")
+    proc = _run_tool("check_cli_docs.py", str(doc))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "`src/repro/perf/nowhere.py` does not exist" in proc.stdout
+    assert "`tools/check_cli_docs.py:99999` is past the end" in proc.stdout
+    assert ("`tests/integration/test_cli_flags.py::test_no_such_test` names"
+            " no test") in proc.stdout
+    assert "3 dangling path(s)" in proc.stdout
+
+
 def test_sample_profile_unit_must_belong_to_the_workload():
     proc = _run_tool("sample_profile.py", "--workload", "filter_tables",
                      "--unit", "table8@4x4", "--unit", "bigmesh@32x40")

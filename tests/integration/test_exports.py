@@ -72,3 +72,15 @@ def test_no_unkept_test_only_definitions():
         [sys.executable, str(ROOT / "tools" / "check_dead_code.py")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_census_counts_top_level_assignments():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import check_dead_code
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    body = ast.parse("def f(): pass\nA = 1\nB, (C, D) = x\n__all__ = []\n"
+                     "E: int = 2\nA += 1\nimport os\n").body
+    assert [check_dead_code._defined(stmt) for stmt in body] == [
+        ["f"], ["A"], ["B", "C", "D"], [], ["E"], [], []]

@@ -10,9 +10,11 @@ import pytest
 from repro import __main__ as cli
 from repro.parallel import T3D
 from repro.reporting.experiments import (
+    run_advection_opt,
     run_agcm_timing_table,
     run_fig1,
     run_filtering_table,
+    run_pointwise,
     run_sp2_supplementary,
 )
 
@@ -55,6 +57,25 @@ class TestSp2Small:
         result = run_sp2_supplementary(meshes=((2, 2),), nsteps=4)
         per = result.data[(2, 2)]
         assert per["new"].dynamics < per["old"].dynamics
+
+
+class TestSingleNodeStudiesSmall:
+    """The Section-3.4 studies are priced on the node model, so two runs
+    render the same bytes."""
+
+    @pytest.mark.parametrize("runner, options", [
+        (run_advection_opt, {"n": 10}),
+        (run_pointwise, {"n": 9 * 64, "m": 9}),
+    ], ids=["advection_opt", "pointwise"])
+    def test_two_runs_are_identical(self, runner, options):
+        first, second = runner(**options), runner(**options)
+        assert first.render() == second.render()
+        assert first.data == second.data
+        assert set(first.data) == {"paragon", "t3d"}
+
+    def test_pointwise_needs_whole_rows(self):
+        with pytest.raises(ValueError, match="divisible"):
+            run_pointwise(n=100, m=9)
 
 
 class TestCli:

@@ -1,14 +1,21 @@
 #!/usr/bin/env python
-"""Docs checker: every documented ``python -m repro ...`` line must parse.
+"""Docs checker: every documented command line parses, every path exists.
 
-Extracts the command lines of README.md, docs/*.md and the CI workflow
-(or of the files given), parses each with the parser the CLI itself
-would build for it — nothing is executed — and reports rejected flags,
-unknown subcommands, experiments, campaign selectors and sweeps.  The
-``python tools/sample_profile.py ...`` lines are checked the same way,
-unit labels included.
+Extracts the command lines of README.md, DESIGN.md, EXPERIMENTS.md,
+docs/*.md and the CI workflow (or of the files given), parses each with
+the parser the CLI itself would build for it — nothing is executed — and
+reports rejected flags, unknown subcommands, experiments, campaign
+selectors and sweeps.  The ``python tools/sample_profile.py ...`` lines
+are checked the same way, unit labels included.
 
-Exit codes: 0 = every command line parses, 1 = at least one is rejected.
+In the Markdown files, every backticked path (one with a ``/`` that ends
+in ``/`` or names a file with an extension) must exist under the repo
+root, ``src/`` or ``src/repro/``; a ``path:line`` (or ``path:first-last``)
+must not run past the end of its file; and a ``path::Class::test_name``
+id must name a test the file defines.
+
+Exit codes: 0 = every command line parses and every path resolves,
+1 = at least one does not.
 
 Usage::
 
@@ -18,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import glob
 import io
@@ -117,24 +125,72 @@ def rejection(argv):
     return None
 
 
+_PATH = re.compile(
+    r"`(?P<path>[\w.\-]+(?:/[\w.\-]*)+)"
+    r"(?::(?P<first>\d+)(?:[-\u2013](?P<last>\d+))?|::(?P<test>[\w:\[\].\-]+))?`")
+_ROOTS = ("", "src", os.path.join("src", "repro"))
+
+
+def _test_defined(path, test_id):
+    """Whether ``Class::test`` (or ``test``) names a test in *path*."""
+    with open(path, encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    for name in re.sub(r"\[.*?\]", "", test_id).split("::"):
+        found = [node for node in body if getattr(node, "name", None) == name]
+        if not found:
+            return False
+        body = getattr(found[0], "body", [])
+    return True
+
+
+def path_problems(text: str):
+    """Why each backticked path of *text* does not resolve."""
+    for match in _PATH.finditer(text):
+        rel = match.group("path")
+        last = rel.rstrip("/").rsplit("/", 1)[-1]
+        if not (rel.endswith("/") or "." in last.lstrip(".")):
+            continue  # a ratio such as `s/day`, not a path
+        found = [os.path.join(_REPO_ROOT, root, rel) for root in _ROOTS
+                 if os.path.exists(os.path.join(_REPO_ROOT, root, rel))]
+        if not found:
+            yield f"`{rel}` does not exist"
+            continue
+        if match.group("first"):
+            line = int(match.group("last") or match.group("first"))
+            with open(found[0], encoding="utf-8") as fh:
+                length = sum(1 for _ in fh)
+            if line > length:
+                yield f"`{match.group(0)[1:-1]}` is past the end " \
+                      f"({length} lines)"
+        if match.group("test") and not _test_defined(found[0],
+                                                     match.group("test")):
+            yield f"`{match.group(0)[1:-1]}` names no test"
+
+
 def main(argv=None) -> int:
     parser = StrictParser("check_cli_docs.py",
                           prog="python tools/check_cli_docs.py",
                           description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*", metavar="FILE",
-                        help="default: README.md, docs/*.md, the CI workflow")
+                        help="default: README.md, DESIGN.md, EXPERIMENTS.md, "
+                             "docs/*.md, the CI workflow")
     paths = parser.parse_args(argv).files or [
-        os.path.join(_REPO_ROOT, "README.md"),
+        *(os.path.join(_REPO_ROOT, name)
+          for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
         *sorted(glob.glob(os.path.join(_REPO_ROOT, "docs", "*.md"))),
         os.path.join(_REPO_ROOT, ".github", "workflows", "ci.yml"),
     ]
     checks = (("python -m repro", _REPRO, rejection),
               ("python tools/sample_profile.py", _SAMPLE_PROFILE,
                sample_profile_rejection))
-    checked = rejected = 0
+    checked = rejected = dangling = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        if path.endswith(".md"):
+            for why in path_problems(text):
+                dangling += 1
+                print(f"{os.path.relpath(path)}: {why}")
         for command, patterns, reject in checks:
             for line in command_lines(text, patterns):
                 checked += 1
@@ -143,8 +199,9 @@ def main(argv=None) -> int:
                     rejected += 1
                     print(f"{os.path.relpath(path)}: {command} "
                           f"{shlex.join(line)}\n    {why}")
-    print(f"{checked} command line(s) checked, {rejected} rejected")
-    return 1 if rejected else 0
+    print(f"{checked} command line(s) checked, {rejected} rejected; "
+          f"{dangling} dangling path(s)")
+    return 1 if rejected or dangling else 0
 
 
 if __name__ == "__main__":

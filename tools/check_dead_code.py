@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Census: top-level definitions in ``src/repro`` that no program runs.
 
-A definition (a top-level ``def`` or ``class``) is *dead* when its name
-is referenced only from ``tests/``, from ``__init__`` re-exports, or from
+A definition (a top-level ``def``, ``class`` or assignment; dunders such
+as ``__all__`` excepted) is *dead* when its name is referenced only from
+``tests/``, from ``__init__`` re-exports, or from
 the bodies of other dead definitions.  Programs are the rest of
 ``src/repro`` (module-level statements included) plus ``bench/``,
 ``benchmarks/``, ``examples/``, ``tools/`` and every word of the CI
@@ -60,6 +61,10 @@ KEEP = {
         "pytest entry of the differential suite (pytest -m differential)",
     "verify.differential.DifferentialFailure":
         "what assert_pair raises: the differential suite's failure report",
+    "verify.tolerances.FIELD_ATOL":
+        "named tolerance of the test suite's one tolerance policy",
+    "verify.tolerances.SPECTRAL_ATOL":
+        "named tolerance of the test suite's one tolerance policy",
     "verify.pairs.pair_by_name":
         "the reproduce line a failing differential pair prints calls it",
 }
@@ -88,12 +93,28 @@ def _names(node):
                 yield alias.name
 
 
+def _defined(stmt):
+    """The names a top-level statement defines: a ``def`` or ``class``,
+    or the plain names an assignment binds (dunders such as ``__all__``
+    excepted)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
 def census(roots=()):
     """``{"module.name": line count}`` of the dead definitions, counting
     the definitions named in *roots* as live."""
     src = os.path.join(_REPO_ROOT, "src", "repro")
     definitions = {}  # "module.name" -> (name, node)
-    chunks = []  # (owner "module.name" or None, names the chunk mentions)
+    chunks = []  # (owners "module.name", names the chunk mentions)
     for path in _sources(os.path.join("src", "repro")):
         module = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
         if os.path.basename(path) == "__init__.py":
@@ -105,29 +126,27 @@ def census(roots=()):
                             getattr(t, "id", "") == "__all__"
                             for t in stmt.targets)):
                     continue
-                chunks.append((None, set(_names(stmt))))
+                chunks.append(((), set(_names(stmt))))
             continue
         for stmt in _parse(path).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                key = f"{module}.{stmt.name}"
-                definitions[key] = (stmt.name, stmt)
-                chunks.append((key, set(_names(stmt)) - {stmt.name}))
-            else:
-                chunks.append((None, set(_names(stmt))))
+            defined = _defined(stmt)
+            owners = tuple(f"{module}.{name}" for name in defined)
+            for key, name in zip(owners, defined):
+                definitions[key] = (name, stmt)
+            chunks.append((owners, set(_names(stmt)) - set(defined)))
     for directory in PROGRAM_DIRS:
         for path in _sources(directory):
-            chunks.append((None, set(_names(_parse(path)))))
+            chunks.append(((), set(_names(_parse(path)))))
     for path in glob.glob(os.path.join(_REPO_ROOT, ".github", "workflows",
                                        "*.yml")):
         with open(path, encoding="utf-8") as fh:
-            chunks.append((None, set(re.findall(r"\w+", fh.read()))))
+            chunks.append(((), set(re.findall(r"\w+", fh.read()))))
 
     dead = set(definitions) - set(roots)
     while True:  # a definition is live once a live chunk names it
         live = set()
-        for owner, names in chunks:
-            if owner not in dead:
+        for owners, names in chunks:
+            if not owners or not dead.issuperset(owners):
                 live |= names
         still = {key for key in dead if definitions[key][0] not in live}
         if still == dead:
