@@ -14,8 +14,8 @@ i.e. eq. (4): ``a o b`` tiles the short vector ``b`` across the long
 vector ``a``.  Several implementations are provided, from a deliberately
 naive scalar loop (the "before" of the paper's optimisation study) to
 fully vectorised forms (numpy standing in for the proposed hand-optimised
-assembly routine); real timing comparisons live in
-``benchmarks/bench_pointwise_multiply.py``.
+assembly routine).  The study prices them as loop descriptions on the
+node model (:data:`repro.perf.access_patterns.POINTWISE_VARIANTS`).
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import numpy as np
 def pointwise_multiply_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Scalar-loop reference: ``out[k] = a[k] * b[k mod m]``.
 
-    Mirrors the Fortran inner loops before optimisation; used as the
-    baseline in the single-node benchmarks (and as the semantics oracle
-    for the fast variants).
+    Mirrors the Fortran inner loops before optimisation; the semantics
+    oracle for the fast variants.
     """
     n, m = a.shape[0], b.shape[0]
     if n % m != 0:
