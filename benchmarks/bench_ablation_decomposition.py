@@ -10,7 +10,7 @@ compares the three at 64 nodes on the production grid.
 
 from conftest import run_once
 
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import AGCMConfig, ComponentBreakdown
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
@@ -29,7 +29,7 @@ def sweep():
     data = {}
     for dims in SHAPES:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(mesh.size, PARAGON).run(
             agcm_rank_program, cfg, decomp, NSTEPS
         )

@@ -18,7 +18,7 @@ from conftest import run_once
 
 from repro.core import make_filter_plan, prepare_filter_backend
 from repro.dynamics.state import initial_fields_block
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
 from repro.util.tables import Table
 
@@ -28,7 +28,7 @@ NLAYERS = 9
 
 def _run(backend_name, row_width):
     mesh = ProcessorMesh(4, row_width)
-    decomp = Decomposition2D(GRID.nlat, GRID.nlon, mesh)
+    decomp = Decomposition(GRID.nlat, GRID.nlon, mesh)
     plan = make_filter_plan(GRID)
     backend = prepare_filter_backend(backend_name, plan, decomp)
 

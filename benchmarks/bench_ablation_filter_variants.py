@@ -20,7 +20,7 @@ from conftest import run_once
 
 from repro.core import make_filter_plan, prepare_filter_backend
 from repro.dynamics.state import initial_fields_block
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
 from repro.util.tables import Table
 
@@ -30,7 +30,7 @@ GRID = SphericalGrid(24, 48)
 
 def _run(backend_name, ncols):
     mesh = ProcessorMesh(2, ncols)
-    decomp = Decomposition2D(GRID.nlat, GRID.nlon, mesh)
+    decomp = Decomposition(GRID.nlat, GRID.nlon, mesh)
     plan = make_filter_plan(GRID)
     backend = prepare_filter_backend(backend_name, plan, decomp)
 

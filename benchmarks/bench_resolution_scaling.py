@@ -13,7 +13,7 @@ from conftest import run_once
 
 from repro.core import make_filter_plan, prepare_filter_backend
 from repro.dynamics.state import initial_fields_block
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
 from repro.util.tables import Table
 
@@ -23,7 +23,7 @@ LARGE_MESH = (8, 30)   # 240 nodes
 
 def _filter_time(grid, nlayers, dims):
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
     backend = prepare_filter_backend("fft-lb", plan, decomp)
 

@@ -9,7 +9,7 @@ full parallel-AGCM step at the paper's production 240-rank size.
 import numpy as np
 import pytest
 
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import AGCMConfig
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
@@ -58,7 +58,7 @@ def test_bench_allreduce(benchmark):
 def production_setup():
     cfg = AGCMConfig.paper_2x2_5()
     mesh = ProcessorMesh(8, 30)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     return cfg, mesh, decomp
 
 

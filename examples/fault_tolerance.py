@@ -28,7 +28,7 @@ from repro.faults import (
     RankFailure,
     run_straggler_demo,
 )
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.guard import GuardConfig, run_agcm_guarded
 from repro.model import AGCMConfig
 from repro.model.agcm import AGCM
@@ -66,7 +66,7 @@ def part2_checkpoint_recovery() -> None:
     cfg = AGCMConfig.tiny(physics_every=2)
     nsteps = 8
     mesh = ProcessorMesh(2, 2)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
 
     # probe the fault-free makespan so the failure lands mid-run
     probe = Simulator(mesh.size, T3D).run(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    Decomposition2D,
+    Decomposition,
     FILTER_BACKENDS,
     ProcessorMesh,
     Simulator,
@@ -38,7 +38,7 @@ NLAYERS = 9
 
 
 def filter_once(backend):
-    decomp = Decomposition2D(GRID.nlat, GRID.nlon, MESH)
+    decomp = Decomposition(GRID.nlat, GRID.nlon, MESH)
 
     def program(ctx):
         sub = decomp.subdomain(ctx.rank)
@@ -55,7 +55,7 @@ def filter_once(backend):
 
 def main() -> None:
     plan = make_filter_plan(GRID)
-    decomp = Decomposition2D(GRID.nlat, GRID.nlon, MESH)
+    decomp = Decomposition(GRID.nlat, GRID.nlon, MESH)
     print(
         f"Grid {GRID.describe()}, mesh {MESH.describe()}, "
         f"{plan.total_rows} filtered row units "

@@ -15,7 +15,7 @@ Run:  python examples/machine_sensitivity.py
 from __future__ import annotations
 
 from repro import AGCMConfig
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import ComponentBreakdown, agcm_rank_program
 from repro.parallel import PARAGON, T3D, MachineModel, ProcessorMesh, Simulator
 from repro.reporting.experiments import run_filtering_table
@@ -29,7 +29,7 @@ NSTEPS = 8
 def breakdown(machine: MachineModel) -> ComponentBreakdown:
     """Per-day components of the 9-layer AGCM on ``MESH`` under ``machine``."""
     cfg = AGCMConfig.paper_2x2_5()
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, MESH)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, MESH)
     res = Simulator(MESH.size, machine).run(
         agcm_rank_program, cfg, decomp, NSTEPS
     )

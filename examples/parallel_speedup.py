@@ -12,7 +12,7 @@ Run:  python examples/parallel_speedup.py
 
 from __future__ import annotations
 
-from repro import AGCMConfig, Decomposition2D, ProcessorMesh, Simulator, make_machine
+from repro import AGCMConfig, Decomposition, ProcessorMesh, Simulator, make_machine
 from repro.model import ComponentBreakdown, agcm_rank_program
 from repro.util.tables import Table
 
@@ -31,7 +31,7 @@ def run_curve(machine_name: str, backend: str) -> Table:
     serial_dyn = None
     for dims in MESHES:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         result = Simulator(mesh.size, machine).run(
             agcm_rank_program, cfg, decomp, NSTEPS
         )

@@ -21,7 +21,7 @@ import numpy as np
 from repro import (
     AGCM,
     CyclicShuffleBalancer,
-    Decomposition2D,
+    Decomposition,
     PairwiseExchangeBalancer,
     ProcessorMesh,
     Simulator,
@@ -67,7 +67,7 @@ def part2_measured_loads() -> None:
     grid, state = model.grid, model.state
 
     mesh = ProcessorMesh(3, 4)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     loads = []
     for sub in decomp.subdomains():
         cols = ColumnSet.from_block(
@@ -93,7 +93,7 @@ def part2_measured_loads() -> None:
 def part3_end_to_end() -> None:
     cfg = AGCMConfig.tiny(physics_every=2)
     mesh = ProcessorMesh(3, 4)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     nsteps = 13
 
     results = {}

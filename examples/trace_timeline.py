@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    Decomposition2D,
+    Decomposition,
     ProcessorMesh,
     Simulator,
     SphericalGrid,
@@ -35,7 +35,7 @@ NLAYERS = 6
 
 
 def run(backend_name: str):
-    decomp = Decomposition2D(GRID.nlat, GRID.nlon, MESH)
+    decomp = Decomposition(GRID.nlat, GRID.nlon, MESH)
     plan = make_filter_plan(GRID)
     backend = prepare_filter_backend(backend_name, plan, decomp)
 

@@ -19,11 +19,11 @@ Quick start::
 
 Parallel quick start::
 
-    from repro import (Simulator, ProcessorMesh, Decomposition2D,
+    from repro import (Simulator, ProcessorMesh, Decomposition,
                        agcm_rank_program, make_config, make_machine)
     cfg = make_config("tiny")
     mesh = ProcessorMesh(2, 3)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     result = Simulator(mesh.size, make_machine("t3d")).run(
         agcm_rank_program, cfg, decomp, 10)
     print(result.elapsed, "virtual seconds")
@@ -51,7 +51,7 @@ from repro.core.physics_lb import (
     imbalance,
 )
 from repro.grid import (
-    Decomposition2D,
+    Decomposition,
     SphericalGrid,
     exchange_halos,
     pad_with_halo,
@@ -94,7 +94,7 @@ __all__ = [
     "plan_column_flow",
     # grid
     "SphericalGrid",
-    "Decomposition2D",
+    "Decomposition",
     "pad_with_halo",
     "exchange_halos",
     # core (filters + balancing)

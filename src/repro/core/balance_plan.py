@@ -39,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.masks import FilterPlan, RowUnit
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.util.partition import block_bounds, owner_of
 
 
@@ -64,7 +64,7 @@ class FilterAssignment:
     """
 
     plan: FilterPlan
-    decomp: Decomposition2D
+    decomp: Decomposition
     owner_row: Tuple[int, ...]
     target_row: Tuple[int, ...]
     line_col: Tuple[int, ...]
@@ -142,14 +142,14 @@ class FilterAssignment:
         return self._stage_a_moves
 
 
-def _owner_rows(plan: FilterPlan, decomp: Decomposition2D) -> List[int]:
+def _owner_rows(plan: FilterPlan, decomp: Decomposition) -> List[int]:
     """Native owning processor row of each unit's latitude."""
     m = decomp.mesh.nlat_procs
     return [owner_of(u.lat, decomp.nlat, m) for u in plan.units]
 
 
 def _assign_line_cols(
-    target_row: Sequence[int], nunits: int, decomp: Decomposition2D
+    target_row: Sequence[int], nunits: int, decomp: Decomposition
 ) -> List[int]:
     """Stage-B column owner for each unit: block partition per processor row."""
     n = decomp.mesh.nlon_procs
@@ -164,7 +164,7 @@ def _assign_line_cols(
 
 
 def natural_assignment(
-    plan: FilterPlan, decomp: Decomposition2D
+    plan: FilterPlan, decomp: Decomposition
 ) -> FilterAssignment:
     """No load balancing: units stay on their native processor rows.
 
@@ -184,7 +184,7 @@ def natural_assignment(
 
 
 def balanced_assignment(
-    plan: FilterPlan, decomp: Decomposition2D
+    plan: FilterPlan, decomp: Decomposition
 ) -> FilterAssignment:
     """Eq. (3): spread all row units evenly over the processor rows.
 

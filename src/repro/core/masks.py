@@ -12,7 +12,7 @@ the load balancer redistributes (eq. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class FilterPlan:
     def total_rows(self) -> int:
         """The paper's ``sum_j R_j`` — total row units to filter."""
         return len(self.units)
-
-    def rows_per_variable(self) -> Dict[str, int]:
-        """R_j for each variable j."""
-        counts: Dict[str, int] = {}
-        for u in self.units:
-            counts[u.var] = counts.get(u.var, 0) + 1
-        return counts
 
     def filter_for(self, unit: RowUnit) -> PolarFilter:
         """The PolarFilter instance that applies to a row unit."""

@@ -68,7 +68,7 @@ from repro.core.distributed_fft import (
 )
 from repro.core.fft import fft_filter_rows, fft_filter_flop_count
 from repro.core.masks import FilterPlan
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.parallel import collectives as coll
 from repro.parallel.comm import VirtualComm
 from repro.parallel.events import Blocks, Exchange
@@ -132,7 +132,7 @@ class FilterBackend:
 
     name: str
     plan: FilterPlan
-    decomp: Decomposition2D
+    decomp: Decomposition
     assignment: FilterAssignment
 
     def __post_init__(self):
@@ -190,7 +190,7 @@ class FilterBackend:
 
 
 def prepare_filter_backend(
-    name: str, plan: FilterPlan, decomp: Decomposition2D
+    name: str, plan: FilterPlan, decomp: Decomposition
 ) -> FilterBackend:
     """Build the per-run setup state for a named filter backend."""
     if name not in _BACKENDS:
@@ -530,7 +530,7 @@ def _fft_transpose(ctx: VirtualComm, st: _RankState, held: np.ndarray):
 
 # -- the distributed 1-D FFT backend (the paper's rejected alternative) --
 
-def _pow2_assignment(plan: FilterPlan, decomp: Decomposition2D) -> FilterAssignment:
+def _pow2_assignment(plan: FilterPlan, decomp: Decomposition) -> FilterAssignment:
     check_distributed_fft_shape(decomp.nlon, decomp.mesh.nlon_procs)
     return natural_assignment(plan, decomp)
 

@@ -31,11 +31,6 @@ class PreviousPassEstimator:
         self.alpha = alpha
         self._estimate: Optional[np.ndarray] = None
 
-    @property
-    def has_history(self) -> bool:
-        """False until the first measurement has been recorded."""
-        return self._estimate is not None
-
     def record(self, measured: Sequence[float]) -> None:
         """Record the measured per-rank loads of the pass just completed."""
         measured = np.asarray(measured, dtype=float)

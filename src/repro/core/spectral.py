@@ -83,13 +83,6 @@ class PolarFilter:
         """Global latitude indices (sorted) where the filter is applied."""
         return np.nonzero(self.latitude_mask())[0]
 
-    def rows_per_hemisphere(self) -> Tuple[int, int]:
-        """(southern, northern) counts of filtered latitude rows."""
-        mask = self.latitude_mask()
-        south = int(mask[self.grid.lat_deg < 0].sum())
-        north = int(mask[self.grid.lat_deg > 0].sum())
-        return south, north
-
     # ------------------------------------------------------------------
     def transfer(self, lat_index: int) -> np.ndarray:
         """Transfer factors ``T(s)`` for rfft bins ``s = 0..N//2``.
@@ -133,13 +126,6 @@ class PolarFilter:
         the critical latitude to ~N/2 at the poles.
         """
         return _damped_bins_cached(*self._cache_key(lat_index))
-
-    def damping_at(self, lat_index: int) -> float:
-        """Damping applied to the shortest resolved wave at a row.
-
-        ``1 - T(N/2)``; 0 means the row is untouched.
-        """
-        return float(1.0 - self.transfer(lat_index)[-1])
 
 
 @lru_cache(maxsize=4096)

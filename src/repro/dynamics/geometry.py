@@ -46,11 +46,6 @@ class LocalGeometry:
     dx_n: np.ndarray       # zonal spacing [m] at northern faces
     diff_scale: np.ndarray # latitude scaling of the diffusion coefficient
 
-    @property
-    def nlat_local(self) -> int:
-        """Number of interior latitude rows of the block."""
-        return self.lat1 - self.lat0
-
     @classmethod
     def from_grid(cls, grid: SphericalGrid, lat0: int = 0, lat1: int | None = None,
                   cos_floor: float = 0.02) -> "LocalGeometry":

@@ -190,8 +190,8 @@ def scatter_initial_fields(
     """Every rank's block of the initial fields, once per decomposition.
 
     The fields are a pointwise function of the coordinates, so they are
-    computed once on the whole grid and cut up by ``decomp.scatter`` (a
-    2-D or 3-D decomposition), not once per rank; each global array is
+    computed once on the whole grid and cut up by ``decomp.scatter`` (on
+    any mesh), not once per rank; each global array is
     dropped as soon as it is scattered, so the caller holds one copy.
     The blocks are the ranks' own memory, bit-identical to what
     :func:`initial_fields_block` gives on each rank's coordinates.  Runs

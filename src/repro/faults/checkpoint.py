@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.model.snapshot import RankSnapshot, io_seconds
 from repro.parallel import collectives as coll
 
@@ -81,7 +81,7 @@ class CheckpointData:
         """Array bytes of every rank's snapshot (the host-I/O charge)."""
         return sum(s.nbytes for s in self.snapshots)
 
-    def restore(self, ctx, decomp: Decomposition2D):
+    def restore(self, ctx, decomp: Decomposition):
         """Generator: rank 0 charges the host read and scatters snapshots.
 
         Returns this rank's :class:`RankSnapshot`.  Raises ``ValueError``
@@ -97,7 +97,7 @@ class CheckpointData:
             mine = yield from ctx.scatter(None, root=0)
         return RankSnapshot(**mine)
 
-    def _check_mesh(self, rank: int, decomp: Decomposition2D) -> None:
+    def _check_mesh(self, rank: int, decomp: Decomposition) -> None:
         def blocks(shapes):
             return ", ".join(sorted({f"{a}x{b}" for a, b in shapes}))
 

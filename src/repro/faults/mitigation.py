@@ -109,7 +109,7 @@ def run_straggler_demo(
     balancer has a measurement to act on.
     """
     from repro.faults.plan import FaultPlan, SlowdownWindow
-    from repro.grid import Decomposition2D
+    from repro.grid import Decomposition
     from repro.model.config import make_config
     from repro.model.parallel_agcm import agcm_rank_program
     from repro.parallel import ProcessorMesh, Simulator, T3D
@@ -120,7 +120,7 @@ def run_straggler_demo(
         physics_lb=mitigate, physics_every=physics_every
     )
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     plan = FaultPlan(
         seed=seed,
         slowdowns=(SlowdownWindow(straggler, 0.0, math.inf, slowdown),),

@@ -399,10 +399,6 @@ class FaultPlan:
             self, failures=tuple(f for f in self.failures if f.rank != rank)
         )
 
-    def without_failures(self) -> "FaultPlan":
-        """A copy with every rank failure removed (drops/slowdowns stay)."""
-        return replace(self, failures=())
-
     # -- introspection --------------------------------------------------
     def describe(self) -> str:
         """One line per scheduled fault, for logs and experiment tables."""

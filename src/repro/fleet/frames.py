@@ -173,11 +173,6 @@ class FrameDecoder:
     def feed(self, data: bytes) -> None:
         self._buf.extend(data)
 
-    @property
-    def buffered(self) -> int:
-        """Bytes received but not yet consumed by a complete frame."""
-        return len(self._buf)
-
     def frames(self) -> Iterator[Tuple[str, Any]]:
         """Yield every complete frame currently buffered."""
         while len(self._buf) >= HEADER.size:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.parallel.comm import VirtualComm
 from repro.parallel.events import Exchange
 
@@ -57,7 +57,7 @@ def pad_with_halo(field: np.ndarray, halo: int = 1) -> np.ndarray:
 
 def exchange_halos(
     ctx: VirtualComm,
-    decomp: Decomposition2D,
+    decomp: Decomposition,
     local: np.ndarray,
     halo: int = 1,
 ):

@@ -97,11 +97,6 @@ class SphericalGrid:
         return self.radius * self.cos_lat * self.dlon_deg * c.DEG2RAD
 
     @cached_property
-    def coriolis(self) -> np.ndarray:
-        """Coriolis parameter ``2 Omega sin(phi)`` [1/s], shape (nlat,)."""
-        return 2.0 * c.EARTH_OMEGA * np.sin(self.lat_rad)
-
-    @cached_property
     def cell_area(self) -> np.ndarray:
         """Exact spherical cell areas [m^2], shape (nlat,).
 
@@ -114,10 +109,6 @@ class SphericalGrid:
         )
         band = np.sin(edges[1:]) - np.sin(edges[:-1])
         return self.radius**2 * (self.dlon_deg * c.DEG2RAD) * band
-
-    def total_area(self) -> float:
-        """Total surface area; equals ``4 pi a^2`` up to rounding."""
-        return float(self.cell_area.sum() * self.nlon)
 
     # -- convenience ------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.checkpoint import Checkpointer, CheckpointCorruptError
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.guard.buddy import BuddyCheckpointer, ChainCheckpointer
 from repro.guard.config import GuardConfig
 from repro.guard.detectors import (
@@ -114,7 +114,7 @@ def _restore(buddy: Optional[BuddyCheckpointer], disk: Optional[Checkpointer],
 
 def run_agcm_guarded(
     cfg: AGCMConfig,
-    decomp: Decomposition2D,
+    decomp: Decomposition,
     nsteps: int,
     machine: MachineModel,
     *,

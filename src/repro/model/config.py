@@ -83,10 +83,6 @@ class AGCMConfig:
         dt = self.timestep()
         return max(1, int(round(c.SECONDS_PER_DAY / dt)))
 
-    def physics_interval_seconds(self) -> float:
-        """Wall-clock (simulated) seconds between physics calls."""
-        return self.physics_every * self.timestep()
-
     def with_(self, **kwargs) -> "AGCMConfig":
         """A modified copy (convenience for sweeps)."""
         return replace(self, **kwargs)

@@ -7,15 +7,15 @@ parallel fields equal the serial driver's bit-for-bit (the numerics use
 the same kernels on halo-padded blocks), while the virtual trace supplies
 all the paper's timing tables.
 
-One program serves both layouts, chosen by the decomposition it is given:
+One program serves both layouts of one
+:class:`~repro.grid.decomposition.Decomposition`, chosen by its mesh:
 
-* the paper's 2-D layout (:class:`~repro.grid.decomposition.Decomposition2D`,
-  or a :class:`~repro.grid.decomposition3d.Decomposition3D` whose mesh has
-  ``nlev_procs == 1``) — each rank owns a lat-lon block with every layer;
+* the paper's 2-D layout (``nlev_procs == 1``) — each rank owns a lat-lon
+  block with every layer;
 * the AGCM-3DLF layout (``nlev_procs > 1``) — each rank owns a
   ``(nlat_loc, nlon_loc, nlev_loc)`` slab.  Horizontal work runs per slab
-  through the unmodified 2-D halo/filter code via
-  :meth:`Decomposition3D.slab`; vertically coupled work (column physics,
+  through the unmodified halo/filter code on
+  :meth:`Decomposition.slab`; vertically coupled work (column physics,
   the surface-pressure closure, the implicit vertical-diffusion solves)
   transposes to column space over the pillar of ranks sharing a tile.
 
@@ -45,7 +45,7 @@ workload-induced imbalance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ from repro.dynamics.tendencies import (
     surface_pressure_tendency,
 )
 from repro.faults.mitigation import LoadMeasurement, estimate_rank_loads
-from repro.grid.decomposition import Decomposition2D
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid.decomposition import Decomposition
 from repro.grid.halo import exchange_halos
 from repro.model.config import AGCMConfig
 from repro.model.physics_balance import ColumnFlowPlan, plan_column_flow
@@ -96,16 +95,20 @@ class _RunPlan:
     across a ``yield`` except arrays it took out for good.
     """
 
-    def __init__(self, cfg: AGCMConfig,
-                 decomp: Union[Decomposition2D, Decomposition3D]):
+    def __init__(self, cfg: AGCMConfig, decomp: Decomposition):
+        # An unsplit decomposition need not know the layer count.
+        have = (decomp.nlat, decomp.nlon, decomp.nlev or cfg.nlayers)
+        want = (cfg.nlat, cfg.nlon, cfg.nlayers)
+        if have != want:
+            raise ValueError(
+                f"decomposition grid {have} does not match the config grid "
+                f"{want} (nlat, nlon, nlayers)"
+            )
         self.grid = grid = cfg.make_grid()
         self._cfg, self._decomp = cfg, decomp
         mesh = decomp.mesh
         # Halo exchange and filtering see one vertical level of the mesh.
-        slabs = (
-            [decomp.slab(k) for k in range(mesh.nlev_procs)]
-            if isinstance(decomp, Decomposition3D) else [decomp]
-        )
+        slabs = [decomp.slab(k) for k in range(mesh.nlev_procs)]
         filter_plan = make_filter_plan(grid)
         #: One prepared backend per slab (``backend.decomp`` is the slab),
         #: so that its per-row state is built once per processor row.
@@ -150,7 +153,7 @@ class _RunPlan:
 def agcm_rank_program(
     ctx,
     cfg: AGCMConfig,
-    decomp: Union[Decomposition2D, Decomposition3D],
+    decomp: Decomposition,
     nsteps: int,
     return_fields: bool = False,
     checkpointer=None,
@@ -162,9 +165,10 @@ def agcm_rank_program(
     Returns a summary dict; with ``return_fields=True`` it includes the
     final local prognostic arrays (used by the equivalence tests).
 
-    ``decomp`` picks the layout.  When its mesh is vertically split
-    (``nlev_procs > 1``, a :class:`Decomposition3D`) the step gains the
-    pillar branches, each inside a ``"transpose"`` phase:
+    ``decomp`` picks the layout, and must cover ``cfg``'s grid (a
+    ``ValueError`` names both grids otherwise).  When its mesh is
+    vertically split (``nlev_procs > 1``) the step gains the pillar
+    branches, each inside a ``"transpose"`` phase:
 
     * column physics — slab -> column transpose, compute (balanced or
       not) on the pillar share, transpose the tendencies back;
@@ -225,7 +229,7 @@ def agcm_rank_program(
     nlayers = cfg.nlayers
     extent = (sub.lat0, sub.lat1, sub.lon0, sub.lon1)
     klev, nlev_loc = 0, nlayers
-    if isinstance(decomp, Decomposition3D):
+    if split:
         klev, nlev_loc = sub.klev_proc, sub.nlev
         extent += (sub.lev0, sub.lev1)
     backend = plan.backends[klev]

@@ -74,10 +74,6 @@ class ColumnFlowPlan:
         """Columns rank ``rank`` computes after balancing."""
         return sum(r.count for r in self.holdings[rank])
 
-    def guest_runs(self, rank: int) -> List[Run]:
-        """Runs rank ``rank`` holds on behalf of other origins."""
-        return [r for r in self.holdings[rank] if r.origin != rank]
-
     def expected_returns(self, rank: int) -> List[Tuple[int, Run]]:
         """(holder, run) pairs whose results rank ``rank`` will receive."""
         out: List[Tuple[int, Run]] = []
@@ -88,10 +84,6 @@ class ColumnFlowPlan:
                 if run.origin == rank:
                     out.append((holder, run))
         return out
-
-    def total_columns_moved(self) -> int:
-        """Columns shipped across all passes (data-movement volume proxy)."""
-        return sum(m.ncols for p in self.passes for m in p)
 
 
 def _pop_tail(runs: List[Run], n: int) -> List[Run]:

@@ -54,9 +54,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class MetricsRegistry:
     """Get-or-create registry of named counters and gauges."""
@@ -123,9 +120,6 @@ class _NullInstrument:
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
         return None
 
     def set(self, value: float) -> None:

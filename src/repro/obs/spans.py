@@ -282,15 +282,6 @@ class Observer:
         return _LiveSpan(self, clock_source, rank, name, tags or None)
 
     # -- queries -----------------------------------------------------------
-    def spans_named(self, name: str, run: Optional[int] = None) -> List[Span]:
-        """All spans called ``name`` (optionally restricted to one run)."""
-        return [s for s in self.spans
-                if s.name == name and (run is None or s.run == run)]
-
-    def children(self, sid: int) -> List[Span]:
-        """Direct child spans of span ``sid``."""
-        return [s for s in self.spans if s.parent == sid]
-
     def phase_seconds(self, name: str, run: int) -> List[float]:
         """Per-rank summed duration of spans named ``name`` in ``run``.
 

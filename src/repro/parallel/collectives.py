@@ -373,24 +373,24 @@ def exchange_vertical_halo(ctx, decomp, local, halo: int = 1):
     """Pad a local slab with ``halo`` ghost layers from the pillar
     neighbours above and below.
 
-    ``decomp`` is a :class:`repro.grid.decomposition3d.Decomposition3D`;
-    ``local`` is this rank's ``(nlat_loc, nlon_loc, nlev_loc, ...)``
-    slab.  The vertical is not periodic: at the top and bottom of the
-    atmosphere the boundary layer is replicated into the ghost slots
-    (the same convention the horizontal exchange uses at the poles).
-    On a 2-D mesh (``nlev_procs == 1``) no messages are sent.
+    ``decomp`` is a :class:`repro.grid.decomposition.Decomposition` given
+    its layer count; ``local`` is this rank's
+    ``(nlat_loc, nlon_loc, nlev_loc, ...)`` slab.  The vertical is not
+    periodic: at the top and bottom of the atmosphere the boundary layer
+    is replicated into the ghost slots (the same convention the
+    horizontal exchange uses at the poles).  On an unsplit mesh
+    (``nlev_procs == 1``) no messages are sent.
     """
     mesh = decomp.mesh
     rank = ctx.rank
     sub = decomp.subdomain(rank)
-    if local.shape[:3] != sub.shape:
+    slab = (*sub.shape, sub.nlev)
+    if local.shape[:3] != slab:
         raise ValueError(
-            f"rank {rank}: local shape {local.shape[:3]} != slab "
-            f"{sub.shape}"
+            f"rank {rank}: local shape {local.shape[:3]} != slab {slab}"
         )
     if halo < 1 or halo > sub.nlev:
-        raise ValueError(f"invalid vertical halo {halo} for slab "
-                         f"{sub.shape}")
+        raise ValueError(f"invalid vertical halo {halo} for slab {slab}")
     shape = (sub.nlat, sub.nlon, sub.nlev + 2 * halo, *local.shape[3:])
     padded = np.empty(shape, dtype=local.dtype)
     padded[:, :, halo:-halo] = local

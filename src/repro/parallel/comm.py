@@ -83,12 +83,6 @@ class GroupComm:
         yield Barrier(group=self.ranks, tag=tag)
 
     # -- collectives (algorithms in repro.parallel.collectives) -------------
-    def bcast(self, obj: Any, root: int = 0):
-        """Binomial-tree broadcast from ``root``; returns the object."""
-        with self.ctx.span("coll.bcast"):
-            result = yield from coll.bcast_binomial(self, obj, root)
-        return result
-
     def reduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
                root: int = 0):
         """Binomial-tree reduction to ``root`` (None elsewhere)."""

@@ -87,11 +87,6 @@ class ProcessorMesh:
         at vertical level ``klev``."""
         return [self.rank_of(ilat, j, klev) for j in range(self.nlon_procs)]
 
-    def col_ranks(self, jlon: int, klev: int = 0) -> List[int]:
-        """All ranks in processor column ``jlon`` (constant longitude
-        band) at vertical level ``klev``."""
-        return [self.rank_of(i, jlon, klev) for i in range(self.nlat_procs)]
-
     def pillar_ranks(self, ilat: int, jlon: int) -> List[int]:
         """All ranks sharing the horizontal tile ``(ilat, jlon)``, bottom
         to top.  A pillar has one rank per vertical level; on a 2-D mesh

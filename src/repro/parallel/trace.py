@@ -93,21 +93,6 @@ class Trace:
             raise KeyError(f"unknown phase {name!r}; have {sorted(self.phase_elapsed)}")
         return max(self.phase_elapsed[name])
 
-    def phase_mean(self, name: str) -> float:
-        """Mean elapsed time over ranks for a phase."""
-        values = self.phase_elapsed[name]
-        return sum(values) / len(values)
-
-    def phase_imbalance(self, name: str) -> float:
-        """Paper-style percentage of load imbalance for a phase.
-
-        ``(max - mean) / mean`` as defined above Tables 1-3.
-        """
-        mean = self.phase_mean(name)
-        if mean == 0:
-            return 0.0
-        return (self.phase_max(name) - mean) / mean
-
     def phases(self) -> List[str]:
         """Names of all recorded phases."""
         return sorted(self.phase_elapsed)

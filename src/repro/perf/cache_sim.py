@@ -29,10 +29,6 @@ class CacheStats:
     def hits(self) -> int:
         return self.accesses - self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class CacheSim:
     """A set-associative LRU cache over byte addresses.

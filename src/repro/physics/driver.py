@@ -85,15 +85,6 @@ class ColumnSet:
             lon_rad=lon2d,
         )
 
-    def subset(self, index: np.ndarray) -> "ColumnSet":
-        """A copy restricted to the given column indices."""
-        return ColumnSet(
-            pt=self.pt[index].copy(),
-            q=self.q[index].copy(),
-            lat_rad=self.lat_rad[index].copy(),
-            lon_rad=self.lon_rad[index].copy(),
-        )
-
 
 @dataclass
 class PhysicsResult:

@@ -27,8 +27,7 @@ from repro.core.physics_lb import (
     imbalance,
 )
 from repro.dynamics.state import scatter_initial_fields
-from repro.grid import Decomposition2D
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid import Decomposition
 from repro.model import AGCM, ComponentBreakdown, make_config, plan_column_flow
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, T3D, MachineModel, ProcessorMesh, Simulator
@@ -96,7 +95,7 @@ def run_fig1(
     rows = {}
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(mesh.size, machine).run(
             agcm_rank_program, cfg, decomp, nsteps
         )
@@ -152,10 +151,7 @@ def run_fig_3d(
     for dims in meshes:
         p, q, k = (*dims, 1)[:3] if len(dims) == 2 else dims
         mesh = ProcessorMesh(p, q, k)
-        if mesh.is_3d:
-            decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
-        else:
-            decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh, cfg.nlayers)
         res = Simulator(mesh.size, machine).run(
             agcm_rank_program, cfg, decomp, nsteps
         )
@@ -201,7 +197,7 @@ def run_fig2_3(
     cfg = make_config(resolution)
     grid = cfg.make_grid()
     mesh = ProcessorMesh(*mesh_dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     plan = make_filter_plan(grid)
     nat = natural_assignment(plan, decomp)
     bal = balanced_assignment(plan, decomp)
@@ -328,7 +324,7 @@ def run_tables1_3(
     data = {}
     for t_index, dims in enumerate(meshes):
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         per_rank_flops = []
         for sub in decomp.subdomains():
             cols = ColumnSet.from_block(
@@ -444,7 +440,7 @@ def run_agcm_timing_table(
     serial_dyn = None
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(mesh.size, machine).run(
             agcm_rank_program, cfg, decomp, nsteps
         )
@@ -545,7 +541,7 @@ def run_filtering_table(
     rows = {}
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         blocks = scatter_initial_fields(decomp, grid, nlayers)
         per_day = []
         for name in backends:
@@ -612,7 +608,7 @@ def run_sp2_supplementary(
     rows = {}
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg_old.nlat, cfg_old.nlon, mesh)
+        decomp = Decomposition(cfg_old.nlat, cfg_old.nlon, mesh)
         per = {}
         for key, cfg in (("old", cfg_old), ("new", cfg_new)):
             res = Simulator(mesh.size, SP2).run(
@@ -765,7 +761,7 @@ def run_faults(
     machine = T3D
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     baseline = Simulator(mesh.size, machine).run(
         agcm_rank_program, cfg, decomp, nsteps
     )
@@ -882,7 +878,7 @@ def run_bigmesh(
     rows = {}
     for dims in meshes:
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         backend = prepare_filter_backend("fft-lb", plan, decomp)
         res = Simulator(mesh.size, machine).run(
             _filter_once_program, backend,
@@ -934,7 +930,7 @@ def run_guard(
     machine = T3D
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     base = guard if guard is not None else GuardConfig()
     baseline = Simulator(mesh.size, machine).run(
         agcm_rank_program, cfg, decomp, nsteps

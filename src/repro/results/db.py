@@ -285,20 +285,10 @@ class ResultsDB:
         columns = [d[0] for d in cur.description] if cur.description else []
         return columns, cur.fetchall()
 
-    def run_keys(self) -> set:
-        return {row[0] for row in
-                self._conn.execute("SELECT run_key FROM runs")}
-
     def cache_keys(self) -> set:
         """Every non-null cache key referenced by an indexed run."""
         return {row[0] for row in self._conn.execute(
             "SELECT cache_key FROM runs WHERE cache_key IS NOT NULL")}
-
-    def metrics_for(self, run_key: str) -> Dict[str, float]:
-        return {name: value for name, value in self._conn.execute(
-            "SELECT m.name, m.value FROM metrics m "
-            "JOIN runs r ON r.id = m.run_id WHERE r.run_key = ?",
-            (run_key,))}
 
     def __len__(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]

@@ -98,11 +98,6 @@ class WorkerPool:
                                 (unit, future)))
         return future
 
-    @property
-    def queued(self) -> int:
-        """Units waiting for a worker (not counting those executing)."""
-        return self._queue.qsize()
-
     # -- internals ------------------------------------------------------
     def _execute(self, unit: CampaignUnit) -> Any:
         """Run one unit in a pool thread and persist it like a campaign

@@ -49,8 +49,7 @@ from repro.core.physics_lb import (
     SortedGreedyBalancer,
     apply_moves,
 )
-from repro.grid.decomposition import Decomposition2D
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid.decomposition import Decomposition
 from repro.grid.sphere import SphericalGrid
 from repro.model.agcm import AGCM
 from repro.model.config import AGCMConfig
@@ -132,7 +131,7 @@ def _parallel_filter_candidate(config: Config, rng: np.random.Generator):
     grid = SphericalGrid(config["nlat"], config["nlon"])
     plan = make_filter_plan(grid)
     mesh = ProcessorMesh(config["mi"], config["mj"])
-    decomp = Decomposition2D(config["nlat"], config["nlon"], mesh)
+    decomp = Decomposition(config["nlat"], config["nlon"], mesh)
     backend = prepare_filter_backend(
         FILTER_BACKENDS[config["backend"]], plan, decomp
     )
@@ -524,7 +523,7 @@ def _agcm_candidate(config: Config, rng: np.random.Generator):
     seed = int(rng.integers(2**31))
     cfg = _agcm_config(config, seed)
     mesh = ProcessorMesh(config["mi"], config["mj"])
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     res = Simulator(mesh.size, GENERIC).run(
         agcm_rank_program, cfg, decomp, config["nsteps"], True
     )
@@ -563,7 +562,7 @@ def _agcm3d_candidate(config: Config, rng: np.random.Generator):
     seed = int(rng.integers(2**31))
     cfg = _agcm_config(config, seed)
     mesh = ProcessorMesh(config["mi"], config["mj"], config["mk"])
-    decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh, cfg.nlayers)
     res = Simulator(mesh.size, GENERIC).run(
         agcm_rank_program, cfg, decomp, config["nsteps"], True
     )
@@ -817,7 +816,7 @@ def _fault_recovery_candidate(config: Config, rng: np.random.Generator):
     seed = int(rng.integers(2**31))
     cfg = _fault_agcm_config(config, seed)
     mesh = ProcessorMesh(config["mi"], config["mj"])
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     # Probe the fault-free makespan so the injected failure is
     # guaranteed to fire mid-run (the faulted run is strictly slower).
     probe = Simulator(mesh.size, GENERIC).run(
@@ -890,7 +889,7 @@ def _guard_recovery_candidate(config: Config, rng: np.random.Generator):
     seed = int(rng.integers(2**31))
     cfg = _fault_agcm_config(config, seed)
     mesh = ProcessorMesh(config["mi"], config["mj"])
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     gcfg = GuardConfig(
         policy="rollback_retry",
         buddy_every=config["buddy"],
@@ -1033,7 +1032,7 @@ def _agcm_observed_runner(observed: bool):
         seed = int(rng.integers(2**31))
         cfg = _agcm_config(config, seed)
         mesh = ProcessorMesh(config["mi"], config["mj"])
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         with activate(Observer()) if observed else nullcontext():
             res = Simulator(mesh.size, GENERIC).run(
                 agcm_rank_program, cfg, decomp, config["nsteps"], True

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.balance_plan import balanced_assignment, natural_assignment
 from repro.core.masks import make_filter_plan
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.grid.sphere import SphericalGrid
 from repro.parallel.topology import ProcessorMesh
 
 
 def _setup(nlat=18, nlon=24, m=3, n=4):
     grid = SphericalGrid(nlat, nlon)
-    decomp = Decomposition2D(nlat, nlon, ProcessorMesh(m, n))
+    decomp = Decomposition(nlat, nlon, ProcessorMesh(m, n))
     plan = make_filter_plan(grid)
     return grid, decomp, plan
 
@@ -92,7 +92,7 @@ class TestBalancedAssignment:
         if nlat < m or 16 < n:
             return
         grid = SphericalGrid(nlat, 16)
-        decomp = Decomposition2D(nlat, 16, ProcessorMesh(m, n))
+        decomp = Decomposition(nlat, 16, ProcessorMesh(m, n))
         plan = make_filter_plan(grid)
         a = balanced_assignment(plan, decomp)
         lines = a.lines_per_rank()
@@ -108,7 +108,7 @@ class TestBalancedAssignment:
     def test_paper_mesh(self):
         """The paper's production mesh: 8 x 30 over the 90 x 144 grid."""
         grid = SphericalGrid(90, 144)
-        decomp = Decomposition2D(90, 144, ProcessorMesh(8, 30))
+        decomp = Decomposition(90, 144, ProcessorMesh(8, 30))
         plan = make_filter_plan(grid)
         nat = natural_assignment(plan, decomp)
         bal = balanced_assignment(plan, decomp)

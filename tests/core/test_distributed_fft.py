@@ -13,7 +13,7 @@ from repro.core.distributed_fft import (
     ifft_dit_bitrev,
     is_power_of_two,
 )
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 from repro.verify import tolerances
 
@@ -111,7 +111,7 @@ class TestShapeValidation:
     def test_backend_validation_at_prepare(self):
         grid = SphericalGrid(16, 24)  # 24 is not a power of two
         plan = make_filter_plan(grid)
-        decomp = Decomposition2D(16, 24, ProcessorMesh(2, 2))
+        decomp = Decomposition(16, 24, ProcessorMesh(2, 2))
         with pytest.raises(ValueError):
             prepare_filter_backend("fft-distributed", plan, decomp)
 
@@ -134,7 +134,7 @@ class TestDistributedBackend:
     def test_matches_serial_filter(self, setup, dims):
         grid, fields, plan, ref = setup
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+        decomp = Decomposition(grid.nlat, grid.nlon, mesh)
         backend = prepare_filter_backend("fft-distributed", plan, decomp)
 
         def program(ctx):
@@ -155,7 +155,7 @@ class TestDistributedBackend:
         """2 log2(P) block exchanges per rank per filtering pass."""
         grid, fields, plan, _ = setup
         mesh = ProcessorMesh(2, 8)
-        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+        decomp = Decomposition(grid.nlat, grid.nlon, mesh)
         backend = prepare_filter_backend("fft-distributed", plan, decomp)
 
         def program(ctx):
@@ -176,7 +176,7 @@ class TestDistributedBackend:
         more data than the transpose."""
         grid, fields, plan, _ = setup
         mesh = ProcessorMesh(2, 8)
-        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+        decomp = Decomposition(grid.nlat, grid.nlon, mesh)
 
         traces = {}
         for name in ("fft", "fft-distributed"):

@@ -1,5 +1,7 @@
 """Tests for filter plans and row units."""
 
+import collections
+
 import pytest
 
 from repro.core.masks import (
@@ -17,8 +19,8 @@ class TestPlanConstruction:
 
     def test_total_rows(self, paper_grid):
         plan = make_filter_plan(paper_grid)
-        s_rows = sum(plan.strong.rows_per_hemisphere())
-        w_rows = sum(plan.weak.rows_per_hemisphere())
+        s_rows = int(plan.strong.latitude_mask().sum())
+        w_rows = int(plan.weak.latitude_mask().sum())
         expected = s_rows * len(DEFAULT_STRONG_VARS) + w_rows * len(
             DEFAULT_WEAK_VARS
         )
@@ -26,7 +28,7 @@ class TestPlanConstruction:
 
     def test_rows_per_variable(self, paper_grid):
         plan = make_filter_plan(paper_grid)
-        counts = plan.rows_per_variable()
+        counts = collections.Counter(u.var for u in plan.units)
         assert counts["u"] == counts["v"] == counts["pt"]
         assert counts["ps"] == counts["q"]
         assert counts["u"] > counts["q"]  # strong band is wider

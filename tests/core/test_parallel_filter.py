@@ -9,7 +9,7 @@ from repro.core import (
     make_filter_plan,
     prepare_filter_backend,
 )
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 from repro.verify import tolerances
 
@@ -31,7 +31,7 @@ def setup():
 
 def _run_backend(grid, fields, plan, backend_name, mesh_dims):
     mesh = ProcessorMesh(*mesh_dims)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, plan, decomp)
 
     def program(ctx):
@@ -121,7 +121,7 @@ class TestCommunicationStructure:
         fields["ps"] = rng.standard_normal((36, 24, 1))
         plan = make_filter_plan(grid)
         mesh = ProcessorMesh(6, 2)
-        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+        decomp = Decomposition(grid.nlat, grid.nlon, mesh)
         times = {}
         # Use the Paragon model: the flop-bound regime the paper studies
         # (on a very fast machine the balancer's extra messages can win).
@@ -144,7 +144,7 @@ class TestCommunicationStructure:
 class TestValidation:
     def test_unknown_backend(self, setup):
         grid, _, plan, _ = setup
-        decomp = Decomposition2D(grid.nlat, grid.nlon, ProcessorMesh(1, 1))
+        decomp = Decomposition(grid.nlat, grid.nlon, ProcessorMesh(1, 1))
         with pytest.raises(ValueError):
             prepare_filter_backend("dct", plan, decomp)
 
@@ -152,7 +152,7 @@ class TestValidation:
         grid, fields, plan, _ = setup
         bad = {n: f.copy() for n, f in fields.items()}
         bad["ps"] = bad["ps"][:, :, 0]  # drop the layer axis
-        decomp = Decomposition2D(grid.nlat, grid.nlon, ProcessorMesh(2, 2))
+        decomp = Decomposition(grid.nlat, grid.nlon, ProcessorMesh(2, 2))
         backend = prepare_filter_backend("fft-lb", plan, decomp)
 
         def program(ctx):

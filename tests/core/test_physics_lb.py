@@ -187,7 +187,7 @@ class TestScheme3Pairwise:
 class TestEstimator:
     def test_uniform_before_history(self):
         est = PreviousPassEstimator(4)
-        assert not est.has_history
+        assert est._estimate is None
         np.testing.assert_allclose(est.estimate(), 1.0)
 
     def test_previous_pass_returned(self):

@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.core.convolution import circulant_matrix, circulant_rows
 from repro.core.spectral import strong_filter, weak_filter
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.obs import Observer
 from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
 
@@ -159,7 +159,7 @@ def _two_applications(backend_name, mesh_dims, machine=GENERIC, observer=None):
     and the backend."""
     grid, fields = _FIELD_GRID, _input_fields()
     mesh = ProcessorMesh(*mesh_dims)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
 
     def program(ctx):
@@ -353,7 +353,7 @@ def test_cached_filter_vectors_are_read_only(make, small_grid):
 def test_second_application_does_no_setup_work(backend_name, monkeypatch):
     grid = SphericalGrid(nlat=18, nlon=24)
     mesh = ProcessorMesh(3, 4)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
     fields = _random_fields(grid, nlayers=2, seed=5)
 
@@ -402,7 +402,7 @@ def test_packings_are_built_once_per_processor_row(monkeypatch):
 
     grid = SphericalGrid(nlat=32, nlon=64)
     mesh = ProcessorMesh(4, 8)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
     fields = _random_fields(grid, nlayers=2, seed=7)
     rows = mesh.nlat_procs
@@ -447,7 +447,7 @@ def test_one_circulant_block_per_filter_and_latitude(backend_name, monkeypatch):
 
     grid = SphericalGrid(nlat=32, nlon=64)
     mesh = ProcessorMesh(4, 8)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, make_filter_plan(grid), decomp)
     fields = _random_fields(grid, nlayers=2, seed=3)
 
@@ -488,7 +488,7 @@ def test_a_natural_assignment_packs_one_run_per_variable(mesh_dims):
 
     grid = SphericalGrid(nlat=90, nlon=144)
     mesh = ProcessorMesh(*mesh_dims)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
     backend = prepare_filter_backend("fft", plan, decomp)
     layers = {"u": 9, "v": 9, "pt": 9, "q": 9, "ps": 1}
@@ -522,7 +522,7 @@ def test_store_of_pack_restores_the_fields_byte_for_byte(
 
     grid = SphericalGrid(nlat=nlat, nlon=nlon)
     mesh = ProcessorMesh(nlat_procs, nlon_procs)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
     backend = prepare_filter_backend(
         "fft-lb" if balanced else "fft", plan, decomp)
@@ -562,7 +562,7 @@ def test_backend_reused_across_runs_filters_like_fresh_ones():
     run; a second run through it must not see anything of the first."""
     grid = SphericalGrid(nlat=16, nlon=32)
     mesh = ProcessorMesh(2, 4)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     plan = make_filter_plan(grid)
 
     def gathered(backend, fields):

@@ -13,7 +13,7 @@ class TestFullGlobe:
         n = small_grid.nlat
         assert g.lat_c.shape == (n + 2,)
         assert g.cos_n.shape == (n + 2,)
-        assert g.nlat_local == n
+        assert g.lat1 - g.lat0 == n
 
     def test_polar_face_cosine_zero(self, small_grid):
         """The face at the pole closes the meridional flux."""

@@ -18,7 +18,7 @@ from repro.dynamics.tendencies import (
     dynamics_mem_bytes,
     surface_pressure_tendency,
 )
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.grid.halo import pad_with_halo
 from repro.grid.sphere import SphericalGrid
 from repro.parallel.topology import ProcessorMesh
@@ -211,7 +211,7 @@ def _blocks(nlat_procs, nlon_procs, nlayers):
     state.v[...] = 2.0 * rng.standard_normal(state.v.shape)
     state.q[...] += 1e-3 * rng.standard_normal(state.q.shape)
     full = _padded_state(state)
-    decomp = Decomposition2D(grid.nlat, grid.nlon,
+    decomp = Decomposition(grid.nlat, grid.nlon,
                              ProcessorMesh(nlat_procs, nlon_procs))
     out = []
     for sub in decomp.subdomains():

@@ -112,7 +112,7 @@ class TestGeostrophicTendency:
         u_jet = 10.0 * np.exp(-(((lat - 0.8) / 0.25) ** 2))
 
         # Integrate f*u = -dPhi/dy meridionally for the balancing pt.
-        f = grid.coriolis[:, None, None]
+        f = geom.f_c[1:-1, None, None]  # the kernel's Coriolis parameter
         dphi_dy = -f * u_jet
         phi = np.cumsum(dphi_dy, axis=0) * grid.dlat_m
         pt_anom = phi * PT_REFERENCE / PHI_SCALE

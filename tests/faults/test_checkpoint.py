@@ -12,7 +12,7 @@ from repro.faults.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.guard import GuardConfig, run_agcm_guarded
 from repro.model import make_config
 from repro.model.agcm import AGCM
@@ -65,7 +65,7 @@ def _random_checkpoint(rng, cfg):
 def written_2x2(tmp_path_factory):
     """A real checkpoint of a 6-step run on a 2x2 mesh (last at step 4)."""
     cfg = _cfg()
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, ProcessorMesh(2, 2))
+    decomp = Decomposition(cfg.nlat, cfg.nlon, ProcessorMesh(2, 2))
     ck = Checkpointer(2, tmp_path_factory.mktemp("ckpt") / "2x2.npz")
     Simulator(4, GENERIC).run(agcm_rank_program, cfg, decomp, 6, False, ck)
     assert ck.last_step == 4
@@ -115,7 +115,7 @@ class TestSaveLoadRoundTrip:
     def test_resume_on_another_mesh_is_rejected(self, written_2x2, dims):
         cfg = _cfg()
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         with pytest.raises(ValueError, match=(
             rf"checkpoint of 4 ranks .* on the {dims[0]} x {dims[1]} mesh "
             rf"\({mesh.size} ranks"
@@ -133,7 +133,7 @@ class TestCheckpointerOnMesh:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         cfg = _cfg()
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, ProcessorMesh(2, 3))
+        decomp = Decomposition(cfg.nlat, cfg.nlon, ProcessorMesh(2, 3))
         grid = cfg.make_grid()
         ck = Checkpointer(1, tmp_path_factory.mktemp("mesh") / "ck.npz")
 
@@ -300,7 +300,7 @@ class TestRecovery:
     def test_recovery_bit_for_bit(self, tmp_path):
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
 
         probe = Simulator(mesh.size, GENERIC).run(
             agcm_rank_program, cfg, decomp, self.NSTEPS, False
@@ -330,7 +330,7 @@ class TestRecovery:
     def test_cold_restart_without_checkpoints(self, tmp_path):
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
 
         probe = Simulator(mesh.size, GENERIC).run(
             agcm_rank_program, cfg, decomp, self.NSTEPS, False
@@ -353,7 +353,7 @@ class TestRecovery:
     def test_rerun_is_identical(self, tmp_path):
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         plan = FaultPlan(
             seed=5,
             link_faults=(LinkFault(drop_rate=0.02),),
@@ -381,7 +381,7 @@ class TestRecovery:
 
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
 
         probe = Simulator(mesh.size, GENERIC).run(
             agcm_rank_program, cfg, decomp, self.NSTEPS, False
@@ -423,7 +423,7 @@ class TestRecovery:
 
         cfg = _cfg()
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         # a failure at t=0 re-injected manually is consumed after one
         # restart, so exhaustion needs max_recoveries=0
         plan = FaultPlan(seed=0, failures=(RankFailure(rank=0, at=0.0),))

@@ -193,7 +193,7 @@ class TestValidationAndRecoveryHelpers:
         )
         left = plan.without_failure(1)
         assert [f.rank for f in left.failures] == [3]
-        assert plan.without_failures().failures == ()
+        assert left.without_failure(3).failures == ()
 
     def test_describe_mentions_every_fault(self):
         plan = FaultPlan(

@@ -139,7 +139,7 @@ def test_decoder_reassembles_byte_by_byte():
         dec.feed(stream[i:i + 1])
         got.extend(dec.frames())
     assert got == frames
-    assert dec.buffered == 0
+    assert len(dec._buf) == 0
 
 
 def test_decoder_keeps_partial_frame_buffered():
@@ -147,7 +147,7 @@ def test_decoder_keeps_partial_frame_buffered():
     dec = FrameDecoder()
     dec.feed(blob[:-1])
     assert list(dec.frames()) == []
-    assert dec.buffered == len(blob) - 1
+    assert len(dec._buf) == len(blob) - 1
     dec.feed(blob[-1:])
     assert list(dec.frames()) == [("heartbeat", {"busy": True})]
 

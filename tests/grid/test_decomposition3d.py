@@ -1,15 +1,17 @@
-"""Tests for the 3-D block decomposition and its 2-D slab views."""
+"""Tests for the decomposition on a vertically split mesh, and its
+slab views."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid.decomposition import Decomposition
 from repro.parallel.topology import ProcessorMesh
+from repro.util.partition import owner_of
 
 
 def _decomp(nlat=12, nlon=16, nlev=6, dims=(2, 2, 3)):
-    return Decomposition3D(nlat, nlon, nlev, ProcessorMesh(*dims))
+    return Decomposition(nlat, nlon, ProcessorMesh(*dims), nlev)
 
 
 class TestPartition:
@@ -22,16 +24,21 @@ class TestPartition:
 
     def test_counts_sum_to_grid(self):
         d = _decomp()
-        assert sum(d.counts().values()) == d.nlat * d.nlon * d.nlev
+        counts = [s.nlat * s.nlon * s.nlev for s in d.subdomains()]
+        assert sum(counts) == d.nlat * d.nlon * d.nlev
 
     def test_owner_of_point_consistent(self):
         d = _decomp()
         for s in d.subdomains():
-            assert d.owner_of_point(s.lat0, s.lon0, s.lev0) == s.rank
+            i, j, k = (owner_of(g, n, p) for g, n, p in (
+                (s.lat0, d.nlat, d.mesh.nlat_procs),
+                (s.lon0, d.nlon, d.mesh.nlon_procs),
+                (s.lev0, d.nlev, d.mesh.nlev_procs)))
+            assert d.mesh.rank_of(i, j, k) == s.rank
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
-            Decomposition3D(4, 4, 2, ProcessorMesh(1, 1, 3))
+            Decomposition(4, 4, ProcessorMesh(1, 1, 3), 2)
 
 
 class TestScatterGather:
@@ -50,20 +57,23 @@ class TestScatterGather:
         np.testing.assert_array_equal(d.gather(blocks), field)
 
     def test_single_level_field_replicated_per_pillar(self):
-        d = _decomp()
-        ps = np.random.default_rng(0).standard_normal((d.nlat, d.nlon, 1))
-        blocks = d.scatter(ps)
-        mesh = d.mesh
-        for i in range(mesh.nlat_procs):
-            for j in range(mesh.nlon_procs):
-                pillar = mesh.pillar_ranks(i, j)
-                for r in pillar[1:]:
-                    np.testing.assert_array_equal(
-                        blocks[r], blocks[pillar[0]]
-                    )
-        np.testing.assert_array_equal(
-            d.gather(blocks, single_level=True), ps
-        )
+        for dims in ((2, 2, 1), (2, 2, 3)):
+            d = _decomp(dims=dims)
+            ps = np.random.default_rng(0).standard_normal(
+                (d.nlat, d.nlon, 1))
+            blocks = d.scatter(ps)
+            mesh = d.mesh
+            for i in range(mesh.nlat_procs):
+                for j in range(mesh.nlon_procs):
+                    pillar = mesh.pillar_ranks(i, j)
+                    for r in pillar:
+                        np.testing.assert_array_equal(
+                            blocks[r], ps[d.subdomain(r).lat_slice,
+                                          d.subdomain(r).lon_slice]
+                        )
+            np.testing.assert_array_equal(
+                d.gather(blocks, single_level=True), ps
+            )
 
     def test_single_level_gather_needs_flag_on_unit_slabs(self):
         # nlev == nlev_procs leaves one layer per rank: ps blocks are
@@ -126,10 +136,10 @@ class TestSlabViews:
         assert sum(widths) == 7 and max(widths) - min(widths) <= 1
 
     def test_horizontal_projection(self):
+        # A slab holds the parent's own blocks, keyed by global rank:
+        # the horizontal code sees each rank's block of its level.
         d = _decomp()
         for s in d.subdomains():
-            h = s.horizontal()
-            assert (h.lat0, h.lat1, h.lon0, h.lon1) == (
-                s.lat0, s.lat1, s.lon0, s.lon1
-            )
-            assert h.rank == s.rank
+            slab = d.slab(s.klev_proc)
+            assert slab.subdomain(s.rank) is s
+            assert slab.subdomain(s.rank).shape == (s.nlat, s.nlon)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.grid.halo import exchange_halos, pad_with_halo
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 
@@ -54,7 +54,7 @@ class TestExchangeHalos:
         nlat, nlon = 9, 12
         field = rng.standard_normal((nlat, nlon, *trailing))
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(nlat, nlon, mesh)
+        decomp = Decomposition(nlat, nlon, mesh)
         if any(
             halo > min(s.nlat, s.nlon) for s in decomp.subdomains()
         ):
@@ -78,7 +78,7 @@ class TestExchangeHalos:
         nlat, nlon = 8, 8
         field = rng.standard_normal((nlat, nlon))
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(nlat, nlon, mesh)
+        decomp = Decomposition(nlat, nlon, mesh)
 
         def program(ctx):
             local = decomp.scatter(field)[ctx.rank]
@@ -92,7 +92,7 @@ class TestExchangeHalos:
         """Interior ranks exchange 4 messages per call (2 EW + 2 NS)."""
         field = rng.standard_normal((9, 12))
         mesh = ProcessorMesh(3, 3)
-        decomp = Decomposition2D(9, 12, mesh)
+        decomp = Decomposition(9, 12, mesh)
 
         def program(ctx):
             local = decomp.scatter(field)[ctx.rank]
@@ -106,7 +106,7 @@ class TestExchangeHalos:
         assert res.trace.ranks[south].messages_sent == 3
 
     def test_shape_mismatch_rejected(self, rng):
-        decomp = Decomposition2D(9, 12, ProcessorMesh(3, 3))
+        decomp = Decomposition(9, 12, ProcessorMesh(3, 3))
 
         def program(ctx):
             local = np.zeros((2, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dynamics.state import PROGNOSTIC_NAMES
 from repro.faults.checkpoint import Checkpointer
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.guard import (
     BuddyCheckpointer,
     GuardConfig,
@@ -27,7 +27,7 @@ NSTEPS = 6
 def _setup(dims=(2, 2)):
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     return cfg, mesh, decomp
 
 

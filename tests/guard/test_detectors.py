@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamics.state import PROGNOSTIC_NAMES
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import make_config
 from repro.parallel import GENERIC, ProcessorMesh
 from repro.guard import (
@@ -27,7 +27,7 @@ NSTEPS = 6
 def _setup(dims=(2, 2)):
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     return cfg, mesh, decomp
 
 
@@ -116,7 +116,7 @@ class TestCflDetector:
     def test_polar_rows_exempt(self, rng):
         cfg = make_config("tiny", physics_every=2)
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         # rank 0 owns the northernmost rows in a 2x2 split
         state, grid, sub = _rank_state(cfg, decomp, rank=0)
         now = _local_fields(np.random.default_rng(0), cfg, sub)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, RankFailure
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.guard import (
     GuardConfig,
     NumericalHealthError,
@@ -25,7 +25,7 @@ NSTEPS = 6
 def _setup(dims=(2, 2)):
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(*dims)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     return cfg, mesh, decomp
 
 
@@ -172,7 +172,7 @@ class TestOverheadContract:
             cfg, decomp, NSTEPS, GENERIC, return_fields=False,
             observer=off_obs, guard=GuardConfig(detect=False, buddy_every=0),
         )
-        assert off_obs.spans_named("guard") == []
+        assert [s for s in off_obs.spans if s.name == "guard"] == []
         assert "guard" not in off.result.trace.phases()
         assert off.result.clocks == plain.clocks
         assert sorted(s.name for s in off_obs.spans) \

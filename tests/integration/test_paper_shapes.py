@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import make_filter_plan, prepare_filter_backend
 from repro.dynamics.state import initial_fields_block
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.model import ComponentBreakdown, make_config
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, T3D, ProcessorMesh, Simulator
@@ -36,7 +36,7 @@ def filter_times():
     grid = SphericalGrid(30, 48)
     plan = make_filter_plan(grid)
     mesh = ProcessorMesh(5, 4)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     out = {}
     for machine in (PARAGON, T3D):
         for name in ("convolution-ring", "convolution-tree", "fft", "fft-lb"):
@@ -78,7 +78,7 @@ def agcm_runs():
     for backend in ("convolution-ring", "fft-lb"):
         for dims in ((1, 1), (3, 4)):
             mesh = ProcessorMesh(*dims)
-            decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+            decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
             res = Simulator(mesh.size, PARAGON).run(
                 agcm_rank_program, cfg.with_(filter_backend=backend),
                 decomp, 8,
@@ -121,7 +121,7 @@ class TestPhysicsLbEndToEnd:
         """Scheme-3 balancing shortens the physics phase of a real run."""
         cfg = make_config("tiny", physics_every=2)
         mesh = ProcessorMesh(3, 4)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         nsteps = 13  # several physics calls so balancing engages
 
         res_off = Simulator(mesh.size, PARAGON).run(

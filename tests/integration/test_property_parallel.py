@@ -14,7 +14,7 @@ from repro.core import (
     make_filter_plan,
     prepare_filter_backend,
 )
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.model import make_config
 from repro.model.agcm import AGCM
 from repro.model.parallel_agcm import agcm_rank_program
@@ -50,7 +50,7 @@ def test_parallel_filter_equals_serial_property(
     apply_serial_filter(plan, reference)
 
     mesh = ProcessorMesh(m, n)
-    decomp = Decomposition2D(nlat, nlon, mesh)
+    decomp = Decomposition(nlat, nlon, mesh)
     be = prepare_filter_backend(backend, plan, decomp)
 
     def program(ctx):
@@ -86,7 +86,7 @@ def test_parallel_agcm_equals_serial_property(m, n, lb, vdiff):
     ref = serial.state.fields()
 
     mesh = ProcessorMesh(m, n)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     res = Simulator(mesh.size, GENERIC).run(
         agcm_rank_program, cfg, decomp, nsteps, True
     )
@@ -107,7 +107,7 @@ def test_paper_resolution_equivalence(backend):
     serial.run(nsteps)
 
     mesh = ProcessorMesh(3, 4)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     res = Simulator(mesh.size, PARAGON).run(
         agcm_rank_program, cfg, decomp, nsteps, True
     )

@@ -52,7 +52,7 @@ class TestDerivedQuantities:
 
     def test_physics_interval(self):
         cfg = PAPER_9LAYER.with_(dt=400.0, physics_every=4)
-        assert cfg.physics_interval_seconds() == pytest.approx(1600.0)
+        assert cfg.physics_every * cfg.timestep() == pytest.approx(1600.0)
 
     def test_with_returns_new_object(self):
         cfg2 = TINY.with_(seed=99)

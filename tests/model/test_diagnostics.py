@@ -83,7 +83,7 @@ class TestImplicitDiffusionOption:
         assert runs["on"] < runs["off"]
 
     def test_parallel_equivalence_with_option(self):
-        from repro.grid import Decomposition2D
+        from repro.grid import Decomposition
         from repro.model.parallel_agcm import agcm_rank_program
         from repro.parallel import GENERIC, ProcessorMesh, Simulator
 
@@ -92,7 +92,7 @@ class TestImplicitDiffusionOption:
         ser.initialize()
         ser.run(5)
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(4, GENERIC).run(agcm_rank_program, cfg, decomp, 5, True)
         for name, want in ser.state.fields().items():
             got = decomp.gather(

@@ -11,7 +11,7 @@ bit-identical, and a slowed machine leaves no rank clock earlier.
 import numpy as np
 import pytest
 
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import agcm_rank_program, make_config
 from repro.parallel import PARAGON, T3D, ProcessorMesh, Simulator
 
@@ -40,7 +40,7 @@ VARIANTS = {
 
 def _run(backend, machine):
     cfg = make_config("tiny", filter_backend=backend)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, MESH)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, MESH)
     return Simulator(MESH.size, machine).run(
         agcm_rank_program, cfg, decomp, NSTEPS, True
     )

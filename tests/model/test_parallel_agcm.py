@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
 from repro.model.parallel_agcm import agcm_rank_program
@@ -41,7 +41,7 @@ class TestEquivalence:
         cfg, ref = serial_reference
         cfg2 = cfg.with_(filter_backend=backend)
         mesh = ProcessorMesh(*dims)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(mesh.size, PARAGON).run(
             agcm_rank_program, cfg2, decomp, NSTEPS, True
         )
@@ -57,7 +57,7 @@ class TestEquivalence:
         cfg, ref = serial_reference
         cfg2 = cfg.with_(physics_lb=True)
         mesh = ProcessorMesh(3, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(mesh.size, PARAGON).run(
             agcm_rank_program, cfg2, decomp, NSTEPS, True
         )
@@ -71,7 +71,7 @@ class TestEquivalence:
         """Timing model and numerics are orthogonal."""
         cfg, ref = serial_reference
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res_p = Simulator(4, PARAGON).run(
             agcm_rank_program, cfg, decomp, NSTEPS, True
         )
@@ -91,7 +91,7 @@ class TestTraceStructure:
     def test_phases_recorded(self, serial_reference):
         cfg, _ = serial_reference
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(4, PARAGON).run(agcm_rank_program, cfg, decomp, 4)
         phases = res.trace.phases()
         for name in ("dynamics", "physics", "filtering", "halo", "fd", "update"):
@@ -100,10 +100,32 @@ class TestTraceStructure:
     def test_summaries(self, serial_reference):
         cfg, _ = serial_reference
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(4, PARAGON).run(agcm_rank_program, cfg, decomp, 5)
         for r, summary in enumerate(res.returns):
             assert summary["rank"] == r
             assert summary["steps"] == 5
             assert summary["finite"]
             assert summary["physics_calls"] == 2  # steps 0 and 4
+
+
+class TestDecompositionMustMatchConfig:
+    """A decomposition of another grid is refused before any step runs,
+    naming both grids, instead of failing deep inside the first one."""
+
+    @pytest.mark.parametrize("make", [
+        # Wrong layer count on a split mesh (was: a failed reshape).
+        lambda cfg: Decomposition(cfg.nlat, cfg.nlon, ProcessorMesh(2, 2, 2),
+                                  cfg.nlayers + 1),
+        # Wrong latitude count (was: a bad latitude block in the geometry).
+        lambda cfg: Decomposition(cfg.nlat + 2, cfg.nlon, ProcessorMesh(2, 2)),
+    ], ids=["nlayers", "nlat"])
+    def test_refused_at_the_boundary(self, make):
+        cfg = make_config("tiny")
+        decomp = make(cfg)
+        have = (decomp.nlat, decomp.nlon, decomp.nlev or cfg.nlayers)
+        want = (cfg.nlat, cfg.nlon, cfg.nlayers)
+        with pytest.raises(ValueError) as err:
+            Simulator(decomp.mesh.size, PARAGON).run(
+                agcm_rank_program, cfg, decomp, 2)
+        assert str(have) in str(err.value) and str(want) in str(err.value)

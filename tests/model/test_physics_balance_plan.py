@@ -65,7 +65,7 @@ class TestPlanInvariants:
     def test_balanced_loads_no_moves(self):
         plan = plan_column_flow([5.0, 5.0, 5.0], [10, 10, 10])
         assert plan.passes == []
-        assert plan.total_columns_moved() == 0
+        assert sum(m.ncols for p in plan.passes for m in p) == 0
 
     def test_heavy_rank_sheds_columns(self):
         plan = plan_column_flow([10.0, 1.0], [100, 100])
@@ -86,7 +86,7 @@ class TestPlanInvariants:
 
     def test_guest_runs(self):
         plan = plan_column_flow([10.0, 1.0], [50, 50])
-        guests = plan.guest_runs(1)
+        guests = [r for r in plan.holdings[1] if r.origin != 1]
         assert guests and all(r.origin == 0 for r in guests)
 
     def test_input_validation(self):

@@ -12,8 +12,7 @@ from repro.core import parallel_filter
 from repro.dynamics import state as dynamics_state
 from repro.dynamics.geometry import LocalGeometry
 from repro.dynamics.state import PROGNOSTIC_NAMES
-from repro.grid import Decomposition2D
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid import Decomposition
 from repro.model import parallel_agcm
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
@@ -52,7 +51,7 @@ def counts(monkeypatch):
 def test_4x4_sets_up_once_per_run_and_once_per_row(counts):
     cfg = make_config("tiny")
     mesh = ProcessorMesh(4, 4)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     assert cfg.filter_backend == "fft-lb"  # a transpose backend: row states
     res = Simulator(mesh.size, PARAGON).run(agcm_rank_program, cfg, decomp, 3)
     assert all(r["finite"] for r in res.returns)
@@ -66,7 +65,7 @@ def test_4x4_sets_up_once_per_run_and_once_per_row(counts):
 def test_2x2x4_prepares_one_backend_per_slab(counts):
     cfg = make_config("tiny")
     mesh = ProcessorMesh(2, 2, 4)
-    decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh, cfg.nlayers)
     Simulator(mesh.size, PARAGON).run(agcm_rank_program, cfg, decomp, 2)
     assert counts["filter plans"] == 1
     assert counts["backends"] == 4  # one per slab
@@ -80,7 +79,7 @@ def test_a_resumed_run_never_builds_initial_fields(counts, tmp_path):
 
     cfg = make_config("tiny")
     mesh = ProcessorMesh(2, 2)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     ckpt = Checkpointer(2, tmp_path / "c.npz")
     full = Simulator(mesh.size, PARAGON).run(
         agcm_rank_program, cfg, decomp, 5, True, checkpointer=ckpt)
@@ -108,7 +107,7 @@ def test_the_plan_dies_with_the_run(monkeypatch):
     monkeypatch.setattr(parallel_agcm._RunPlan, "__init__", remembered)
     cfg = make_config("tiny")
     mesh = ProcessorMesh(2, 2)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     gc.collect()
     gc.disable()
     try:
@@ -129,10 +128,7 @@ def test_paper_grid_tilings_equal_serial(dims):
     model.initialize()
     model.run(nsteps)
     mesh = ProcessorMesh(*dims)
-    if len(dims) == 3:
-        decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
-    else:
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh, cfg.nlayers)
     res = Simulator(mesh.size, PARAGON).run(
         agcm_rank_program, cfg, decomp, nsteps, True)
     for name, want in model.state.fields().items():

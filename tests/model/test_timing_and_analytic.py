@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.model import ComponentBreakdown, make_config, per_day
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
@@ -23,7 +23,7 @@ class TestComponentBreakdown:
     def breakdown(self):
         cfg = make_config("tiny")
         mesh = ProcessorMesh(2, 2)
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
         res = Simulator(4, PARAGON).run(agcm_rank_program, cfg, decomp, 8)
         return ComponentBreakdown.from_result(res, 8, cfg)
 

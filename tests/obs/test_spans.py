@@ -32,6 +32,10 @@ def ping_pong(ctx):
     return ctx.rank
 
 
+def _named(obs, name):
+    return [s for s in obs.spans if s.name == name]
+
+
 class TestRecording:
     def test_spans_and_metrics_recorded(self):
         obs = Observer()
@@ -40,8 +44,8 @@ class TestRecording:
         assert len(obs.runs) == 1
         assert obs.runs[0].nranks == 2
         # one "talk" region span and one "work" span per rank
-        assert len(obs.spans_named("talk")) == 2
-        work = obs.spans_named("work")
+        assert len(_named(obs, "talk")) == 2
+        work = _named(obs, "work")
         assert len(work) == 2
         for s in work:
             assert s.tags == {"size": 2}
@@ -91,8 +95,8 @@ class TestNesting:
 
         obs = Observer()
         Simulator(2, GENERIC, observer=obs).run(nested)
-        for outer in obs.spans_named("outer"):
-            kids = obs.children(outer.sid)
+        for outer in _named(obs, "outer"):
+            kids = [s for s in obs.spans if s.parent == outer.sid]
             assert [k.name for k in kids] == ["inner"]
             for k in kids:
                 assert k.rank == outer.rank

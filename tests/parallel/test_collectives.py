@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel import GENERIC, Simulator
+from repro.parallel import collectives as coll
 
 
 def run(nranks, program, *args):
@@ -19,7 +20,7 @@ class TestBcast:
 
         def program(ctx):
             obj = {"data": 42} if ctx.rank == root else None
-            got = yield from ctx.bcast(obj, root=root)
+            got = yield from coll.bcast_binomial(ctx, obj, root=root)
             return got["data"]
 
         res = run(size, program)
@@ -28,14 +29,14 @@ class TestBcast:
     def test_array_payload(self):
         def program(ctx):
             arr = np.arange(8.0) if ctx.rank == 1 else None
-            got = yield from ctx.bcast(arr, root=1)
+            got = yield from coll.bcast_binomial(ctx, arr, root=1)
             return got.sum()
 
         assert run(4, program).returns == [28.0] * 4
 
     def test_bad_root(self):
         def program(ctx):
-            yield from ctx.bcast(1, root=9)
+            yield from coll.bcast_binomial(ctx, 1, root=9)
 
         with pytest.raises(ValueError):
             run(3, program)

@@ -4,7 +4,7 @@ vertical halo exchange and leap-format scheduling."""
 import numpy as np
 import pytest
 
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid.decomposition import Decomposition
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
 from repro.physics.workload import leap_schedule
 
@@ -63,7 +63,7 @@ class TestVerticalHalo:
 
         nlev = 6
         mesh = ProcessorMesh(1, 1, kprocs)
-        decomp = Decomposition3D(4, 5, nlev, mesh)
+        decomp = Decomposition(4, 5, mesh, nlev)
         field = np.arange(4 * 5 * nlev, dtype=float).reshape(4, 5, nlev)
         blocks = decomp.scatter(field)
 
@@ -96,7 +96,7 @@ class TestVerticalHalo:
         from repro.parallel.collectives import exchange_vertical_halo
 
         mesh = ProcessorMesh(1, 1, 2)
-        decomp = Decomposition3D(4, 4, 4, mesh)
+        decomp = Decomposition(4, 4, mesh, 4)
 
         def program(ctx):
             yield from exchange_vertical_halo(

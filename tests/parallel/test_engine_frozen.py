@@ -21,8 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.grid import Decomposition2D
-from repro.grid.decomposition3d import Decomposition3D
+from repro.grid import Decomposition
 from repro.model import agcm_rank_program, make_config
 from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
 from repro.perf.simbench import probe_program
@@ -117,10 +116,7 @@ AGCM = {
 def run_agcm(dims) -> str:
     cfg = make_config("tiny", filter_backend="fft-lb")
     mesh = ProcessorMesh(*dims)
-    if mesh.nlev_procs > 1:
-        decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
-    else:
-        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh, cfg.nlayers)
     res = Simulator(mesh.size, PARAGON).run(agcm_rank_program, cfg, decomp, 4)
     assert all(summary["finite"] for summary in res.returns)
     return _digest(res)

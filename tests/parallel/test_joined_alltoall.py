@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_filter_plan, prepare_filter_backend
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
 from repro.parallel import events, scheduler
 from repro.parallel.events import AllToAll, Blocks
@@ -183,7 +183,7 @@ _MESH = ProcessorMesh(2, BULK)
 
 
 def _filter_run(record_events=False, applications=2):
-    decomp = Decomposition2D(_GRID.nlat, _GRID.nlon, _MESH)
+    decomp = Decomposition(_GRID.nlat, _GRID.nlon, _MESH)
     backend = prepare_filter_backend("fft-lb", make_filter_plan(_GRID), decomp)
     rng = np.random.default_rng(3)
     fields = {n: rng.standard_normal((_GRID.nlat, _GRID.nlon, 2))

@@ -64,7 +64,7 @@ class TestGroups:
             r for i in range(3) for r in mesh.row_ranks(i)
         )
         all_from_cols = sorted(
-            r for j in range(4) for r in mesh.col_ranks(j)
+            mesh.rank_of(i, j) for j in range(4) for i in range(3)
         )
         assert all_from_rows == list(range(12))
         assert all_from_cols == list(range(12))

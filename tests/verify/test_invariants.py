@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.grid.decomposition import Decomposition2D
+from repro.grid.decomposition import Decomposition
 from repro.model.config import AGCMConfig
 from repro.model.parallel_agcm import agcm_rank_program
 from repro.parallel import GENERIC, Event, ProcessorMesh, Simulator
@@ -46,7 +46,7 @@ def agcm_result():
         nlat=12, nlon=16, nlayers=1, physics_every=2, dt_safety=0.3, seed=11
     )
     mesh = ProcessorMesh(2, 2)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     sim = Simulator(mesh.size, GENERIC, record_events=True)
     return sim.run(agcm_rank_program, cfg, decomp, 3)
 

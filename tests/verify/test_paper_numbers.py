@@ -24,7 +24,7 @@ import pytest
 
 from repro.faults.checkpoint import Checkpointer
 from repro.faults.mitigation import run_straggler_demo
-from repro.grid import Decomposition2D
+from repro.grid import Decomposition
 from repro.guard.buddy import BuddyCheckpointer
 from repro.guard.config import GuardConfig
 from repro.guard.supervisor import run_agcm_guarded
@@ -54,7 +54,7 @@ def _guard_overheads():
     """Detector cost as a fraction of the unguarded run: on, then off."""
     cfg = make_config("tiny", physics_every=2)
     mesh = ProcessorMesh(2, 2)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     base = Simulator(mesh.size, PARAGON).run(
         agcm_rank_program, cfg, decomp, 8).elapsed
     fractions = []
@@ -70,7 +70,7 @@ def _checkpoint_seconds(checkpointer):
     """Slowest rank's checkpoint phase at 8 x 30 over 2 steps."""
     cfg = make_config("2x2.5x9")
     mesh = ProcessorMesh(8, 30)
-    decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+    decomp = Decomposition(cfg.nlat, cfg.nlon, mesh)
     res = Simulator(mesh.size, PARAGON).run(
         agcm_rank_program, cfg, decomp, 2, False, checkpointer)
     return res.trace.phase_max("checkpoint")

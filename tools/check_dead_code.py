@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Census: top-level definitions in ``src/repro`` that no program runs.
+"""Census: definitions in ``src/repro`` that no program runs.
 
-A definition (a top-level ``def``, ``class`` or assignment; dunders such
-as ``__all__`` excepted) is *dead* when its name is referenced only from
+A definition (a top-level ``def``, ``class`` or assignment, or a method
+or property of a top-level class; dunders such as ``__all__`` and
+``__init__`` excepted) is *dead* when its name is referenced only from
 ``tests/``, from ``__init__`` re-exports, or from
-the bodies of other dead definitions.  Programs are the rest of
+the bodies of other dead definitions.  The methods of a dead class are
+dead with it and are counted in its lines.  Programs are the rest of
 ``src/repro`` (module-level statements included) plus ``bench/``,
 ``benchmarks/``, ``examples/``, ``tools/`` and every word of the CI
 workflows, whose steps run inline scripts.  References are matched by
@@ -37,7 +39,8 @@ from repro.util.cli import StrictParser  # noqa: E402
 PROGRAM_DIRS = ("bench", "benchmarks", "examples", "tools")
 
 # "module.name": why a definition that only tests reach stays.  A kept
-# definition counts as live, so what it calls needs no entry of its own.
+# definition counts as live, so what it calls (and, for a class, its
+# methods) needs no entry of its own.
 KEEP = {
     "dynamics.operators.laplacian5":
         "expression-form oracle of tests/dynamics/test_tendencies.py",
@@ -47,6 +50,12 @@ KEEP = {
         "expression-form oracle of tests/dynamics/test_tendencies.py",
     "core.physics_lb.estimator.PreviousPassEstimator":
         "lagged-load estimator of ROADMAP item 12 (scheme-3 plan staleness)",
+    "serve.config.ServeConfig.from_options":
+        "the documented RunOptions -> gateway config mapping "
+        "(docs/performance.md)",
+    "perf.cache_sim.CacheSim.access":
+        "one-address LRU oracle of the batched simulate() in "
+        "tests/perf/test_cache_sim.py",
     "io.byteorder.native_order":
         "byte-order codec of the one result encoding, ROADMAP item 6",
     "io.byteorder.swap_bytes":
@@ -80,14 +89,24 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
-def _names(node):
-    """Every identifier *node* mentions: names, attributes and the names
-    an import binds."""
-    for sub in ast.walk(node):
+def _names(node, skip=()):
+    """Every identifier *node* mentions: names, attributes, the names an
+    import binds and identifier-shaped strings (``getattr`` dispatch) —
+    outside the subtrees in *skip*."""
+    skip = set(map(id, skip))
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if id(sub) in skip:
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
         elif isinstance(sub, ast.ImportFrom):
             for alias in sub.names:
                 yield alias.name
@@ -109,11 +128,21 @@ def _defined(stmt):
             if isinstance(node, ast.Name) and not node.id.startswith("__")]
 
 
+def _methods(stmt):
+    """The non-dunder methods and properties a top-level class defines."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [node for node in stmt.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def census(roots=()):
     """``{"module.name": line count}`` of the dead definitions, counting
     the definitions named in *roots* as live."""
     src = os.path.join(_REPO_ROOT, "src", "repro")
     definitions = {}  # "module.name" -> (name, node)
+    owner_class = {}  # "module.Class.method" -> "module.Class"
     chunks = []  # (owners "module.name", names the chunk mentions)
     for path in _sources(os.path.join("src", "repro")):
         module = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
@@ -133,7 +162,14 @@ def census(roots=()):
             owners = tuple(f"{module}.{name}" for name in defined)
             for key, name in zip(owners, defined):
                 definitions[key] = (name, stmt)
-            chunks.append((owners, set(_names(stmt)) - set(defined)))
+            methods = _methods(stmt)
+            chunks.append((owners, set(_names(stmt, skip=methods))
+                           - set(defined)))
+            for method in methods:
+                key = f"{owners[0]}.{method.name}"
+                definitions[key] = (method.name, method)
+                owner_class[key] = owners[0]
+                chunks.append(((key,), set(_names(method)) - {method.name}))
     for directory in PROGRAM_DIRS:
         for path in _sources(directory):
             chunks.append(((), set(_names(_parse(path)))))
@@ -142,18 +178,21 @@ def census(roots=()):
         with open(path, encoding="utf-8") as fh:
             chunks.append(((), set(re.findall(r"\w+", fh.read()))))
 
-    dead = set(definitions) - set(roots)
+    dead = set(definitions) - set(roots) - {
+        key for key, cls in owner_class.items() if cls in roots}
     while True:  # a definition is live once a live chunk names it
         live = set()
         for owners, names in chunks:
             if not owners or not dead.issuperset(owners):
                 live |= names
-        still = {key for key in dead if definitions[key][0] not in live}
+        still = {key for key in dead if definitions[key][0] not in live
+                 or owner_class.get(key) in dead}
         if still == dead:
             break
         dead = still
     return {key: definitions[key][1].end_lineno
-            - definitions[key][1].lineno + 1 for key in sorted(dead)}
+            - definitions[key][1].lineno + 1 for key in sorted(dead)
+            if owner_class.get(key) not in dead}
 
 
 def main(argv=None) -> int:
