@@ -40,7 +40,6 @@ import cProfile
 import collections
 import dataclasses
 import os
-import pstats
 import signal
 import sys
 import time
@@ -219,10 +218,13 @@ def calls_profile(args, plan, rec) -> int:
             print("\n".join(result.errors), file=sys.stderr)
             return 1
         per_package: collections.Counter = collections.Counter()
-        for (filename, _line, _name), (_cc, ncalls, *_rest) in (
-                pstats.Stats(profile).stats.items()):
-            if filename != "~":  # "~" files the built-in functions
-                per_package[_package(filename)] += ncalls
+        # Raw entries, one per code object: ``pstats`` keys by (file,
+        # line, name) and so keeps one of the generated dataclass
+        # ``__init__``s of "<string>", dropping the others' calls.
+        for entry in profile.getstats():
+            if not isinstance(entry.code, str):  # str: a built-in
+                per_package[_package(entry.code.co_filename)] += \
+                    entry.callcount
         counts[label] = per_package
     packages = sorted({p for c in counts.values() for p in c} - {"other"})
     columns = ["calls", *packages, "other"]
